@@ -29,8 +29,8 @@ import numpy as np
 from .data import canonical_order, kfold, load, load_features, standardize
 from .gibbs import compare_to_vi, gibbs_run
 from .inference import TrainConfig, fit
-from .kernel import KernelParams
-from .model import load_checkpoint, save_checkpoint
+from .kernel import FactorizationError, KernelParams
+from .model import Dataset, load_checkpoint, save_checkpoint
 from .prediction import class_prob, evaluate, latent_predict
 
 _BOOL_OPTS = {"standardize", "canonical-sort", "parallel", "trace-train-error", "unlabeled"}
@@ -107,6 +107,29 @@ def _add_common_opts(p):
     p.add_argument("--config", default=None, help="key=value file of option defaults")
 
 
+def _add_kernel_opts(p):
+    p.add_argument(
+        "--standardize", action=argparse.BooleanOptionalAction, default=True,
+        help="standardize features on the data being fitted (default on)",
+    )
+    p.add_argument("--lengthscale", type=float, default=None,
+                   help="kernel lengthscale, initial value if learned (default sqrt(d))")
+    p.add_argument("--amplitude", type=float, default=None,
+                   help="kernel amplitude, initial value if learned (default 1)")
+    p.add_argument("--jitter", type=float, default=None,
+                   help="diagonal jitter, initial value if learned (default 1e-6)")
+
+
+def _add_fold_opts(p, folds):
+    p.add_argument("--folds", type=int, default=folds, help=f"fold count (default {folds})")
+    p.add_argument("--max-test", type=int, default=100000,
+                   help="cap on test-fold size (default 100000)")
+    p.add_argument(
+        "--parallel", action=argparse.BooleanOptionalAction, default=False,
+        help="run folds in parallel processes (default sequential)",
+    )
+
+
 def _add_train_opts(p):
     p.add_argument("--m", type=int, default=100, help="inducing points (default 100)")
     p.add_argument("--batch", type=int, default=100, help="mini-batch size (default 100)")
@@ -130,14 +153,7 @@ def _add_train_opts(p):
         "--heldout-frac", type=float, default=0.1,
         help="held-out fraction for --conv heldout (default 0.1)",
     )
-    p.add_argument(
-        "--standardize", action=argparse.BooleanOptionalAction, default=True,
-        help="standardize features on the training split (default on)",
-    )
-    p.add_argument("--lengthscale", type=float, default=None,
-                   help="initial lengthscale (default sqrt(d))")
-    p.add_argument("--amplitude", type=float, default=None, help="initial amplitude (default 1)")
-    p.add_argument("--jitter", type=float, default=None, help="diagonal jitter (default 1e-6)")
+    _add_kernel_opts(p)
     p.add_argument(
         "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
         help="append a train_error column to the trace (default off)",
@@ -174,15 +190,7 @@ def _build_parser():
     _add_data_opts(p_cv)
     _add_common_opts(p_cv)
     _add_train_opts(p_cv)
-    p_cv.add_argument("--folds", type=int, default=10, help="fold count (default 10)")
-    p_cv.add_argument(
-        "--max-test", type=int, default=100000,
-        help="cap on test-fold size (default 100000)",
-    )
-    p_cv.add_argument(
-        "--parallel", action=argparse.BooleanOptionalAction, default=False,
-        help="run folds in parallel processes (default sequential)",
-    )
+    _add_fold_opts(p_cv, folds=10)
 
     p_gc = sub.add_parser("gibbs-check", help="full-GP VI vs exact Gibbs agreement")
     _add_data_opts(p_gc)
@@ -193,14 +201,7 @@ def _build_parser():
     p_gc.add_argument("--burn-in", type=int, default=1000, help="burn-in sweeps (default 1000)")
     p_gc.add_argument("--thin", type=int, default=2, help="thinning stride (default 2)")
     p_gc.add_argument("--max-iters", type=int, default=200, help="VI iteration cap (default 200)")
-    p_gc.add_argument(
-        "--standardize", action=argparse.BooleanOptionalAction, default=True,
-        help="standardize features (default on)",
-    )
-    p_gc.add_argument("--lengthscale", type=float, default=None,
-                      help="kernel lengthscale (default sqrt(d))")
-    p_gc.add_argument("--amplitude", type=float, default=None, help="kernel amplitude (default 1)")
-    p_gc.add_argument("--jitter", type=float, default=None, help="diagonal jitter (default 1e-6)")
+    _add_kernel_opts(p_gc)
     p_gc.add_argument("--corr-threshold", type=float, default=0.99,
                       help="required posterior-mean correlation (default 0.99)")
     p_gc.add_argument("--gap-threshold", type=float, default=0.05,
@@ -212,13 +213,7 @@ def _build_parser():
     _add_train_opts(p_sw)
     p_sw.add_argument("--m-grid", type=_parse_m_grid, default=[16, 32, 64, 128],
                       metavar="M1,M2,...", help="inducing-point grid (default 16,32,64,128)")
-    p_sw.add_argument("--folds", type=int, default=5, help="fold count per m (default 5)")
-    p_sw.add_argument("--max-test", type=int, default=100000,
-                      help="cap on test-fold size (default 100000)")
-    p_sw.add_argument(
-        "--parallel", action=argparse.BooleanOptionalAction, default=False,
-        help="run folds in parallel processes (default sequential)",
-    )
+    _add_fold_opts(p_sw, folds=5)
     return parser
 
 
@@ -266,15 +261,6 @@ def _load_labeled(args):
     return ds
 
 
-def _init_params(args, d):
-    if args.lengthscale is None and args.amplitude is None and args.jitter is None:
-        return None
-    ell = args.lengthscale if args.lengthscale is not None else float(np.sqrt(d))
-    amp = args.amplitude if args.amplitude is not None else 1.0
-    jit = args.jitter if args.jitter is not None else 1e-6
-    return KernelParams(float(np.log(ell)), float(np.log(amp)), float(np.log(jit)))
-
-
 def _train_config(args, n, d, m=None, seed=None):
     mode, fixed_lr = args.lr
     return TrainConfig(
@@ -289,7 +275,7 @@ def _train_config(args, n, d, m=None, seed=None):
         conv_mode=args.conv,
         heldout_frac=args.heldout_frac,
         quad_order=args.quad_order,
-        init_params=_init_params(args, d),
+        init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
         trace_train_error=args.trace_train_error,
     )
 
@@ -322,25 +308,26 @@ def cmd_train(args):
     return 0
 
 
-def _restore(args):
-    state, seed, preprocess = load_checkpoint(args.checkpoint)
-    return state, seed, preprocess
-
-
-def _apply_preprocess(X, preprocess):
+def _prepare_features(args, X, state, preprocess):
+    """Checkpoint-ready features: check the feature count, then standardize."""
+    if X.shape[1] != state.Z.shape[1]:
+        raise ValueError(
+            f"{args.data} has {X.shape[1]} features but checkpoint {args.checkpoint} "
+            f"expects {state.Z.shape[1]}"
+        )
     if preprocess is None:
         return X
     return (X - preprocess["means"]) / preprocess["stds"]
 
 
 def cmd_predict(args):
-    state, _, preprocess = _restore(args)
+    state, _, preprocess = load_checkpoint(args.checkpoint)
     fmt = _infer_format(args.data, args.format)
     if args.unlabeled:
         X = load_features(args.data, fmt, n_features=args.n_features)
     else:
         X = load(args.data, fmt, label_col=args.label_col, n_features=args.n_features).X
-    X = _apply_preprocess(X, preprocess)
+    X = _prepare_features(args, X, state, preprocess)
     mu, var = latent_predict(state, X)
     p = class_prob(mu, var, order=args.quad_order)
     label = np.where(p >= 0.5, 1, -1)
@@ -354,11 +341,9 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    state, _, preprocess = _restore(args)
+    state, _, preprocess = load_checkpoint(args.checkpoint)
     ds = _load_labeled(args)
-    from .model import Dataset
-
-    ds = Dataset(_apply_preprocess(ds.X, preprocess), ds.y)
+    ds = Dataset(_prepare_features(args, ds.X, state, preprocess), ds.y)
     report = evaluate(state, ds, args.quad_order)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "metrics.csv")
@@ -370,8 +355,6 @@ def cmd_evaluate(args):
 
 def _run_fold(payload):
     """One CV fold: standardize on the training split, fit, evaluate."""
-    from .model import Dataset
-
     X, y, train_idx, test_idx, args_dict, m, fold_seed, do_std = payload
     train = Dataset(X[train_idx], y[train_idx])
     test = Dataset(X[test_idx], y[test_idx])
@@ -436,9 +419,7 @@ def cmd_gibbs_check(args):
         )
     if args.standardize:
         ds, _ = standardize(ds)
-    params = _init_params(args, ds.d)
-    if params is None:
-        params = KernelParams(0.5 * float(np.log(ds.d)), 0.0, float(np.log(1e-6)))
+    params = KernelParams.default(ds.d, args.lengthscale, args.amplitude, args.jitter)
     config = TrainConfig(
         num_inducing=ds.n,
         batch_size=ds.n,
@@ -514,7 +495,7 @@ def main(argv=None):
             argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .kernel import chol_with_escalation, kern_matrix
+from .kernel import build_gram, chol_with_escalation, kern_matrix
 from .pg import pg_sample, sigmoid
 from .prediction import class_prob, latent_predict
 
@@ -176,19 +176,16 @@ def compare_to_vi(chain, state, dataset, test_points=None, quad_order=20):
         vi_var = np.diag(state.Sigma).copy()
         vi_ppos = class_prob(vi_mean, vi_var, order=quad_order)
     else:
-        test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-        K = kern_matrix(dataset.X, dataset.X, state.params, same=True)
-        Lk, _ = chol_with_escalation(K, state.params.jitter)
-        A = kern_matrix(test_points, dataset.X, state.params)
-        W = cho_solve((Lk, True), A.T)  # K^{-1} K_n*
-        cond_var = kern_matrix(test_points, test_points, state.params, same=True).diagonal()
-        cond_var = np.maximum(cond_var - np.einsum("ij,ji->i", A, W), 1e-12)
-        cond_means = F @ W  # (S, n_star)
+        # With Z = X the bundle's kappa is K_*n K^{-1} and its Ktilde is the
+        # exact-GP conditional variance of f* given f.
+        gram = build_gram(test_points, state.Z, state.params)
+        cond_var = np.maximum(gram.ktilde, 1e-12)
+        cond_means = F @ gram.kappa.T  # (S, n_star)
         mcmc_mean = cond_means.mean(axis=0)
         mcmc_var = cond_means.var(axis=0, ddof=1) + cond_var
         mcmc_ppos = class_prob(cond_means, np.broadcast_to(cond_var, cond_means.shape),
                                order=quad_order).mean(axis=0)
-        vi_mean, vi_var = latent_predict(state, test_points)
+        vi_mean, vi_var = latent_predict(state, test_points, gram=gram)
         vi_ppos = class_prob(vi_mean, vi_var, order=quad_order)
 
     gaps = np.abs(mcmc_ppos - vi_ppos)

@@ -108,13 +108,11 @@ class FitResult:
     heldout: Dataset | None = None
 
 
-def _data_terms(y, c, kappa, ktilde, mu, Sigma):
-    """Per-point likelihood + PG-KL terms of the bound, summed over rows."""
-    kmu = kappa @ mu
-    kSk = np.einsum("ij,jk,ik->i", kappa, Sigma, kappa)
+def _data_terms(y, c, gram, state):
+    """Per-point likelihood + PG-KL terms of the bound, summed over the bundle's rows."""
+    kmu, var = gram.marginals(state.mu, state.Sigma)
     th = theta(c)
-    quad = ktilde + kSk + kmu * kmu
-    return 0.5 * (y @ kmu - th @ quad + (c * c) @ th) - np.sum(log_cosh(0.5 * c))
+    return 0.5 * (y @ kmu - th @ (var + kmu * kmu) + (c * c) @ th) - np.sum(log_cosh(0.5 * c))
 
 
 def _gauss_part(state, gram):
@@ -150,9 +148,7 @@ def elbo(state, dataset, gram=None, include_constants=False):
         raise ValueError("state.c must hold a current tilt for every data point")
     if gram is None:
         gram = build_gram(dataset.X, state.Z, state.params)
-    value = _gauss_part(state, gram) + _data_terms(
-        dataset.y, state.c, gram.kappa, gram.ktilde, state.mu, state.Sigma
-    )
+    value = _gauss_part(state, gram) + _data_terms(dataset.y, state.c, gram, state)
     if include_constants:
         value += 0.5 * state.m - dataset.n * _LOG2
     return float(value)
@@ -179,9 +175,8 @@ def local_update(state, dataset, indices=None, gram=None):
         indices = np.arange(dataset.n)
     if gram is None:
         gram = build_gram(dataset.X[indices], state.Z, state.params)
-    kmu = gram.kappa @ state.mu
-    kSk = np.einsum("ij,jk,ik->i", gram.kappa, state.Sigma, gram.kappa)
-    return np.sqrt(np.maximum(gram.ktilde + kSk + kmu * kmu, 0.0))
+    kmu, var = gram.marginals(state.mu, state.Sigma)
+    return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
 def natural_gradient(state, dataset, batch, gram=None):
@@ -446,15 +441,6 @@ def elbo_grad_sigma(state, dataset, gram=None):
     return 0.5 * (0.5 * (Sinv + Sinv.T) - gram.Kmm_inv - ktk)
 
 
-def _default_params(dataset):
-    """Data-free kernel defaults: lengthscale sqrt(d), amplitude 1, jitter 1e-6."""
-    return KernelParams(
-        log_lengthscale=0.5 * float(np.log(dataset.d)),
-        log_amplitude=0.0,
-        log_jitter=float(np.log(1e-6)),
-    )
-
-
 def fit(dataset, config):
     """Train the sparse variational classifier by natural-gradient SVI.
 
@@ -488,7 +474,7 @@ def fit(dataset, config):
         heldout = dataset.subset(perm[:n_held])
         train = dataset.subset(perm[n_held:])
 
-    params = config.init_params if config.init_params is not None else _default_params(train)
+    params = config.init_params or KernelParams.default(train.d)
     m = config.num_inducing if config.inducing_Z is None else config.inducing_Z.shape[0]
     if config.inducing_Z is None and not 1 <= m <= train.n:
         raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
@@ -521,12 +507,7 @@ def fit(dataset, config):
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
         est = _gauss_part(state, gram_b) + batch.scale * _data_terms(
-            train.y[batch.indices],
-            state.c[batch.indices],
-            gram_b.kappa,
-            gram_b.ktilde,
-            state.mu,
-            state.Sigma,
+            train.y[batch.indices], state.c[batch.indices], gram_b, state
         )
         row = [float(it), time.perf_counter() - t0, float(est), float(rho)]
         if config.trace_train_error:

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _HYPER_NAMES = ("log_lengthscale", "log_amplitude", "log_jitter")
+_DEFAULT_JITTER = 1e-6
 
 
 class FactorizationError(RuntimeError):
@@ -50,7 +51,7 @@ class KernelParams:
 
     log_lengthscale: float = 0.0
     log_amplitude: float = 0.0
-    log_jitter: float = float(np.log(1e-6))
+    log_jitter: float = float(np.log(_DEFAULT_JITTER))
 
     def __post_init__(self):
         vals = self.as_array()
@@ -73,6 +74,15 @@ class KernelParams:
         """Hyperparameters as the vector (log l, log a, log jitter)."""
         return np.array(
             [self.log_lengthscale, self.log_amplitude, self.log_jitter], dtype=float
+        )
+
+    @classmethod
+    def default(cls, d, lengthscale=None, amplitude=None, jitter=None):
+        """Parameters for d inputs; unset values default to l = sqrt(d), a = 1, jitter 1e-6."""
+        return cls(
+            0.5 * float(np.log(d)) if lengthscale is None else float(np.log(lengthscale)),
+            0.0 if amplitude is None else float(np.log(amplitude)),
+            float(np.log(_DEFAULT_JITTER if jitter is None else jitter)),
         )
 
     @classmethod
@@ -207,6 +217,11 @@ class GramBundle:
         """Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0."""
         resid = self.k_diag - np.sum(self.kappa * self.K_nm, axis=1)
         return np.maximum(resid, 0.0)
+
+    def marginals(self, mu, Sigma):
+        """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T))."""
+        kSk = np.einsum("ij,jk,ik->i", self.kappa, Sigma, self.kappa)
+        return self.kappa @ mu, self.ktilde + kSk
 
     @property
     def logdet_Kmm(self):

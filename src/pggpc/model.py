@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -225,11 +225,6 @@ def _encode_array(arr):
     }
 
 
-def _decode_array(doc):
-    arr = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8")
-    return arr.reshape(doc["shape"]).copy()
-
-
 def save_checkpoint(path, state, seed, preprocess=None):
     """Write a versioned JSON checkpoint (bit-exact array round-trip).
 
@@ -263,8 +258,27 @@ def save_checkpoint(path, state, seed, preprocess=None):
         fh.write("\n")
 
 
+def _field_error(path, field, why):
+    return ValueError(f"{path}: checkpoint field {field!r} {why}")
+
+
+def _checked_array(path, doc, field, shape=None):
+    """Decode the finite array at ``block.name`` of the given shape, or raise ValueError."""
+    block, name = field.split(".")
+    try:
+        enc = doc[block][name]
+        arr = np.frombuffer(base64.b64decode(enc["data"]), dtype="<f8").reshape(enc["shape"])
+    except (KeyError, TypeError, ValueError):  # binascii.Error is a ValueError
+        raise _field_error(path, field, "is missing or malformed") from None
+    if shape is not None and arr.shape != shape:
+        raise _field_error(path, field, f"has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise _field_error(path, field, "holds NaN or Inf")
+    return arr.copy()
+
+
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read and check a checkpoint written by :func:`save_checkpoint`.
 
     Returns
     -------
@@ -272,20 +286,46 @@ def load_checkpoint(path):
         The restored state (moments refreshed from the natural parameters,
         tilts unset), the stored seed, and the preprocessing block (arrays
         under "means"/"stds") when present.
+
+    Raises
+    ------
+    ValueError
+        Naming the file and the field that is missing, misnamed, of the wrong
+        type or shape (Z (m, d), eta1 (m,), eta2 (m, m), means/stds (d,)),
+        non-finite, or (eta2) not negative definite.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: checkpoint is not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint is not a JSON object")
     if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unrecognized checkpoint schema: {doc.get('schema')!r}")
-    params = KernelParams(**doc["params"])
-    Z = _decode_array(doc["arrays"]["Z"])
-    eta1 = _decode_array(doc["arrays"]["eta1"])
-    eta2 = _decode_array(doc["arrays"]["eta2"])
-    state = VariationalState.from_natural(eta1, eta2, Z, params)
+        raise ValueError(f"{path}: unrecognized checkpoint schema: {doc.get('schema')!r}")
+    if type(doc.get("seed")) is not int:
+        raise _field_error(path, "seed", "must be an integer")
+    names = [f.name for f in fields(KernelParams)]
+    raw = doc.get("params")
+    if not isinstance(raw, dict) or sorted(raw) != sorted(names):
+        raise _field_error(path, "params", f"must hold exactly {names}")
+    for name in names:
+        if type(raw[name]) not in (int, float) or not np.isfinite(raw[name]):
+            raise _field_error(path, f"params.{name}", "must be a finite number")
+    Z = _checked_array(path, doc, "arrays.Z")
+    if Z.ndim != 2 or 0 in Z.shape:
+        raise _field_error(path, "arrays.Z", f"must have shape (m, d), got {Z.shape}")
+    m, d = Z.shape
+    eta1 = _checked_array(path, doc, "arrays.eta1", (m,))
+    eta2 = _checked_array(path, doc, "arrays.eta2", (m, m))
+    try:
+        state = VariationalState.from_natural(eta1, eta2, Z, KernelParams(**raw))
+    except np.linalg.LinAlgError:
+        raise _field_error(path, "arrays.eta2", "is not negative definite") from None
     preprocess = None
     if "preprocess" in doc:
-        preprocess = {
-            "means": _decode_array(doc["preprocess"]["means"]),
-            "stds": _decode_array(doc["preprocess"]["stds"]),
-        }
-    return state, int(doc["seed"]), preprocess
+        preprocess = {k: _checked_array(path, doc, f"preprocess.{k}", (d,))
+                      for k in ("means", "stds")}
+        if np.any(preprocess["stds"] <= 0.0):
+            raise _field_error(path, "preprocess.stds", "must be positive")
+    return state, doc["seed"], preprocess

@@ -15,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_gram, kern_diag, kern_matrix
+from .kernel import build_gram
 from .pg import sigmoid
 
-__all__ = ["PredictiveMarginal", "latent_predict", "class_prob", "evaluate", "EvalReport"]
-
-
-@dataclass(frozen=True)
-class PredictiveMarginal:
-    """Latent mean/variance and class probability at one test point."""
-
-    mu_star: float
-    var_star: float
-    p_pos: float
+__all__ = ["latent_predict", "class_prob", "evaluate", "EvalReport"]
 
 
 @dataclass(frozen=True)
@@ -58,18 +49,9 @@ def latent_predict(state, x_star, gram=None):
     """
     x_star = np.asarray(x_star, dtype=float)
     single = x_star.ndim == 1
-    X = np.atleast_2d(x_star)
-    if gram is None:
-        gram = build_gram(np.empty((0, state.Z.shape[1])), state.Z, state.params)
-    A = kern_matrix(X, state.Z, state.params)
-    W = gram.solve_mm(A.T)  # K_mm^{-1} K_m*
-    mu_star = W.T @ state.mu
-    k_ss = kern_diag(X, state.params)
-    var_star = (
-        k_ss
-        - np.einsum("ij,ji->i", A, W)
-        + np.einsum("ji,jk,ki->i", W, state.Sigma, W)
-    )
+    mu_star, var_star = build_gram(
+        np.atleast_2d(x_star), state.Z, state.params, mm=gram
+    ).marginals(state.mu, state.Sigma)
     var_star = np.maximum(var_star, 1e-12)
     if single:
         return float(mu_star[0]), float(var_star[0])

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import base64
 import json
 import subprocess
 
@@ -96,11 +97,50 @@ class TestTrain:
         with pytest.raises(SystemExit):
             main(["train", "--data", blob_files["libsvm"], "--lr", "fixed:2"])
 
+    def test_explicit_default_kernel_matches_plain_train(self, blob_files, tmp_path):
+        # d = 2: log(sqrt(2)) and log(2) / 2 differ in the last bit.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert _train(blob_files["libsvm"], a) == 0
+        assert _train(blob_files["libsvm"], b, "--amplitude", "1", "--jitter", "1e-6") == 0
+        assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+
     def test_trace_train_error_column(self, blob_files, tmp_path):
         code = _train(blob_files["libsvm"], tmp_path, "--trace-train-error")
         assert code == 0
         trace = _read_lines(tmp_path / "trace.csv")
         assert trace[1] == "iter,wall_seconds,elbo_estimate,rho,train_error"
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--m", "30", "--max-iters", "5"],
+    ["gibbs-check", "--sweeps", "20", "--burn-in", "5", "--max-iters", "5"],
+])
+def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
+    # 15 + 15 copies of two points: with no usable jitter, K_mm is singular.
+    X = np.repeat([[0.0, 0.0], [1.0, 1.0]], 15, axis=0)
+    y = np.repeat([-1.0, 1.0], 15)
+    path = str(tmp_path / "dup.csv")
+    save(Dataset(X, y), path, "csv")
+    code = main([command[0], "--data", path, "--no-standardize", "--jitter", "1e-300",
+                 "--out-dir", str(tmp_path), *command[1:]])
+    assert code == 1
+    assert "Cholesky failed" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "gibbs-check"])
+def test_help_lists_kernel_options(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--standardize", "--lengthscale", "--amplitude", "--jitter"):
+        assert flag in out
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +203,117 @@ class TestPredictAndEvaluate:
         ])
         assert code == 1
         assert "none.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_feature_count_mismatch_names_both_files(self, trained, tmp_path, capsys,
+                                                     command):
+        path = str(tmp_path / "wide.txt")
+        save(Dataset(np.ones((4, 3)), np.array([1.0, -1.0, 1.0, -1.0])), path, "libsvm")
+        code = main([command, "--data", path, "--checkpoint", trained,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        line = _one_error_line(capsys)
+        assert "wide.txt" in line and "checkpoint.json" in line
+        assert "3 features" in line and "expects 2" in line
+
+
+def _encode(arr):
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode(doc):
+    return np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8").reshape(doc["shape"])
+
+
+def _drop_jitter(doc):
+    del doc["params"]["log_jitter"]
+
+
+def _rename_param(doc):
+    doc["params"]["log_noise"] = doc["params"].pop("log_amplitude")
+
+
+def _drop_seed(doc):
+    del doc["seed"]
+
+
+def _float_seed(doc):
+    doc["seed"] = 2.5
+
+
+def _nan_param(doc):
+    doc["params"]["log_lengthscale"] = float("nan")
+
+
+def _short_eta1(doc):
+    doc["arrays"]["eta1"] = _encode(_decode(doc["arrays"]["eta1"])[:-1])
+
+
+def _wide_eta2(doc):
+    eta2 = _decode(doc["arrays"]["eta2"])
+    doc["arrays"]["eta2"] = _encode(np.hstack([eta2, eta2[:, :1]]))
+
+
+def _flat_z(doc):
+    doc["arrays"]["Z"] = _encode(_decode(doc["arrays"]["Z"]).ravel())
+
+
+def _drop_z(doc):
+    del doc["arrays"]["Z"]
+
+
+def _garbled_eta1(doc):
+    doc["arrays"]["eta1"]["data"] = "not base64!"
+
+
+def _positive_eta2(doc):
+    doc["arrays"]["eta2"] = _encode(np.eye(len(_decode(doc["arrays"]["eta1"]))))
+
+
+def _long_means(doc):
+    doc["preprocess"]["means"] = _encode(np.zeros(3))
+
+
+def _zero_std(doc):
+    stds = _decode(doc["preprocess"]["stds"]).copy()
+    stds[0] = 0.0
+    doc["preprocess"]["stds"] = _encode(stds)
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_drop_jitter, "params"),
+    (_rename_param, "params"),
+    (_drop_seed, "seed"),
+    (_float_seed, "seed"),
+    (_nan_param, "params.log_lengthscale"),
+    (_short_eta1, "arrays.eta1"),
+    (_wide_eta2, "arrays.eta2"),
+    (_flat_z, "arrays.Z"),
+    (_drop_z, "arrays.Z"),
+    (_garbled_eta1, "arrays.eta1"),
+    (_positive_eta2, "arrays.eta2"),
+    (_long_means, "preprocess.means"),
+    (_zero_std, "preprocess.stds"),
+    (lambda doc: [doc], "JSON object"),
+    (b"{", "JSON"),
+    (b"\xff\xfe\x00", "JSON"),
+])
+def test_malformed_checkpoint_is_one_error_line(mutate, field, blob_files, trained, tmp_path,
+                                                capsys):
+    with open(trained) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "doctored.json"
+    if isinstance(mutate, bytes):
+        path.write_bytes(mutate)
+    else:
+        doc = mutate(doc) or doc
+        path.write_text(json.dumps(doc))
+    code = main(["predict", "--data", blob_files["libsvm"], "--checkpoint", str(path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert "doctored.json" in line and field in line
 
 
 class TestConfigFile:

@@ -226,3 +226,25 @@ def test_gram_cholesky_is_lower_triangular_factor():
     gram = build_gram(np.empty((0, 2)), Z, KernelParams())
     ref = cholesky(gram.K_mm, lower=True)
     np.testing.assert_allclose(gram.chol_Kmm, ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_marginals_match_dense_solve(shared):
+    rng = np.random.default_rng(8)
+    Z = rng.normal(size=(5, 2))
+    X = rng.normal(size=(7, 2))
+    params = KernelParams(log_lengthscale=0.3, log_amplitude=0.2)
+    mm = build_gram(rng.normal(size=(3, 2)), Z, params) if shared else None
+    gram = build_gram(X, Z, params, mm=mm)
+    mu = rng.normal(size=5)
+    R = rng.normal(size=(5, 5))
+    Sigma = R @ R.T + 0.1 * np.eye(5)
+
+    K = kern_matrix(Z, Z, params, same=True)
+    A = kern_matrix(X, Z, params)
+    kappa = np.linalg.solve(K, A.T).T
+    ref_var = kern_diag(X, params) - np.sum(kappa * A, axis=1) + np.diag(kappa @ Sigma @ kappa.T)
+
+    mean, var = gram.marginals(mu, Sigma)
+    np.testing.assert_allclose(mean, kappa @ mu, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(var, ref_var, rtol=1e-9, atol=1e-12)
