@@ -5,8 +5,8 @@ closed-form natural-gradient stochastic variational inference, together
 with an exact full-GP Gibbs sampler used as a ground-truth oracle.
 """
 
-from .pg import sigmoid, pg_mean, theta, pg_kl_term, pg_sample, pg_sample_gamma_approx
-from .kernel import KernelParams, GramBundle, kern, build_gram, kern_grad, FactorizationError
+from .pg import sigmoid, pg_mean, theta, pg_kl_term, pg_sample
+from .kernel import KernelParams, GramBundle, build_gram, kern_grad, FactorizationError
 from .model import (
     Dataset,
     VariationalState,
@@ -27,9 +27,6 @@ from .inference import (
     hyper_grad,
     hyper_step,
     fit,
-    gibbs_mackay_bound,
-    elbo_grad_mu,
-    elbo_grad_sigma,
 )
 from .prediction import latent_predict, class_prob, evaluate, EvalReport
 from .gibbs import GibbsChain, gibbs_run, compare_to_vi, ComparisonReport
@@ -53,10 +50,8 @@ __all__ = [
     "theta",
     "pg_kl_term",
     "pg_sample",
-    "pg_sample_gamma_approx",
     "KernelParams",
     "GramBundle",
-    "kern",
     "build_gram",
     "kern_grad",
     "FactorizationError",
@@ -77,9 +72,6 @@ __all__ = [
     "hyper_grad",
     "hyper_step",
     "fit",
-    "gibbs_mackay_bound",
-    "elbo_grad_mu",
-    "elbo_grad_sigma",
     "latent_predict",
     "class_prob",
     "evaluate",

@@ -9,9 +9,8 @@ cv           k-fold cross-validated benchmarking, write cv.csv
 gibbs-check  full-GP VI vs exact Gibbs agreement, write gibbs_vi.csv
 sweep-m      CV error/time across a grid of inducing-point counts
 
-All options take documented defaults matching the benchmarking protocol
-(m=100, batch=100, adaptive rate, parameter-convergence threshold 1e-4 or
-held-out threshold 1e-3 with window 5).  An optional ``--config`` file of
+Training options default to the fields of ``pggpc.inference.TrainConfig``,
+the paper's benchmarking protocol.  An optional ``--config`` file of
 ``key=value`` lines overrides the defaults, and explicit flags override the
 file.  Every command is deterministic under a fixed ``--seed`` (in
 single-threaded mode), and every CSV starts with a schema-version comment.
@@ -27,11 +26,13 @@ import sys
 import numpy as np
 
 from .data import canonical_order, kfold, load, load_features, standardize
-from .gibbs import compare_to_vi, gibbs_run
-from .inference import TrainConfig, fit
-from .kernel import FactorizationError, KernelParams
+from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, compare_to_vi, gibbs_run
+from .inference import (
+    CONV_MODES, CONV_WINDOW, HELDOUT_THRESHOLD, LR_MODES, TrainConfig, fit,
+)
+from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
-from .prediction import class_prob, evaluate, latent_predict
+from .prediction import QUAD_ORDER, class_prob, evaluate, latent_predict
 
 _BOOL_OPTS = {"standardize", "canonical-sort", "parallel", "trace-train-error", "unlabeled"}
 
@@ -54,17 +55,18 @@ def _write_csv(path, schema, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+_LR_CHOICES = ", ".join(m + ":<value>" if m == "fixed" else m for m in LR_MODES)
+
+
 def _parse_lr(text):
-    if text == "adaptive" or text == "decay":
-        return text, 0.1
-    if text.startswith("fixed:"):
-        value = float(text.split(":", 1)[1])
-        if not 0.0 < value <= 1.0:
-            raise argparse.ArgumentTypeError("fixed learning rate must be in (0, 1]")
-        return "fixed", value
-    raise argparse.ArgumentTypeError(
-        f"invalid --lr {text!r} (expected adaptive, decay, or fixed:<value>)"
-    )
+    mode, sep, value = text.partition(":")
+    if mode not in LR_MODES or (mode == "fixed") != bool(sep):
+        raise argparse.ArgumentTypeError(f"invalid --lr {text!r} (expected {_LR_CHOICES})")
+    if not sep:
+        return mode, TrainConfig.fixed_lr
+    if not 0.0 < float(value) <= 1.0:
+        raise argparse.ArgumentTypeError("fixed learning rate must be in (0, 1]")
+    return mode, float(value)
 
 
 def _parse_m_grid(text):
@@ -101,9 +103,11 @@ def _add_data_opts(p, labeled=True):
 
 
 def _add_common_opts(p):
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="random seed (default %(default)s)")
     p.add_argument("--out-dir", default=".", help="directory for output files")
-    p.add_argument("--quad-order", type=int, default=20, help="Gauss-Hermite nodes (default 20)")
+    p.add_argument("--quad-order", type=int, default=QUAD_ORDER,
+                   help="Gauss-Hermite nodes (default %(default)s)")
     p.add_argument("--config", default=None, help="key=value file of option defaults")
 
 
@@ -112,12 +116,10 @@ def _add_kernel_opts(p):
         "--standardize", action=argparse.BooleanOptionalAction, default=True,
         help="standardize features on the data being fitted (default on)",
     )
-    p.add_argument("--lengthscale", type=float, default=None,
-                   help="kernel lengthscale, initial value if learned (default sqrt(d))")
-    p.add_argument("--amplitude", type=float, default=None,
-                   help="kernel amplitude, initial value if learned (default 1)")
-    p.add_argument("--jitter", type=float, default=None,
-                   help="diagonal jitter, initial value if learned (default 1e-6)")
+    for name, what in (("lengthscale", "kernel lengthscale"),
+                       ("amplitude", "kernel amplitude"), ("jitter", "diagonal jitter")):
+        p.add_argument(f"--{name}", type=float, default=None,
+                       help=f"{what}, initial value if learned (default {DEFAULT_TEXT[name]})")
 
 
 def _add_fold_opts(p, folds):
@@ -131,28 +133,27 @@ def _add_fold_opts(p, folds):
 
 
 def _add_train_opts(p):
-    p.add_argument("--m", type=int, default=100, help="inducing points (default 100)")
-    p.add_argument("--batch", type=int, default=100, help="mini-batch size (default 100)")
-    p.add_argument("--max-iters", type=int, default=1000, help="iteration cap (default 1000)")
+    for flag, name, what in (
+        ("--m", "num_inducing", "inducing points"),
+        ("--batch", "batch_size", "mini-batch size"),
+        ("--max-iters", "max_iters", "iteration cap"),
+        ("--hyper-every", "hyper_every", "hyperparameter Adam step every N iterations, 0 disables"),
+        ("--adam-lr", "adam_lr", "Adam rate"),
+        ("--heldout-frac", "heldout_frac", "held-out fraction for --conv heldout"),
+    ):
+        default = getattr(TrainConfig, name)
+        p.add_argument(flag, type=type(default), default=default,
+                       help=f"{what} (default %(default)s)")
     p.add_argument(
-        "--conv", choices=("params", "heldout"), default="params",
-        help="convergence criterion (default params: window-5 average of the "
-        "relative natural-parameter change under 1e-4; heldout: window-5 "
-        "average of the relative held-out NLL change under 1e-3)",
+        "--conv", choices=CONV_MODES, default=TrainConfig.conv_mode,
+        help=f"convergence criterion (default %(default)s; params: window-{CONV_WINDOW} "
+        f"average of the relative natural-parameter change under "
+        f"{TrainConfig.conv_threshold:g}; heldout: window-{CONV_WINDOW} average of the "
+        f"relative held-out NLL change under {HELDOUT_THRESHOLD:g})",
     )
-    p.add_argument(
-        "--lr", type=_parse_lr, default=("adaptive", 0.1), metavar="MODE",
-        help="learning rate: adaptive, decay, or fixed:<value> (default adaptive)",
-    )
-    p.add_argument(
-        "--hyper-every", type=int, default=10,
-        help="hyperparameter Adam step every N iterations, 0 disables (default 10)",
-    )
-    p.add_argument("--adam-lr", type=float, default=0.02, help="Adam rate (default 0.02)")
-    p.add_argument(
-        "--heldout-frac", type=float, default=0.1,
-        help="held-out fraction for --conv heldout (default 0.1)",
-    )
+    # A string default goes through _parse_lr like a command-line value.
+    p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr_mode, metavar="MODE",
+                   help=f"learning rate: {_LR_CHOICES} (default %(default)s)")
     _add_kernel_opts(p)
     p.add_argument(
         "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
@@ -197,9 +198,10 @@ def _build_parser():
     _add_common_opts(p_gc)
     p_gc.add_argument("--oracle-cap", type=int, default=1000,
                       help="refuse datasets larger than this (default 1000)")
-    p_gc.add_argument("--sweeps", type=int, default=5000, help="total Gibbs sweeps (default 5000)")
-    p_gc.add_argument("--burn-in", type=int, default=1000, help="burn-in sweeps (default 1000)")
-    p_gc.add_argument("--thin", type=int, default=2, help="thinning stride (default 2)")
+    for flag, default, what in (("--sweeps", GIBBS_SWEEPS, "total Gibbs sweeps"),
+                                ("--burn-in", GIBBS_BURN_IN, "burn-in sweeps"),
+                                ("--thin", GIBBS_THIN, "thinning stride")):
+        p_gc.add_argument(flag, type=int, default=default, help=f"{what} (default %(default)s)")
     p_gc.add_argument("--max-iters", type=int, default=200, help="VI iteration cap (default 200)")
     _add_kernel_opts(p_gc)
     p_gc.add_argument("--corr-threshold", type=float, default=0.99,
@@ -309,11 +311,19 @@ def cmd_train(args):
 
 
 def _prepare_features(args, X, state, preprocess):
-    """Checkpoint-ready features: check the feature count, then standardize."""
-    if X.shape[1] != state.Z.shape[1]:
+    """Checkpoint-ready features: check the feature count, then standardize.
+
+    LIBSVM rows name only their nonzero features, so without ``--n-features``
+    a file whose last features are all zero is widened to the checkpoint's d.
+    """
+    d = state.Z.shape[1]
+    libsvm = _infer_format(args.data, args.format) == "libsvm"
+    if libsvm and args.n_features is None and X.shape[1] < d:
+        X = np.pad(X, ((0, 0), (0, d - X.shape[1])))
+    if X.shape[1] != d:
         raise ValueError(
             f"{args.data} has {X.shape[1]} features but checkpoint {args.checkpoint} "
-            f"expects {state.Z.shape[1]}"
+            f"expects {d}"
         )
     if preprocess is None:
         return X

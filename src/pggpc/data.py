@@ -75,7 +75,6 @@ class CvPlan:
 
     k: int
     fold_assignments: np.ndarray
-    seed: int
 
     def folds(self, max_test=None):
         """Yield (train_idx, test_idx) pairs; test folds optionally capped."""
@@ -99,7 +98,7 @@ def kfold(n, k, seed):
     perm = rng.permutation(n)
     assignments = np.empty(n, dtype=int)
     assignments[perm] = np.arange(n) % k
-    return CvPlan(k=k, fold_assignments=assignments, seed=seed)
+    return CvPlan(k=k, fold_assignments=assignments)
 
 
 def canonical_order(dataset):

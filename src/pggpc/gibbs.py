@@ -21,9 +21,14 @@ from scipy.linalg import cho_solve
 
 from .kernel import build_gram, chol_with_escalation, kern_matrix
 from .pg import pg_sample, sigmoid
-from .prediction import class_prob, latent_predict
+from .prediction import QUAD_ORDER, class_prob, latent_predict
 
 __all__ = ["GibbsChain", "gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
+
+# Default chain: total sweeps, burn-in sweeps and thinning stride.
+GIBBS_SWEEPS = 5000
+GIBBS_BURN_IN = 1000
+GIBBS_THIN = 2
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,6 @@ class GibbsChain:
     Attributes
     ----------
     samples_f : ndarray, shape (S, n)
-    samples_omega : ndarray or None
-        Matching PG draws when requested.
     burn_in, thin, seed : int
     """
 
@@ -42,7 +45,6 @@ class GibbsChain:
     burn_in: int
     thin: int
     seed: int
-    samples_omega: np.ndarray | None = None
 
 
 def f_conditional(K, omega, y):
@@ -67,7 +69,8 @@ def f_conditional(K, omega, y):
     return Sw @ (0.5 * y), Sw
 
 
-def gibbs_run(dataset, params, iters=5000, burn_in=1000, thin=2, seed=0, keep_omega=False):
+def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=GIBBS_THIN,
+              seed=0):
     """Run the augmented Gibbs chain and keep thinned post-burn-in samples.
 
     Parameters
@@ -80,8 +83,6 @@ def gibbs_run(dataset, params, iters=5000, burn_in=1000, thin=2, seed=0, keep_om
     iters : int
         Total sweeps including burn-in.
     burn_in, thin, seed : int
-    keep_omega : bool, optional
-        Also store the PG draws.
 
     Returns
     -------
@@ -93,7 +94,6 @@ def gibbs_run(dataset, params, iters=5000, burn_in=1000, thin=2, seed=0, keep_om
     K = kern_matrix(dataset.X, dataset.X, params, same=True)
     f = np.zeros(dataset.n)
     samples = []
-    omegas = []
     for t in range(iters):
         omega = pg_sample(np.abs(f), rng)
         mean, Sw = f_conditional(K, omega, dataset.y)
@@ -101,15 +101,7 @@ def gibbs_run(dataset, params, iters=5000, burn_in=1000, thin=2, seed=0, keep_om
         f = mean + Lw @ rng.standard_normal(dataset.n)
         if t >= burn_in and (t - burn_in) % thin == 0:
             samples.append(f.copy())
-            if keep_omega:
-                omegas.append(omega.copy())
-    return GibbsChain(
-        samples_f=np.array(samples),
-        burn_in=burn_in,
-        thin=thin,
-        seed=seed,
-        samples_omega=np.array(omegas) if keep_omega else None,
-    )
+    return GibbsChain(samples_f=np.array(samples), burn_in=burn_in, thin=thin, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ def _safe_corr(a, b):
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def compare_to_vi(chain, state, dataset, test_points=None, quad_order=20):
+def compare_to_vi(chain, state, dataset, test_points=None, quad_order=QUAD_ORDER):
     """Score a full-GP variational state against the Gibbs ground truth.
 
     The state must have been trained with Z equal to the dataset's inputs

@@ -8,7 +8,7 @@ work unconstrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,8 @@ __all__ = [
     "KernelParams",
     "GramBundle",
     "FactorizationError",
-    "kern",
+    "HYPER_NAMES",
+    "DEFAULT_TEXT",
     "kern_matrix",
     "kern_diag",
     "build_gram",
@@ -27,8 +28,11 @@ __all__ = [
     "sq_dists",
 ]
 
-_HYPER_NAMES = ("log_lengthscale", "log_amplitude", "log_jitter")
+_DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
+# How KernelParams.default fills each unset value, as help text shows it.
+DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
+                "jitter": f"{_DEFAULT_JITTER:g}"}
 
 
 class FactorizationError(RuntimeError):
@@ -72,23 +76,23 @@ class KernelParams:
 
     def as_array(self):
         """Hyperparameters as the vector (log l, log a, log jitter)."""
-        return np.array(
-            [self.log_lengthscale, self.log_amplitude, self.log_jitter], dtype=float
-        )
+        return np.array(astuple(self), dtype=float)
 
     @classmethod
     def default(cls, d, lengthscale=None, amplitude=None, jitter=None):
-        """Parameters for d inputs; unset values default to l = sqrt(d), a = 1, jitter 1e-6."""
+        """Parameters for d inputs; unset values are filled as ``DEFAULT_TEXT`` says."""
         return cls(
             0.5 * float(np.log(d)) if lengthscale is None else float(np.log(lengthscale)),
-            0.0 if amplitude is None else float(np.log(amplitude)),
+            float(np.log(_DEFAULT_AMPLITUDE if amplitude is None else amplitude)),
             float(np.log(_DEFAULT_JITTER if jitter is None else jitter)),
         )
 
     @classmethod
     def from_array(cls, vec):
-        vec = np.asarray(vec, dtype=float)
-        return cls(float(vec[0]), float(vec[1]), float(vec[2]))
+        return cls(*(float(v) for v in np.asarray(vec, dtype=float)))
+
+
+HYPER_NAMES = tuple(f.name for f in fields(KernelParams))
 
 
 def sq_dists(X, Z):
@@ -99,33 +103,6 @@ def sq_dists(X, Z):
     zz = np.sum(Z * Z, axis=1)[None, :]
     d2 = xx + zz - 2.0 * (X @ Z.T)
     return np.maximum(d2, 0.0)
-
-
-def kern(x, xp, params, same_index=False):
-    """Kernel value between two points.
-
-    Parameters
-    ----------
-    x, xp : array_like, shape (d,)
-        Input locations; dimensions must match.
-    params : KernelParams
-    same_index : bool, optional
-        True when x and xp refer to the same point by index, in which case
-        the white-noise jitter is added.
-
-    Returns
-    -------
-    float
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    xp = np.asarray(xp, dtype=float).ravel()
-    if x.shape != xp.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {xp.shape}")
-    d2 = float(np.sum((x - xp) ** 2))
-    val = params.amplitude**2 * np.exp(-0.5 * d2 / params.lengthscale**2)
-    if same_index:
-        val += params.jitter
-    return float(val)
 
 
 def kern_matrix(X, Z, params, same=False):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
-from .kernel import KernelParams, build_gram
+from .kernel import HYPER_NAMES, KernelParams, build_gram
 
 __all__ = [
     "Dataset",
@@ -26,10 +26,10 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "natural_to_moments",
-    "moments_to_natural",
 ]
 
 CHECKPOINT_SCHEMA = "pggpc.checkpoint.v1"
+_LLOYD_ITERS = 10
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ def natural_to_moments(eta1, eta2):
     Sigma = 0.5 * (Sigma + Sigma.T)
     mu = Sigma @ eta1
     return mu, Sigma
-
-
-def moments_to_natural(mu, Sigma):
-    """(eta1, eta2) from moment parameters; requires Sigma SPD."""
-    L = cholesky(0.5 * (Sigma + Sigma.T), lower=True)
-    prec = cho_solve((L, True), np.eye(Sigma.shape[0]))
-    prec = 0.5 * (prec + prec.T)
-    return prec @ mu, -0.5 * prec
 
 
 @dataclass
@@ -144,7 +136,7 @@ class VariationalState:
         )
 
 
-def kmeanspp_init(X, m, rng, n_lloyd=10):
+def kmeanspp_init(X, m, rng):
     """Inducing inputs from k-means++ seeding plus a fixed Lloyd budget.
 
     Parameters
@@ -153,8 +145,6 @@ def kmeanspp_init(X, m, rng, n_lloyd=10):
     m : int
         Number of centers, 1 <= m <= n.
     rng : numpy.random.Generator
-    n_lloyd : int, optional
-        Lloyd refinement iterations after seeding (default 10).
 
     Returns
     -------
@@ -176,7 +166,7 @@ def kmeanspp_init(X, m, rng, n_lloyd=10):
             centers[j] = X[rng.integers(n)]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
 
-    for _ in range(n_lloyd):
+    for _ in range(_LLOYD_ITERS):
         d2_all = (
             np.sum(X * X, axis=1)[:, None]
             - 2.0 * X @ centers.T
@@ -237,11 +227,7 @@ def save_checkpoint(path, state, seed, preprocess=None):
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "seed": int(seed),
-        "params": {
-            "log_lengthscale": state.params.log_lengthscale,
-            "log_amplitude": state.params.log_amplitude,
-            "log_jitter": state.params.log_jitter,
-        },
+        "params": asdict(state.params),
         "arrays": {
             "Z": _encode_array(state.Z),
             "eta1": _encode_array(state.eta1),
@@ -305,11 +291,10 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: unrecognized checkpoint schema: {doc.get('schema')!r}")
     if type(doc.get("seed")) is not int:
         raise _field_error(path, "seed", "must be an integer")
-    names = [f.name for f in fields(KernelParams)]
     raw = doc.get("params")
-    if not isinstance(raw, dict) or sorted(raw) != sorted(names):
-        raise _field_error(path, "params", f"must hold exactly {names}")
-    for name in names:
+    if not isinstance(raw, dict) or sorted(raw) != sorted(HYPER_NAMES):
+        raise _field_error(path, "params", f"must hold exactly {list(HYPER_NAMES)}")
+    for name in HYPER_NAMES:
         if type(raw[name]) not in (int, float) or not np.isfinite(raw[name]):
             raise _field_error(path, f"params.{name}", "must be a finite number")
     Z = _checked_array(path, doc, "arrays.Z")

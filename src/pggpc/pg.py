@@ -22,7 +22,6 @@ __all__ = [
     "theta",
     "pg_kl_term",
     "pg_sample",
-    "pg_sample_gamma_approx",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -152,25 +151,6 @@ def pg_sample(c, rng, size=None):
     z = 0.5 * np.abs(np.ravel(c))
     draws = 0.25 * _sample_jacobi_tilted(z, rng)
     return draws.reshape(np.shape(c))[()]
-
-
-def pg_sample_gamma_approx(c, rng, size=None, n_terms=200):
-    """Approximate PG(1, c) draw from the truncated sum-of-gammas series.
-
-    omega = (1 / (2 pi^2)) * sum_{k=1..n_terms} g_k / ((k - 1/2)^2 + (c / (2 pi))^2)
-
-    with g_k ~ Exp(1).  The truncation introduces a small negative bias in
-    the mean (about 1/(2 pi^2 n_terms)); the routine exists to cross-validate
-    the exact sampler, not to replace it.
-    """
-    c = np.asarray(c, dtype=float)
-    if size is not None:
-        c = np.broadcast_to(c, size)
-    k = np.arange(1, n_terms + 1, dtype=float)
-    denom = (k - 0.5) ** 2 + (np.abs(c)[..., None] / (2.0 * np.pi)) ** 2
-    g = rng.standard_exponential(np.shape(c) + (n_terms,))
-    out = (g / denom).sum(axis=-1) / (2.0 * np.pi**2)
-    return out[()]
 
 
 def _sample_jacobi_tilted(z, rng):

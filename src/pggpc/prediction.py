@@ -18,7 +18,9 @@ import numpy as np
 from .kernel import build_gram
 from .pg import sigmoid
 
-__all__ = ["latent_predict", "class_prob", "evaluate", "EvalReport"]
+__all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
+
+QUAD_ORDER = 20  # Gauss-Hermite nodes of the predictive class probability
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ _COMP_WIDTH = 1.0
 _SINGLE_RULE_VAR = _COMP_WIDTH**2 * (1.0 + 1.0 / 16.0)
 
 
-def class_prob(mu_star, var_star, order=20):
+def class_prob(mu_star, var_star, order=QUAD_ORDER):
     """p(y* = +1) = integral of sigma(f) N(f | mu*, sigma*^2) df by quadrature.
 
-    Gauss-Hermite with ``order`` nodes (default 20).  Variances above a small
+    Gauss-Hermite with ``order`` nodes.  Variances above a small
     cap are first decomposed exactly into a comb of unit-width Gaussian
     components so the rule always operates in its accurate regime; the result
     is converged to ~1e-10 by order 20 across mu* in [-5, 5], sigma* in
@@ -125,7 +127,7 @@ def class_prob(mu_star, var_star, order=20):
     return out.reshape(shape)[()]
 
 
-def evaluate(state, test_set, quad_order=20):
+def evaluate(state, test_set, quad_order=QUAD_ORDER):
     """Error rate and mean negative log predictive likelihood on a test set.
 
     A point counts as an error when sign(p_pos - 1/2) differs from its

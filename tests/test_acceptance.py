@@ -19,10 +19,7 @@ from pggpc.inference import (
     AdaptiveRate,
     TrainConfig,
     elbo,
-    elbo_grad_mu,
-    elbo_grad_sigma,
     fit,
-    gibbs_mackay_bound,
     global_step,
     local_update,
     natural_gradient,
@@ -31,6 +28,8 @@ from pggpc.kernel import KernelParams, build_gram, kern_matrix
 from pggpc.model import Dataset, VariationalState, init_state
 from pggpc.pg import log_cosh, pg_kl_term, pg_mean, pg_sample, sigmoid
 from pggpc.prediction import class_prob, evaluate
+
+from oracles import elbo_grad_mu, elbo_grad_sigma, gibbs_mackay_bound
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 DIABETES = os.path.join(DATA_DIR, "diabetes_scale")

@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
 import base64
+import inspect
 import json
 import subprocess
 
 import numpy as np
 import pytest
 
-from pggpc.cli import main
+from pggpc.cli import _build_parser, main
 from pggpc.data import save
+from pggpc.gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, gibbs_run
+from pggpc.inference import TrainConfig
 from pggpc.model import Dataset
 
 
@@ -134,6 +137,44 @@ def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
     assert "Cholesky failed" in _one_error_line(capsys)
 
 
+_FLAG_FIELDS = {
+    "m": "num_inducing", "batch": "batch_size", "max_iters": "max_iters",
+    "conv": "conv_mode", "hyper_every": "hyper_every", "adam_lr": "adam_lr",
+    "heldout_frac": "heldout_frac", "seed": "seed", "quad_order": "quad_order",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "sweep-m"])
+def test_training_flag_defaults_are_the_train_config_fields(command):
+    args = _build_parser().parse_args([command, "--data", "unused.txt"])
+    config = TrainConfig()
+    for flag, name in _FLAG_FIELDS.items():
+        assert getattr(args, flag) == getattr(config, name), flag
+    assert args.lr == (config.lr_mode, config.fixed_lr)
+
+
+def test_gibbs_check_chain_defaults_are_the_gibbs_run_defaults():
+    args = _build_parser().parse_args(["gibbs-check", "--data", "unused.txt"])
+    assert (args.sweeps, args.burn_in, args.thin) == (GIBBS_SWEEPS, GIBBS_BURN_IN, GIBBS_THIN)
+    run = inspect.signature(gibbs_run).parameters
+    assert (run["iters"].default, run["burn_in"].default, run["thin"].default) == (
+        GIBBS_SWEEPS, GIBBS_BURN_IN, GIBBS_THIN)
+
+
+def test_spelled_out_protocol_matches_plain_train(tmp_path):
+    # The paper's benchmarking protocol, written out flag by flag.  With
+    # n = 120 > 100 the inducing and batch sizes are not clamped to n.
+    protocol = ["--m", "100", "--batch", "100", "--max-iters", "1000", "--conv", "params",
+                "--lr", "adaptive", "--hyper-every", "10", "--adam-lr", "0.02",
+                "--heldout-frac", "0.1", "--seed", "0", "--quad-order", "20"]
+    path = str(tmp_path / "blobs120.txt")
+    save(_two_blobs(120, seed=2, spread=1.5), path, "libsvm")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--data", path, "--out-dir", str(a)]) == 0
+    assert main(["train", "--data", path, "--out-dir", str(b), *protocol]) == 0
+    assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["train", "gibbs-check"])
 def test_help_lists_kernel_options(command, capsys):
     with pytest.raises(SystemExit):
@@ -215,6 +256,29 @@ class TestPredictAndEvaluate:
         line = _one_error_line(capsys)
         assert "wide.txt" in line and "checkpoint.json" in line
         assert "3 features" in line and "expects 2" in line
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_libsvm_with_trailing_zero_features_reads_d_from_checkpoint(
+            self, tmp_path, capsys, command):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        train_path = str(tmp_path / "train3.txt")
+        save(Dataset(X, y), train_path, "libsvm")
+        assert _train(train_path, tmp_path / "model") == 0
+        # Rows that never name feature 3: the file alone implies d = 2.
+        test_path = str(tmp_path / "test2.txt")
+        save(Dataset(X[:8, :2], y[:8]), test_path, "libsvm")
+        checkpoint = str(tmp_path / "model" / "checkpoint.json")
+        outputs = []
+        for extra in ([], ["--n-features", "3"]):
+            out_dir = tmp_path / f"out{len(extra)}"
+            code = main([command, "--data", test_path, "--checkpoint", checkpoint,
+                         "--out-dir", str(out_dir), *extra])
+            assert code == 0, capsys.readouterr().err
+            name = "predictions.csv" if command == "predict" else "metrics.csv"
+            outputs.append((out_dir / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def _encode(arr):

@@ -119,17 +119,12 @@ class TestGibbsRun:
         np.testing.assert_array_equal(a.samples_f, b.samples_f)
         assert not np.array_equal(a.samples_f, c.samples_f)
 
-    def test_shapes_thinning_and_omega_storage(self):
+    def test_shapes_and_thinning(self):
         rng = np.random.default_rng(9)
         data = Dataset(rng.normal(size=(3, 2)), np.array([1.0, -1.0, 1.0]))
-        chain = gibbs_run(data, KernelParams(), iters=50, burn_in=10, thin=4,
-                          seed=0, keep_omega=True)
+        chain = gibbs_run(data, KernelParams(), iters=50, burn_in=10, thin=4, seed=0)
         assert chain.samples_f.shape == (10, 3)
-        assert chain.samples_omega.shape == (10, 3)
-        assert np.all(chain.samples_omega > 0.0)
         assert (chain.burn_in, chain.thin, chain.seed) == (10, 4, 0)
-        no_omega = gibbs_run(data, KernelParams(), iters=20, burn_in=10, seed=0)
-        assert no_omega.samples_omega is None
 
     def test_iters_must_exceed_burn_in(self):
         data, params = _independent_two_points()

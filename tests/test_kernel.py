@@ -9,12 +9,13 @@ from pggpc.kernel import (
     KernelParams,
     build_gram,
     chol_with_escalation,
-    kern,
     kern_diag,
     kern_grad,
     kern_matrix,
     sq_dists,
 )
+
+from oracles import kern
 
 EXP_NEG_1 = 0.3678794411714423216  # kernel value at squared distance 2, a = l = 1
 

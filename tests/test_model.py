@@ -10,10 +10,11 @@ from pggpc.model import (
     init_state,
     kmeanspp_init,
     load_checkpoint,
-    moments_to_natural,
     natural_to_moments,
     save_checkpoint,
 )
+
+from oracles import moments_to_natural
 
 
 def _toy_dataset(n=20, d=2, seed=0):
