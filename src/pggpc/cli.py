@@ -265,8 +265,8 @@ def _load_labeled(args):
 
 def _train_config(args, n, d, m=None, seed=None):
     mode, fixed_lr = args.lr
-    return TrainConfig(
-        num_inducing=min(m if m is not None else args.m, n),
+    config = TrainConfig(
+        num_inducing=m if m is not None else args.m,
         batch_size=min(args.batch, n),
         max_iters=args.max_iters,
         lr_mode=mode,
@@ -280,6 +280,8 @@ def _train_config(args, n, d, m=None, seed=None):
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
         trace_train_error=args.trace_train_error,
     )
+    config.num_inducing = min(config.num_inducing, n - config.heldout_rows(n))
+    return config
 
 
 def cmd_train(args):

@@ -97,6 +97,12 @@ class TrainConfig:
         if not 0.0 < self.fixed_lr <= 1.0:
             raise ValueError("fixed_lr must be in (0, 1]")
 
+    def heldout_rows(self, n):
+        """Rows of an n-row dataset that :func:`fit` holds out; 0 unless conv_mode is "heldout"."""
+        if self.conv_mode != "heldout":
+            return 0
+        return max(1, int(round(n * self.heldout_frac)))
+
 
 @dataclass
 class FitResult:
@@ -120,10 +126,11 @@ def _data_terms(y, c, gram, state):
 
 def _gauss_part(state, gram):
     """Negative Gaussian KL part: 1/2(log|Sigma| - log|K| - tr(K^-1 Sigma) - mu^T K^-1 mu)."""
-    L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
+    L_s = cholesky(state.Sigma, lower=True)
     logdet_S = 2.0 * float(np.sum(np.log(np.diag(L_s))))
-    tr = float(np.trace(gram.solve_mm(state.Sigma)))
-    quad = float(state.mu @ gram.solve_mm(state.mu))
+    B = gram.Kmm_inv
+    tr = float(np.sum(B * state.Sigma))
+    quad = float(state.mu @ B @ state.mu)
     return 0.5 * (logdet_S - gram.logdet_Kmm - tr - quad)
 
 
@@ -396,8 +403,8 @@ def fit(dataset, config):
 
     train = dataset
     heldout = None
-    if config.conv_mode == "heldout":
-        n_held = max(1, int(round(dataset.n * config.heldout_frac)))
+    n_held = config.heldout_rows(dataset.n)
+    if n_held:
         if n_held >= dataset.n:
             raise ValueError("heldout fraction leaves no training data")
         perm = np.random.default_rng(ss_split).permutation(dataset.n)

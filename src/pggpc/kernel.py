@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, lapack
 
 __all__ = [
     "KernelParams",
@@ -25,11 +25,14 @@ __all__ = [
     "build_gram",
     "kern_grad",
     "chol_with_escalation",
+    "chol_inverse",
     "sq_dists",
 ]
 
 _DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
+# Rows per GEMM in GramBundle.marginals, so its scratch is O(block * m), not O(n * m).
+_ROW_BLOCK = 512
 # How KernelParams.default fills each unset value, as help text shows it.
 DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
                 "jitter": f"{_DEFAULT_JITTER:g}"}
@@ -149,6 +152,18 @@ def chol_with_escalation(K, base_jitter):
     )
 
 
+def chol_inverse(L):
+    """A^{-1} from the lower Cholesky factor L of an SPD matrix A, exactly symmetric.
+
+    LAPACK ``potri`` fills the lower triangle of the inverse; it is mirrored
+    into the upper one.
+    """
+    inv, info = lapack.dpotri(L, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"potri failed (info={info})")
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
 @dataclass(eq=False)
 class GramBundle:
     """Gram matrices shared by the inference and prediction paths.
@@ -180,9 +195,8 @@ class GramBundle:
 
     @cached_property
     def Kmm_inv(self):
-        """Explicit K_mm^{-1}, symmetrized against round-off."""
-        inv = self.solve_mm(np.eye(self.K_mm.shape[0]))
-        return 0.5 * (inv + inv.T)
+        """Explicit K_mm^{-1}, exactly symmetric."""
+        return chol_inverse(self.chol_Kmm)
 
     @cached_property
     def kappa(self):
@@ -196,9 +210,17 @@ class GramBundle:
         return np.maximum(resid, 0.0)
 
     def marginals(self, mu, Sigma):
-        """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T))."""
-        kSk = np.einsum("ij,jk,ik->i", self.kappa, Sigma, self.kappa)
-        return self.kappa @ mu, self.ktilde + kSk
+        """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
+
+        The row quadratic is a GEMM per block of ``_ROW_BLOCK`` rows followed
+        by a row-wise dot.
+        """
+        kappa = self.kappa
+        kSk = np.empty(kappa.shape[0])
+        for lo in range(0, kappa.shape[0], _ROW_BLOCK):
+            blk = kappa[lo:lo + _ROW_BLOCK]
+            kSk[lo:lo + _ROW_BLOCK] = np.einsum("ij,ij->i", blk @ Sigma, blk)
+        return kappa @ mu, self.ktilde + kSk
 
     @property
     def logdet_Kmm(self):
@@ -215,7 +237,8 @@ def build_gram(X_batch, Z, params, mm=None):
     params : KernelParams
     mm : GramBundle, optional
         A bundle whose (K_mm, chol_Kmm) were built from the same Z and
-        params; the factorization is reused instead of recomputed.
+        params; the factorization and its inverse ``Kmm_inv`` are reused
+        instead of recomputed.
 
     Returns
     -------
@@ -232,7 +255,10 @@ def build_gram(X_batch, Z, params, mm=None):
         K_mm, L, extra = mm.K_mm, mm.chol_Kmm, mm.jitter_extra
     K_nm = kern_matrix(X_batch, Z, params)
     k_diag = kern_diag(X_batch, params)
-    return GramBundle(K_mm=K_mm, chol_Kmm=L, K_nm=K_nm, k_diag=k_diag, jitter_extra=extra)
+    gram = GramBundle(K_mm=K_mm, chol_Kmm=L, K_nm=K_nm, k_diag=k_diag, jitter_extra=extra)
+    if mm is not None:
+        gram.Kmm_inv = mm.Kmm_inv  # one inverse per factorization
+    return gram
 
 
 def kern_grad(X, Z, params):

@@ -14,9 +14,9 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
 
-from .kernel import HYPER_NAMES, KernelParams, build_gram
+from .kernel import HYPER_NAMES, KernelParams, build_gram, chol_inverse
 
 __all__ = [
     "Dataset",
@@ -75,9 +75,7 @@ class Dataset:
 def natural_to_moments(eta1, eta2):
     """(mu, Sigma) from natural parameters; requires -2 eta2 SPD."""
     prec = -2.0 * eta2
-    L = cholesky(0.5 * (prec + prec.T), lower=True)
-    Sigma = cho_solve((L, True), np.eye(prec.shape[0]))
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    Sigma = chol_inverse(cholesky(0.5 * (prec + prec.T), lower=True))
     mu = Sigma @ eta1
     return mu, Sigma
 

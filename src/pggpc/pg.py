@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _LOG2 = float(np.log(2.0))
+# Terms of the alternating series after which a candidate counts as undecidable.
+_MAX_SERIES_TERMS = 1000
 
 # Devroye-style sampler constants: the proposal splits at x = _TRUNC into a
 # truncated inverse-Gaussian piece (left) and an exponential tail (right).
@@ -144,8 +146,15 @@ def pg_sample(c, rng, size=None):
     -------
     float or ndarray
         Positive sample(s) of omega.
+
+    Raises
+    ------
+    ValueError
+        If any tilt is NaN or infinite.
     """
     c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("Polya-Gamma tilt c must be finite")
     if size is not None:
         c = np.broadcast_to(c, size)
     z = 0.5 * np.abs(np.ravel(c))
@@ -196,7 +205,8 @@ def _series_accept(x, rng):
 
     Odd partial sums are lower bounds and even ones upper bounds of the
     alternating series S(x) = sum_n (-1)^n a_n(x), so each added term decides
-    more candidates.
+    more candidates.  A candidate still undecided after ``_MAX_SERIES_TERMS``
+    terms (the series decides in a handful) raises ``RuntimeError``.
     """
     a0 = _series_term(0, x)
     u = rng.random(x.size) * a0
@@ -216,9 +226,12 @@ def _series_accept(x, rng):
             s[w] += term
             hit = u[w] > s[w]
         undecided[w[hit]] = False
-        if n > 1000:
-            # Defensive cap; the series decides in a handful of terms.
-            break
+        if n >= _MAX_SERIES_TERMS and undecided.any():
+            bad = x[undecided]
+            raise RuntimeError(
+                f"Polya-Gamma series undecided after {n} terms for {bad.size} "
+                f"candidate(s), e.g. x={float(bad[0])!r}"
+            )
     return accept
 
 

@@ -12,7 +12,7 @@ from pggpc.cli import _build_parser, main
 from pggpc.data import save
 from pggpc.gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, gibbs_run
 from pggpc.inference import TrainConfig
-from pggpc.model import Dataset
+from pggpc.model import Dataset, load_checkpoint
 
 
 def _two_blobs(n, seed=0, spread=0.5):
@@ -86,6 +86,15 @@ class TestTrain:
         assert code == 0
         out = capsys.readouterr().out
         assert "heldout_error=" in out and "heldout_nll=" in out
+
+    def test_heldout_convergence_caps_m_at_training_rows(self, blob_files, tmp_path, capsys):
+        # 40 points: the default m = 100 must shrink to the 36 rows left after
+        # holding out round(0.1 * 40) = 4, not to the full 40.
+        code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path),
+                     "--conv", "heldout", "--max-iters", "5", "--hyper-every", "0"])
+        assert code == 0, capsys.readouterr().err
+        state, _, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
+        assert state.m == 36
 
     def test_csv_input_by_extension(self, blob_files, tmp_path):
         assert _train(blob_files["csv"], tmp_path) == 0

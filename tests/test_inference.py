@@ -510,6 +510,23 @@ class TestFit:
         cholesky(-2.0 * res.state.eta2, lower=True)
         assert np.all(np.isfinite(res.trace))
 
+    def test_one_kmm_solve_per_iteration(self, monkeypatch):
+        # Each mini-batch solves against K_mm once (for kappa); the inverse
+        # comes from the shared factorization and the bound reads it.
+        ds, _ = _toy_problem(n=60, m=6)
+        calls = []
+        solve_mm = GramBundle.solve_mm
+
+        def counting(self, B):
+            calls.append(1)
+            return solve_mm(self, B)
+
+        monkeypatch.setattr(GramBundle, "solve_mm", counting)
+        iters = 40
+        fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=iters,
+                            conv_threshold=0.0, hyper_every=0, seed=0))
+        assert len(calls) <= iters + 5
+
     def test_rejects_too_many_inducing_points(self):
         rng = np.random.default_rng(26)
         X = rng.normal(size=(10, 2))

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cholesky
 
 from pggpc.kernel import (
+    _ROW_BLOCK,
     FactorizationError,
     KernelParams,
     build_gram,
@@ -173,6 +174,15 @@ def test_build_gram_reuses_inducing_factorization():
     np.testing.assert_allclose(gram.kappa, fresh.kappa, rtol=1e-12)
 
 
+def test_shared_bundle_reuses_inducing_inverse():
+    rng = np.random.default_rng(6)
+    Z = rng.normal(size=(5, 3))
+    params = KernelParams()
+    mm = build_gram(np.empty((0, 3)), Z, params)
+    gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
+    assert gram.Kmm_inv is mm.Kmm_inv
+
+
 def test_solve_mm_matches_dense_solve():
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(5, 2))
@@ -229,11 +239,15 @@ def test_gram_cholesky_is_lower_triangular_factor():
     np.testing.assert_allclose(gram.chol_Kmm, ref, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_marginals_match_dense_solve(shared):
+@pytest.mark.parametrize("shared, n", [
+    pytest.param(False, 7, id="False"),
+    pytest.param(True, 7, id="True"),
+    pytest.param(True, 2 * _ROW_BLOCK + 3, id="True-blocks"),  # two full row blocks and a part
+])
+def test_marginals_match_dense_solve(shared, n):
     rng = np.random.default_rng(8)
     Z = rng.normal(size=(5, 2))
-    X = rng.normal(size=(7, 2))
+    X = rng.normal(size=(n, 2))
     params = KernelParams(log_lengthscale=0.3, log_amplitude=0.2)
     mm = build_gram(rng.normal(size=(3, 2)), Z, params) if shared else None
     gram = build_gram(X, Z, params, mm=mm)
@@ -244,7 +258,8 @@ def test_marginals_match_dense_solve(shared):
     K = kern_matrix(Z, Z, params, same=True)
     A = kern_matrix(X, Z, params)
     kappa = np.linalg.solve(K, A.T).T
-    ref_var = kern_diag(X, params) - np.sum(kappa * A, axis=1) + np.diag(kappa @ Sigma @ kappa.T)
+    kSk = np.array([k @ Sigma @ k for k in kappa])
+    ref_var = kern_diag(X, params) - np.sum(kappa * A, axis=1) + kSk
 
     mean, var = gram.marginals(mu, Sigma)
     np.testing.assert_allclose(mean, kappa @ mu, rtol=1e-9, atol=1e-12)

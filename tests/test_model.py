@@ -73,6 +73,16 @@ class TestNaturalMomentMaps:
         np.testing.assert_allclose(eta1, prec @ mu, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(eta2, -0.5 * prec, rtol=1e-9, atol=1e-11)
 
+    def test_covariance_is_the_exactly_symmetric_inverse(self):
+        rng = np.random.default_rng(4)
+        m = 40
+        A = rng.normal(size=(m, m))
+        prec = A @ A.T + m * np.eye(m)
+        _, Sigma = natural_to_moments(np.zeros(m), -0.5 * prec)
+        np.testing.assert_array_equal(Sigma, Sigma.T)
+        ref = np.linalg.inv(prec)
+        assert np.linalg.norm(Sigma - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_rejects_indefinite_precision(self):
         with pytest.raises(np.linalg.LinAlgError):
             natural_to_moments(np.zeros(2), 0.5 * np.eye(2))  # -2 eta2 = -I

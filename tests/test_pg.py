@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pggpc.pg import (
+    _series_accept,
     log_cosh,
     pg_kl_term,
     pg_mean,
@@ -177,6 +178,19 @@ def test_sampler_heterogeneous_tilts():
     means = draws.mean(axis=1)
     ses = draws.std(axis=1, ddof=1) / np.sqrt(60_000)
     np.testing.assert_array_less(np.abs(means - pg_mean(1.0, c)), 4.0 * ses)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_non_finite_tilt(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pg_sample(np.array([bad, 1.0]), np.random.default_rng(0))
+
+
+def test_undecided_series_raises_instead_of_rejecting():
+    # A NaN candidate never compares true against a partial sum, so it stays
+    # undecided through every term of the series.
+    with pytest.raises(RuntimeError, match="undecided after 1000 terms"):
+        _series_accept(np.array([0.3, np.nan]), np.random.default_rng(0))
 
 
 def test_gamma_series_cross_checks_exact_sampler():
