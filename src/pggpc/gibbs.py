@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve
 
 from .kernel import build_gram, chol_with_escalation, kern_matrix
 from .pg import pg_sample, sigmoid
-from .prediction import QUAD_ORDER, class_prob, latent_predict
+from .prediction import QUAD_ORDER, class_prob
 
 __all__ = ["GibbsChain", "gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
 
@@ -177,7 +177,8 @@ def compare_to_vi(chain, state, dataset, test_points=None, quad_order=QUAD_ORDER
         mcmc_var = cond_means.var(axis=0, ddof=1) + cond_var
         mcmc_ppos = class_prob(cond_means, np.broadcast_to(cond_var, cond_means.shape),
                                order=quad_order).mean(axis=0)
-        vi_mean, vi_var = latent_predict(state, test_points, gram=gram)
+        vi_mean, vi_var = gram.marginals(state.mu, state.Sigma)
+        vi_var = np.maximum(vi_var, 1e-12)
         vi_ppos = class_prob(vi_mean, vi_var, order=quad_order)
 
     gaps = np.abs(mcmc_ppos - vi_ppos)

@@ -30,7 +30,7 @@ from scipy.linalg import cholesky
 
 from .data import minibatch_iter
 from .kernel import HYPER_NAMES, FactorizationError, KernelParams, build_gram, kern_grad
-from .model import Dataset, VariationalState, init_state
+from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
 from .prediction import QUAD_ORDER, evaluate
 
@@ -303,11 +303,11 @@ class AdamState:
         return self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
-def hyper_grad(state, dataset, gram=None):
+def hyper_grad(state, dataset, gram=None, batch=None):
     """Analytic gradient of the bound in (log l, log a, log jitter).
 
-    Differentiates the full-data bound through K_mm, kappa, and Ktilde while
-    holding (mu, Sigma, c) fixed.  With B = K_mm^{-1}, mu~ = B mu and
+    Differentiates the bound through K_mm, kappa, and Ktilde while holding
+    (mu, Sigma, c) fixed.  With B = K_mm^{-1}, mu~ = B mu and
     M = Sigma + mu mu^T, the bound's derivative against any kernel
     perturbation (dK_mm, dK_nm, dk_diag) is
 
@@ -319,23 +319,43 @@ def hyper_grad(state, dataset, gram=None):
         P_A = y mu~^T / 2 + Theta kappa - Theta kappa M B
         p_diag = -theta / 2.
 
+    With a mini-batch the rows are the batch's, and the data parts
+    (kappa^T y and kappa^T Theta kappa in P_K, all of P_A and p_diag) are
+    scaled by n/s as in :func:`natural_gradient`, so the estimate is
+    unbiased for the full-data gradient; the Gaussian KL part is exact.
+
+    Parameters
+    ----------
+    state : VariationalState
+        Tilts must be current for the rows used.
+    dataset : Dataset
+    gram : GramBundle, optional
+        Bundle for the rows used (all rows, or the batch rows).
+    batch : MiniBatch, optional
+        Rows and scale of the estimate (default: every row, unscaled).
+
     Returns
     -------
     ndarray, shape (3,)
         Ordered as KernelParams.as_array().
     """
+    if batch is None:
+        X, y, c, scale = dataset.X, dataset.y, state.c, 1.0
+    else:
+        idx = batch.indices
+        X, y, c, scale = dataset.X[idx], dataset.y[idx], state.c[idx], batch.scale
     if gram is None:
-        gram = build_gram(dataset.X, state.Z, state.params)
+        gram = build_gram(X, state.Z, state.params)
     B = gram.Kmm_inv
     mu, Sigma = state.mu, state.Sigma
     mu_t = B @ mu
     M = Sigma + np.outer(mu, mu)
     MB = M @ B
     kappa = gram.kappa
-    th = theta(state.c)
+    th = theta(c)
     Tk = kappa * th[:, None]
-    ktk = kappa.T @ Tk
-    ky = kappa.T @ dataset.y
+    ktk = scale * (kappa.T @ Tk)
+    ky = scale * (kappa.T @ y)
 
     P_K = (
         -0.5 * B
@@ -345,10 +365,10 @@ def hyper_grad(state, dataset, gram=None):
         - 0.5 * ktk
         + ktk @ MB
     )
-    P_A = 0.5 * np.outer(dataset.y, mu_t) + Tk - Tk @ MB
-    p_diag = -0.5 * th
+    P_A = scale * (0.5 * np.outer(y, mu_t) + Tk - Tk @ MB)
+    p_diag = -0.5 * scale * th
 
-    grads = kern_grad(dataset.X, state.Z, state.params)
+    grads = kern_grad(X, state.Z, state.params)
     out = np.empty(3)
     for i, name in enumerate(HYPER_NAMES):
         dK_mm, dK_nm, dk_diag = grads[name]
@@ -356,27 +376,30 @@ def hyper_grad(state, dataset, gram=None):
     return out
 
 
-def hyper_step(state, dataset, adam, gram=None):
+def hyper_step(state, dataset, adam, gram=None, batch=None):
     """One Adam ascent step on the kernel hyperparameters.
 
-    Variational parameters and tilts are held fixed.  If the factorization
-    fails at the proposed parameters even after jitter escalation, the step
-    is reverted and the Adam rate halved.
+    Variational parameters and tilts are held fixed; the gradient is
+    :func:`hyper_grad` on the given rows (every row, or ``batch``).  If the
+    factorization fails at the proposed parameters even after jitter
+    escalation, the step is reverted and the Adam rate halved.
 
     Returns
     -------
     (KernelParams, GramBundle)
-        The accepted parameters and a full-data bundle built with them.
+        The accepted parameters and a bundle for the same rows built with
+        them, whose K_mm factorization serves later ``build_gram(mm=...)``
+        calls.
     """
-    grad = hyper_grad(state, dataset, gram)
+    grad = hyper_grad(state, dataset, gram, batch)
+    X = dataset.X if batch is None else dataset.X[batch.indices]
     proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
     try:
-        new_gram = build_gram(dataset.X, state.Z, proposal)
-        return proposal, new_gram
+        return proposal, build_gram(X, state.Z, proposal)
     except FactorizationError:
         adam.lr *= 0.5
         if gram is None:
-            gram = build_gram(dataset.X, state.Z, state.params)
+            gram = build_gram(X, state.Z, state.params)
         return state.params, gram
 
 
@@ -384,11 +407,16 @@ def fit(dataset, config):
     """Train the sparse variational classifier by natural-gradient SVI.
 
     Each iteration draws a without-replacement mini-batch, sets the batch's
-    tilts to their closed-form optimum, takes a natural-gradient step of
-    size rho on (eta1, eta2), and (every ``hyper_every`` iterations) one
-    Adam step on the kernel hyperparameters.  Convergence is a sliding-
-    window average either of the relative natural-parameter change
-    ("params") or of the relative held-out NLL change ("heldout").
+    tilts to their closed-form optimum, and takes a natural-gradient step of
+    size rho on (eta1, eta2).  Every ``hyper_every`` iterations it then
+    refreshes the batch's tilts at the new (mu, Sigma) and takes one Adam
+    step on the kernel hyperparameters from the same batch's n/s-scaled
+    gradient, so an iteration costs O(s m^2 + m^3) whatever n is (plus the
+    held-out or train-error scoring when requested).  K_mm is factorized
+    once per hyperparameter value and shared by every bundle and
+    evaluation.  Convergence is a sliding-window average either of the
+    relative natural-parameter change ("params") or of the relative
+    held-out NLL change ("heldout").
 
     Returns
     -------
@@ -415,10 +443,10 @@ def fit(dataset, config):
     m = config.num_inducing if config.inducing_Z is None else config.inducing_Z.shape[0]
     if config.inducing_Z is None and not 1 <= m <= train.n:
         raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
-    state = init_state(
-        train, m, params, np.random.default_rng(ss_init), Z=config.inducing_Z
-    )
-    mm = build_gram(np.empty((0, train.d)), state.Z, params)
+    rng = np.random.default_rng(ss_init)
+    Z = kmeanspp_init(train.X, m, rng) if config.inducing_Z is None else config.inducing_Z
+    mm = build_gram(np.empty((0, train.d)), Z, params)
+    state = init_state(train, m, params, rng, Z=Z, mm=mm)
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
@@ -446,13 +474,12 @@ def fit(dataset, config):
         )
         row = [float(it), time.perf_counter() - t0, float(est), float(rho)]
         if config.trace_train_error:
-            row.append(evaluate(state, train, config.quad_order).error_rate)
+            row.append(evaluate(state, train, config.quad_order, gram=mm).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
-            full = build_gram(train.X, state.Z, state.params, mm=mm)
-            state.c = local_update(state, train, gram=full)
-            state.params, mm = hyper_step(state, train, adam, full)
+            state.c[batch.indices] = local_update(state, train, batch.indices, gram_b)
+            state.params, mm = hyper_step(state, train, adam, gram_b, batch)
 
         if config.conv_mode == "params":
             window.append(rel_change)
@@ -460,7 +487,7 @@ def fit(dataset, config):
                 converged = True
                 break
         else:
-            nll = evaluate(state, heldout, config.quad_order).mean_nll
+            nll = evaluate(state, heldout, config.quad_order, gram=mm).mean_nll
             if prev_heldout_nll is not None:
                 window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
                 if len(window) == CONV_WINDOW and np.mean(window) < HELDOUT_THRESHOLD:

@@ -164,27 +164,26 @@ def kmeanspp_init(X, m, rng):
             centers[j] = X[rng.integers(n)]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
 
+    xx = np.sum(X * X, axis=1)[:, None]
     for _ in range(_LLOYD_ITERS):
-        d2_all = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
+        d2_all = np.subtract(xx, 2.0 * X @ centers.T)
+        d2_all += np.sum(centers * centers, axis=1)[None, :]
         assign = np.argmin(d2_all, axis=1)
-        for j in range(m):
-            mask = assign == j
-            if mask.any():
-                centers[j] = X[mask].mean(axis=0)
+        counts = np.bincount(assign, minlength=m)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=m) for col in X.T], axis=1)
+        filled = counts > 0  # an empty cluster keeps its center
+        centers[filled] = sums[filled] / counts[filled, None]
     return centers
 
 
-def init_state(dataset, m, params, rng, Z=None):
+def init_state(dataset, m, params, rng, Z=None, mm=None):
     """Prior-initialized variational state.
 
     Sets eta2 = -1/2 K_mm^{-1} and eta1 = 0, so that (mu, Sigma) is the GP
     prior (0, K_mm) over the inducing values; the tilts c are then set by
     one local update from the prior so the first bound evaluation is valid.
-    Inducing inputs come from k-means++ unless ``Z`` is given explicitly.
+    Inducing inputs come from k-means++ unless ``Z`` is given explicitly;
+    ``mm`` (a bundle for that Z and params) supplies the K_mm factorization.
     """
     from .inference import local_update  # deferred to avoid an import cycle
 
@@ -193,7 +192,7 @@ def init_state(dataset, m, params, rng, Z=None):
     else:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         m = Z.shape[0]
-    gram = build_gram(dataset.X, Z, params)
+    gram = build_gram(dataset.X, Z, params, mm=mm)
     eta2 = -0.5 * gram.Kmm_inv
     eta1 = np.zeros(m)
     mu = np.zeros(m)

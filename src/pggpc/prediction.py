@@ -127,15 +127,16 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     return out.reshape(shape)[()]
 
 
-def evaluate(state, test_set, quad_order=QUAD_ORDER):
+def evaluate(state, test_set, quad_order=QUAD_ORDER, gram=None):
     """Error rate and mean negative log predictive likelihood on a test set.
 
     A point counts as an error when sign(p_pos - 1/2) differs from its
-    label; probabilities are floored at 1e-12 before the log.
+    label; probabilities are floored at 1e-12 before the log.  ``gram`` is
+    passed to :func:`latent_predict`, whose K_mm factorization it supplies.
     """
     if test_set.n == 0:
         raise ValueError("empty test set")
-    mu, var = latent_predict(state, test_set.X)
+    mu, var = latent_predict(state, test_set.X, gram=gram)
     p_pos = class_prob(mu, var, order=quad_order)
     error = float(np.mean(np.sign(p_pos - 0.5) != test_set.y))
     p_label = np.where(test_set.y > 0, p_pos, 1.0 - p_pos)

@@ -2,8 +2,9 @@
 
 Each routine recomputes a library quantity by an independent route: the
 full-GP bound two ways, the Euclidean gradients of the bound, the truncated
-gamma-series Polya-Gamma sampler, the single-point kernel, and the
-moment-to-natural parameter map.
+gamma-series Polya-Gamma sampler, the single-point kernel, the
+moment-to-natural parameter map, and the Lloyd steps of k-means++ by one
+mask per cluster.
 """
 
 import numpy as np
@@ -131,3 +132,20 @@ def elbo_grad_sigma(state, dataset, gram=None):
     L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
     Sinv = cho_solve((L_s, True), np.eye(state.Sigma.shape[0]))
     return 0.5 * (0.5 * (Sinv + Sinv.T) - gram.Kmm_inv - ktk)
+
+
+def lloyd_by_masks(X, centers, iters):
+    """Lloyd steps with one boolean mask per cluster; an empty cluster keeps its center."""
+    centers = centers.copy()
+    for _ in range(iters):
+        d2_all = (
+            np.sum(X * X, axis=1)[:, None]
+            - 2.0 * X @ centers.T
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        assign = np.argmin(d2_all, axis=1)
+        for j in range(centers.shape[0]):
+            mask = assign == j
+            if mask.any():
+                centers[j] = X[mask].mean(axis=0)
+    return centers

@@ -11,7 +11,7 @@ from pggpc.gibbs import (
     f_conditional,
     gibbs_run,
 )
-from pggpc.kernel import KernelParams, kern_matrix
+from pggpc.kernel import GramBundle, KernelParams, kern_matrix
 from pggpc.model import Dataset, VariationalState
 from pggpc.pg import sigmoid
 from pggpc.prediction import class_prob, latent_predict
@@ -208,6 +208,24 @@ class TestCompareToVi:
         mu_ref, var_ref = latent_predict(state, Xs)
         np.testing.assert_allclose(report.vi_mean, mu_ref, rtol=1e-12)
         np.testing.assert_allclose(report.vi_var, var_ref, rtol=1e-12)
+
+    def test_projection_solves_against_k_once(self, monkeypatch):
+        # One bundle per check: kappa for the test points is solved once and
+        # both sides read it.
+        rng = np.random.default_rng(7)
+        data = Dataset(rng.normal(size=(5, 2)), np.array([1.0, -1.0, 1.0, 1.0, -1.0]))
+        state = _full_gp_state(data, KernelParams(), rng)
+        chain = GibbsChain(samples_f=rng.normal(size=(6, 5)), burn_in=0, thin=1, seed=0)
+        calls = []
+        solve_mm = GramBundle.solve_mm
+
+        def counting(self, B):
+            calls.append(1)
+            return solve_mm(self, B)
+
+        monkeypatch.setattr(GramBundle, "solve_mm", counting)
+        compare_to_vi(chain, state, data, test_points=rng.normal(size=(4, 2)))
+        assert len(calls) == 1
 
     def test_rao_blackwellized_projection_matches_direct_averaging(self):
         # The projected MCMC predictive mean is the sample average of the

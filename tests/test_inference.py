@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import cholesky
 
 import pggpc.inference as inference
-from pggpc.data import MiniBatch
+import pggpc.kernel as kernel
+from pggpc.data import MiniBatch, minibatch_iter
 from pggpc.inference import (
     AdamState,
     AdaptiveRate,
@@ -19,7 +20,7 @@ from pggpc.inference import (
     local_update,
     natural_gradient,
 )
-from pggpc.kernel import FactorizationError, GramBundle, KernelParams, build_gram
+from pggpc.kernel import FactorizationError, GramBundle, KernelParams, build_gram, kern_grad
 from pggpc.model import Dataset, init_state
 from pggpc.pg import sigmoid
 
@@ -343,6 +344,52 @@ def test_hyper_step_reverts_on_factorization_failure(monkeypatch):
     assert adam.lr == pytest.approx(0.01)
 
 
+def test_batch_hyper_grads_average_to_the_full_gradient():
+    # Over one epoch's equal-size partition the n/s-scaled data parts sum to
+    # the full data part, and the unscaled KL part is common to every batch.
+    ds, state = _toy_problem(n=30, m=5, seed=14)
+    state = _warmed_state(ds, state)
+    full = hyper_grad(state, ds)
+    batches = minibatch_iter(ds.n, 6, np.random.SeedSequence(3))
+    grads = np.array([hyper_grad(state, ds, batch=next(batches)) for _ in range(ds.n // 6)])
+    assert not np.allclose(grads[0], full, rtol=1e-3)
+    np.testing.assert_allclose(grads.mean(axis=0), full, rtol=1e-12)
+    every_row = MiniBatch(indices=np.arange(ds.n), scale=1.0)
+    np.testing.assert_array_equal(hyper_grad(state, ds, batch=every_row), full)
+
+
+def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):
+    ds, state = _toy_problem(n=10, m=3, seed=16)
+    state = _warmed_state(ds, state)
+    batch = MiniBatch(indices=np.array([1, 4, 7, 8]), scale=2.5)
+    gram_b = build_gram(ds.X[batch.indices], state.Z, state.params)
+    new_params, new_gram = hyper_step(state, ds, AdamState(lr=0.02), gram_b, batch)
+    assert new_params != state.params
+    assert new_gram.K_nm.shape == (4, state.m)
+
+    def explode(X, Z, params, mm=None):
+        raise FactorizationError("forced")
+
+    monkeypatch.setattr(inference, "build_gram", explode)
+    adam = AdamState(lr=0.02)
+    new_params, kept = hyper_step(state, ds, adam, gram_b, batch)
+    assert new_params == state.params
+    assert kept is gram_b
+    assert adam.lr == pytest.approx(0.01)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    chol = kernel.chol_with_escalation
+
+    def counting(K, base_jitter):
+        calls.append(1)
+        return chol(K, base_jitter)
+
+    monkeypatch.setattr(kernel, "chol_with_escalation", counting)
+    return calls
+
+
 class TestGibbsMackayBound:
     def test_two_routes_agree(self):
         rng = np.random.default_rng(17)
@@ -526,6 +573,45 @@ class TestFit:
         fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=iters,
                             conv_threshold=0.0, hyper_every=0, seed=0))
         assert len(calls) <= iters + 5
+
+    def test_hyper_iterations_touch_only_batch_rows(self, monkeypatch):
+        ds, _ = _toy_problem(n=60, m=6)
+        gram_rows, grad_rows = [], []
+
+        def recording(fn, rows):
+            def wrapper(X, *args, **kwargs):
+                rows.append(np.atleast_2d(X).shape[0])
+                return fn(X, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inference, "build_gram", recording(build_gram, gram_rows))
+        monkeypatch.setattr(inference, "kern_grad", recording(kern_grad, grad_rows))
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                  conv_threshold=0.0, hyper_every=5, seed=0))
+        assert res.n_iters == 20
+        assert grad_rows == [15] * 4
+        assert max(gram_rows[:-1]) <= 15  # the K_mm bundle before the loop, then batches
+        assert gram_rows[-1] == ds.n  # the tilt refresh after the loop
+
+    def test_factorizes_kmm_once_without_hyper_steps(self, monkeypatch):
+        ds, _ = _toy_problem(n=60, m=6)
+        calls = _count_factorizations(monkeypatch)
+        fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                            conv_threshold=0.0, hyper_every=0, seed=0))
+        assert len(calls) == 1
+
+    def test_heldout_evaluations_reuse_the_factorization(self, monkeypatch):
+        ds, _ = _toy_problem(n=80, m=6)
+        calls = _count_factorizations(monkeypatch)
+        counts = []
+        for iters in (2, 12):
+            calls.clear()
+            res = fit(ds, TrainConfig(num_inducing=6, batch_size=16, max_iters=iters,
+                                      conv_mode="heldout", hyper_every=0,
+                                      trace_train_error=True, seed=0))
+            counts.append((res.n_iters, len(calls)))
+        assert counts[1][0] > counts[0][0]
+        assert counts[0][1] == counts[1][1] == 1
 
     def test_rejects_too_many_inducing_points(self):
         rng = np.random.default_rng(26)

@@ -14,7 +14,8 @@ from pggpc.model import (
     save_checkpoint,
 )
 
-from oracles import moments_to_natural
+import pggpc.model as model
+from oracles import lloyd_by_masks, moments_to_natural
 
 
 def _toy_dataset(n=20, d=2, seed=0):
@@ -158,6 +159,20 @@ class TestKmeansppInit:
         Z1 = kmeanspp_init(X, 5, np.random.default_rng(12))
         Z2 = kmeanspp_init(X, 5, np.random.default_rng(12))
         np.testing.assert_array_equal(Z1, Z2)
+
+    @pytest.mark.parametrize("n,d,m", [(2000, 8, 100), (500, 3, 50), (30, 2, 6)])
+    def test_lloyd_steps_equal_the_per_cluster_loop(self, monkeypatch, n, d, m):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, d))
+        if n == 30:  # three distinct points: the surplus seeds duplicate, so clusters go empty
+            X = np.repeat(X[:3], 10, axis=0)
+        Z = kmeanspp_init(X, m, np.random.default_rng(1))
+        iters = model._LLOYD_ITERS
+        monkeypatch.setattr(model, "_LLOYD_ITERS", 0)
+        seeds = kmeanspp_init(X, m, np.random.default_rng(1))
+        if n == 30:
+            assert len(np.unique(seeds, axis=0)) < m
+        np.testing.assert_array_equal(Z, lloyd_by_masks(X, seeds, iters))
 
     def test_rejects_bad_m(self):
         X = np.zeros((4, 1))
