@@ -31,7 +31,8 @@ __all__ = [
 
 _DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
-# Rows per GEMM in GramBundle.marginals, so its scratch is O(block * m), not O(n * m).
+# Rows per GEMM in GramBundle.marginals and prediction.latent_predict, so their
+# scratch is O(block * m), not O(n * m).
 _ROW_BLOCK = 512
 # How KernelParams.default fills each unset value, as help text shows it.
 DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
@@ -111,11 +112,21 @@ def sq_dists(X, Z):
 def kern_matrix(X, Z, params, same=False):
     """Dense kernel matrix between row sets X and Z.
 
+    Built in one (n, m) buffer: with both sets scaled by 1/l, the GEMM
+    x.z is reduced in place by the half row norms, clamped at 0 (a squared
+    distance is never negative), exponentiated and scaled by a^2.
+
     With ``same=True`` the two sets are taken to be identical point lists and
     the jitter is added on the diagonal.
     """
-    d2 = sq_dists(X, Z)
-    K = params.amplitude**2 * np.exp(-0.5 * d2 / params.lengthscale**2)
+    X = np.atleast_2d(np.asarray(X, dtype=float)) / params.lengthscale
+    Z = np.atleast_2d(np.asarray(Z, dtype=float)) / params.lengthscale
+    K = X @ Z.T
+    K -= 0.5 * np.sum(X * X, axis=1)[:, None]
+    K -= 0.5 * np.sum(Z * Z, axis=1)
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= params.amplitude**2
     if same:
         K[np.diag_indices_from(K)] += params.jitter
     return K

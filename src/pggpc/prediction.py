@@ -5,9 +5,23 @@ The latent predictive at x* is Gaussian with
     mu*     = K_*m K_mm^{-1} mu
     sigma*^2 = K_** + K_*m K_mm^{-1} (Sigma K_mm^{-1} - I) K_m*
 
-and the class probability integrates the logistic link against it with
-Gauss-Hermite quadrature.
-"""
+Every test-independent factor is formed once per call from the K_mm
+factorization, in O(m^3): the m-vector alpha = K_mm^{-1} mu and the
+symmetric m x m matrix B = K_mm^{-1} (Sigma - K_mm) K_mm^{-1}, the latter by
+two Cholesky solves on Sigma - K_mm (against per-row whitened solves on
+a fitted state with m=300, d=8: 6e-11 relative in sigma*^2, where
+K_mm^{-1} Sigma K_mm^{-1} - K_mm^{-1} gives 1e-10).  Then
+
+    mu*      = K_*m alpha
+    sigma*^2 = K_** + rowsum((K_*m B) o K_*m)
+
+costs one GEMM, about 2 m^2 flops per test point, over blocks of rows, so no
+n* x m matrix is ever held.  For a q(u) of the form fitting produces
+(Sigma^{-1} = K_mm^{-1} + a PSD term) this agrees with per-row solves to
+~1e-10 relative, also at cond(K_mm) ~ 4e7; for an arbitrary Sigma much wider
+than K_mm on a near-singular K_mm, B amplifies round-off and per-row solves
+keep more digits.  The class probability integrates the logistic link
+against the predictive Gaussian by quadrature."""
 
 from __future__ import annotations
 
@@ -15,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_gram
+from .kernel import _ROW_BLOCK, build_gram, kern_diag, kern_matrix
 from .pg import sigmoid
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
@@ -51,41 +65,74 @@ def latent_predict(state, x_star, gram=None):
     """
     x_star = np.asarray(x_star, dtype=float)
     single = x_star.ndim == 1
-    mu_star, var_star = build_gram(
-        np.atleast_2d(x_star), state.Z, state.params, mm=gram
-    ).marginals(state.mu, state.Sigma)
-    var_star = np.maximum(var_star, 1e-12)
+    X = np.atleast_2d(x_star)
+    Z, params = state.Z, state.params
+    mm = gram if gram is not None else build_gram(np.empty((0, Z.shape[1])), Z, params)
+    alpha = mm.solve_mm(state.mu)
+    B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
+    mu_star = np.empty(X.shape[0])
+    var_star = kern_diag(X, params)
+    for lo in range(0, X.shape[0], _ROW_BLOCK):
+        K = kern_matrix(X[lo:lo + _ROW_BLOCK], Z, params)
+        mu_star[lo:lo + _ROW_BLOCK] = K @ alpha
+        var_star[lo:lo + _ROW_BLOCK] += np.einsum("ij,ij->i", K @ B, K)
+    np.maximum(var_star, 1e-12, out=var_star)
     if single:
         return float(mu_star[0]), float(var_star[0])
     return mu_star, var_star
 
 
-# A single Gauss-Hermite rule is only accurate while the Gaussian is not too
-# wide relative to the logistic's analyticity strip (poles at +/- i pi): with
-# 20 nodes the error is ~2e-10 at unit width but ~4e-3 at width 5.  Wider
-# Gaussians are therefore decomposed exactly as a convolution
-# N(mu, v^2 + s^2) = N(mu, v^2) * N(0, s^2) and the outer convolution is
-# discretized on a comb (trapezoid over an entire function: error below
-# 1e-12 at the spacings used), so the Q-node rule only ever integrates
-# unit-width components.
-_COMP_WIDTH = 1.0
-_SINGLE_RULE_VAR = _COMP_WIDTH**2 * (1.0 + 1.0 / 16.0)
+# A single Gauss-Hermite rule is accurate only while the Gaussian is narrow
+# against the logistic's analyticity strip (poles at +/- i pi): with 20 nodes
+# the error is ~3e-10 up to this variance but ~4e-3 at width 5.
+_SINGLE_RULE_VAR = 1.0 + 1.0 / 16.0
+# The wide rule: the trapezoid rule in the offset t = f - mu* on the symmetric
+# grid k * _TRAP_STEP, |t| <= _TRAP_SDS sigma*.  The integrand is analytic in
+# |Im t| < pi, so the error decays like exp(-2 pi^2 / step) times the
+# Gaussian's growth exp(pi^2 / (2 sigma*^2)) there: ~1e-15 at this step.
+_TRAP_STEP = 0.5
+_TRAP_SDS = 9.0
+# Grid values (rows x nodes) per block of the wide rule.
+_TRAP_BLOCK = 1 << 16
+
+
+def _trapezoid_prob(mu, sd):
+    """Trapezoid-rule class probabilities for wide Gaussians, in row blocks.
+
+    Rows are taken widest first; each block shares the grid its widest row
+    needs, and holds at most ``_TRAP_BLOCK`` grid values (or one row).
+    """
+    out = np.empty(mu.shape)
+    order = np.argsort(-sd, kind="stable")
+    lo = 0
+    while lo < order.size:
+        half = int(np.ceil(_TRAP_SDS * sd[order[lo]] / _TRAP_STEP))
+        t = _TRAP_STEP * np.arange(-half, half + 1)
+        rows = order[lo:lo + max(1, _TRAP_BLOCK // t.size)]
+        w = np.exp(-0.5 * (t / sd[rows, None]) ** 2)
+        p = np.einsum("ij,ij->i", w, sigmoid(mu[rows, None] + t))
+        out[rows] = p / w.sum(axis=1)
+        lo += rows.size
+    return out
 
 
 def class_prob(mu_star, var_star, order=QUAD_ORDER):
     """p(y* = +1) = integral of sigma(f) N(f | mu*, sigma*^2) df by quadrature.
 
-    Gauss-Hermite with ``order`` nodes.  Variances above a small
-    cap are first decomposed exactly into a comb of unit-width Gaussian
-    components so the rule always operates in its accurate regime; the result
-    is converged to ~1e-10 by order 20 across mu* in [-5, 5], sigma* in
-    [0.1, 5].  A zero variance degenerates to sigmoid(mu*), and the
-    construction preserves the exact symmetry p(-mu*) = 1 - p(mu*).
+    Variances up to 1.0625 take Gauss-Hermite with ``order`` nodes.  Wider
+    Gaussians take the trapezoid rule with step 0.5 in f - mu* over
+    +/- 9 sigma*, weighted by the Gaussian density normalised per row; it
+    converges geometrically because the logistic is analytic in
+    |Im f| < pi.  Against ``scipy.integrate.quad`` on mu* in [-5, 5] the
+    error is at most ~3e-15 on the wide branch (sigma*^2 up to 25) and
+    ~3e-10 on the narrow one at 20 nodes.  A zero variance degenerates to
+    sigmoid(mu*), and both rules keep the symmetry p(-mu*) = 1 - p(mu*).
 
     Parameters
     ----------
     mu_star, var_star : float or array_like
     order : int, optional
+        Gauss-Hermite nodes of the narrow branch.
 
     Returns
     -------
@@ -99,31 +146,16 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     shape = np.broadcast_shapes(mu.shape, var.shape)
     mu_flat = np.broadcast_to(mu, shape).ravel()
     var_flat = np.broadcast_to(var, shape).ravel()
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     out = np.empty(mu_flat.shape)
 
     narrow = var_flat <= _SINGLE_RULE_VAR
     if narrow.any():
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
         f = mu_flat[narrow, None] + np.sqrt(2.0 * var_flat[narrow])[:, None] * nodes
-        out[narrow] = sigmoid(f) @ weights * inv_sqrt_pi
+        out[narrow] = sigmoid(f) @ weights * (1.0 / np.sqrt(np.pi))
     wide = ~narrow
     if wide.any():
-        m_w = mu_flat[wide]
-        v2 = var_flat[wide] - _COMP_WIDTH**2
-        v = np.sqrt(v2)
-        h = np.minimum(0.6, 0.5 * v)
-        n_side = int(np.ceil((8.5 * v / h).max())) + 2
-        k = np.arange(-n_side, n_side + 1)
-        offsets = h[:, None] * k
-        comb = np.exp(-0.5 * offsets**2 / v2[:, None])
-        comb /= comb.sum(axis=1, keepdims=True)
-        acc = np.zeros(m_w.shape)
-        scaled = np.sqrt(2.0) * _COMP_WIDTH * nodes
-        for j in range(k.size):
-            f = (m_w + offsets[:, j])[:, None] + scaled
-            acc += comb[:, j] * (sigmoid(f) @ weights) * inv_sqrt_pi
-        out[wide] = acc
+        out[wide] = _trapezoid_prob(mu_flat[wide], np.sqrt(var_flat[wide]))
     return out.reshape(shape)[()]
 
 

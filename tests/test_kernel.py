@@ -1,5 +1,7 @@
 """Tests for the squared-exponential kernel, Gram assembly, and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -81,6 +83,34 @@ def test_kern_matrix_element_agreement():
     for i in range(4):
         for j in range(3):
             assert K[i, j] == pytest.approx(kern(X[i], Z[j], params), rel=1e-12)
+
+
+def test_kern_matrix_matches_the_distance_form():
+    # The in-place build reorders the arithmetic of a^2 exp(-d2 / (2 l^2)):
+    # entries agree to a few ulp of a^2, and coincident points give a^2.
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(300, 8))
+    Z = np.vstack([rng.normal(size=(40, 8)), X[:5]])
+    params = KernelParams(log_lengthscale=np.log(1.7), log_amplitude=np.log(1.5))
+    K = kern_matrix(X, Z, params)
+    a2 = params.amplitude**2
+    ref = a2 * np.exp(-0.5 * sq_dists(X, Z) / params.lengthscale**2)
+    np.testing.assert_allclose(K, ref, rtol=0.0, atol=1e-14 * a2)
+    np.testing.assert_allclose(K[np.arange(5), 40 + np.arange(5)], a2, rtol=1e-14)
+    assert np.all((K > 0.0) & (K <= a2))
+
+
+def test_kern_matrix_holds_one_n_by_m_buffer():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(2000, 8))
+    Z = rng.normal(size=(300, 8))
+    tracemalloc.start()
+    try:
+        K = kern_matrix(X, Z, KernelParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * K.nbytes
 
 
 def test_params_array_round_trip_and_validation():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from pggpc.kernel import KernelParams, build_gram, kern_diag, kern_matrix
+from pggpc import kernel, prediction
+from pggpc.kernel import _ROW_BLOCK, KernelParams, build_gram, kern_diag, kern_matrix
 from pggpc.model import Dataset, VariationalState, init_state
 from pggpc.pg import sigmoid
 from pggpc.prediction import EvalReport, class_prob, evaluate, latent_predict
@@ -55,6 +57,28 @@ class TestClassProb:
             np.testing.assert_allclose(
                 class_prob(-mu, var), 1.0 - class_prob(mu, var), atol=1e-13
             )
+
+    def test_wide_branch_matches_adaptive_quadrature(self):
+        # 132 points above the single-rule cap of 1.0625; quad integrates
+        # over the standard-normal variable out to +/- 12.
+        mu, var = (g.ravel() for g in np.meshgrid(np.linspace(-5.0, 5.0, 11),
+                                                   np.linspace(1.07, 25.0, 12)))
+
+        def reference(m, v):
+            integrand = lambda z: sigmoid(m + np.sqrt(v) * z) * np.exp(-0.5 * z * z)
+            value = quad(integrand, -12.0, 12.0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            return value / np.sqrt(2.0 * np.pi)
+
+        expected = np.array([reference(m, v) for m, v in zip(mu, var)])
+        np.testing.assert_allclose(class_prob(mu, var), expected, rtol=0.0, atol=1e-12)
+
+    def test_wide_branch_reflection_identity(self):
+        rng = np.random.default_rng(23)
+        mu = rng.uniform(-5.0, 5.0, 300)
+        var = rng.uniform(1.07, 25.0, 300)
+        np.testing.assert_allclose(
+            class_prob(-mu, var), 1.0 - class_prob(mu, var), rtol=0.0, atol=1e-15
+        )
 
     def test_monotone_in_mean(self):
         mu = np.linspace(-6.0, 6.0, 41)
@@ -110,11 +134,30 @@ class TestClassProb:
         np.testing.assert_allclose(batched, single, atol=1e-14)
 
 
+def _packed_state(rng, m, d=2, n_train=200):
+    """m inducing points packed in the unit ball (cond K_mm ~ 4e7 at the
+    default jitter), with q(u) in the form every fit produces:
+    Sigma^{-1} = K_mm^{-1} + kappa^T Omega kappa, eta1 = kappa^T y / 2."""
+    params = KernelParams(log_lengthscale=np.log(0.8), log_amplitude=np.log(1.3))
+    Z = rng.normal(size=(m, d))
+    Z *= rng.random((m, 1)) ** (1.0 / d) / np.linalg.norm(Z, axis=1, keepdims=True)
+    K = kern_matrix(Z, Z, params, same=True)
+    kappa = np.linalg.solve(K, kern_matrix(rng.normal(size=(n_train, d)), Z, params).T).T
+    y = np.where(rng.random(n_train) < 0.5, -1.0, 1.0)
+    eta2 = -0.5 * (np.linalg.inv(K) + 0.25 * kappa.T @ kappa)
+    return VariationalState.from_natural(0.5 * kappa.T @ y, eta2, Z, params)
+
+
 class TestLatentPredict:
-    def test_matches_dense_linear_algebra(self):
+    @pytest.mark.parametrize("m, n_star, packed", [
+        pytest.param(4, 6, False, id="small"),
+        pytest.param(4, 2 * _ROW_BLOCK + 3, False, id="blocks"),  # two full row blocks and a part
+        pytest.param(40, 6, True, id="ill-conditioned"),
+    ])
+    def test_matches_dense_linear_algebra(self, m, n_star, packed):
         rng = np.random.default_rng(3)
-        state = _random_state(rng, m=4, d=2)
-        Xs = rng.normal(size=(6, 2))
+        state = _packed_state(rng, m) if packed else _random_state(rng, m=m, d=2)
+        Xs = rng.normal(size=(n_star, 2))
 
         mu_star, var_star = latent_predict(state, Xs)
 
@@ -160,6 +203,23 @@ class TestLatentPredict:
         mu_batch, var_batch = latent_predict(state, x[None, :])
         assert mu_one == pytest.approx(mu_batch[0], rel=1e-14)
         assert var_one == pytest.approx(var_batch[0], rel=1e-14)
+
+    def test_kernel_rows_stay_within_a_block(self, monkeypatch):
+        # Scratch is O(block * m) for any test-set size: no kernel matrix
+        # built while predicting has more than _ROW_BLOCK rows.
+        rows = []
+
+        def counting(X, Z, params, same=False):
+            rows.append(np.atleast_2d(X).shape[0])
+            return kern_matrix(X, Z, params, same=same)
+
+        monkeypatch.setattr(kernel, "kern_matrix", counting)
+        monkeypatch.setattr(prediction, "kern_matrix", counting, raising=False)
+        rng = np.random.default_rng(19)
+        state = _random_state(rng, m=5)
+        mu_star, _ = latent_predict(state, rng.normal(size=(3 * _ROW_BLOCK + 1, 2)))
+        assert mu_star.shape == (3 * _ROW_BLOCK + 1,)
+        assert rows and max(rows) <= _ROW_BLOCK
 
     def test_gram_reuse_matches_fresh_factorization(self):
         rng = np.random.default_rng(13)
