@@ -10,6 +10,14 @@ model:
 It is asymptotically exact, so long chains provide ground-truth posterior
 means, variances, and predictive probabilities against which the sparse
 variational approximation is scored.
+
+The f-draw never forms Sigma_w.  By Matheron's rule (pathwise
+conditioning) a prior draw f0 ~ N(0, K) is corrected through the
+n x n matrix B = I + Omega^{1/2} K Omega^{1/2}, whose eigenvalues are all
+at least 1 for any omega >= 0, so one Cholesky of B per sweep gives an
+exact draw with nothing divided by omega.  A sweep costs n^3/3 flops for
+chol(B), two triangular solves and two matrix-vector products; chol(K)
+and K y / 2 are computed once per chain.
 """
 
 from __future__ import annotations
@@ -47,26 +55,44 @@ class GibbsChain:
     seed: int
 
 
-def f_conditional(K, omega, y):
-    """Mean and covariance of f | omega, y for prior covariance K.
+def f_conditional(K, L_K, half_Ky, omega, z):
+    """One exact draw of f | omega, y, linear in the standard normals ``z``.
 
-    Uses the inversion-free form Sigma_w = K - K (K + Omega^{-1})^{-1} K
-    whenever every omega is comfortably positive, falling back to the
-    direct (K^{-1} + Omega)^{-1} otherwise.
+    With w = sqrt(omega), B = I + (w w^T) o K, f0 = L_K z[0] and xi = z[1],
+
+        f = f0 + K [y/2 - w o B^{-1} (w o (K y/2 + f0) + xi)]
+
+    has mean Sigma_w y/2 and covariance Sigma_w = K - K W B^{-1} W K with
+    W = diag(w) (Matheron's rule).  Cost: one Cholesky of B (n^3/3 flops),
+    two triangular solves and two matrix-vector products; Sigma_w is never
+    formed.
+
+    Parameters
+    ----------
+    K : ndarray, shape (n, n)
+        Prior covariance of f.
+    L_K : ndarray, shape (n, n)
+        Lower Cholesky factor of K.
+    half_Ky : ndarray, shape (n,)
+        K y / 2.
+    omega : ndarray, shape (n,)
+        Polya-Gamma draws; any omega >= 0, zero included.
+    z : ndarray, shape (2, n)
+        Standard normals: z[0] drives the prior draw, z[1] the
+        pseudo-observation noise.
+
+    Returns
+    -------
+    ndarray, shape (n,)
     """
-    omega = np.asarray(omega, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = K.shape[0]
-    if omega.min() > 1e-10:
-        L, _ = chol_with_escalation(K + np.diag(1.0 / omega), 1e-12)
-        Sw = K - K @ cho_solve((L, True), K)
-    else:
-        Lk, _ = chol_with_escalation(K, 1e-12)
-        prec = cho_solve((Lk, True), np.eye(n)) + np.diag(omega)
-        Lp, _ = chol_with_escalation(prec, 1e-12)
-        Sw = cho_solve((Lp, True), np.eye(n))
-    Sw = 0.5 * (Sw + Sw.T)
-    return Sw @ (0.5 * y), Sw
+    w = np.sqrt(omega)
+    f0 = L_K @ z[0]
+    B = K * w
+    B *= w[:, None]
+    B.flat[:: B.shape[0] + 1] += 1.0
+    L_B, _ = chol_with_escalation(B, 1e-12)
+    v = cho_solve((L_B, True), w * (half_Ky + f0) + z[1])
+    return f0 + half_Ky - K @ (w * v)
 
 
 def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=GIBBS_THIN,
@@ -79,29 +105,46 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
         Desk-scale data (each sweep costs O(n^3)).
     params : KernelParams
         Kernel hyperparameters of the exact model (jitter included on the
-        diagonal, matching the variational model's kernel).
+        diagonal, matching the variational model's kernel).  If chol(K)
+        needs extra jitter, the whole chain uses K + extra I, so the prior
+        draw and the conditional describe the same model.
     iters : int
-        Total sweeps including burn-in.
-    burn_in, thin, seed : int
+        Total sweeps including burn-in; must exceed burn_in.
+    burn_in : int
+        Sweeps discarded before the first stored sample; at least 0.
+    thin : int
+        Stride between stored samples; at least 1.
+    seed : int
 
     Returns
     -------
     GibbsChain
+
+    Raises
+    ------
+    ValueError
+        If thin, burn_in or iters is out of range.
     """
+    if thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
     if iters <= burn_in:
-        raise ValueError("iters must exceed burn_in")
+        raise ValueError(f"iters must exceed burn_in, got iters={iters}, burn_in={burn_in}")
     rng = np.random.default_rng(seed)
+    n = dataset.n
     K = kern_matrix(dataset.X, dataset.X, params, same=True)
-    f = np.zeros(dataset.n)
-    samples = []
+    L_K, extra = chol_with_escalation(K, 1e-12)
+    K.flat[:: n + 1] += extra
+    half_Ky = K @ (0.5 * dataset.y)
+    f = np.zeros(n)
+    samples = np.empty((len(range(burn_in, iters, thin)), n))
     for t in range(iters):
         omega = pg_sample(np.abs(f), rng)
-        mean, Sw = f_conditional(K, omega, dataset.y)
-        Lw, _ = chol_with_escalation(Sw, 1e-12)
-        f = mean + Lw @ rng.standard_normal(dataset.n)
+        f = f_conditional(K, L_K, half_Ky, omega, rng.standard_normal((2, n)))
         if t >= burn_in and (t - burn_in) % thin == 0:
-            samples.append(f.copy())
-    return GibbsChain(samples_f=np.array(samples), burn_in=burn_in, thin=thin, seed=seed)
+            samples[(t - burn_in) // thin] = f
+    return GibbsChain(samples_f=samples, burn_in=burn_in, thin=thin, seed=seed)
 
 
 @dataclass(frozen=True)

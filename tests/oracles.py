@@ -3,14 +3,14 @@
 Each routine recomputes a library quantity by an independent route: the
 full-GP bound two ways, the Euclidean gradients of the bound, the truncated
 gamma-series Polya-Gamma sampler, the single-point kernel, the
-moment-to-natural parameter map, and the Lloyd steps of k-means++ by one
-mask per cluster.
+moment-to-natural parameter map, the Lloyd steps of k-means++ by one
+mask per cluster, and the dense mean and covariance of the Gibbs f-draw.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
-from pggpc.kernel import build_gram
+from pggpc.kernel import build_gram, chol_with_escalation
 from pggpc.pg import log_cosh, sigmoid, theta
 
 _LOG2 = float(np.log(2.0))
@@ -149,3 +149,25 @@ def lloyd_by_masks(X, centers, iters):
             if mask.any():
                 centers[j] = X[mask].mean(axis=0)
     return centers
+
+
+def f_conditional_dense(K, omega, y):
+    """Mean and covariance of f | omega, y for prior covariance K, formed densely.
+
+    Uses the inversion-free form Sigma_w = K - K (K + Omega^{-1})^{-1} K
+    whenever every omega is comfortably positive, falling back to the
+    direct (K^{-1} + Omega)^{-1} otherwise.
+    """
+    omega = np.asarray(omega, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = K.shape[0]
+    if omega.min() > 1e-10:
+        L, _ = chol_with_escalation(K + np.diag(1.0 / omega), 1e-12)
+        Sw = K - K @ cho_solve((L, True), K)
+    else:
+        Lk, _ = chol_with_escalation(K, 1e-12)
+        prec = cho_solve((Lk, True), np.eye(n)) + np.diag(omega)
+        Lp, _ = chol_with_escalation(prec, 1e-12)
+        Sw = cho_solve((Lp, True), np.eye(n))
+    Sw = 0.5 * (Sw + Sw.T)
+    return Sw @ (0.5 * y), Sw

@@ -473,6 +473,20 @@ class TestGibbsCheck:
         assert code == 3
         assert "agreement=FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("chain, name", [
+        (["--burn-in", "5", "--thin", "0"], "thin"),
+        (["--thin", "-1"], "thin"),
+        (["--burn-in", "-5"], "burn_in"),
+        (["--sweeps", "0", "--burn-in", "-1"], "burn_in"),
+        (["--sweeps", "5", "--burn-in", "5"], "iters"),
+    ])
+    def test_chain_argument_out_of_range_is_one_error_line(self, chain, name, blob_files,
+                                                           tmp_path, capsys):
+        code = main(["gibbs-check", "--data", blob_files["small"], "--max-iters", "5",
+                     "--sweeps", "20", "--out-dir", str(tmp_path), *chain])
+        assert code == 1
+        assert _one_error_line(capsys).startswith(f"error: {name} must")
+
     def test_oracle_cap_refuses_large_data(self, blob_files, capsys):
         code = main([
             "gibbs-check", "--data", blob_files["libsvm"], "--oracle-cap", "10",

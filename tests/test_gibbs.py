@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pggpc import gibbs
 from pggpc.gibbs import (
     ComparisonReport,
     GibbsChain,
@@ -11,10 +12,12 @@ from pggpc.gibbs import (
     f_conditional,
     gibbs_run,
 )
-from pggpc.kernel import GramBundle, KernelParams, kern_matrix
+from pggpc.kernel import GramBundle, KernelParams, chol_with_escalation, kern_matrix
 from pggpc.model import Dataset, VariationalState
 from pggpc.pg import sigmoid
 from pggpc.prediction import class_prob, latent_predict
+
+from oracles import f_conditional_dense
 
 
 def _spd(rng, n):
@@ -29,34 +32,70 @@ def _batch_means_se(draws, n_batches=20):
     return means.std(ddof=1) / np.sqrt(n_batches)
 
 
+def _draw_maps(K, omega, y, L_K=None):
+    """The draw of f_conditional as f(z) = mean + A z[0] + C z[1].
+
+    Returns the zero-noise draw and [A | C], probed with unit vectors and
+    y = 0 so that each call returns one column exactly.
+    """
+    n = K.shape[0]
+    if L_K is None:
+        L_K = np.linalg.cholesky(K)
+    mean = f_conditional(K, L_K, K @ (0.5 * y), omega, np.zeros((2, n)))
+    units = np.eye(2 * n).reshape(2 * n, 2, n)
+    AC = np.array([f_conditional(K, L_K, np.zeros(n), omega, z) for z in units]).T
+    return mean, AC
+
+
 class TestFConditional:
+    # The draw is a linear map of the standard normals: its zero-noise value
+    # must be the dense oracle's mean, and A A^T + C C^T its covariance.
     def test_matches_direct_inversion(self):
         rng = np.random.default_rng(0)
         K = _spd(rng, 5)
         omega = rng.uniform(0.1, 2.0, size=5)
         y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-        mean, Sw = f_conditional(K, omega, y)
-        Sw_ref = np.linalg.inv(np.linalg.inv(K) + np.diag(omega))
-        np.testing.assert_allclose(Sw, Sw_ref, rtol=1e-9)
-        np.testing.assert_allclose(mean, Sw_ref @ (0.5 * y), rtol=1e-9)
+        mean, AC = _draw_maps(K, omega, y)
+        mean_ref, Sw_ref = f_conditional_dense(K, omega, y)
+        np.testing.assert_allclose(AC @ AC.T, Sw_ref, rtol=1e-9)
+        np.testing.assert_allclose(mean, mean_ref, rtol=1e-9)
+        np.testing.assert_allclose(Sw_ref, np.linalg.inv(np.linalg.inv(K) + np.diag(omega)),
+                                   rtol=1e-9)
 
     def test_near_zero_omega_branch_agrees(self):
-        # Tiny omega entries make Omega^{-1} explode, so the solver switches
-        # to the direct precision form; both must agree with dense algebra.
+        # Tiny omega entries make Omega^{-1} explode; the draw never divides
+        # by omega, and the oracle switches to the direct precision form.
         rng = np.random.default_rng(1)
         K = _spd(rng, 4)
         omega = np.array([1e-14, 0.5, 1.2, 1e-13])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        mean, Sw = f_conditional(K, omega, y)
-        Sw_ref = np.linalg.inv(np.linalg.inv(K) + np.diag(omega))
-        np.testing.assert_allclose(Sw, Sw_ref, rtol=1e-7)
-        np.testing.assert_allclose(mean, Sw_ref @ (0.5 * y), rtol=1e-7)
+        mean, AC = _draw_maps(K, omega, y)
+        mean_ref, Sw_ref = f_conditional_dense(K, omega, y)
+        np.testing.assert_allclose(AC @ AC.T, Sw_ref, rtol=1e-9)
+        np.testing.assert_allclose(mean, mean_ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("omega", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 2.5]])
+    def test_zero_omega_exactly(self, omega):
+        # Nothing in the draw divides by omega, so omega = 0 is exact; with
+        # every omega zero the conditional is N(K y / 2, K).
+        rng = np.random.default_rng(3)
+        K = _spd(rng, 4)
+        omega = np.array(omega)
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        mean, AC = _draw_maps(K, omega, y)
+        mean_ref, Sw_ref = f_conditional_dense(K, omega, y)
+        np.testing.assert_allclose(AC @ AC.T, Sw_ref, rtol=1e-9)
+        np.testing.assert_allclose(mean, mean_ref, rtol=1e-9)
+        if not omega.any():
+            np.testing.assert_allclose(AC @ AC.T, K, rtol=1e-12)
+            np.testing.assert_allclose(mean, K @ (0.5 * y), rtol=1e-12)
 
     def test_identity_prior_closed_form(self):
         # With K = I the conditional factorizes: var_i = 1/(1 + omega_i).
         omega = np.array([0.25, 4.0])
         y = np.array([1.0, -1.0])
-        mean, Sw = f_conditional(np.eye(2), omega, y)
+        mean, AC = _draw_maps(np.eye(2), omega, y)
+        Sw = AC @ AC.T
         np.testing.assert_allclose(np.diag(Sw), 1.0 / (1.0 + omega), rtol=1e-12)
         np.testing.assert_allclose(Sw[0, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(mean, 0.5 * y / (1.0 + omega), rtol=1e-12)
@@ -64,7 +103,8 @@ class TestFConditional:
     def test_covariance_is_symmetric_positive_definite(self):
         rng = np.random.default_rng(2)
         K = _spd(rng, 6)
-        _, Sw = f_conditional(K, rng.uniform(0.05, 3.0, size=6), np.ones(6))
+        _, AC = _draw_maps(K, rng.uniform(0.05, 3.0, size=6), np.ones(6))
+        Sw = AC @ AC.T
         np.testing.assert_array_equal(Sw, Sw.T)
         assert np.all(np.linalg.eigvalsh(Sw) > 0.0)
 
@@ -130,6 +170,63 @@ class TestGibbsRun:
         data, params = _independent_two_points()
         with pytest.raises(ValueError, match="exceed"):
             gibbs_run(data, params, iters=100, burn_in=100)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"thin": 0}, "thin"),
+        ({"thin": -1}, "thin"),
+        ({"burn_in": -5}, "burn_in"),
+        ({"iters": 0, "burn_in": -1}, "burn_in"),
+    ])
+    def test_chain_arguments_out_of_range_name_the_argument(self, kwargs, name):
+        data, params = _independent_two_points()
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            gibbs_run(data, params, **{"iters": 20, "burn_in": 5, **kwargs})
+
+    def test_one_factorization_per_sweep_plus_one(self, monkeypatch):
+        # chol(K) once per chain, chol(B) once per sweep; forming and
+        # factorizing Sigma_w would cost two per sweep.
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.normal(size=(6, 2)), np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+        calls = []
+
+        def counting(K, base_jitter):
+            calls.append(K.shape)
+            return chol_with_escalation(K, base_jitter)
+
+        monkeypatch.setattr(gibbs, "chol_with_escalation", counting)
+        gibbs_run(data, KernelParams(), iters=37, burn_in=7, thin=3, seed=0)
+        assert calls == [(6, 6)] * 38
+
+    def test_escalated_prior_covariance_is_used_throughout(self, monkeypatch):
+        # Duplicated inputs with a jitter far below round-off: chol(K) fails
+        # as given, so the chain must draw the prior and the conditional
+        # from the same escalated K + extra I.
+        X = np.repeat([[0.0, 0.0], [0.6, -0.3], [1.0, 1.0]], 3, axis=0)
+        data = Dataset(X, np.repeat([1.0, -1.0, 1.0], 3))
+        params = KernelParams(log_jitter=float(np.log(1e-300)))
+        K_raw = kern_matrix(X, X, params, same=True)
+        _, extra = chol_with_escalation(K_raw, 1e-12)
+        assert extra > 0.0
+        seen = []
+        draw = gibbs.f_conditional
+
+        def recording(K, L_K, half_Ky, omega, z):
+            seen.append((K, L_K, half_Ky, omega))
+            return draw(K, L_K, half_Ky, omega, z)
+
+        monkeypatch.setattr(gibbs, "f_conditional", recording)
+        chain = gibbs_run(data, params, iters=40, burn_in=10, thin=2, seed=5)
+        assert np.all(np.isfinite(chain.samples_f))
+        assert chain.samples_f.shape == (15, 9)
+
+        K_esc = K_raw + extra * np.eye(9)
+        K, L_K, half_Ky, omega = seen[-1]
+        np.testing.assert_array_equal(K, K_esc)
+        np.testing.assert_allclose(L_K @ L_K.T, K_esc, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(half_Ky, K_esc @ (0.5 * data.y), rtol=1e-12)
+        _, AC = _draw_maps(K, omega, data.y, L_K=L_K)
+        _, Sw_ref = f_conditional_dense(K_esc, omega, data.y)
+        np.testing.assert_allclose(AC @ AC.T, Sw_ref, rtol=1e-9, atol=1e-12)
 
 
 def _full_gp_state(dataset, params, rng, spread=0.4):
