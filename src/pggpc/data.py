@@ -130,9 +130,6 @@ class Standardizer:
     def apply_dataset(self, dataset):
         return Dataset(self.apply(dataset.X), dataset.y)
 
-    def invert(self, X):
-        return np.atleast_2d(np.asarray(X, dtype=float)) * self.stds + self.means
-
 
 def standardize(dataset):
     """Column-wise standardization; returns the new dataset and the transform."""
@@ -193,7 +190,13 @@ def _parse_libsvm(path, n_features=None):
             if entries:
                 max_idx = max(max_idx, max(entries))
     d = n_features if n_features is not None else max(max_idx, 1)
-    X = np.zeros((len(rows), d))
+    try:
+        X = np.zeros((len(rows), d))
+    except (MemoryError, ValueError):  # ValueError: "array is too big"
+        raise ValueError(
+            f"{path}: feature index {d} is too large: {len(rows)} rows of {d} "
+            "features do not fit in memory"
+        ) from None
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             if idx > d:

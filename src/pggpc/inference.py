@@ -32,7 +32,7 @@ from .data import minibatch_iter
 from .kernel import HYPER_NAMES, FactorizationError, KernelParams, build_gram, kern_grad
 from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
-from .prediction import QUAD_ORDER, evaluate
+from .prediction import QUAD_ORDER, evaluate, latent_predict
 
 __all__ = [
     "TrainConfig",
@@ -96,6 +96,14 @@ class TrainConfig:
             raise ValueError("conv_threshold must be nonnegative")
         if not 0.0 < self.fixed_lr <= 1.0:
             raise ValueError("fixed_lr must be in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.hyper_every < 0:
+            raise ValueError(f"hyper_every must be nonnegative, got {self.hyper_every}")
+        if not self.adam_lr > 0.0:
+            raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
+        if not 0.0 < self.heldout_frac < 1.0:
+            raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
 
     def heldout_rows(self, n):
         """Rows of an n-row dataset that :func:`fit` holds out; 0 unless conv_mode is "heldout"."""
@@ -118,10 +126,14 @@ class FitResult:
     heldout: Dataset | None = None
 
 
-def _data_terms(y, c, gram, state):
-    """Per-point likelihood + PG-KL terms of the bound, summed over the bundle's rows."""
-    kmu, var = gram.marginals(state.mu, state.Sigma)
+def _data_terms(y, c, kmu, var):
+    """Per-point likelihood + PG-KL terms of the bound at q(f) marginals (kmu, var), summed."""
     return 0.5 * (y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
+
+
+def _optimal_tilts(kmu, var):
+    """Tilts that maximize the bound at q(f) marginals (kmu, var): sqrt(var + kmu^2)."""
+    return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
 def _gauss_part(state, gram):
@@ -137,7 +149,9 @@ def _gauss_part(state, gram):
 def elbo(state, dataset, gram=None, include_constants=False):
     """Full-data evidence lower bound at the current state.
 
-    Requires the tilts c to be current for every point.  By default the
+    Requires the tilts c to be current for every point.  The q(f) marginals
+    at the n rows come from :func:`~pggpc.prediction.latent_predict`, which
+    walks them in row blocks, so no n x m matrix is held.  By default the
     value drops the additive constants of the bound; with
     ``include_constants=True`` it adds m/2 - n log 2, making it a true lower
     bound on log p(y) (used by the bound-validity tests).
@@ -147,7 +161,8 @@ def elbo(state, dataset, gram=None, include_constants=False):
     state : VariationalState
     dataset : Dataset
     gram : GramBundle, optional
-        Full-data bundle to reuse.
+        Any bundle for the state's (Z, params); only its K_mm factorization
+        is used (default: a bundle built for no rows).
     include_constants : bool, optional
 
     Returns
@@ -157,8 +172,9 @@ def elbo(state, dataset, gram=None, include_constants=False):
     if state.c is None or state.c.shape[0] != dataset.n:
         raise ValueError("state.c must hold a current tilt for every data point")
     if gram is None:
-        gram = build_gram(dataset.X, state.Z, state.params)
-    value = _gauss_part(state, gram) + _data_terms(dataset.y, state.c, gram, state)
+        gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
+    kmu, var = latent_predict(state, dataset.X, gram)
+    value = _gauss_part(state, gram) + _data_terms(dataset.y, state.c, kmu, var)
     if include_constants:
         value += 0.5 * state.m - dataset.n * _LOG2
     return float(value)
@@ -166,6 +182,9 @@ def elbo(state, dataset, gram=None, include_constants=False):
 
 def local_update(state, dataset, indices=None, gram=None):
     """Optimal tilts c_i = sqrt(Ktilde_ii + kappa_i Sigma kappa_i^T + (kappa_i mu)^2).
+
+    The marginals come from a bundle's kappa and Ktilde, as the natural
+    gradient of a mini-batch needs them anyway.
 
     Parameters
     ----------
@@ -185,8 +204,7 @@ def local_update(state, dataset, indices=None, gram=None):
         indices = np.arange(dataset.n)
     if gram is None:
         gram = build_gram(dataset.X[indices], state.Z, state.params)
-    kmu, var = gram.marginals(state.mu, state.Sigma)
-    return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
+    return _optimal_tilts(*gram.marginals(state.mu, state.Sigma))
 
 
 def natural_gradient(state, dataset, batch, gram=None):
@@ -416,7 +434,10 @@ def fit(dataset, config):
     once per hyperparameter value and shared by every bundle and
     evaluation.  Convergence is a sliding-window average either of the
     relative natural-parameter change ("params") or of the relative
-    held-out NLL change ("heldout").
+    held-out NLL change ("heldout").  After the loop one blocked
+    :func:`~pggpc.prediction.latent_predict` pass over the training rows
+    gives the q(f) marginals from which every tilt and ``final_elbo`` are
+    set, so no bundle in ``fit`` has more rows than a mini-batch.
 
     Returns
     -------
@@ -469,8 +490,9 @@ def fit(dataset, config):
         state = global_step(state, g1, G2, rho)
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
+        kmu, var = gram_b.marginals(state.mu, state.Sigma)
         est = _gauss_part(state, gram_b) + batch.scale * _data_terms(
-            train.y[batch.indices], state.c[batch.indices], gram_b, state
+            train.y[batch.indices], state.c[batch.indices], kmu, var
         )
         row = [float(it), time.perf_counter() - t0, float(est), float(rho)]
         if config.trace_train_error:
@@ -496,9 +518,9 @@ def fit(dataset, config):
                     break
             prev_heldout_nll = nll
 
-    final_gram = build_gram(train.X, state.Z, state.params, mm=mm)
-    state.c = local_update(state, train, gram=final_gram)
-    final_elbo = elbo(state, train, gram=final_gram)
+    kmu, var = latent_predict(state, train.X, gram=mm)
+    state.c = _optimal_tilts(kmu, var)
+    final_elbo = float(_gauss_part(state, mm) + _data_terms(train.y, state.c, kmu, var))
     wall = time.perf_counter() - t0
     columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(

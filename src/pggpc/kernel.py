@@ -31,9 +31,6 @@ __all__ = [
 
 _DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
-# Rows per GEMM in GramBundle.marginals and prediction.latent_predict, so their
-# scratch is O(block * m), not O(n * m).
-_ROW_BLOCK = 512
 # How KernelParams.default fills each unset value, as help text shows it.
 DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
                 "jitter": f"{_DEFAULT_JITTER:g}"}
@@ -142,19 +139,22 @@ def chol_with_escalation(K, base_jitter):
     """Lower Cholesky factor of K, escalating added jitter on failure.
 
     The matrix is attempted as given, then with base_jitter * 10**k added to
-    the diagonal for k = 1..6.  Returns (L, extra) where ``extra`` is the
-    additional diagonal that was required (0.0 in the usual case).
+    the diagonal of a copy for k = 1..6; no copy is made when K factorizes.
+    Returns (L, extra) where ``extra`` is the additional diagonal that was
+    required (0.0 in the usual case).
 
     Raises
     ------
     FactorizationError
         If the factorization still fails at 10^6 times the base jitter.
     """
-    eye = np.eye(K.shape[0])
+    shifted = K
     for extra in [0.0] + [base_jitter * 10.0**k for k in range(1, 7)]:
+        if extra:
+            shifted = K.copy()
+            shifted[np.diag_indices_from(shifted)] += extra
         try:
-            L = cholesky(K + extra * eye, lower=True)
-            return L, extra
+            return cholesky(shifted, lower=True), extra
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
@@ -223,15 +223,12 @@ class GramBundle:
     def marginals(self, mu, Sigma):
         """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
 
-        The row quadratic is a GEMM per block of ``_ROW_BLOCK`` rows followed
-        by a row-wise dot.
+        Meant for a mini-batch or a few test points, whose kappa is needed
+        anyway; :func:`pggpc.prediction.latent_predict` is the pass over many
+        rows and holds no n x m matrix.
         """
         kappa = self.kappa
-        kSk = np.empty(kappa.shape[0])
-        for lo in range(0, kappa.shape[0], _ROW_BLOCK):
-            blk = kappa[lo:lo + _ROW_BLOCK]
-            kSk[lo:lo + _ROW_BLOCK] = np.einsum("ij,ij->i", blk @ Sigma, blk)
-        return kappa @ mu, self.ktilde + kSk
+        return kappa @ mu, self.ktilde + np.einsum("ij,ij->i", kappa @ Sigma, kappa)
 
     @property
     def logdet_Kmm(self):

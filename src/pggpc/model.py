@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky
 
-from .kernel import HYPER_NAMES, KernelParams, build_gram, chol_inverse
+from .kernel import HYPER_NAMES, KernelParams, build_gram, chol_inverse, kern_diag
 
 __all__ = [
     "Dataset",
@@ -123,16 +123,6 @@ class VariationalState:
         mu, Sigma = natural_to_moments(eta1, eta2)
         return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma)
 
-    def clone(self):
-        return replace(
-            self,
-            eta1=self.eta1.copy(),
-            eta2=self.eta2.copy(),
-            mu=self.mu.copy(),
-            Sigma=self.Sigma.copy(),
-            c=None if self.c is None else self.c.copy(),
-        )
-
 
 def kmeanspp_init(X, m, rng):
     """Inducing inputs from k-means++ seeding plus a fixed Lloyd budget.
@@ -165,8 +155,11 @@ def kmeanspp_init(X, m, rng):
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
 
     xx = np.sum(X * X, axis=1)[:, None]
+    d2_all = np.empty((n, m))  # the one n x m buffer of every Lloyd step
     for _ in range(_LLOYD_ITERS):
-        d2_all = np.subtract(xx, 2.0 * X @ centers.T)
+        np.matmul(X, centers.T, out=d2_all)
+        d2_all *= -2.0
+        d2_all += xx
         d2_all += np.sum(centers * centers, axis=1)[None, :]
         assign = np.argmin(d2_all, axis=1)
         counts = np.bincount(assign, minlength=m)
@@ -180,28 +173,25 @@ def init_state(dataset, m, params, rng, Z=None, mm=None):
     """Prior-initialized variational state.
 
     Sets eta2 = -1/2 K_mm^{-1} and eta1 = 0, so that (mu, Sigma) is the GP
-    prior (0, K_mm) over the inducing values; the tilts c are then set by
-    one local update from the prior so the first bound evaluation is valid.
-    Inducing inputs come from k-means++ unless ``Z`` is given explicitly;
-    ``mm`` (a bundle for that Z and params) supplies the K_mm factorization.
+    prior (0, K_mm) over the inducing values, and every tilt to its optimum
+    there, c_i = sqrt(k_ii): at Sigma = K_mm the q(f) marginal at any row is
+    the prior N(0, k_ii) (``prediction.latent_predict``'s B is exactly
+    zero), so the first bound evaluation is valid and no pass over the rows
+    is needed.  Inducing inputs come from k-means++ unless ``Z`` is given
+    explicitly; ``mm`` (a bundle for that Z and params) supplies the K_mm
+    factorization, which is otherwise built for no rows.
     """
-    from .inference import local_update  # deferred to avoid an import cycle
-
     if Z is None:
         Z = kmeanspp_init(dataset.X, m, rng)
     else:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         m = Z.shape[0]
-    gram = build_gram(dataset.X, Z, params, mm=mm)
-    eta2 = -0.5 * gram.Kmm_inv
-    eta1 = np.zeros(m)
-    mu = np.zeros(m)
-    Sigma = gram.K_mm.copy()
-    state = VariationalState(
-        eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma, c=np.zeros(dataset.n), Z=Z, params=params
+    if mm is None:
+        mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
+    return VariationalState(
+        eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
+        c=np.sqrt(kern_diag(dataset.X, params)), Z=Z, params=params,
     )
-    state.c = local_update(state, dataset, gram=gram)
-    return state
 
 
 def _encode_array(arr):

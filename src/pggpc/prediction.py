@@ -1,6 +1,9 @@
 """Predictive latent marginals, class probabilities, and test metrics.
 
-The latent predictive at x* is Gaussian with
+:func:`latent_predict` is the one pass that computes q(f) marginals over
+more rows than a mini-batch: at test points, and at the training rows for
+the full-data bound and the closing tilt refresh of training.  The latent
+predictive at x* is Gaussian with
 
     mu*     = K_*m K_mm^{-1} mu
     sigma*^2 = K_** + K_*m K_mm^{-1} (Sigma K_mm^{-1} - I) K_m*
@@ -29,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _ROW_BLOCK, build_gram, kern_diag, kern_matrix
+from .kernel import build_gram, kern_diag, kern_matrix
 from .pg import sigmoid
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
 
 QUAD_ORDER = 20  # Gauss-Hermite nodes of the predictive class probability
+# Rows per GEMM in latent_predict, so its scratch is O(block * m), not O(n * m).
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """Brute-force references that only the tests use.
 
 Each routine recomputes a library quantity by an independent route: the
-full-GP bound two ways, the Euclidean gradients of the bound, the truncated
-gamma-series Polya-Gamma sampler, the single-point kernel, the
-moment-to-natural parameter map, the Lloyd steps of k-means++ by one
-mask per cluster, and the dense mean and covariance of the Gibbs f-draw.
+full-GP bound two ways, the sparse bound from a bundle over every row, the
+Euclidean gradients of the bound, the truncated gamma-series Polya-Gamma
+sampler, the single-point kernel, the moment-to-natural parameter map, the
+Lloyd steps of k-means++ by one mask per cluster, and the dense mean and
+covariance of the Gibbs f-draw.  The state copy and the inverse
+standardization live here too, since only tests need them.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
+from pggpc.inference import _gauss_part
 from pggpc.kernel import build_gram, chol_with_escalation
-from pggpc.pg import log_cosh, sigmoid, theta
+from pggpc.pg import log_cosh, pg_kl_term, sigmoid, theta
 
 _LOG2 = float(np.log(2.0))
 
@@ -110,6 +115,36 @@ def gibbs_mackay_bound(f, c, y):
     yf = y * f
     b = float(np.sum(log_sig_c + 0.5 * (yf - c) - lam * (yf * yf - c * c)))
     return a, b
+
+
+def clone(state):
+    """Copy of a VariationalState whose arrays can be changed independently."""
+    return replace(
+        state,
+        eta1=state.eta1.copy(),
+        eta2=state.eta2.copy(),
+        mu=state.mu.copy(),
+        Sigma=state.Sigma.copy(),
+        c=None if state.c is None else state.c.copy(),
+    )
+
+
+def unstandardize(scaler, X):
+    """Inverse of ``scaler.apply``: the raw features of standardized rows."""
+    return np.atleast_2d(np.asarray(X, dtype=float)) * scaler.stds + scaler.means
+
+
+def elbo_kappa_form(state, dataset):
+    """The bound with q(f) marginals read from a bundle over every row.
+
+    kappa = K_nm K_mm^{-1} and Ktilde are held for all n rows, and the
+    marginals are (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
+    """
+    gram = build_gram(dataset.X, state.Z, state.params)
+    kmu, var = gram.marginals(state.mu, state.Sigma)
+    c = state.c
+    data = 0.5 * (dataset.y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
+    return float(_gauss_part(state, gram) + data)
 
 
 def elbo_grad_mu(state, dataset, gram=None):

@@ -29,7 +29,7 @@ from pggpc.model import Dataset, VariationalState, init_state
 from pggpc.pg import log_cosh, pg_kl_term, pg_mean, pg_sample, sigmoid
 from pggpc.prediction import class_prob, evaluate
 
-from oracles import elbo_grad_mu, elbo_grad_sigma, gibbs_mackay_bound
+from oracles import clone, elbo_grad_mu, elbo_grad_sigma, elbo_kappa_form, gibbs_mackay_bound
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 DIABETES = os.path.join(DATA_DIR, "diabetes_scale")
@@ -98,7 +98,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
         analytic = [elbo_grad_mu(state, ds, gram)]
         numeric = []
         for i in range(state.m):
-            sp, sm = state.clone(), state.clone()
+            sp, sm = clone(state), clone(state)
             sp.mu, sm.mu = sp.mu.copy(), sm.mu.copy()
             sp.mu[i] += h
             sm.mu[i] -= h
@@ -108,7 +108,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
             for j in range(i, state.m):
                 D = np.zeros((state.m, state.m))
                 D[i, j] = D[j, i] = 1.0
-                sp, sm = state.clone(), state.clone()
+                sp, sm = clone(state), clone(state)
                 sp.Sigma = state.Sigma + h * D
                 sm.Sigma = state.Sigma - h * D
                 numeric.append((elbo(sp, ds, gram) - elbo(sm, ds, gram)) / (2.0 * h))
@@ -123,6 +123,14 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
                   f"in {elapsed:.2f}s (tol 1e-5 within 10s)")
     assert worst < 1e-5
     assert elapsed < 10.0
+
+
+def test_elbo_matches_kappa_form_on_c01_instances():
+    # elbo reads its marginals from the blocked predictive pass; the
+    # reference reads them from a bundle over every row.
+    for seed in range(20):
+        ds, state = _random_instance(seed)
+        assert elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
 
 
 def test_c02_natural_gradient_equals_transformed_euclidean(scorecard):

@@ -130,6 +130,19 @@ def _one_error_line(capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--hyper-every", "-1"], "hyper_every"),
+    (["--adam-lr", "-0.5"], "adam_lr"),
+    (["--conv", "heldout", "--heldout-frac", "-0.3"], "heldout_frac"),
+    (["--max-iters", "-4"], "max_iters"),
+])
+def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
+    code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])
+    assert code == 1
+    assert _one_error_line(capsys).startswith(f"error: {name} must")
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["train", "--m", "30", "--max-iters", "5"],
     ["gibbs-check", "--sweeps", "20", "--burn-in", "5", "--max-iters", "5"],

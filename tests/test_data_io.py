@@ -14,6 +14,8 @@ from pggpc.data import (
 )
 from pggpc.model import Dataset
 
+from oracles import unstandardize
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -57,6 +59,15 @@ class TestLibsvmParsing:
         path2 = _write(tmp_path, "b.txt", "+1 nocolon\n")
         with pytest.raises(ValueError, match=r":1: malformed entry"):
             load(path2, "libsvm")
+
+    @pytest.mark.parametrize("power", [45, 62])
+    def test_huge_feature_index_is_named(self, tmp_path, power):
+        # Two rows of 2^45 columns need 512 TiB, more than any address space
+        # holds; 2^62 columns overflow NumPy's size computation instead.
+        index = 2**power
+        path = _write(tmp_path, "a.txt", f"+1 {index}:1\n-1 1:1\n")
+        with pytest.raises(ValueError, match=rf"a\.txt: .*{index}"):
+            load(path, "libsvm")
 
     def test_zero_index_rejected(self, tmp_path):
         path = _write(tmp_path, "a.txt", "+1 0:3.0\n")
@@ -170,7 +181,7 @@ class TestStandardize:
         np.testing.assert_allclose(scaled.X.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(scaled.X.std(axis=0), 1.0, rtol=1e-12)
         np.testing.assert_array_equal(scaled.y, data.y)
-        np.testing.assert_allclose(scaler.invert(scaled.X), data.X, rtol=1e-12)
+        np.testing.assert_allclose(unstandardize(scaler, scaled.X), data.X, rtol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         X = np.column_stack([np.arange(5.0), np.full(5, 7.0)])

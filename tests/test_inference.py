@@ -23,8 +23,9 @@ from pggpc.inference import (
 from pggpc.kernel import FactorizationError, GramBundle, KernelParams, build_gram, kern_grad
 from pggpc.model import Dataset, init_state
 from pggpc.pg import sigmoid
+from pggpc.prediction import _ROW_BLOCK
 
-from oracles import elbo_grad_mu, elbo_grad_sigma, gibbs_mackay_bound
+from oracles import clone, elbo_grad_mu, elbo_grad_sigma, elbo_kappa_form, gibbs_mackay_bound
 
 ELBO_ONE_POINT = -0.62011450695827752463  # unit kernel, y=+1, prior state, c=1
 
@@ -51,23 +52,24 @@ def _warmed_state(ds, state, steps=3, rho=0.5):
 
 
 def test_elbo_one_point_reference_value():
-    # Hand-built unit problem: K = [[1]], y = +1, q at the prior, c at its
-    # optimum sqrt(Ktilde + kappa Sigma kappa + (kappa mu)^2) = 1.
+    # Unit problem: K = [[1]] (the jitter e^-60 vanishes against 1 in float64),
+    # y = +1, q at the prior, c at its optimum
+    # sqrt(Ktilde + kappa Sigma kappa + (kappa mu)^2) = 1.
     ds = Dataset(X=np.zeros((1, 1)), y=np.array([1.0]))
-    state = init_state(ds, 1, KernelParams(), np.random.default_rng(0), Z=np.zeros((1, 1)))
-    gram = GramBundle(
-        K_mm=np.eye(1),
-        chol_Kmm=np.eye(1),
-        K_nm=np.ones((1, 1)),
-        k_diag=np.ones(1),
-    )
-    state.eta1 = np.zeros(1)
-    state.eta2 = np.array([[-0.5]])
-    state.mu = np.zeros(1)
-    state.Sigma = np.eye(1)
-    state.c = local_update(state, ds, gram=gram)
+    params = KernelParams(log_jitter=-60.0)
+    state = init_state(ds, 1, params, np.random.default_rng(0), Z=np.zeros((1, 1)))
+    np.testing.assert_array_equal(state.Sigma, np.eye(1))
+    state.c = local_update(state, ds)
     np.testing.assert_allclose(state.c, [1.0], rtol=1e-12)
-    assert elbo(state, ds, gram=gram) == pytest.approx(ELBO_ONE_POINT, rel=1e-13)
+    assert elbo(state, ds) == pytest.approx(ELBO_ONE_POINT, rel=1e-13)
+
+
+def test_elbo_matches_kappa_form_over_several_row_blocks():
+    ds, state = _toy_problem(n=2 * _ROW_BLOCK + 3, m=8, seed=4)
+    state = _warmed_state(ds, state)
+    assert elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
+    gram = build_gram(ds.X[:5], state.Z, state.params)  # supplies only K_mm
+    assert elbo(state, ds, gram) == elbo(state, ds)
 
 
 def test_elbo_constants_shift():
@@ -102,7 +104,7 @@ def test_local_update_is_coordinatewise_optimal():
     base = elbo(state, ds)
     for i in [0, 5, 11]:
         for delta in [-0.05, 0.05]:
-            state_perturbed = state.clone()
+            state_perturbed = clone(state)
             state_perturbed.c = state.c.copy()
             state_perturbed.c[i] += delta
             assert elbo(state_perturbed, ds) < base
@@ -154,7 +156,7 @@ def test_euclidean_gradients_match_finite_differences():
 
     gmu = elbo_grad_mu(state, ds, gram)
     for i in range(state.m):
-        sp, sm = state.clone(), state.clone()
+        sp, sm = clone(state), clone(state)
         sp.mu = sp.mu.copy()
         sm.mu = sm.mu.copy()
         sp.mu[i] += h
@@ -166,7 +168,7 @@ def test_euclidean_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     D = rng.normal(size=(state.m, state.m))
     D = 0.5 * (D + D.T)
-    sp, sm = state.clone(), state.clone()
+    sp, sm = clone(state), clone(state)
     sp.Sigma = state.Sigma + h * D
     sm.Sigma = state.Sigma - h * D
     fd = (elbo(sp, ds, gram) - elbo(sm, ds, gram)) / (2.0 * h)
@@ -309,7 +311,7 @@ def test_hyper_grad_matches_finite_differences():
         vp, vm = base.copy(), base.copy()
         vp[i] += h
         vm[i] -= h
-        sp, sm = state.clone(), state.clone()
+        sp, sm = clone(state), clone(state)
         sp.params = KernelParams.from_array(vp)
         sm.params = KernelParams.from_array(vm)
         fd = (elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h)
@@ -446,6 +448,24 @@ class TestTrainConfig:
             TrainConfig(lr_mode="fixed", fixed_lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(lr_mode="fixed", fixed_lr=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hyper_every", -1),
+        ("adam_lr", 0.0),
+        ("adam_lr", -0.5),
+        ("adam_lr", float("nan")),
+        ("heldout_frac", -0.3),
+        ("heldout_frac", 0.0),
+        ("heldout_frac", 1.0),
+        ("heldout_frac", float("nan")),
+        ("max_iters", -4),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        TrainConfig(hyper_every=0, max_iters=0, heldout_frac=0.5, adam_lr=1e-9)
 
 
 class TestFit:
@@ -590,8 +610,15 @@ class TestFit:
                                   conv_threshold=0.0, hyper_every=5, seed=0))
         assert res.n_iters == 20
         assert grad_rows == [15] * 4
-        assert max(gram_rows[:-1]) <= 15  # the K_mm bundle before the loop, then batches
-        assert gram_rows[-1] == ds.n  # the tilt refresh after the loop
+        assert max(gram_rows) <= 15  # the K_mm bundle before the loop, then batches
+
+    @pytest.mark.parametrize("hyper_every", [0, 5])
+    def test_closing_tilts_and_bound_match_kappa_form(self, hyper_every):
+        ds, _ = _toy_problem(n=60, m=6)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                  conv_threshold=0.0, hyper_every=hyper_every, seed=0))
+        np.testing.assert_allclose(res.state.c, local_update(res.state, ds), rtol=1e-10)
+        assert res.final_elbo == pytest.approx(elbo_kappa_form(res.state, ds), rel=1e-12)
 
     def test_factorizes_kmm_once_without_hyper_steps(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import cholesky
 
 from pggpc.kernel import (
-    _ROW_BLOCK,
     FactorizationError,
     KernelParams,
     build_gram,
@@ -17,6 +16,7 @@ from pggpc.kernel import (
     kern_matrix,
     sq_dists,
 )
+from pggpc.prediction import _ROW_BLOCK
 
 from oracles import kern
 
@@ -272,7 +272,7 @@ def test_gram_cholesky_is_lower_triangular_factor():
 @pytest.mark.parametrize("shared, n", [
     pytest.param(False, 7, id="False"),
     pytest.param(True, 7, id="True"),
-    pytest.param(True, 2 * _ROW_BLOCK + 3, id="True-blocks"),  # two full row blocks and a part
+    pytest.param(True, 2 * _ROW_BLOCK + 3, id="True-blocks"),  # more rows than a prediction block
 ])
 def test_marginals_match_dense_solve(shared, n):
     rng = np.random.default_rng(8)

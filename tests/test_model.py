@@ -1,8 +1,11 @@
 """Tests for dataset validation, variational state, init, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pggpc.inference import local_update
 from pggpc.kernel import KernelParams, build_gram
 from pggpc.model import (
     Dataset,
@@ -15,7 +18,7 @@ from pggpc.model import (
 )
 
 import pggpc.model as model
-from oracles import lloyd_by_masks, moments_to_natural
+from oracles import clone, lloyd_by_masks, moments_to_natural
 
 
 def _toy_dataset(n=20, d=2, seed=0):
@@ -114,7 +117,7 @@ class TestVariationalState:
     def test_clone_is_independent(self):
         ds = _toy_dataset()
         st = init_state(ds, 4, KernelParams(), np.random.default_rng(0))
-        cp = st.clone()
+        cp = clone(st)
         cp.eta1[0] += 1.0
         cp.c[0] += 1.0
         assert st.eta1[0] != cp.eta1[0]
@@ -160,6 +163,18 @@ class TestKmeansppInit:
         Z2 = kmeanspp_init(X, 5, np.random.default_rng(12))
         np.testing.assert_array_equal(Z1, Z2)
 
+    def test_lloyd_steps_hold_one_n_by_m_buffer(self):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(4000, 2))
+        m = 100
+        tracemalloc.start()
+        try:
+            kmeanspp_init(X, m, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * X.shape[0] * m * X.itemsize
+
     @pytest.mark.parametrize("n,d,m", [(2000, 8, 100), (500, 3, 50), (30, 2, 6)])
     def test_lloyd_steps_equal_the_per_cluster_loop(self, monkeypatch, n, d, m):
         rng = np.random.default_rng(n)
@@ -201,6 +216,28 @@ class TestInitState:
         st = init_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
         np.testing.assert_allclose(st.c, np.full(30, expect), rtol=1e-9)
+
+    def test_initial_tilts_match_kappa_form_local_update(self):
+        ds = _toy_dataset(40, 3)
+        params = KernelParams(log_lengthscale=0.4, log_amplitude=0.3)
+        st = init_state(ds, 7, params, np.random.default_rng(18))
+        np.testing.assert_allclose(st.c, local_update(st, ds), rtol=1e-12)
+
+    def test_builds_no_bundle_over_the_rows(self, monkeypatch):
+        rows = []
+
+        def recording(X, *args, **kwargs):
+            rows.append(np.atleast_2d(X).shape[0])
+            return build_gram(X, *args, **kwargs)
+
+        monkeypatch.setattr(model, "build_gram", recording)
+        ds = _toy_dataset(30, 2)
+        st = init_state(ds, 5, KernelParams(), np.random.default_rng(19))
+        assert st.c.shape == (30,)
+        assert rows == [0]  # the K_mm factorization only
+        mm = build_gram(np.empty((0, 2)), st.Z, st.params)
+        init_state(ds, 5, KernelParams(), np.random.default_rng(19), Z=st.Z, mm=mm)
+        assert rows == [0]
 
     def test_explicit_inducing_inputs_are_used(self):
         ds = _toy_dataset(12, 2)

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from pggpc import kernel, prediction
-from pggpc.kernel import _ROW_BLOCK, KernelParams, build_gram, kern_diag, kern_matrix
+from pggpc.kernel import KernelParams, build_gram, kern_diag, kern_matrix
 from pggpc.model import Dataset, VariationalState, init_state
 from pggpc.pg import sigmoid
-from pggpc.prediction import EvalReport, class_prob, evaluate, latent_predict
+from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
 
 # Reference values computed with 40-digit quadrature of the logistic-Gaussian
 # integral; frozen here so regressions in the rule are caught exactly.
