@@ -71,7 +71,7 @@ class TrainConfig:
     relative held-out NLL change drops below ``HELDOUT_THRESHOLD``.
     """
 
-    num_inducing: int = 100
+    num_inducing: int = 100  # k-means++ on at most max(2000, 20 m) sampled rows
     batch_size: int = 100
     max_iters: int = 1000
     conv_threshold: float = 1e-4
@@ -437,7 +437,10 @@ def fit(dataset, config):
     held-out NLL change ("heldout").  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals from which every tilt and ``final_elbo`` are
-    set, so no bundle in ``fit`` has more rows than a mini-batch.
+    set, so no bundle in ``fit`` has more rows than a mini-batch.  Unless
+    ``config.inducing_Z`` gives them, the inducing inputs come from
+    :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m) training
+    rows drawn without replacement (all of them when n is at most that).
 
     Returns
     -------
@@ -461,13 +464,22 @@ def fit(dataset, config):
         train = dataset.subset(perm[n_held:])
 
     params = config.init_params or KernelParams.default(train.d)
-    m = config.num_inducing if config.inducing_Z is None else config.inducing_Z.shape[0]
-    if config.inducing_Z is None and not 1 <= m <= train.n:
-        raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
     rng = np.random.default_rng(ss_init)
-    Z = kmeanspp_init(train.X, m, rng) if config.inducing_Z is None else config.inducing_Z
+    if config.inducing_Z is None:
+        m = config.num_inducing
+        if not 1 <= m <= train.n:
+            raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
+        Z = kmeanspp_init(train.X, m, rng)
+    else:
+        Z = np.asarray(config.inducing_Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != train.d:
+            raise ValueError(
+                f"inducing_Z must have shape (k, d) = (k, {train.d}) with k >= 1, got {Z.shape}"
+            )
+        if not np.isfinite(Z).all():
+            raise ValueError(f"inducing_Z must be a finite (k, {train.d}) array, got NaN or Inf")
     mm = build_gram(np.empty((0, train.d)), Z, params)
-    state = init_state(train, m, params, rng, Z=Z, mm=mm)
+    state = init_state(train, Z.shape[0], params, rng, Z=Z, mm=mm)
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)

@@ -30,6 +30,11 @@ __all__ = [
 
 CHECKPOINT_SCHEMA = "pggpc.checkpoint.v1"
 _LLOYD_ITERS = 10
+# kmeanspp_init reads at most max(_SEED_ROWS_MIN, _SEED_ROWS_PER_CENTER * m)
+# rows: about 20 per Lloyd mean, and never fewer than 2000, so that small
+# datasets keep the full-data routine and their Z.
+_SEED_ROWS_MIN = 2000
+_SEED_ROWS_PER_CENTER = 20
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,11 @@ class VariationalState:
 def kmeanspp_init(X, m, rng):
     """Inducing inputs from k-means++ seeding plus a fixed Lloyd budget.
 
+    Seeding and the Lloyd steps read at most rows = max(2000, 20 m) rows of
+    X: when n > rows, ``rng.choice(n, rows, replace=False)`` draws them
+    first, so set-up costs O(m rows d) time and memory whatever n is.  At
+    n <= rows every row is used and no sample is drawn.
+
     Parameters
     ----------
     X : ndarray, shape (n, d)
@@ -142,6 +152,10 @@ def kmeanspp_init(X, m, rng):
     n = X.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    rows = max(_SEED_ROWS_MIN, _SEED_ROWS_PER_CENTER * m)
+    if n > rows:
+        X = X[rng.choice(n, rows, replace=False)]
+        n = rows
 
     centers = np.empty((m, X.shape[1]))
     centers[0] = X[rng.integers(n)]

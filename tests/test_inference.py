@@ -1,5 +1,7 @@
 """Tests for the bound, local/global updates, learning rates, and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -646,3 +648,44 @@ class TestFit:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         with pytest.raises(ValueError, match="num_inducing"):
             fit(Dataset(X=X, y=y), TrainConfig(num_inducing=11, batch_size=5, max_iters=3))
+
+    @pytest.mark.parametrize("Z", [np.zeros(3), np.zeros((4, 3, 1))], ids=["1-D", "3-D"])
+    def test_rejects_inducing_Z_that_is_not_2d(self, Z):
+        ds, _ = _toy_problem(n=30, d=3)
+        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
+            fit(ds, TrainConfig(inducing_Z=Z, batch_size=10, max_iters=3))
+
+    def test_rejects_inducing_Z_with_another_column_count(self):
+        ds, _ = _toy_problem(n=30, d=3)
+        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
+            fit(ds, TrainConfig(inducing_Z=np.zeros((4, 2)), batch_size=10, max_iters=3))
+
+    def test_rejects_non_finite_inducing_Z(self):
+        ds, _ = _toy_problem(n=30, d=3)
+        Z = np.zeros((4, 3))
+        Z[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
+            fit(ds, TrainConfig(inducing_Z=Z, batch_size=10, max_iters=3))
+
+    def test_rejects_inducing_Z_without_rows_and_prints_nothing(self, capfd):
+        ds, _ = _toy_problem(n=30, d=3)
+        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
+            fit(ds, TrainConfig(inducing_Z=np.zeros((0, 3)), batch_size=10, max_iters=3))
+        assert capfd.readouterr().err == ""
+
+    def test_peak_allocation_at_paper_scale_stays_below_twice_the_data(self):
+        # Set-up reads a bounded row sample and every other pass over the
+        # rows is a mini-batch or a blocked prediction, so what fit
+        # allocates beyond X is length-n vectors, never an n x m buffer.
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(200_000, 8))
+        ds = Dataset(X=X, y=np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1.0, -1.0))
+        cfg = TrainConfig(num_inducing=100, batch_size=100, max_iters=20,
+                          conv_threshold=0.0, hyper_every=0, seed=0)
+        tracemalloc.start()
+        try:
+            fit(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.nbytes

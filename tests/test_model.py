@@ -189,6 +189,22 @@ class TestKmeansppInit:
             assert len(np.unique(seeds, axis=0)) < m
         np.testing.assert_array_equal(Z, lloyd_by_masks(X, seeds, iters))
 
+    @pytest.mark.parametrize("n,m,rows", [(2001, 100, 2000), (3001, 150, 3000)])
+    def test_above_the_floor_runs_on_the_rows_drawn_first(self, n, m, rows):
+        # rows = max(2000, 20 m): the unchanged routine on the sampled rows,
+        # continuing the same generator after the draw.
+        X = np.random.default_rng(n).normal(size=(n, 4))
+        rng = np.random.default_rng(1)
+        want = kmeanspp_init(X[rng.choice(n, rows, replace=False)], m, rng)
+        np.testing.assert_array_equal(kmeanspp_init(X, m, np.random.default_rng(1)), want)
+
+    def test_above_the_floor_deterministic_given_seed(self):
+        X = np.random.default_rng(13).normal(size=(5000, 3))
+        Z1 = kmeanspp_init(X, 40, np.random.default_rng(14))
+        Z2 = kmeanspp_init(X, 40, np.random.default_rng(14))
+        np.testing.assert_array_equal(Z1, Z2)
+        assert not np.array_equal(Z1, kmeanspp_init(X, 40, np.random.default_rng(15)))
+
     def test_rejects_bad_m(self):
         X = np.zeros((4, 1))
         with pytest.raises(ValueError):
