@@ -29,10 +29,10 @@ import numpy as np
 from scipy.linalg import cholesky
 
 from .data import minibatch_iter
-from .kernel import HYPER_NAMES, FactorizationError, KernelParams, build_gram, kern_grad
+from .kernel import FactorizationError, KernelParams, build_gram, kern_grad
 from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
-from .prediction import QUAD_ORDER, evaluate, latent_predict
+from .prediction import _ROW_BLOCK, QUAD_ORDER, evaluate, latent_predict
 
 __all__ = [
     "TrainConfig",
@@ -104,6 +104,8 @@ class TrainConfig:
             raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
         if not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
+        if self.quad_order < 1:
+            raise ValueError(f"quad_order must be at least 1, got {self.quad_order}")
 
     def heldout_rows(self, n):
         """Rows of an n-row dataset that :func:`fit` holds out; 0 unless conv_mode is "heldout"."""
@@ -127,8 +129,17 @@ class FitResult:
 
 
 def _data_terms(y, c, kmu, var):
-    """Per-point likelihood + PG-KL terms of the bound at q(f) marginals (kmu, var), summed."""
-    return 0.5 * (y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
+    """Per-point likelihood + PG-KL terms of the bound at q(f) marginals (kmu, var), summed.
+
+    Summed over ``_ROW_BLOCK`` rows at a time, so the temporaries of a
+    full-data bound are O(block), not a handful of length-n vectors.
+    """
+    total = 0.0
+    for lo in range(0, y.shape[0], _ROW_BLOCK):
+        b = slice(lo, lo + _ROW_BLOCK)
+        th = theta(c[b])
+        total += 0.5 * (y[b] @ kmu[b] - th @ (var[b] + kmu[b] * kmu[b])) - np.sum(pg_kl_term(c[b]))
+    return total
 
 
 def _optimal_tilts(kmu, var):
@@ -146,13 +157,13 @@ def _gauss_part(state, gram):
     return 0.5 * (logdet_S - gram.logdet_Kmm - tr - quad)
 
 
-def elbo(state, dataset, gram=None, include_constants=False):
+def elbo(state, dataset, include_constants=False):
     """Full-data evidence lower bound at the current state.
 
-    Requires the tilts c to be current for every point.  The q(f) marginals
-    at the n rows come from :func:`~pggpc.prediction.latent_predict`, which
-    walks them in row blocks, so no n x m matrix is held.  By default the
-    value drops the additive constants of the bound; with
+    Requires the tilts c to be current for every point.  K_mm is factorized
+    for no rows; the q(f) marginals at the n rows come from the blocked
+    :func:`~pggpc.prediction.latent_predict` pass.  By default the value
+    drops the additive constants of the bound; with
     ``include_constants=True`` it adds m/2 - n log 2, making it a true lower
     bound on log p(y) (used by the bound-validity tests).
 
@@ -160,9 +171,6 @@ def elbo(state, dataset, gram=None, include_constants=False):
     ----------
     state : VariationalState
     dataset : Dataset
-    gram : GramBundle, optional
-        Any bundle for the state's (Z, params); only its K_mm factorization
-        is used (default: a bundle built for no rows).
     include_constants : bool, optional
 
     Returns
@@ -171,8 +179,7 @@ def elbo(state, dataset, gram=None, include_constants=False):
     """
     if state.c is None or state.c.shape[0] != dataset.n:
         raise ValueError("state.c must hold a current tilt for every data point")
-    if gram is None:
-        gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
+    gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
     kmu, var = latent_predict(state, dataset.X, gram)
     value = _gauss_part(state, gram) + _data_terms(dataset.y, state.c, kmu, var)
     if include_constants:
@@ -180,47 +187,41 @@ def elbo(state, dataset, gram=None, include_constants=False):
     return float(value)
 
 
-def local_update(state, dataset, indices=None, gram=None):
+def local_update(state, gram):
     """Optimal tilts c_i = sqrt(Ktilde_ii + kappa_i Sigma kappa_i^T + (kappa_i mu)^2).
 
-    The marginals come from a bundle's kappa and Ktilde, as the natural
+    The marginals come from the bundle's kappa and Ktilde, as the natural
     gradient of a mini-batch needs them anyway.
 
     Parameters
     ----------
     state : VariationalState
-    dataset : Dataset
-    indices : ndarray of int, optional
-        Rows to update (default: all rows).
-    gram : GramBundle, optional
-        Bundle built for exactly those rows.
+    gram : GramBundle
+        Bundle for the rows to update, at the state's (Z, params).
 
     Returns
     -------
     ndarray
-        The new tilts for the selected rows (caller assigns into state.c).
+        The new tilts for the bundle's rows (caller assigns into state.c).
     """
-    if indices is None:
-        indices = np.arange(dataset.n)
-    if gram is None:
-        gram = build_gram(dataset.X[indices], state.Z, state.params)
     return _optimal_tilts(*gram.marginals(state.mu, state.Sigma))
 
 
-def natural_gradient(state, dataset, batch, gram=None):
+def natural_gradient(state, dataset, batch, gram):
     """Mini-batch natural gradient of the bound in (eta1, eta2).
 
     g1 = (n / 2s) kappa_S^T y_S - eta1
     G2 = -1/2 (K_mm^{-1} + (n/s) kappa_S^T Theta_S kappa_S) - eta2
 
-    The batch's tilts must be freshly updated.
+    The batch's tilts must be freshly updated.  The full-data gradient is
+    the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters
     ----------
     state : VariationalState
     dataset : Dataset
     batch : MiniBatch
-    gram : GramBundle, optional
+    gram : GramBundle
         Bundle for the batch rows.
 
     Returns
@@ -229,8 +230,6 @@ def natural_gradient(state, dataset, batch, gram=None):
         g1 of shape (m,) and G2 of shape (m, m).
     """
     idx = batch.indices
-    if gram is None:
-        gram = build_gram(dataset.X[idx], state.Z, state.params)
     kappa = gram.kappa
     th = theta(state.c[idx])
     g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[idx]) - state.eta1
@@ -321,8 +320,8 @@ class AdamState:
         return self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
-def hyper_grad(state, dataset, gram=None, batch=None):
-    """Analytic gradient of the bound in (log l, log a, log jitter).
+def hyper_grad(state, dataset, batch, gram):
+    """Mini-batch gradient of the bound in (log l, log a, log jitter).
 
     Differentiates the bound through K_mm, kappa, and Ktilde while holding
     (mu, Sigma, c) fixed.  With B = K_mm^{-1}, mu~ = B mu and
@@ -335,42 +334,28 @@ def hyper_grad(state, dataset, gram=None, batch=None):
         P_K = -B/2 + B Sigma B / 2 + mu~ mu~^T / 2 - (kappa^T y) mu~^T / 2
               - kappa^T Theta kappa / 2 + kappa^T Theta kappa M B
         P_A = y mu~^T / 2 + Theta kappa - Theta kappa M B
-        p_diag = -theta / 2.
+        p_diag = -theta / 2,
 
-    With a mini-batch the rows are the batch's, and the data parts
-    (kappa^T y and kappa^T Theta kappa in P_K, all of P_A and p_diag) are
-    scaled by n/s as in :func:`natural_gradient`, so the estimate is
-    unbiased for the full-data gradient; the Gaussian KL part is exact.
-
-    Parameters
-    ----------
-    state : VariationalState
-        Tilts must be current for the rows used.
-    dataset : Dataset
-    gram : GramBundle, optional
-        Bundle for the rows used (all rows, or the batch rows).
-    batch : MiniBatch, optional
-        Rows and scale of the estimate (default: every row, unscaled).
+    contracted with the batch bundle's derivatives by
+    :func:`~pggpc.kernel.kern_grad`.  The data parts (kappa^T y and
+    kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s as
+    in :func:`natural_gradient`, so the estimate is unbiased for the
+    full-data gradient, the batch ``MiniBatch(np.arange(n), 1.0)``; the
+    Gaussian KL part is exact.  The batch's tilts must be current.
 
     Returns
     -------
     ndarray, shape (3,)
         Ordered as KernelParams.as_array().
     """
-    if batch is None:
-        X, y, c, scale = dataset.X, dataset.y, state.c, 1.0
-    else:
-        idx = batch.indices
-        X, y, c, scale = dataset.X[idx], dataset.y[idx], state.c[idx], batch.scale
-    if gram is None:
-        gram = build_gram(X, state.Z, state.params)
+    idx = batch.indices
+    X, y, scale = dataset.X[idx], dataset.y[idx], batch.scale
     B = gram.Kmm_inv
     mu, Sigma = state.mu, state.Sigma
     mu_t = B @ mu
-    M = Sigma + np.outer(mu, mu)
-    MB = M @ B
+    MB = (Sigma + np.outer(mu, mu)) @ B
     kappa = gram.kappa
-    th = theta(c)
+    th = theta(state.c[idx])
     Tk = kappa * th[:, None]
     ktk = scale * (kappa.T @ Tk)
     ky = scale * (kappa.T @ y)
@@ -384,41 +369,32 @@ def hyper_grad(state, dataset, gram=None, batch=None):
         + ktk @ MB
     )
     P_A = scale * (0.5 * np.outer(y, mu_t) + Tk - Tk @ MB)
-    p_diag = -0.5 * scale * th
-
-    grads = kern_grad(X, state.Z, state.params)
-    out = np.empty(3)
-    for i, name in enumerate(HYPER_NAMES):
-        dK_mm, dK_nm, dk_diag = grads[name]
-        out[i] = float(np.sum(P_K * dK_mm) + np.sum(P_A * dK_nm) + p_diag @ dk_diag)
-    return out
+    return kern_grad(gram, X, state.Z, state.params, P_K, P_A, -0.5 * scale * th)
 
 
-def hyper_step(state, dataset, adam, gram=None, batch=None):
+def hyper_step(state, dataset, adam, batch, gram):
     """One Adam ascent step on the kernel hyperparameters.
 
     Variational parameters and tilts are held fixed; the gradient is
-    :func:`hyper_grad` on the given rows (every row, or ``batch``).  If the
-    factorization fails at the proposed parameters even after jitter
-    escalation, the step is reverted and the Adam rate halved.
+    :func:`hyper_grad` on the batch and its bundle.  If the factorization
+    fails at the proposed parameters even after jitter escalation, the step
+    is reverted and the Adam rate halved.
 
     Returns
     -------
     (KernelParams, GramBundle)
-        The accepted parameters and a bundle for the same rows built with
-        them, whose K_mm factorization serves later ``build_gram(mm=...)``
-        calls.
+        The accepted parameters and a bundle for no rows holding the K_mm
+        factorization at them, which later ``build_gram(mm=...)`` calls and
+        evaluations share.
     """
-    grad = hyper_grad(state, dataset, gram, batch)
-    X = dataset.X if batch is None else dataset.X[batch.indices]
+    grad = hyper_grad(state, dataset, batch, gram)
     proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
+    no_rows = np.empty((0, dataset.d))
     try:
-        return proposal, build_gram(X, state.Z, proposal)
+        return proposal, build_gram(no_rows, state.Z, proposal)
     except FactorizationError:
         adam.lr *= 0.5
-        if gram is None:
-            gram = build_gram(X, state.Z, state.params)
-        return state.params, gram
+        return state.params, build_gram(no_rows, state.Z, state.params, mm=gram)
 
 
 def fit(dataset, config):
@@ -427,8 +403,9 @@ def fit(dataset, config):
     Each iteration draws a without-replacement mini-batch, sets the batch's
     tilts to their closed-form optimum, and takes a natural-gradient step of
     size rho on (eta1, eta2).  Every ``hyper_every`` iterations it then
-    refreshes the batch's tilts at the new (mu, Sigma) and takes one Adam
-    step on the kernel hyperparameters from the same batch's n/s-scaled
+    sets the batch's tilts from the q(f) marginals at the new (mu, Sigma)
+    that the bound estimate has just computed, and takes one Adam step on
+    the kernel hyperparameters from the same batch bundle's n/s-scaled
     gradient, so an iteration costs O(s m^2 + m^3) whatever n is (plus the
     held-out or train-error scoring when requested).  K_mm is factorized
     once per hyperparameter value and shared by every bundle and
@@ -479,7 +456,7 @@ def fit(dataset, config):
         if not np.isfinite(Z).all():
             raise ValueError(f"inducing_Z must be a finite (k, {train.d}) array, got NaN or Inf")
     mm = build_gram(np.empty((0, train.d)), Z, params)
-    state = init_state(train, Z.shape[0], params, rng, Z=Z, mm=mm)
+    state = init_state(train, Z, params, mm)
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
@@ -494,7 +471,7 @@ def fit(dataset, config):
     for it in range(1, config.max_iters + 1):
         batch = next(batches)
         gram_b = build_gram(train.X[batch.indices], state.Z, state.params, mm=mm)
-        state.c[batch.indices] = local_update(state, train, batch.indices, gram_b)
+        state.c[batch.indices] = local_update(state, gram_b)
         g1, G2 = natural_gradient(state, train, batch, gram_b)
         gvec = np.concatenate([g1, G2.ravel()])
         rho = rate.observe(gvec)
@@ -512,8 +489,8 @@ def fit(dataset, config):
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
-            state.c[batch.indices] = local_update(state, train, batch.indices, gram_b)
-            state.params, mm = hyper_step(state, train, adam, gram_b, batch)
+            state.c[batch.indices] = _optimal_tilts(kmu, var)  # at the state just estimated
+            state.params, mm = hyper_step(state, train, adam, batch, gram_b)
 
         if config.conv_mode == "params":
             window.append(rel_change)

@@ -269,34 +269,24 @@ def build_gram(X_batch, Z, params, mm=None):
     return gram
 
 
-def kern_grad(X, Z, params):
-    """Gram-matrix derivatives with respect to each log hyperparameter.
+def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):
+    """<P_K, dK_mm> + <P_A, dK_nm> + p_diag . dk_diag per log hyperparameter.
 
-    Returns
-    -------
-    dict
-        Maps each of "log_lengthscale", "log_amplitude", "log_jitter" to a
-        (dK_mm, dK_nm, dk_diag) triple matching the shapes produced by
-        :func:`build_gram` (jitter included only where the kernel adds it:
-        the K_mm diagonal and k_diag, never the cross matrix).
+    The derivatives of the bundle's (K_mm, K_nm, k_diag) at the rows X are
+    (S_mm o D_mm, S_nm o D_nm, 0) / l^2 in log l, (2 S_mm, 2 S_nm, 2 a^2) in
+    log a and (jitter I, 0, jitter) in log jitter.  D holds the squared
+    distances, the only kernel work done here; S is the squared-exponential
+    part read from the bundle: K_nm, and K_mm less its jitter diagonal
+    ``params.jitter + gram.jitter_extra``.  Returns shape (3,), ordered as
+    KernelParams.as_array().
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n, m = X.shape[0], Z.shape[0]
-    ell2 = params.lengthscale**2
-    a2 = params.amplitude**2
-
-    d2_mm = sq_dists(Z, Z)
-    d2_nm = sq_dists(X, Z)
-    S_mm = a2 * np.exp(-0.5 * d2_mm / ell2)
-    S_nm = a2 * np.exp(-0.5 * d2_nm / ell2)
-
-    return {
-        "log_lengthscale": (S_mm * d2_mm / ell2, S_nm * d2_nm / ell2, np.zeros(n)),
-        "log_amplitude": (2.0 * S_mm, 2.0 * S_nm, np.full(n, 2.0 * a2)),
-        "log_jitter": (
-            params.jitter * np.eye(m),
-            np.zeros((n, m)),
-            np.full(n, params.jitter),
-        ),
-    }
+    S_mm = gram.K_mm.copy()
+    S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
+    PS_mm = P_K * S_mm
+    PS_nm = P_A * gram.K_nm
+    d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(X, Z))
+    return np.array([
+        d_ell / params.lengthscale**2,
+        2.0 * (np.sum(PS_mm) + np.sum(PS_nm) + params.amplitude**2 * np.sum(p_diag)),
+        params.jitter * (np.trace(P_K) + np.sum(p_diag)),
+    ])

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky
 
-from .kernel import HYPER_NAMES, KernelParams, build_gram, chol_inverse, kern_diag
+from .kernel import HYPER_NAMES, KernelParams, chol_inverse, kern_diag
 
 __all__ = [
     "Dataset",
@@ -183,7 +183,7 @@ def kmeanspp_init(X, m, rng):
     return centers
 
 
-def init_state(dataset, m, params, rng, Z=None, mm=None):
+def init_state(dataset, Z, params, mm):
     """Prior-initialized variational state.
 
     Sets eta2 = -1/2 K_mm^{-1} and eta1 = 0, so that (mu, Sigma) is the GP
@@ -191,17 +191,10 @@ def init_state(dataset, m, params, rng, Z=None, mm=None):
     there, c_i = sqrt(k_ii): at Sigma = K_mm the q(f) marginal at any row is
     the prior N(0, k_ii) (``prediction.latent_predict``'s B is exactly
     zero), so the first bound evaluation is valid and no pass over the rows
-    is needed.  Inducing inputs come from k-means++ unless ``Z`` is given
-    explicitly; ``mm`` (a bundle for that Z and params) supplies the K_mm
-    factorization, which is otherwise built for no rows.
+    is needed.  ``mm``, a bundle for (Z, params) with any rows, supplies
+    the K_mm factorization.
     """
-    if Z is None:
-        Z = kmeanspp_init(dataset.X, m, rng)
-    else:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        m = Z.shape[0]
-    if mm is None:
-        mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
+    m = Z.shape[0]
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
         c=np.sqrt(kern_diag(dataset.X, params)), Z=Z, params=params,

@@ -18,7 +18,6 @@ from scipy.special import erfc, erfcx, expit
 __all__ = [
     "sigmoid",
     "log_cosh",
-    "pg_mean",
     "theta",
     "pg_kl_term",
     "pg_sample",
@@ -83,28 +82,6 @@ def theta(c):
         np.tanh(0.5 * safe) / (2.0 * safe),
     )
     return out[()]
-
-
-def pg_mean(b, c):
-    """Expectation of omega ~ PG(b, c).
-
-    E[omega] = b / (2 c) * tanh(c / 2), with the limit b / 4 at c = 0.
-
-    Parameters
-    ----------
-    b : float or array_like
-        Shape parameter(s), strictly positive.
-    c : float or array_like
-        Tilt value(s).
-
-    Returns
-    -------
-    float or ndarray
-    """
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= 0.0):
-        raise ValueError("PG shape parameter b must be positive")
-    return (b * theta(c))[()]
 
 
 def pg_kl_term(c):

@@ -137,13 +137,16 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     ----------
     mu_star, var_star : float or array_like
     order : int, optional
-        Gauss-Hermite nodes of the narrow branch.
+        Gauss-Hermite nodes of the narrow branch, at least 1 (the callers'
+        ``quad_order``).
 
     Returns
     -------
     float or ndarray
         Probabilities in (0, 1).
     """
+    if order < 1:
+        raise ValueError(f"quad_order must be at least 1, got {order}")
     mu = np.asarray(mu_star, dtype=float)
     var = np.asarray(var_star, dtype=float)
     if np.any(var < 0.0):

@@ -2,11 +2,14 @@
 
 Each routine recomputes a library quantity by an independent route: the
 full-GP bound two ways, the sparse bound from a bundle over every row, the
-Euclidean gradients of the bound, the truncated gamma-series Polya-Gamma
-sampler, the single-point kernel, the moment-to-natural parameter map, the
-Lloyd steps of k-means++ by one mask per cluster, and the dense mean and
-covariance of the Gibbs f-draw.  The state copy and the inverse
-standardization live here too, since only tests need them.
+Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
+log hyperparameter, the general-b Polya-Gamma mean, the truncated
+gamma-series Polya-Gamma sampler, the single-point kernel, the
+moment-to-natural parameter map, the Lloyd steps of k-means++ by one mask
+per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
+state copy, the prior state at k-means++ inducing inputs, the full-data
+batch, a fresh bundle and the inverse standardization live here too, since
+only tests need them.
 """
 
 from dataclasses import replace
@@ -14,8 +17,10 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
+from pggpc.data import MiniBatch
 from pggpc.inference import _gauss_part
-from pggpc.kernel import build_gram, chol_with_escalation
+from pggpc.kernel import build_gram, chol_with_escalation, sq_dists
+from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, sigmoid, theta
 
 _LOG2 = float(np.log(2.0))
@@ -46,6 +51,41 @@ def kern(x, xp, params, same_index=False):
     if same_index:
         val += params.jitter
     return float(val)
+
+
+def kern_grad_dense(X, Z, params):
+    """Gram-matrix derivatives with respect to each log hyperparameter.
+
+    Maps each of "log_lengthscale", "log_amplitude", "log_jitter" to a
+    (dK_mm, dK_nm, dk_diag) triple matching the shapes produced by
+    ``build_gram`` (jitter included only where the kernel adds it: the K_mm
+    diagonal and k_diag, never the cross matrix).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    n, m = X.shape[0], Z.shape[0]
+    ell2 = params.lengthscale**2
+    a2 = params.amplitude**2
+    d2_mm = sq_dists(Z, Z)
+    d2_nm = sq_dists(X, Z)
+    S_mm = a2 * np.exp(-0.5 * d2_mm / ell2)
+    S_nm = a2 * np.exp(-0.5 * d2_nm / ell2)
+    return {
+        "log_lengthscale": (S_mm * d2_mm / ell2, S_nm * d2_nm / ell2, np.zeros(n)),
+        "log_amplitude": (2.0 * S_mm, 2.0 * S_nm, np.full(n, 2.0 * a2)),
+        "log_jitter": (params.jitter * np.eye(m), np.zeros((n, m)), np.full(n, params.jitter)),
+    }
+
+
+def pg_mean(b, c):
+    """Expectation of omega ~ PG(b, c): b / (2 c) tanh(c / 2), with the limit b / 4 at c = 0.
+
+    The library's ``theta`` is the b = 1 case; b must be strictly positive.
+    """
+    b = np.asarray(b, dtype=float)
+    if np.any(b <= 0.0):
+        raise ValueError("PG shape parameter b must be positive")
+    return (b * theta(c))[()]
 
 
 def moments_to_natural(mu, Sigma):
@@ -127,6 +167,22 @@ def clone(state):
         Sigma=state.Sigma.copy(),
         c=None if state.c is None else state.c.copy(),
     )
+
+
+def prior_state(dataset, m, params, rng):
+    """``init_state`` at m k-means++ inducing inputs drawn with ``rng``."""
+    Z = kmeanspp_init(dataset.X, m, rng)
+    return init_state(dataset, Z, params, build_gram(np.empty((0, Z.shape[1])), Z, params))
+
+
+def every_row(dataset):
+    """The full-data batch: every row, unscaled."""
+    return MiniBatch(indices=np.arange(dataset.n), scale=1.0)
+
+
+def bundle(state, X):
+    """A fresh bundle for the rows X at the state's (Z, params)."""
+    return build_gram(X, state.Z, state.params)
 
 
 def unstandardize(scaler, X):

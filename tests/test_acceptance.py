@@ -25,11 +25,20 @@ from pggpc.inference import (
     natural_gradient,
 )
 from pggpc.kernel import KernelParams, build_gram, kern_matrix
-from pggpc.model import Dataset, VariationalState, init_state
-from pggpc.pg import log_cosh, pg_kl_term, pg_mean, pg_sample, sigmoid
+from pggpc.model import Dataset, VariationalState, init_state, kmeanspp_init
+from pggpc.pg import log_cosh, pg_kl_term, pg_sample, sigmoid
 from pggpc.prediction import class_prob, evaluate
 
-from oracles import clone, elbo_grad_mu, elbo_grad_sigma, elbo_kappa_form, gibbs_mackay_bound
+from oracles import (
+    bundle,
+    clone,
+    elbo_grad_mu,
+    elbo_grad_sigma,
+    elbo_kappa_form,
+    every_row,
+    gibbs_mackay_bound,
+    pg_mean,
+)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 DIABETES = os.path.join(DATA_DIR, "diabetes_scale")
@@ -73,7 +82,7 @@ def _random_instance(seed, n=8, m=3):
     state = VariationalState.from_natural(
         np.linalg.solve(Sigma, mu), -0.5 * np.linalg.inv(Sigma), Z, params
     )
-    state.c = local_update(state, ds)
+    state.c = local_update(state, bundle(state, ds.X))
     return ds, state
 
 
@@ -94,7 +103,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
     worst = 0.0
     for seed in range(20):
         ds, state = _random_instance(seed)
-        gram = build_gram(ds.X, state.Z, state.params)
+        gram = bundle(state, ds.X)
         analytic = [elbo_grad_mu(state, ds, gram)]
         numeric = []
         for i in range(state.m):
@@ -102,7 +111,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
             sp.mu, sm.mu = sp.mu.copy(), sm.mu.copy()
             sp.mu[i] += h
             sm.mu[i] -= h
-            numeric.append((elbo(sp, ds, gram) - elbo(sm, ds, gram)) / (2.0 * h))
+            numeric.append((elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h))
         gS = elbo_grad_sigma(state, ds, gram)
         for i in range(state.m):
             for j in range(i, state.m):
@@ -111,7 +120,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
                 sp, sm = clone(state), clone(state)
                 sp.Sigma = state.Sigma + h * D
                 sm.Sigma = state.Sigma - h * D
-                numeric.append((elbo(sp, ds, gram) - elbo(sm, ds, gram)) / (2.0 * h))
+                numeric.append((elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h))
                 analytic.append(float(np.sum(gS * D)))
         vec_an = np.concatenate([np.atleast_1d(a).ravel() for a in analytic])
         vec_fd = np.asarray(numeric)
@@ -137,8 +146,7 @@ def test_c02_natural_gradient_equals_transformed_euclidean(scorecard):
     worst = 0.0
     for seed in range(20):
         ds, state = _random_instance(seed)
-        batch = MiniBatch(indices=np.arange(ds.n), scale=1.0)
-        g1, G2 = natural_gradient(state, ds, batch)
+        g1, G2 = natural_gradient(state, ds, every_row(ds), bundle(state, ds.X))
         gmu = elbo_grad_mu(state, ds)
         gS = elbo_grad_sigma(state, ds)
         worst = max(
@@ -156,11 +164,11 @@ def test_c03_unit_step_lands_on_coordinate_ascent_optimum(scorecard):
     worst_drift = 0.0
     for seed in range(10):
         ds, state = _random_instance(seed, n=16, m=4)
-        batch = MiniBatch(indices=np.arange(ds.n), scale=1.0)
-        g1, G2 = natural_gradient(state, ds, batch)
+        batch = every_row(ds)
+        gram = bundle(state, ds.X)
+        g1, G2 = natural_gradient(state, ds, batch, gram)
         stepped = global_step(state, g1, G2, rho=1.0)
 
-        gram = build_gram(ds.X, state.Z, state.params)
         th = np.tanh(0.5 * state.c) / (2.0 * state.c)
         target1 = 0.5 * gram.kappa.T @ ds.y
         target2 = -0.5 * (gram.Kmm_inv + gram.kappa.T @ (th[:, None] * gram.kappa))
@@ -170,7 +178,7 @@ def test_c03_unit_step_lands_on_coordinate_ascent_optimum(scorecard):
             float(np.max(np.abs(stepped.eta2 - target2))),
         )
 
-        again = global_step(stepped, *natural_gradient(stepped, ds, batch), rho=1.0)
+        again = global_step(stepped, *natural_gradient(stepped, ds, batch, gram), rho=1.0)
         worst_drift = max(
             worst_drift,
             float(np.max(np.abs(again.eta1 - stepped.eta1))),
@@ -206,16 +214,17 @@ def test_c04_full_batch_alternation_never_decreases_the_bound(scorecard):
 def test_c05_covariance_precision_stays_choleskyable_for_10000_steps(scorecard):
     ds = _separable_blobs(200, seed=5, spread=1.2)
     rng = np.random.default_rng(0)
-    state = init_state(ds, 8, KernelParams(), rng)
-    mm = build_gram(np.empty((0, ds.d)), state.Z, state.params)
+    Z = kmeanspp_init(ds.X, 8, rng)
+    mm = build_gram(np.empty((0, ds.d)), Z, KernelParams())
+    state = init_state(ds, Z, KernelParams(), mm)
     rate = AdaptiveRate()
     checked = 0
     for _ in range(10_000):
         idx = rng.choice(ds.n, size=20, replace=False)
         batch = MiniBatch(indices=idx, scale=ds.n / idx.size)
         gram_b = build_gram(ds.X[idx], state.Z, state.params, mm=mm)
-        state.c[idx] = local_update(state, ds, indices=idx, gram=gram_b)
-        g1, G2 = natural_gradient(state, ds, batch, gram=gram_b)
+        state.c[idx] = local_update(state, gram_b)
+        g1, G2 = natural_gradient(state, ds, batch, gram_b)
         rho = rate.observe(np.concatenate([g1, G2.ravel()]))
         state = global_step(state, g1, G2, rho)
         np.linalg.cholesky(-2.0 * state.eta2)  # raises LinAlgError on failure

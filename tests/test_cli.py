@@ -135,6 +135,8 @@ def _one_error_line(capsys):
     (["--adam-lr", "-0.5"], "adam_lr"),
     (["--conv", "heldout", "--heldout-frac", "-0.3"], "heldout_frac"),
     (["--max-iters", "-4"], "max_iters"),
+    (["--quad-order", "0"], "quad_order"),
+    (["--conv", "heldout", "--quad-order", "0"], "quad_order"),
 ])
 def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
     code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])
@@ -242,6 +244,19 @@ class TestPredictAndEvaluate:
         ])
         assert code == 0
         assert len(_read_lines(tmp_path / "predictions.csv")) == 2 + 5
+
+    @pytest.mark.parametrize("command, output", [
+        ("predict", "predictions.csv"), ("evaluate", "metrics.csv"),
+    ])
+    def test_quad_order_below_one_is_one_error_line(self, command, output, blob_files, trained,
+                                                    tmp_path, capsys):
+        code = main([
+            command, "--data", blob_files["libsvm"], "--checkpoint", trained,
+            "--out-dir", str(tmp_path), "--quad-order", "0",
+        ])
+        assert code == 1
+        assert _one_error_line(capsys).startswith("error: quad_order must")
+        assert not (tmp_path / output).exists()
 
     def test_evaluate_scores_separable_blobs(self, blob_files, trained, tmp_path, capsys):
         code = main([

@@ -18,7 +18,7 @@ from pggpc.kernel import (
 )
 from pggpc.prediction import _ROW_BLOCK
 
-from oracles import kern
+from oracles import kern, kern_grad_dense
 
 EXP_NEG_1 = 0.3678794411714423216  # kernel value at squared distance 2, a = l = 1
 
@@ -240,7 +240,7 @@ def test_kern_grad_matches_finite_differences(name_idx):
             kern_diag(X, p),
         )
 
-    grads = kern_grad(X, Z, KernelParams.from_array(base))
+    grads = kern_grad_dense(X, Z, KernelParams.from_array(base))
     up = base.copy()
     up[name_idx] += h
     dn = base.copy()
@@ -255,10 +255,33 @@ def test_kern_grad_jitter_touches_only_diagonals():
     X = rng.normal(size=(5, 2))
     Z = rng.normal(size=(3, 2))
     params = KernelParams(log_jitter=np.log(2e-5))
-    dK_mm, dK_nm, dk_diag = kern_grad(X, Z, params)["log_jitter"]
+    dK_mm, dK_nm, dk_diag = kern_grad_dense(X, Z, params)["log_jitter"]
     np.testing.assert_allclose(dK_mm, 2e-5 * np.eye(3), rtol=1e-12)
     np.testing.assert_array_equal(dK_nm, np.zeros((5, 3)))
     np.testing.assert_allclose(dk_diag, np.full(5, 2e-5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("escalated", [False, True], ids=["plain", "escalated"])
+def test_kern_grad_contracts_the_dense_derivatives(escalated):
+    # kern_grad reads S from the bundle instead of rebuilding it; on an
+    # escalated bundle K_mm also carries jitter_extra, which it must remove.
+    rng = np.random.default_rng(11)
+    if escalated:
+        Z = np.linspace(0.0, 1.0, 30)[:, None]  # fails to factorize at jitter 1e-16
+        params = KernelParams(log_lengthscale=0.0, log_amplitude=0.2, log_jitter=np.log(1e-16))
+    else:
+        Z = rng.normal(size=(6, 1))
+        params = KernelParams(log_lengthscale=0.3, log_amplitude=-0.1, log_jitter=np.log(1e-4))
+    X = rng.normal(size=(9, 1))
+    gram = build_gram(X, Z, params)
+    assert (gram.jitter_extra > 0.0) == escalated
+    m = Z.shape[0]
+    P_K, P_A, p_diag = rng.normal(size=(m, m)), rng.normal(size=(9, m)), rng.normal(size=9)
+    want = [np.sum(P_K * dK_mm) + np.sum(P_A * dK_nm) + p_diag @ dk_diag
+            for dK_mm, dK_nm, dk_diag in kern_grad_dense(X, Z, params).values()]
+    got = kern_grad(gram, X, Z, params, P_K, P_A, p_diag)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_gram_cholesky_is_lower_triangular_factor():

@@ -18,7 +18,7 @@ from pggpc.model import (
 )
 
 import pggpc.model as model
-from oracles import clone, lloyd_by_masks, moments_to_natural
+from oracles import clone, lloyd_by_masks, moments_to_natural, prior_state
 
 
 def _toy_dataset(n=20, d=2, seed=0):
@@ -107,7 +107,7 @@ class TestVariationalState:
 
     def test_with_natural_returns_consistent_new_state(self):
         ds = _toy_dataset()
-        st = init_state(ds, 4, KernelParams(), np.random.default_rng(0))
+        st = prior_state(ds, 4, KernelParams(), np.random.default_rng(0))
         new = st.with_natural(st.eta1 + 0.1, st.eta2 * 1.5)
         assert new is not st
         mu, Sigma = natural_to_moments(new.eta1, new.eta2)
@@ -116,7 +116,7 @@ class TestVariationalState:
 
     def test_clone_is_independent(self):
         ds = _toy_dataset()
-        st = init_state(ds, 4, KernelParams(), np.random.default_rng(0))
+        st = prior_state(ds, 4, KernelParams(), np.random.default_rng(0))
         cp = clone(st)
         cp.eta1[0] += 1.0
         cp.c[0] += 1.0
@@ -217,7 +217,7 @@ class TestInitState:
     def test_prior_initialization(self):
         ds = _toy_dataset(25, 2)
         params = KernelParams()
-        st = init_state(ds, 5, params, np.random.default_rng(13))
+        st = prior_state(ds, 5, params, np.random.default_rng(13))
         gram = build_gram(ds.X, st.Z, params)
         np.testing.assert_array_equal(st.eta1, np.zeros(5))
         np.testing.assert_allclose(st.eta2, -0.5 * gram.Kmm_inv, atol=1e-12)
@@ -229,44 +229,31 @@ class TestInitState:
         # for every point, regardless of where the inducing inputs sit.
         ds = _toy_dataset(30, 2)
         params = KernelParams(log_amplitude=np.log(1.7))
-        st = init_state(ds, 6, params, np.random.default_rng(14))
+        st = prior_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
         np.testing.assert_allclose(st.c, np.full(30, expect), rtol=1e-9)
 
     def test_initial_tilts_match_kappa_form_local_update(self):
         ds = _toy_dataset(40, 3)
         params = KernelParams(log_lengthscale=0.4, log_amplitude=0.3)
-        st = init_state(ds, 7, params, np.random.default_rng(18))
-        np.testing.assert_allclose(st.c, local_update(st, ds), rtol=1e-12)
-
-    def test_builds_no_bundle_over_the_rows(self, monkeypatch):
-        rows = []
-
-        def recording(X, *args, **kwargs):
-            rows.append(np.atleast_2d(X).shape[0])
-            return build_gram(X, *args, **kwargs)
-
-        monkeypatch.setattr(model, "build_gram", recording)
-        ds = _toy_dataset(30, 2)
-        st = init_state(ds, 5, KernelParams(), np.random.default_rng(19))
-        assert st.c.shape == (30,)
-        assert rows == [0]  # the K_mm factorization only
-        mm = build_gram(np.empty((0, 2)), st.Z, st.params)
-        init_state(ds, 5, KernelParams(), np.random.default_rng(19), Z=st.Z, mm=mm)
-        assert rows == [0]
+        st = prior_state(ds, 7, params, np.random.default_rng(18))
+        np.testing.assert_allclose(st.c, local_update(st, build_gram(ds.X, st.Z, params)),
+                                   rtol=1e-12)
 
     def test_explicit_inducing_inputs_are_used(self):
         ds = _toy_dataset(12, 2)
         Z = ds.X[:4] + 0.5
-        st = init_state(ds, 99, KernelParams(), np.random.default_rng(0), Z=Z)
+        mm = build_gram(ds.X[:3], Z, KernelParams())  # a bundle with rows serves too
+        st = init_state(ds, Z, KernelParams(), mm)
         assert st.m == 4
+        np.testing.assert_allclose(st.Sigma, mm.K_mm, rtol=0)
         np.testing.assert_array_equal(st.Z, Z)
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = _toy_dataset(18, 3)
-        st = init_state(ds, 4, KernelParams(log_lengthscale=0.27), np.random.default_rng(15))
+        st = prior_state(ds, 4, KernelParams(log_lengthscale=0.27), np.random.default_rng(15))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, st, seed=77)
         loaded, seed, pre = load_checkpoint(path)
@@ -282,7 +269,7 @@ class TestCheckpoint:
 
     def test_save_load_save_reproduces_bytes(self, tmp_path):
         ds = _toy_dataset(10, 2)
-        st = init_state(ds, 3, KernelParams(), np.random.default_rng(16))
+        st = prior_state(ds, 3, KernelParams(), np.random.default_rng(16))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(p1, st, seed=5)
         loaded, seed, _ = load_checkpoint(p1)
@@ -291,7 +278,7 @@ class TestCheckpoint:
 
     def test_preprocess_block_round_trips(self, tmp_path):
         ds = _toy_dataset(10, 2)
-        st = init_state(ds, 3, KernelParams(), np.random.default_rng(17))
+        st = prior_state(ds, 3, KernelParams(), np.random.default_rng(17))
         pre = {"means": np.array([0.5, -1.5]), "stds": np.array([2.0, 0.25])}
         path = tmp_path / "c.json"
         save_checkpoint(path, st, seed=1, preprocess=pre)

@@ -6,9 +6,11 @@ from scipy.integrate import quad
 
 from pggpc import kernel, prediction
 from pggpc.kernel import KernelParams, build_gram, kern_diag, kern_matrix
-from pggpc.model import Dataset, VariationalState, init_state
+from pggpc.model import Dataset, VariationalState
 from pggpc.pg import sigmoid
 from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
+
+from oracles import prior_state
 
 # Reference values computed with 40-digit quadrature of the logistic-Gaussian
 # integral; frozen here so regressions in the rule are caught exactly.
@@ -117,6 +119,13 @@ class TestClassProb:
         with pytest.raises(ValueError, match="nonnegative"):
             class_prob(np.zeros(3), np.array([1.0, -0.5, 2.0]))
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_is_named(self, order):
+        with pytest.raises(ValueError, match=f"^quad_order must be at least 1, got {order}"):
+            class_prob(0.5, 0.3, order=order)
+        with pytest.raises(ValueError, match="^quad_order must"):
+            class_prob(np.zeros(3), np.full(3, 4.0), order=order)  # wide branch only
+
     def test_broadcasting_and_scalar_return(self):
         p = class_prob(1.0, 2.0)
         assert np.ndim(p) == 0
@@ -178,7 +187,7 @@ class TestLatentPredict:
         X = rng.normal(size=(20, 2))
         y = np.sign(X[:, 0]) + (X[:, 0] == 0)
         data = Dataset(X, y)
-        state = init_state(data, m=5, params=KernelParams(), rng=rng)
+        state = prior_state(data, 5, KernelParams(), rng)
 
         Xs = rng.normal(size=(7, 2))
         mu_star, var_star = latent_predict(state, Xs)
@@ -277,7 +286,7 @@ class TestEvaluate:
         X = rng.normal(size=(12, 2))
         y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
         data = Dataset(X, y)
-        state = init_state(data, m=4, params=KernelParams(), rng=rng)
+        state = prior_state(data, 4, KernelParams(), rng)
         report = evaluate(state, data)
         assert report.mean_nll == pytest.approx(np.log(2.0), abs=1e-10)
 
