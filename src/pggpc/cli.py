@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .data import canonical_order, kfold, load, load_features, standardize
+from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
 from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, compare_to_vi, gibbs_run
 from .inference import (
     CONV_MODES, CONV_WINDOW, HELDOUT_THRESHOLD, LR_MODES, TrainConfig, fit,
@@ -329,7 +329,7 @@ def _prepare_features(args, X, state, preprocess):
         )
     if preprocess is None:
         return X
-    return (X - preprocess["means"]) / preprocess["stds"]
+    return Standardizer(preprocess["means"], preprocess["stds"]).apply(X)
 
 
 def cmd_predict(args):
@@ -506,6 +506,8 @@ def main(argv=None):
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

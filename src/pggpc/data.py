@@ -112,6 +112,12 @@ def canonical_order(dataset):
     return Dataset(dataset.X[order], dataset.y[order])
 
 
+# Standardized values are clamped to +/- _FAR spreads (no kernel tells a point
+# that far out from one farther still), and a column reaching _FAR in magnitude
+# is divided by its peak before its sum of squares is taken.
+_FAR = 1e150
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column affine transform fitted on training data.
@@ -124,8 +130,11 @@ class Standardizer:
     stds: np.ndarray
 
     def apply(self, X):
+        """(X - means) / stds clamped to +/- ``_FAR``; halving (exact) keeps X - means finite."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X - self.means) / self.stds
+        with np.errstate(over="ignore"):  # the clamp catches it
+            out = (0.5 * X - 0.5 * self.means) / (0.5 * self.stds)
+        return np.clip(out, -_FAR, _FAR, out=out)
 
     def apply_dataset(self, dataset):
         return Dataset(self.apply(dataset.X), dataset.y)
@@ -135,8 +144,11 @@ def standardize(dataset):
     """Column-wise standardization; returns the new dataset and the transform."""
     if dataset.n < 2:
         raise ValueError("standardization needs at least 2 records")
-    means = dataset.X.mean(axis=0)
-    stds = dataset.X.std(axis=0)
+    peak = np.maximum(dataset.X.max(axis=0), -dataset.X.min(axis=0))
+    scale = np.where(peak >= _FAR, peak, 1.0)
+    X = dataset.X / scale if np.any(scale > 1.0) else dataset.X
+    means = X.mean(axis=0) * scale
+    stds = X.std(axis=0) * scale
     stds = np.where(stds > 0.0, stds, 1.0)
     scaler = Standardizer(means=means, stds=stds)
     return scaler.apply_dataset(dataset), scaler

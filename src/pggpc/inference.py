@@ -10,9 +10,10 @@ Polya-Gamma tilts c is
 
 with kappa = K_nm K_mm^{-1}, Ktilde_ii the Nystrom residual, and
 theta_i = tanh(c_i/2)/(2 c_i).  The expression drops additive constants
-(m/2 from the Gaussian KL and -n log 2 from the likelihood); pass
-``include_constants=True`` to :func:`elbo` to restore them, which makes the
-value a true lower bound on log p(y).
+(m/2 from the Gaussian KL and -n log 2 from the likelihood); adding them
+back makes it a true lower bound on log p(y).  :func:`elbo` alone assembles
+it, from q(f) marginals at a mini-batch (data terms scaled by n/s) or at
+every row.
 
 Optimal local updates (c), natural-gradient global updates (eta1, eta2), an
 adaptive stochastic learning rate, analytic kernel-hyperparameter gradients,
@@ -32,7 +33,7 @@ from .data import minibatch_iter
 from .kernel import FactorizationError, KernelParams, build_gram, kern_grad
 from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
-from .prediction import _ROW_BLOCK, QUAD_ORDER, evaluate, latent_predict
+from .prediction import _ROW_BLOCK, QUAD_ORDER, _check_quad_order, evaluate, latent_predict
 
 __all__ = [
     "TrainConfig",
@@ -48,7 +49,6 @@ __all__ = [
     "fit",
 ]
 
-_LOG2 = float(np.log(2.0))
 TRACE_COLUMNS = ("iter", "wall_seconds", "elbo_estimate", "rho")
 LR_MODES = ("adaptive", "fixed", "decay")
 CONV_MODES = ("params", "heldout")
@@ -92,20 +92,21 @@ class TrainConfig:
             raise ValueError(f"unknown lr_mode {self.lr_mode!r}")
         if self.conv_mode not in CONV_MODES:
             raise ValueError(f"unknown conv_mode {self.conv_mode!r}")
-        if self.conv_threshold < 0:
-            raise ValueError("conv_threshold must be nonnegative")
+        if not self.conv_threshold >= 0.0:
+            raise ValueError(f"conv_threshold must be nonnegative, got {self.conv_threshold}")
         if not 0.0 < self.fixed_lr <= 1.0:
             raise ValueError("fixed_lr must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.hyper_every < 0:
             raise ValueError(f"hyper_every must be nonnegative, got {self.hyper_every}")
-        if not self.adam_lr > 0.0:
-            raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
+        if not 0.0 < self.adam_lr < np.inf:
+            raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
         if not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
-        if self.quad_order < 1:
-            raise ValueError(f"quad_order must be at least 1, got {self.quad_order}")
+        _check_quad_order(self.quad_order)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def heldout_rows(self, n):
         """Rows of an n-row dataset that :func:`fit` holds out; 0 unless conv_mode is "heldout"."""
@@ -128,63 +129,31 @@ class FitResult:
     heldout: Dataset | None = None
 
 
-def _data_terms(y, c, kmu, var):
-    """Per-point likelihood + PG-KL terms of the bound at q(f) marginals (kmu, var), summed.
-
-    Summed over ``_ROW_BLOCK`` rows at a time, so the temporaries of a
-    full-data bound are O(block), not a handful of length-n vectors.
-    """
-    total = 0.0
-    for lo in range(0, y.shape[0], _ROW_BLOCK):
-        b = slice(lo, lo + _ROW_BLOCK)
-        th = theta(c[b])
-        total += 0.5 * (y[b] @ kmu[b] - th @ (var[b] + kmu[b] * kmu[b])) - np.sum(pg_kl_term(c[b]))
-    return total
-
-
 def _optimal_tilts(kmu, var):
     """Tilts that maximize the bound at q(f) marginals (kmu, var): sqrt(var + kmu^2)."""
     return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
-def _gauss_part(state, gram):
-    """Negative Gaussian KL part: 1/2(log|Sigma| - log|K| - tr(K^-1 Sigma) - mu^T K^-1 mu)."""
+def elbo(state, gram, y, c, kmu, var, scale):
+    """The bound: its Gaussian part plus ``scale`` times some rows' data terms.
+
+    The Gaussian part reads the bundle's ``Kmm_inv`` and ``logdet_Kmm`` (not
+    its rows).  The data terms of the rows with labels y, tilts c and q(f)
+    marginals (kmu, var) are summed ``_ROW_BLOCK`` rows at a time, so an
+    all-rows bound has O(block) temporaries.  ``scale`` is n/s for s of n
+    rows, 1.0 for every row; the constants m/2 - n log 2 are left out.
+    """
     L_s = cholesky(state.Sigma, lower=True)
     logdet_S = 2.0 * float(np.sum(np.log(np.diag(L_s))))
     B = gram.Kmm_inv
     tr = float(np.sum(B * state.Sigma))
     quad = float(state.mu @ B @ state.mu)
-    return 0.5 * (logdet_S - gram.logdet_Kmm - tr - quad)
-
-
-def elbo(state, dataset, include_constants=False):
-    """Full-data evidence lower bound at the current state.
-
-    Requires the tilts c to be current for every point.  K_mm is factorized
-    for no rows; the q(f) marginals at the n rows come from the blocked
-    :func:`~pggpc.prediction.latent_predict` pass.  By default the value
-    drops the additive constants of the bound; with
-    ``include_constants=True`` it adds m/2 - n log 2, making it a true lower
-    bound on log p(y) (used by the bound-validity tests).
-
-    Parameters
-    ----------
-    state : VariationalState
-    dataset : Dataset
-    include_constants : bool, optional
-
-    Returns
-    -------
-    float
-    """
-    if state.c is None or state.c.shape[0] != dataset.n:
-        raise ValueError("state.c must hold a current tilt for every data point")
-    gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
-    kmu, var = latent_predict(state, dataset.X, gram)
-    value = _gauss_part(state, gram) + _data_terms(dataset.y, state.c, kmu, var)
-    if include_constants:
-        value += 0.5 * state.m - dataset.n * _LOG2
-    return float(value)
+    data = 0.0
+    for lo in range(0, y.shape[0], _ROW_BLOCK):
+        b = slice(lo, lo + _ROW_BLOCK)
+        th = theta(c[b])
+        data += 0.5 * (y[b] @ kmu[b] - th @ (var[b] + kmu[b] * kmu[b])) - np.sum(pg_kl_term(c[b]))
+    return float(0.5 * (logdet_S - gram.logdet_Kmm - tr - quad) + scale * data)
 
 
 def local_update(state, gram):
@@ -267,7 +236,7 @@ class AdaptiveRate:
         self.mode = mode
         self.fixed_lr = float(fixed_lr)
         self._tau = _RATE_TAU0
-        self._gbar = None
+        self._gbar = 0.0
         self._h = 0.0
         self._count = 0
 
@@ -279,18 +248,9 @@ class AdaptiveRate:
         if self.mode == "decay":
             return float(self._count ** (-_DECAY_POWER))
         g = np.asarray(gvec, dtype=float).ravel()
-        sq = float(g @ g)
-        if self._gbar is None:
-            self._gbar = g.copy()
-            self._h = sq
-        elif self._count <= _RATE_BURN_IN:
-            w = 1.0 / self._count
-            self._gbar = (1.0 - w) * self._gbar + w * g
-            self._h = (1.0 - w) * self._h + w * sq
-        else:
-            w = 1.0 / self._tau
-            self._gbar = (1.0 - w) * self._gbar + w * g
-            self._h = (1.0 - w) * self._h + w * sq
+        w = 1.0 / (self._count if self._count <= _RATE_BURN_IN else self._tau)
+        self._gbar = (1.0 - w) * self._gbar + w * g
+        self._h = (1.0 - w) * self._h + w * float(g @ g)
         if self._h <= 0.0:
             rho = 1.0
         else:
@@ -470,8 +430,9 @@ def fit(dataset, config):
 
     for it in range(1, config.max_iters + 1):
         batch = next(batches)
-        gram_b = build_gram(train.X[batch.indices], state.Z, state.params, mm=mm)
-        state.c[batch.indices] = local_update(state, gram_b)
+        idx = batch.indices
+        gram_b = build_gram(train.X[idx], state.Z, state.params, mm=mm)
+        state.c[idx] = local_update(state, gram_b)
         g1, G2 = natural_gradient(state, train, batch, gram_b)
         gvec = np.concatenate([g1, G2.ravel()])
         rho = rate.observe(gvec)
@@ -480,16 +441,14 @@ def fit(dataset, config):
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
-        est = _gauss_part(state, gram_b) + batch.scale * _data_terms(
-            train.y[batch.indices], state.c[batch.indices], kmu, var
-        )
-        row = [float(it), time.perf_counter() - t0, float(est), float(rho)]
+        est = elbo(state, gram_b, train.y[idx], state.c[idx], kmu, var, batch.scale)
+        row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:
             row.append(evaluate(state, train, config.quad_order, gram=mm).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
-            state.c[batch.indices] = _optimal_tilts(kmu, var)  # at the state just estimated
+            state.c[idx] = _optimal_tilts(kmu, var)  # at the state just estimated
             state.params, mm = hyper_step(state, train, adam, batch, gram_b)
 
         if config.conv_mode == "params":
@@ -503,13 +462,12 @@ def fit(dataset, config):
                 window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
                 if len(window) == CONV_WINDOW and np.mean(window) < HELDOUT_THRESHOLD:
                     converged = True
-                    prev_heldout_nll = nll
                     break
             prev_heldout_nll = nll
 
     kmu, var = latent_predict(state, train.X, gram=mm)
     state.c = _optimal_tilts(kmu, var)
-    final_elbo = float(_gauss_part(state, mm) + _data_terms(train.y, state.c, kmu, var))
+    final_elbo = elbo(state, mm, train.y, state.c, kmu, var, 1.0)
     wall = time.perf_counter() - t0
     columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(

@@ -31,6 +31,8 @@ __all__ = [
 
 _DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
+_LOG_LIMITS = (350.0, 350.0, 700.0)  # l^2, a^2 and jitter within e^+-700
+_FAR = 1e150  # inputs are clamped to +/- _FAR lengthscales, so no square overflows
 # How KernelParams.default fills each unset value, as help text shows it.
 DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
                 "jitter": f"{_DEFAULT_JITTER:g}"}
@@ -59,9 +61,10 @@ class KernelParams:
     log_jitter: float = float(np.log(_DEFAULT_JITTER))
 
     def __post_init__(self):
-        vals = self.as_array()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel log-parameters must be finite")
+        for f, value, limit in zip(fields(self), astuple(self), _LOG_LIMITS):
+            if not -limit <= value <= limit:
+                raise ValueError(f"{f.name} must be finite and at most {limit:g} in magnitude, "
+                                 f"got {value}")
 
     @property
     def lengthscale(self):
@@ -82,6 +85,10 @@ class KernelParams:
     @classmethod
     def default(cls, d, lengthscale=None, amplitude=None, jitter=None):
         """Parameters for d inputs; unset values are filled as ``DEFAULT_TEXT`` says."""
+        for name, value in (("lengthscale", lengthscale), ("amplitude", amplitude),
+                            ("jitter", jitter)):
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         return cls(
             0.5 * float(np.log(d)) if lengthscale is None else float(np.log(lengthscale)),
             float(np.log(_DEFAULT_AMPLITUDE if amplitude is None else amplitude)),
@@ -109,15 +116,17 @@ def sq_dists(X, Z):
 def kern_matrix(X, Z, params, same=False):
     """Dense kernel matrix between row sets X and Z.
 
-    Built in one (n, m) buffer: with both sets scaled by 1/l, the GEMM
-    x.z is reduced in place by the half row norms, clamped at 0 (a squared
-    distance is never negative), exponentiated and scaled by a^2.
+    Built in one (n, m) buffer: with both sets scaled by 1/l (clamped to
+    +/- ``_FAR``), the GEMM x.z is reduced in place by the half row norms,
+    clamped at 0 (a squared distance is never negative), exponentiated and
+    scaled by a^2.
 
     With ``same=True`` the two sets are taken to be identical point lists and
     the jitter is added on the diagonal.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float)) / params.lengthscale
-    Z = np.atleast_2d(np.asarray(Z, dtype=float)) / params.lengthscale
+    l, far = params.lengthscale, _FAR * params.lengthscale
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / l
+    Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
     K = X @ Z.T
     K -= 0.5 * np.sum(X * X, axis=1)[:, None]
     K -= 0.5 * np.sum(Z * Z, axis=1)

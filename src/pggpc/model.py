@@ -289,8 +289,12 @@ def load_checkpoint(path):
     if not isinstance(raw, dict) or sorted(raw) != sorted(HYPER_NAMES):
         raise _field_error(path, "params", f"must hold exactly {list(HYPER_NAMES)}")
     for name in HYPER_NAMES:
-        if type(raw[name]) not in (int, float) or not np.isfinite(raw[name]):
+        if type(raw[name]) not in (int, float):
             raise _field_error(path, f"params.{name}", "must be a finite number")
+    try:
+        params = KernelParams(**raw)
+    except ValueError as exc:  # it names the field
+        raise ValueError(f"{path}: checkpoint field params.{exc}") from None
     Z = _checked_array(path, doc, "arrays.Z")
     if Z.ndim != 2 or 0 in Z.shape:
         raise _field_error(path, "arrays.Z", f"must have shape (m, d), got {Z.shape}")
@@ -298,9 +302,12 @@ def load_checkpoint(path):
     eta1 = _checked_array(path, doc, "arrays.eta1", (m,))
     eta2 = _checked_array(path, doc, "arrays.eta2", (m, m))
     try:
-        state = VariationalState.from_natural(eta1, eta2, Z, KernelParams(**raw))
-    except np.linalg.LinAlgError:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            state = VariationalState.from_natural(eta1, eta2, Z, params)
+    except (np.linalg.LinAlgError, ValueError):  # ValueError: -2 eta2 overflows
         raise _field_error(path, "arrays.eta2", "is not negative definite") from None
+    if not (np.all(np.isfinite(state.mu)) and np.all(np.isfinite(state.Sigma))):
+        raise _field_error(path, "arrays", "eta1 and eta2 give a non-finite mean or covariance")
     preprocess = None
     if "preprocess" in doc:
         preprocess = {k: _checked_array(path, doc, f"preprocess.{k}", (d,))

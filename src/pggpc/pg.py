@@ -23,7 +23,6 @@ __all__ = [
     "pg_sample",
 ]
 
-_LOG2 = float(np.log(2.0))
 # Terms of the alternating series after which a candidate counts as undecidable.
 _MAX_SERIES_TERMS = 1000
 
@@ -53,7 +52,7 @@ def sigmoid(z):
 def log_cosh(x):
     """Overflow-free log(cosh(x)) computed as |x| + log1p(exp(-2|x|)) - log 2."""
     ax = np.abs(np.asarray(x, dtype=float))
-    return (ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2)[()]
+    return (ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0))[()]
 
 
 def theta(c):
@@ -76,9 +75,10 @@ def theta(c):
     c = np.abs(np.asarray(c, dtype=float))
     small = c < 1e-4
     safe = np.where(small, 1.0, c)
+    tiny = np.where(small, c, 0.0)  # the series only where it is used, so no power overflows
     out = np.where(
         small,
-        0.25 - c * c / 48.0 + c**4 / 480.0,
+        0.25 - tiny * tiny / 48.0 + tiny**4 / 480.0,
         np.tanh(0.5 * safe) / (2.0 * safe),
     )
     return out[()]
@@ -94,8 +94,9 @@ def pg_kl_term(c):
     c = np.abs(np.asarray(c, dtype=float))
     small = c < 1e-2
     safe = np.where(small, 1.0, c)
+    tiny = np.where(small, c, 0.0)  # the series only where it is used, so no power overflows
     direct = log_cosh(0.5 * safe) - 0.25 * safe * np.tanh(0.5 * safe)
-    series = c**4 / 192.0 - c**6 / 1440.0
+    series = tiny**4 / 192.0 - tiny**6 / 1440.0
     return np.where(small, series, direct)[()]
 
 

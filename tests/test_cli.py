@@ -137,12 +137,62 @@ def _one_error_line(capsys):
     (["--max-iters", "-4"], "max_iters"),
     (["--quad-order", "0"], "quad_order"),
     (["--conv", "heldout", "--quad-order", "0"], "quad_order"),
+    (["--adam-lr", "inf"], "adam_lr"),
+    (["--seed", "-1"], "--seed"),
 ])
 def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
     code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])
     assert code == 1
     assert _one_error_line(capsys).startswith(f"error: {name} must")
     assert not (tmp_path / "checkpoint.json").exists()
+
+
+_KERNEL_FLAGS = [
+    (["--lengthscale", "0"], "lengthscale"),
+    (["--lengthscale", "-1"], "lengthscale"),
+    (["--lengthscale", "nan"], "lengthscale"),
+    (["--amplitude", "0"], "amplitude"),
+    (["--jitter", "0"], "jitter"),
+    (["--jitter", "-1"], "jitter"),
+]
+_GIBBS = ["gibbs-check", "--sweeps", "20", "--burn-in", "5", "--max-iters", "2"]
+_CV = ["cv", "--folds", "2", "--max-iters", "2"]
+_SWEEP = ["sweep-m", "--m-grid", "2", "--folds", "2", "--max-iters", "2"]
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    *((["train", "--max-iters", "2"], flags, name) for flags, name in _KERNEL_FLAGS),
+    *((_GIBBS, flags, name) for flags, name in _KERNEL_FLAGS),
+    (_CV, ["--jitter", "0"], "jitter"),
+    (_SWEEP, ["--lengthscale", "-1"], "lengthscale"),
+    *((command, ["--seed", "-1"], "--seed") for command in (_GIBBS, _CV, _SWEEP)),
+])
+def test_kernel_option_or_seed_out_of_range_is_one_error_line(command, flags, name, blob_files,
+                                                             tmp_path, capsys):
+    # --seed -1 on train is a case of test_train_option_out_of_range_is_one_error_line.
+    out_dir = tmp_path / "out"
+    code = main([command[0], "--data", blob_files["small"], "--out-dir", str(out_dir),
+                 *command[1:], *flags])
+    assert code == 1
+    assert _one_error_line(capsys).startswith(f"error: {name} must")
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_feature_near_the_float64_limit_is_standardized(tmp_path, capsys):
+    # Its spread overflowed to inf: train warned, exited 0 and the feature
+    # was all zeros.  Scored with the stored spread, it still tells the
+    # classes apart.
+    X = np.column_stack([np.repeat([-1.5e308, 1.5e308], 10), np.zeros(20)])
+    y = np.repeat([-1.0, 1.0], 10)
+    path = str(tmp_path / "edge.txt")
+    save(Dataset(X, y), path, "libsvm")
+    assert main(["train", "--data", path, "--out-dir", str(tmp_path), *FAST]) == 0
+    _, _, preprocess = load_checkpoint(str(tmp_path / "checkpoint.json"))
+    assert preprocess["stds"][0] == 1.5e308
+    assert main(["evaluate", "--data", path, "--checkpoint", str(tmp_path / "checkpoint.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "error_rate=0.0 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [
@@ -372,6 +422,17 @@ def _positive_eta2(doc):
     doc["arrays"]["eta2"] = _encode(np.eye(len(_decode(doc["arrays"]["eta1"]))))
 
 
+def _huge_eta2(doc):
+    # -2 eta2 overflows: a RuntimeWarning, then scipy's "array must not contain infs".
+    eta2 = _decode(doc["arrays"]["eta2"]).copy()
+    eta2[0, 0] = -1.7e308
+    doc["arrays"]["eta2"] = _encode(eta2)
+
+
+def _vast_amplitude(doc):
+    doc["params"]["log_amplitude"] = 1000.0  # exp overflows
+
+
 def _long_means(doc):
     doc["preprocess"]["means"] = _encode(np.zeros(3))
 
@@ -394,6 +455,8 @@ def _zero_std(doc):
     (_drop_z, "arrays.Z"),
     (_garbled_eta1, "arrays.eta1"),
     (_positive_eta2, "arrays.eta2"),
+    (_huge_eta2, "arrays.eta2"),
+    (_vast_amplitude, "params"),
     (_long_means, "preprocess.means"),
     (_zero_std, "preprocess.stds"),
     (lambda doc: [doc], "JSON object"),

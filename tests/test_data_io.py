@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pggpc.data import (
+    Standardizer,
     canonical_order,
     kfold,
     load,
@@ -202,6 +203,26 @@ class TestStandardize:
     def test_needs_two_records(self):
         with pytest.raises(ValueError, match="at least 2"):
             standardize(Dataset(np.ones((1, 2)), np.array([1.0])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_column_near_the_float64_limit_keeps_its_spread(self):
+        # A sum of squares of values near 1.8e308 overflows: the spread was
+        # inf and the column standardized to all zeros.
+        big = np.array([1.7e308, -1.7e308, 1.7e308, 1e308, -0.5e308, 0.0])
+        X = np.column_stack([big, np.arange(6.0)])
+        scaled, scaler = standardize(Dataset(X, np.ones(6)))
+        small, small_scaler = standardize(Dataset(X / [1e300, 1.0], np.ones(6)))
+        np.testing.assert_allclose(scaler.means / [1e300, 1.0], small_scaler.means, rtol=1e-14)
+        np.testing.assert_allclose(scaler.stds / [1e300, 1.0], small_scaler.stds, rtol=1e-14)
+        np.testing.assert_allclose(scaled.X, small.X, rtol=1e-13)
+        np.testing.assert_array_equal(scaled.X[:, 1], small.X[:, 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_apply_clamps_what_would_overflow(self):
+        scaler = Standardizer(means=np.array([1.7e308, 0.0]), stds=np.array([1.7e308, 1e-300]))
+        out = scaler.apply(np.array([[-1.7e308, 1e10], [1.7e308, -1e10]]))
+        np.testing.assert_allclose(out[:, 0], [-2.0, 0.0], rtol=1e-15)
+        np.testing.assert_array_equal(out[:, 1], [1e150, -1e150])
 
 
 class TestKfold:

@@ -34,6 +34,8 @@ from oracles import (
     elbo_grad_sigma,
     elbo_kappa_form,
     every_row,
+    full_elbo,
+    gauss_part,
     gibbs_mackay_bound,
     prior_state,
 )
@@ -72,19 +74,19 @@ def test_elbo_one_point_reference_value():
     np.testing.assert_array_equal(state.Sigma, np.eye(1))
     state.c = local_update(state, bundle(state, ds.X))
     np.testing.assert_allclose(state.c, [1.0], rtol=1e-12)
-    assert elbo(state, ds) == pytest.approx(ELBO_ONE_POINT, rel=1e-13)
+    assert full_elbo(state, ds) == pytest.approx(ELBO_ONE_POINT, rel=1e-13)
 
 
 def test_elbo_matches_kappa_form_over_several_row_blocks():
     ds, state = _toy_problem(n=2 * _ROW_BLOCK + 3, m=8, seed=4)
     state = _warmed_state(ds, state)
-    assert elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
+    assert full_elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
 
 
 def test_elbo_constants_shift():
     ds, state = _toy_problem()
-    base = elbo(state, ds)
-    with_const = elbo(state, ds, include_constants=True)
+    base = full_elbo(state, ds)
+    with_const = full_elbo(state, ds, include_constants=True)
     shift = 0.5 * state.m - ds.n * np.log(2.0)
     assert with_const == pytest.approx(base + shift, rel=1e-12)
 
@@ -93,30 +95,57 @@ def test_elbo_requires_current_tilts():
     ds, state = _toy_problem()
     state.c = None
     with pytest.raises(ValueError, match="tilt"):
-        elbo(state, ds)
+        full_elbo(state, ds)
     state.c = np.ones(ds.n - 1)
     with pytest.raises(ValueError, match="tilt"):
-        elbo(state, ds)
+        full_elbo(state, ds)
 
 
 def test_gauss_part_is_negative_kl_zero_at_prior():
-    # At the prior q = N(0, K_mm), the Gaussian term must be exactly -m/2
-    # (the -m/2 constant is what include_constants adds back).
+    # At the prior q = N(0, K_mm), the Gaussian term (elbo over no rows)
+    # must be exactly -m/2 (the constant full_elbo's include_constants adds back).
     ds, state = _toy_problem(m=4)
     gram = build_gram(ds.X, state.Z, state.params)
-    assert inference._gauss_part(state, gram) == pytest.approx(-2.0, rel=1e-10)
+    assert gauss_part(state, gram) == pytest.approx(-2.0, rel=1e-10)
+
+
+def test_elbo_scales_the_data_terms_only():
+    ds, state = _toy_problem(n=12, m=3, seed=3)
+    state = _warmed_state(ds, state)
+    gram = bundle(state, ds.X)
+    rows = (ds.y, state.c, *gram.marginals(state.mu, state.Sigma))
+    gauss = gauss_part(state, gram)
+    data = elbo(state, gram, *rows, 1.0) - gauss
+    assert data == pytest.approx(full_elbo(state, ds) - gauss, rel=1e-12)
+    assert elbo(state, gram, *rows, 3.0) - gauss == pytest.approx(3.0 * data, rel=1e-12)
+
+
+def test_fit_assembles_every_bound_through_elbo(monkeypatch):
+    ds, _ = _toy_problem(n=30)
+    scales, values = [], []
+
+    def recording(*args):
+        scales.append(args[-1])
+        values.append(elbo(*args))
+        return values[-1]
+
+    monkeypatch.setattr(inference, "elbo", recording)
+    res = fit(ds, TrainConfig(num_inducing=4, batch_size=10, max_iters=7, conv_threshold=0.0))
+    assert scales == [3.0] * res.n_iters + [1.0]
+    np.testing.assert_array_equal(res.trace[:, 2], values[:-1])
+    assert res.final_elbo == values[-1]
 
 
 def test_local_update_is_coordinatewise_optimal():
     ds, state = _toy_problem(n=12, m=3, seed=1)
     state = _warmed_state(ds, state)
-    base = elbo(state, ds)
+    base = full_elbo(state, ds)
     for i in [0, 5, 11]:
         for delta in [-0.05, 0.05]:
             state_perturbed = clone(state)
             state_perturbed.c = state.c.copy()
             state_perturbed.c[i] += delta
-            assert elbo(state_perturbed, ds) < base
+            assert full_elbo(state_perturbed, ds) < base
 
 
 def test_local_update_subset_matches_full():
@@ -169,7 +198,7 @@ def test_euclidean_gradients_match_finite_differences():
         sm.mu = sm.mu.copy()
         sp.mu[i] += h
         sm.mu[i] -= h
-        fd = (elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h)
+        fd = (full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h)
         assert gmu[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     gS = elbo_grad_sigma(state, ds, gram)
@@ -179,7 +208,7 @@ def test_euclidean_gradients_match_finite_differences():
     sp, sm = clone(state), clone(state)
     sp.Sigma = state.Sigma + h * D
     sm.Sigma = state.Sigma - h * D
-    fd = (elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h)
+    fd = (full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h)
     assert float(np.sum(gS * D)) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -322,7 +351,7 @@ def test_hyper_grad_matches_finite_differences():
         sp, sm = clone(state), clone(state)
         sp.params = KernelParams.from_array(vp)
         sm.params = KernelParams.from_array(vm)
-        fd = (elbo(sp, ds) - elbo(sm, ds)) / (2.0 * h)
+        fd = (full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
 
 
@@ -485,6 +514,11 @@ class TestTrainConfig:
         ("max_iters", -4),
         ("quad_order", 0),
         ("quad_order", -3),
+        ("quad_order", 2.5),
+        ("quad_order", 3.0),
+        ("conv_threshold", float("nan")),
+        ("adam_lr", float("inf")),
+        ("seed", -1),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):

@@ -126,6 +126,41 @@ def test_params_array_round_trip_and_validation():
         KernelParams(log_amplitude=np.nan)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("log_lengthscale", 351.0),
+    ("log_lengthscale", -400.0),
+    ("log_amplitude", 1e308),
+    ("log_jitter", -701.0),
+    ("log_jitter", np.nan),
+])
+def test_log_parameter_out_of_range_is_named(field, value):
+    # Past these, exp overflows in l, a^2 or the jitter (a traceback, or a
+    # RuntimeWarning and an infinite kernel).
+    with pytest.raises(ValueError, match=f"^{field} must be finite and at most"):
+        KernelParams(**{field: value})
+    KernelParams(log_lengthscale=-350.0, log_amplitude=350.0, log_jitter=-700.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lengthscale", 0.0), ("lengthscale", -1.0), ("amplitude", 0.0), ("amplitude", np.inf),
+    ("jitter", 0.0), ("jitter", -1e-6), ("jitter", np.nan),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_default_names_a_nonpositive_value(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        KernelParams.default(2, **{name: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kern_matrix_is_zero_to_points_past_the_float64_square_range():
+    params = KernelParams(log_lengthscale=-5.0)
+    Z = np.array([[0.0, 0.0], [1.0, -2.0]])
+    X = np.array([[1.7e308, 1.7e308], [-1e200, 0.5], [0.5, 0.5]])
+    K = kern_matrix(X, Z, params)
+    np.testing.assert_array_equal(K[:2], 0.0)
+    np.testing.assert_array_equal(K[2], kern_matrix(X[2:], Z, params)[0])
+
+
 def test_chol_escalation_not_needed_for_spd():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 5))

@@ -89,6 +89,17 @@ def test_pg_kl_term_reference_and_shape():
     assert vals[0] == vals[1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_tilts_overflow_no_series_term():
+    # Both series were evaluated on every tilt: c^4 overflows past c ~ 1e77
+    # in theta and c^6 past 1e51 in pg_kl_term, as tilts of a kernel with
+    # amplitude 1e60 reach (a tilt is at most sqrt(1.8e308) ~ 1.3e154).
+    c = np.array([1e-5, 3.0, 1e60, 1e150])
+    np.testing.assert_array_equal(theta(c)[1:], np.tanh(0.5 * c[1:]) / (2.0 * c[1:]))
+    assert theta(c)[0] == 0.25 - 1e-10 / 48.0 + 1e-20 / 480.0
+    np.testing.assert_allclose(pg_kl_term(c)[2:], [2.5e59, 2.5e149], rtol=1e-14)
+
+
 def test_pg_kl_term_series_joins_direct_branch():
     # The naive form cancels catastrophically below the switch (both terms
     # ~c^2/8 agreeing to ~6 digits), so compare with an absolute floor at the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from pggpc import kernel, prediction
 from pggpc.kernel import KernelParams, build_gram, kern_diag, kern_matrix
@@ -119,9 +120,10 @@ class TestClassProb:
         with pytest.raises(ValueError, match="nonnegative"):
             class_prob(np.zeros(3), np.array([1.0, -0.5, 2.0]))
 
-    @pytest.mark.parametrize("order", [0, -2])
+    @pytest.mark.parametrize("order", [0, -2, 2.5, 3.0])
     def test_order_below_one_is_named(self, order):
-        with pytest.raises(ValueError, match=f"^quad_order must be at least 1, got {order}"):
+        with pytest.raises(ValueError, match=f"^quad_order must be an integer of at least 1, "
+                                             f"got {order}"):
             class_prob(0.5, 0.3, order=order)
         with pytest.raises(ValueError, match="^quad_order must"):
             class_prob(np.zeros(3), np.full(3, 4.0), order=order)  # wide branch only
@@ -132,6 +134,19 @@ class TestClassProb:
         assert class_prob(np.zeros(3), np.ones(3)).shape == (3,)
         assert class_prob(np.zeros((2, 3)), 4.0).shape == (2, 3)
         assert class_prob(0.5, np.ones((4, 1))).shape == (4, 1)
+
+    def test_vast_variance_takes_the_step_expansion(self):
+        # The wide rule's grid grows with sigma*: at variance 1e16 it would
+        # hold 3.6e9 nodes a row.  Past 1e8 the expansion about the unit step
+        # takes over, continuous at the switch and symmetric.
+        sd = 1e4
+        mu = np.array([-3.0 * sd, -0.4 * sd, -7.0, 0.0, 2.0, sd])
+        below = class_prob(mu, np.full(mu.size, sd * sd * (1.0 - 1e-12)))
+        above = class_prob(mu, np.full(mu.size, sd * sd * (1.0 + 1e-12)))
+        np.testing.assert_allclose(above, below, atol=1e-15)
+        p = class_prob(np.array([-1e9, 0.0, 1e9]), 1e20)
+        np.testing.assert_allclose(p, [ndtr(-0.1), 0.5, ndtr(0.1)], rtol=1e-12)
+        assert class_prob(3.0, 1e300) == 0.5
 
     def test_mixed_batch_matches_pointwise(self):
         # Narrow and wide variances in one call take different internal paths;
