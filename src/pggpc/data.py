@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _FAR
 from .model import Dataset
 
 __all__ = [
@@ -115,9 +116,6 @@ def canonical_order(dataset):
 # Standardized values are clamped to +/- _FAR spreads (no kernel tells a point
 # that far out from one farther still), and a column reaching _FAR in magnitude
 # is divided by its peak before its sum of squares is taken.
-_FAR = 1e150
-
-
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column affine transform fitted on training data.

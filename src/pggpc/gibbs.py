@@ -178,10 +178,15 @@ class ComparisonReport:
 
 
 def _safe_corr(a, b):
-    sa, sb = float(np.std(a)), float(np.std(b))
-    if sa < 1e-300 or sb < 1e-300:
+    """Pearson correlation of a and b; 1 or 0 (as they agree or not) when either is flat.
+
+    Each is first scaled exactly, by a power of two, to a peak magnitude under
+    1: the correlation is unchanged and no square overflows.
+    """
+    ua, ub = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (a, b))
+    if np.std(ua) < 1e-300 or np.std(ub) < 1e-300:
         return 1.0 if np.allclose(a, b, atol=1e-10) else 0.0
-    return float(np.corrcoef(a, b)[0, 1])
+    return float(np.corrcoef(ua, ub)[0, 1])
 
 
 def compare_to_vi(chain, state, dataset, test_points=None, quad_order=QUAD_ORDER):

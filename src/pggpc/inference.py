@@ -17,7 +17,8 @@ every row.
 
 Optimal local updates (c), natural-gradient global updates (eta1, eta2), an
 adaptive stochastic learning rate, analytic kernel-hyperparameter gradients,
-and the training loop all live here.
+and the training loop all live here; a batch's tilts are an argument of
+its steps, not state.
 """
 
 from __future__ import annotations
@@ -171,19 +172,19 @@ def local_update(state, gram):
     Returns
     -------
     ndarray
-        The new tilts for the bundle's rows (caller assigns into state.c).
+        The tilts of the bundle's rows.
     """
     return _optimal_tilts(*gram.marginals(state.mu, state.Sigma))
 
 
-def natural_gradient(state, dataset, batch, gram):
+def natural_gradient(state, dataset, batch, gram, c):
     """Mini-batch natural gradient of the bound in (eta1, eta2).
 
     g1 = (n / 2s) kappa_S^T y_S - eta1
     G2 = -1/2 (K_mm^{-1} + (n/s) kappa_S^T Theta_S kappa_S) - eta2
 
-    The batch's tilts must be freshly updated.  The full-data gradient is
-    the batch ``MiniBatch(np.arange(n), 1.0)``.
+    with Theta_S = diag(theta(c)) at the batch tilts c.  The full-data
+    gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters
     ----------
@@ -192,16 +193,17 @@ def natural_gradient(state, dataset, batch, gram):
     batch : MiniBatch
     gram : GramBundle
         Bundle for the batch rows.
+    c : ndarray, shape (s,)
+        Tilts of the batch rows.
 
     Returns
     -------
     (ndarray, ndarray)
         g1 of shape (m,) and G2 of shape (m, m).
     """
-    idx = batch.indices
     kappa = gram.kappa
-    th = theta(state.c[idx])
-    g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[idx]) - state.eta1
+    th = theta(c)
+    g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[batch.indices]) - state.eta1
     ktk = (kappa * th[:, None]).T @ kappa
     G2 = -0.5 * (gram.Kmm_inv + batch.scale * ktk) - state.eta2
     return g1, 0.5 * (G2 + G2.T)
@@ -280,13 +282,13 @@ class AdamState:
         return self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
-def hyper_grad(state, dataset, batch, gram):
+def hyper_grad(state, dataset, batch, gram, c):
     """Mini-batch gradient of the bound in (log l, log a, log jitter).
 
     Differentiates the bound through K_mm, kappa, and Ktilde while holding
-    (mu, Sigma, c) fixed.  With B = K_mm^{-1}, mu~ = B mu and
-    M = Sigma + mu mu^T, the bound's derivative against any kernel
-    perturbation (dK_mm, dK_nm, dk_diag) is
+    (mu, Sigma) and the batch tilts c fixed.  With B = K_mm^{-1}, mu~ = B mu,
+    M = Sigma + mu mu^T and Theta = diag(theta(c)), the bound's derivative
+    against any kernel perturbation (dK_mm, dK_nm, dk_diag) is
 
         <P_K, dK_mm> + <P_A, dK_nm> + p_diag . dk_diag
 
@@ -301,7 +303,7 @@ def hyper_grad(state, dataset, batch, gram):
     kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s as
     in :func:`natural_gradient`, so the estimate is unbiased for the
     full-data gradient, the batch ``MiniBatch(np.arange(n), 1.0)``; the
-    Gaussian KL part is exact.  The batch's tilts must be current.
+    Gaussian KL part is exact.
 
     Returns
     -------
@@ -315,7 +317,7 @@ def hyper_grad(state, dataset, batch, gram):
     mu_t = B @ mu
     MB = (Sigma + np.outer(mu, mu)) @ B
     kappa = gram.kappa
-    th = theta(state.c[idx])
+    th = theta(c)
     Tk = kappa * th[:, None]
     ktk = scale * (kappa.T @ Tk)
     ky = scale * (kappa.T @ y)
@@ -332,13 +334,13 @@ def hyper_grad(state, dataset, batch, gram):
     return kern_grad(gram, X, state.Z, state.params, P_K, P_A, -0.5 * scale * th)
 
 
-def hyper_step(state, dataset, adam, batch, gram):
+def hyper_step(state, dataset, adam, batch, gram, c):
     """One Adam ascent step on the kernel hyperparameters.
 
-    Variational parameters and tilts are held fixed; the gradient is
-    :func:`hyper_grad` on the batch and its bundle.  If the factorization
-    fails at the proposed parameters even after jitter escalation, the step
-    is reverted and the Adam rate halved.
+    q(u) and the batch tilts c are held fixed; the gradient is
+    :func:`hyper_grad` on the batch, its bundle and c.  If the proposal is
+    out of ``KernelParams``' range, or the factorization fails at it even
+    after jitter escalation, the step is reverted and the Adam rate halved.
 
     Returns
     -------
@@ -347,12 +349,12 @@ def hyper_step(state, dataset, adam, batch, gram):
         factorization at them, which later ``build_gram(mm=...)`` calls and
         evaluations share.
     """
-    grad = hyper_grad(state, dataset, batch, gram)
-    proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
+    grad = hyper_grad(state, dataset, batch, gram, c)
     no_rows = np.empty((0, dataset.d))
     try:
+        proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
         return proposal, build_gram(no_rows, state.Z, proposal)
-    except FactorizationError:
+    except (ValueError, FactorizationError):  # ValueError: the proposal is out of range
         adam.lr *= 0.5
         return state.params, build_gram(no_rows, state.Z, state.params, mm=gram)
 
@@ -360,21 +362,21 @@ def hyper_step(state, dataset, adam, batch, gram):
 def fit(dataset, config):
     """Train the sparse variational classifier by natural-gradient SVI.
 
-    Each iteration draws a without-replacement mini-batch, sets the batch's
-    tilts to their closed-form optimum, and takes a natural-gradient step of
-    size rho on (eta1, eta2).  Every ``hyper_every`` iterations it then
-    sets the batch's tilts from the q(f) marginals at the new (mu, Sigma)
-    that the bound estimate has just computed, and takes one Adam step on
-    the kernel hyperparameters from the same batch bundle's n/s-scaled
-    gradient, so an iteration costs O(s m^2 + m^3) whatever n is (plus the
-    held-out or train-error scoring when requested).  K_mm is factorized
-    once per hyperparameter value and shared by every bundle and
+    Each iteration draws a without-replacement mini-batch, takes the
+    batch's tilts at their closed-form optimum, and takes a natural-gradient
+    step of size rho on (eta1, eta2).  Every ``hyper_every`` iterations it
+    then retakes the batch's tilts from the q(f) marginals at the new
+    (mu, Sigma) that the bound estimate has just computed, and takes one
+    Adam step on the kernel hyperparameters from the same batch bundle's
+    n/s-scaled gradient, so an iteration costs O(s m^2 + m^3) whatever n is
+    (plus the held-out or train-error scoring when requested).  K_mm is
+    factorized once per hyperparameter value and shared by every bundle and
     evaluation.  Convergence is a sliding-window average either of the
     relative natural-parameter change ("params") or of the relative
     held-out NLL change ("heldout").  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
-    gives the q(f) marginals from which every tilt and ``final_elbo`` are
-    set, so no bundle in ``fit`` has more rows than a mini-batch.  Unless
+    gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
+    bundle in ``fit`` has more rows than a mini-batch.  Unless
     ``config.inducing_Z`` gives them, the inducing inputs come from
     :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m) training
     rows drawn without replacement (all of them when n is at most that).
@@ -382,7 +384,7 @@ def fit(dataset, config):
     Returns
     -------
     FitResult
-        Trained state (tilts refreshed on all training rows), the trace
+        Trained state, the bound over every training row, the trace
         array with columns ``(iter, wall_seconds, elbo_estimate, rho)``
         (plus ``train_error`` when requested), and convergence info.
     """
@@ -416,7 +418,7 @@ def fit(dataset, config):
         if not np.isfinite(Z).all():
             raise ValueError(f"inducing_Z must be a finite (k, {train.d}) array, got NaN or Inf")
     mm = build_gram(np.empty((0, train.d)), Z, params)
-    state = init_state(train, Z, params, mm)
+    state = init_state(Z, params, mm)
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
@@ -432,8 +434,8 @@ def fit(dataset, config):
         batch = next(batches)
         idx = batch.indices
         gram_b = build_gram(train.X[idx], state.Z, state.params, mm=mm)
-        state.c[idx] = local_update(state, gram_b)
-        g1, G2 = natural_gradient(state, train, batch, gram_b)
+        c = local_update(state, gram_b)
+        g1, G2 = natural_gradient(state, train, batch, gram_b, c)
         gvec = np.concatenate([g1, G2.ravel()])
         rho = rate.observe(gvec)
         eta_norm = float(np.sqrt(state.eta1 @ state.eta1 + np.sum(state.eta2 * state.eta2)))
@@ -441,15 +443,15 @@ def fit(dataset, config):
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
-        est = elbo(state, gram_b, train.y[idx], state.c[idx], kmu, var, batch.scale)
+        est = elbo(state, gram_b, train.y[idx], c, kmu, var, batch.scale)
         row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:
             row.append(evaluate(state, train, config.quad_order, gram=mm).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
-            state.c[idx] = _optimal_tilts(kmu, var)  # at the state just estimated
-            state.params, mm = hyper_step(state, train, adam, batch, gram_b)
+            c = _optimal_tilts(kmu, var)  # at the state just estimated
+            state.params, mm = hyper_step(state, train, adam, batch, gram_b, c)
 
         if config.conv_mode == "params":
             window.append(rel_change)
@@ -466,8 +468,7 @@ def fit(dataset, config):
             prev_heldout_nll = nll
 
     kmu, var = latent_predict(state, train.X, gram=mm)
-    state.c = _optimal_tilts(kmu, var)
-    final_elbo = elbo(state, mm, train.y, state.c, kmu, var, 1.0)
+    final_elbo = elbo(state, mm, train.y, _optimal_tilts(kmu, var), kmu, var, 1.0)
     wall = time.perf_counter() - t0
     columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(

@@ -32,7 +32,9 @@ __all__ = [
 _DEFAULT_AMPLITUDE = 1.0
 _DEFAULT_JITTER = 1e-6
 _LOG_LIMITS = (350.0, 350.0, 700.0)  # l^2, a^2 and jitter within e^+-700
-_FAR = 1e150  # inputs are clamped to +/- _FAR lengthscales, so no square overflows
+# Inputs are clamped to +/- _FAR (lengthscales, in the kernel), so no square
+# of a coordinate or of a difference of two overflows.
+_FAR = 1e150
 # How KernelParams.default fills each unset value, as help text shows it.
 DEFAULT_TEXT = {"lengthscale": "sqrt(d)", "amplitude": f"{_DEFAULT_AMPLITUDE:g}",
                 "jitter": f"{_DEFAULT_JITTER:g}"}
@@ -286,13 +288,15 @@ def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):
     log a and (jitter I, 0, jitter) in log jitter.  D holds the squared
     distances, the only kernel work done here; S is the squared-exponential
     part read from the bundle: K_nm, and K_mm less its jitter diagonal
-    ``params.jitter + gram.jitter_extra``.  Returns shape (3,), ordered as
-    KernelParams.as_array().
+    ``params.jitter + gram.jitter_extra``.  The rows of X and Z are clamped
+    to +/- ``_FAR`` before D is taken, so no square overflows.  Returns
+    shape (3,), ordered as KernelParams.as_array().
     """
     S_mm = gram.K_mm.copy()
     S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
     PS_mm = P_K * S_mm
     PS_nm = P_A * gram.K_nm
+    X, Z = np.clip(X, -_FAR, _FAR), np.clip(Z, -_FAR, _FAR)
     d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(X, Z))
     return np.array([
         d_ell / params.lengthscale**2,

@@ -3,8 +3,8 @@
 The variational posterior over inducing values u is the Gaussian
 q(u) = N(mu, Sigma), stored canonically in natural parameters
 eta1 = Sigma^{-1} mu and eta2 = -1/2 Sigma^{-1}; (mu, Sigma) are derived
-and refreshed after every natural-space update.  Per-datum tilts c_i
-parameterize the Polya-Gamma factors.
+and refreshed after every natural-space update.  The Polya-Gamma tilts,
+functions of q(u) and the kernel, are not state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky
 
-from .kernel import HYPER_NAMES, KernelParams, chol_inverse, kern_diag
+from .kernel import _FAR, HYPER_NAMES, KernelParams, chol_inverse
 
 __all__ = [
     "Dataset",
@@ -87,7 +87,7 @@ def natural_to_moments(eta1, eta2):
 
 @dataclass
 class VariationalState:
-    """Sparse variational posterior state.
+    """Sparse variational posterior state: q(u), Z and the kernel (no tilts).
 
     Attributes
     ----------
@@ -99,8 +99,6 @@ class VariationalState:
         Derived posterior mean of the inducing values.
     Sigma : ndarray, shape (m, m)
         Derived posterior covariance.
-    c : ndarray, shape (n,) or None
-        Local Polya-Gamma tilts, nonnegative; None until bound to data.
     Z : ndarray, shape (m, d)
         Inducing inputs (fixed during training).
     params : KernelParams
@@ -110,7 +108,6 @@ class VariationalState:
     eta2: np.ndarray
     mu: np.ndarray
     Sigma: np.ndarray
-    c: np.ndarray | None
     Z: np.ndarray
     params: KernelParams
 
@@ -119,9 +116,9 @@ class VariationalState:
         return self.Z.shape[0]
 
     @classmethod
-    def from_natural(cls, eta1, eta2, Z, params, c=None):
+    def from_natural(cls, eta1, eta2, Z, params):
         mu, Sigma = natural_to_moments(eta1, eta2)
-        return cls(eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma, c=c, Z=Z, params=params)
+        return cls(eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma, Z=Z, params=params)
 
     def with_natural(self, eta1, eta2):
         """New state at the given natural parameters (moments refreshed)."""
@@ -135,7 +132,9 @@ def kmeanspp_init(X, m, rng):
     Seeding and the Lloyd steps read at most rows = max(2000, 20 m) rows of
     X: when n > rows, ``rng.choice(n, rows, replace=False)`` draws them
     first, so set-up costs O(m rows d) time and memory whatever n is.  At
-    n <= rows every row is used and no sample is drawn.
+    n <= rows every row is used and no sample is drawn.  The rows read are
+    clamped to +/- 1e150, as the kernel clamps its inputs, so no squared
+    distance overflows; data within that range is read unchanged.
 
     Parameters
     ----------
@@ -156,6 +155,7 @@ def kmeanspp_init(X, m, rng):
     if n > rows:
         X = X[rng.choice(n, rows, replace=False)]
         n = rows
+    X = np.clip(X, -_FAR, _FAR)  # as the kernel does, so no squared distance overflows
 
     centers = np.empty((m, X.shape[1]))
     centers[0] = X[rng.integers(n)]
@@ -183,21 +183,17 @@ def kmeanspp_init(X, m, rng):
     return centers
 
 
-def init_state(dataset, Z, params, mm):
+def init_state(Z, params, mm):
     """Prior-initialized variational state.
 
     Sets eta2 = -1/2 K_mm^{-1} and eta1 = 0, so that (mu, Sigma) is the GP
-    prior (0, K_mm) over the inducing values, and every tilt to its optimum
-    there, c_i = sqrt(k_ii): at Sigma = K_mm the q(f) marginal at any row is
-    the prior N(0, k_ii) (``prediction.latent_predict``'s B is exactly
-    zero), so the first bound evaluation is valid and no pass over the rows
-    is needed.  ``mm``, a bundle for (Z, params) with any rows, supplies
-    the K_mm factorization.
+    prior (0, K_mm) over the inducing values.  ``mm``, a bundle for
+    (Z, params) with any rows, supplies the K_mm factorization.
     """
     m = Z.shape[0]
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
-        c=np.sqrt(kern_diag(dataset.X, params)), Z=Z, params=params,
+        Z=Z, params=params,
     )
 
 
@@ -263,8 +259,8 @@ def load_checkpoint(path):
     Returns
     -------
     (VariationalState, int, dict or None)
-        The restored state (moments refreshed from the natural parameters,
-        tilts unset), the stored seed, and the preprocessing block (arrays
+        The restored state (moments refreshed from the natural parameters),
+        the stored seed, and the preprocessing block (arrays
         under "means"/"stds") when present.
 
     Raises

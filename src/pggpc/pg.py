@@ -25,6 +25,8 @@ __all__ = [
 
 # Terms of the alternating series after which a candidate counts as undecidable.
 _MAX_SERIES_TERMS = 1000
+# Largest tilt pg_sample draws for: (c/2)^2 and the proposal's rate stay finite.
+_MAX_TILT = 1e150
 
 # Devroye-style sampler constants: the proposal splits at x = _TRUNC into a
 # truncated inverse-Gaussian piece (left) and an exponential tail (right).
@@ -128,11 +130,13 @@ def pg_sample(c, rng, size=None):
     Raises
     ------
     ValueError
-        If any tilt is NaN or infinite.
+        If any tilt is NaN or larger than 1e150 in magnitude.
     """
     c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("Polya-Gamma tilt c must be finite")
+    bad = ~(np.abs(c) <= _MAX_TILT)  # NaN included
+    if bad.any():
+        raise ValueError(f"Polya-Gamma tilt c must be finite and at most {_MAX_TILT:g} "
+                         f"in magnitude, got {c[bad].flat[0]}")
     if size is not None:
         c = np.broadcast_to(c, size)
     z = 0.5 * np.abs(np.ravel(c))

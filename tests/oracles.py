@@ -9,8 +9,8 @@ gamma-series Polya-Gamma sampler, the single-point kernel, the
 moment-to-natural parameter map, the Lloyd steps of k-means++ by one mask
 per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
 state copy, the prior state at k-means++ inducing inputs, the full-data
-batch, a fresh bundle and the inverse standardization live here too, since
-only tests need them.
+batch, a fresh bundle, the optimal tilts at a fresh bundle and the inverse
+standardization live here too, since only tests need them.
 """
 
 from dataclasses import replace
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from pggpc.data import MiniBatch
-from pggpc.inference import elbo
+from pggpc.inference import elbo, local_update
 from pggpc.kernel import build_gram, chol_with_escalation, sq_dists
 from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, sigmoid, theta
@@ -167,14 +167,13 @@ def clone(state):
         eta2=state.eta2.copy(),
         mu=state.mu.copy(),
         Sigma=state.Sigma.copy(),
-        c=None if state.c is None else state.c.copy(),
     )
 
 
 def prior_state(dataset, m, params, rng):
     """``init_state`` at m k-means++ inducing inputs drawn with ``rng``."""
     Z = kmeanspp_init(dataset.X, m, rng)
-    return init_state(dataset, Z, params, build_gram(np.empty((0, Z.shape[1])), Z, params))
+    return init_state(Z, params, build_gram(np.empty((0, Z.shape[1])), Z, params))
 
 
 def every_row(dataset):
@@ -185,6 +184,11 @@ def every_row(dataset):
 def bundle(state, X):
     """A fresh bundle for the rows X at the state's (Z, params)."""
     return build_gram(X, state.Z, state.params)
+
+
+def tilts(state, X):
+    """The optimal tilts at the rows X: ``local_update`` on a fresh bundle."""
+    return local_update(state, bundle(state, X))
 
 
 def unstandardize(scaler, X):
@@ -198,53 +202,52 @@ def gauss_part(state, gram):
     return elbo(state, gram, no_rows, no_rows, no_rows, no_rows, 1.0)
 
 
-def full_elbo(state, dataset, include_constants=False):
-    """The bound over every row of the dataset, which the tilts c must cover.
+def full_elbo(state, dataset, c, include_constants=False):
+    """The bound over every row of the dataset at the tilts c, one per row.
 
     K_mm is factorized for no rows and the q(f) marginals come from the
     blocked ``latent_predict`` pass.  By default the value drops the
     additive constants; ``include_constants=True`` adds m/2 - n log 2,
     making it a true lower bound on log p(y).
     """
-    if state.c is None or state.c.shape[0] != dataset.n:
-        raise ValueError("state.c must hold a current tilt for every data point")
+    if np.shape(c) != (dataset.n,):
+        raise ValueError("c must hold a tilt for every data point")
     gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
     kmu, var = latent_predict(state, dataset.X, gram)
-    value = elbo(state, gram, dataset.y, state.c, kmu, var, 1.0)
+    value = elbo(state, gram, dataset.y, c, kmu, var, 1.0)
     if include_constants:
         value += 0.5 * state.m - dataset.n * _LOG2
     return value
 
 
-def elbo_kappa_form(state, dataset):
-    """The bound with q(f) marginals read from a bundle over every row.
+def elbo_kappa_form(state, dataset, c):
+    """The bound at the tilts c with q(f) marginals read from a bundle over every row.
 
     kappa = K_nm K_mm^{-1} and Ktilde are held for all n rows, and the
     marginals are (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
     """
     gram = build_gram(dataset.X, state.Z, state.params)
     kmu, var = gram.marginals(state.mu, state.Sigma)
-    c = state.c
     data = 0.5 * (dataset.y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
     return float(gauss_part(state, gram) + data)
 
 
-def elbo_grad_mu(state, dataset, gram=None):
+def elbo_grad_mu(state, dataset, c, gram=None):
     """Euclidean gradient dL/dmu = -(K_mm^{-1} + kappa^T Theta kappa) mu + 1/2 kappa^T y."""
     if gram is None:
         gram = build_gram(dataset.X, state.Z, state.params)
     kappa = gram.kappa
-    th = theta(state.c)
+    th = theta(c)
     ktk = (kappa * th[:, None]).T @ kappa
     return -(gram.Kmm_inv + ktk) @ state.mu + 0.5 * (kappa.T @ dataset.y)
 
 
-def elbo_grad_sigma(state, dataset, gram=None):
+def elbo_grad_sigma(state, dataset, c, gram=None):
     """Euclidean gradient dL/dSigma = 1/2 (Sigma^{-1} - K_mm^{-1} - kappa^T Theta kappa)."""
     if gram is None:
         gram = build_gram(dataset.X, state.Z, state.params)
     kappa = gram.kappa
-    th = theta(state.c)
+    th = theta(c)
     ktk = (kappa * th[:, None]).T @ kappa
     L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
     Sinv = cho_solve((L_s, True), np.eye(state.Sigma.shape[0]))

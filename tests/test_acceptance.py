@@ -38,6 +38,7 @@ from oracles import (
     full_elbo,
     gibbs_mackay_bound,
     pg_mean,
+    tilts,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -69,7 +70,7 @@ def _skip_missing(capsys, request, path):
 
 
 def _random_instance(seed, n=8, m=3):
-    """A small problem with a non-trivial posterior state and fresh tilts."""
+    """A small problem with a non-trivial posterior state, and its optimal tilts."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -82,8 +83,7 @@ def _random_instance(seed, n=8, m=3):
     state = VariationalState.from_natural(
         np.linalg.solve(Sigma, mu), -0.5 * np.linalg.inv(Sigma), Z, params
     )
-    state.c = local_update(state, bundle(state, ds.X))
-    return ds, state
+    return ds, state, tilts(state, ds.X)
 
 
 def _separable_blobs(n, seed=0, spread=0.7, gap=1.5):
@@ -102,17 +102,17 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
     h = 1e-6
     worst = 0.0
     for seed in range(20):
-        ds, state = _random_instance(seed)
+        ds, state, c = _random_instance(seed)
         gram = bundle(state, ds.X)
-        analytic = [elbo_grad_mu(state, ds, gram)]
+        analytic = [elbo_grad_mu(state, ds, c, gram)]
         numeric = []
         for i in range(state.m):
             sp, sm = clone(state), clone(state)
             sp.mu, sm.mu = sp.mu.copy(), sm.mu.copy()
             sp.mu[i] += h
             sm.mu[i] -= h
-            numeric.append((full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h))
-        gS = elbo_grad_sigma(state, ds, gram)
+            numeric.append((full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h))
+        gS = elbo_grad_sigma(state, ds, c, gram)
         for i in range(state.m):
             for j in range(i, state.m):
                 D = np.zeros((state.m, state.m))
@@ -120,7 +120,7 @@ def test_c01_euclidean_gradients_match_finite_differences(scorecard):
                 sp, sm = clone(state), clone(state)
                 sp.Sigma = state.Sigma + h * D
                 sm.Sigma = state.Sigma - h * D
-                numeric.append((full_elbo(sp, ds) - full_elbo(sm, ds)) / (2.0 * h))
+                numeric.append((full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h))
                 analytic.append(float(np.sum(gS * D)))
         vec_an = np.concatenate([np.atleast_1d(a).ravel() for a in analytic])
         vec_fd = np.asarray(numeric)
@@ -138,17 +138,17 @@ def test_elbo_matches_kappa_form_on_c01_instances():
     # full_elbo reads its marginals from the blocked predictive pass; the
     # reference reads them from a bundle over every row.
     for seed in range(20):
-        ds, state = _random_instance(seed)
-        assert full_elbo(state, ds) == pytest.approx(elbo_kappa_form(state, ds), rel=1e-12)
+        ds, state, c = _random_instance(seed)
+        assert full_elbo(state, ds, c) == pytest.approx(elbo_kappa_form(state, ds, c), rel=1e-12)
 
 
 def test_c02_natural_gradient_equals_transformed_euclidean(scorecard):
     worst = 0.0
     for seed in range(20):
-        ds, state = _random_instance(seed)
-        g1, G2 = natural_gradient(state, ds, every_row(ds), bundle(state, ds.X))
-        gmu = elbo_grad_mu(state, ds)
-        gS = elbo_grad_sigma(state, ds)
+        ds, state, c = _random_instance(seed)
+        g1, G2 = natural_gradient(state, ds, every_row(ds), bundle(state, ds.X), c)
+        gmu = elbo_grad_mu(state, ds, c)
+        gS = elbo_grad_sigma(state, ds, c)
         worst = max(
             worst,
             float(np.max(np.abs(g1 - (gmu - 2.0 * gS @ state.mu)))),
@@ -163,13 +163,13 @@ def test_c03_unit_step_lands_on_coordinate_ascent_optimum(scorecard):
     worst_hit = 0.0
     worst_drift = 0.0
     for seed in range(10):
-        ds, state = _random_instance(seed, n=16, m=4)
+        ds, state, c = _random_instance(seed, n=16, m=4)
         batch = every_row(ds)
         gram = bundle(state, ds.X)
-        g1, G2 = natural_gradient(state, ds, batch, gram)
+        g1, G2 = natural_gradient(state, ds, batch, gram, c)
         stepped = global_step(state, g1, G2, rho=1.0)
 
-        th = np.tanh(0.5 * state.c) / (2.0 * state.c)
+        th = np.tanh(0.5 * c) / (2.0 * c)
         target1 = 0.5 * gram.kappa.T @ ds.y
         target2 = -0.5 * (gram.Kmm_inv + gram.kappa.T @ (th[:, None] * gram.kappa))
         worst_hit = max(
@@ -178,7 +178,7 @@ def test_c03_unit_step_lands_on_coordinate_ascent_optimum(scorecard):
             float(np.max(np.abs(stepped.eta2 - target2))),
         )
 
-        again = global_step(stepped, *natural_gradient(stepped, ds, batch, gram), rho=1.0)
+        again = global_step(stepped, *natural_gradient(stepped, ds, batch, gram, c), rho=1.0)
         worst_drift = max(
             worst_drift,
             float(np.max(np.abs(again.eta1 - stepped.eta1))),
@@ -216,15 +216,14 @@ def test_c05_covariance_precision_stays_choleskyable_for_10000_steps(scorecard):
     rng = np.random.default_rng(0)
     Z = kmeanspp_init(ds.X, 8, rng)
     mm = build_gram(np.empty((0, ds.d)), Z, KernelParams())
-    state = init_state(ds, Z, KernelParams(), mm)
+    state = init_state(Z, KernelParams(), mm)
     rate = AdaptiveRate()
     checked = 0
     for _ in range(10_000):
         idx = rng.choice(ds.n, size=20, replace=False)
         batch = MiniBatch(indices=idx, scale=ds.n / idx.size)
         gram_b = build_gram(ds.X[idx], state.Z, state.params, mm=mm)
-        state.c[idx] = local_update(state, gram_b)
-        g1, G2 = natural_gradient(state, ds, batch, gram_b)
+        g1, G2 = natural_gradient(state, ds, batch, gram_b, local_update(state, gram_b))
         rho = rate.observe(np.concatenate([g1, G2.ravel()]))
         state = global_step(state, g1, G2, rho)
         np.linalg.cholesky(-2.0 * state.eta2)  # raises LinAlgError on failure
@@ -435,7 +434,7 @@ def test_c11_trained_bound_stays_below_brute_force_log_marginal(scorecard):
             init_params=params, inducing_Z=ds.X,
         )
         result = fit(ds, config)
-        bound = full_elbo(result.state, ds, include_constants=True)
+        bound = full_elbo(result.state, ds, tilts(result.state, ds.X), include_constants=True)
         if n <= 3:
             log_p = _log_marginal_dense(ds, params)
         else:

@@ -12,6 +12,7 @@ from pggpc.cli import _build_parser, main
 from pggpc.data import save
 from pggpc.gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, gibbs_run
 from pggpc.inference import TrainConfig
+from pggpc.kernel import KernelParams
 from pggpc.model import Dataset, load_checkpoint
 
 
@@ -193,6 +194,18 @@ def test_feature_near_the_float64_limit_is_standardized(tmp_path, capsys):
     assert main(["evaluate", "--data", path, "--checkpoint", str(tmp_path / "checkpoint.json"),
                  "--out-dir", str(tmp_path)]) == 0
     assert "error_rate=0.0 " in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_out_of_range_adam_proposals_are_reverted(blob_files, tmp_path, capsys):
+    # Each step proposes log-parameters near +/-1e300; it ended the run with
+    # "error: log_lengthscale must be finite ...".  Reverted, the kernel
+    # stays at its start.
+    code = main(["train", "--data", blob_files["small"], "--out-dir", str(tmp_path),
+                 "--max-iters", "6", "--m", "4", "--adam-lr", "1e300", "--hyper-every", "1"])
+    assert code == 0, capsys.readouterr().err
+    state, _, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
+    assert state.params == KernelParams.default(2)
 
 
 @pytest.mark.parametrize("command", [
@@ -577,6 +590,26 @@ class TestGibbsCheck:
                      "--sweeps", "20", "--out-dir", str(tmp_path), *chain])
         assert code == 1
         assert _one_error_line(capsys).startswith(f"error: {name} must")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude, reported", [
+        ("1e50", True), ("1e75", True), ("1e100", False), ("1e150", False)])
+    def test_huge_amplitude_reports_or_names_the_tilt(self, amplitude, reported, blob_files,
+                                                      tmp_path, capsys):
+        # The chain's latent values grow as a^2.  Their variances overflowed
+        # the correlations (1e50: a warning, 1e75: NaN correlations), and
+        # tilts past 1e150 overflowed the sampler (1e100, 1e150: a
+        # RuntimeError traceback).
+        code = main(["gibbs-check", "--data", blob_files["small"], "--amplitude", amplitude,
+                     "--sweeps", "20", "--burn-in", "5", "--max-iters", "3",
+                     "--out-dir", str(tmp_path)])
+        if reported:  # the agreement verdict, on finite correlations
+            out = capsys.readouterr().out
+            assert code in (0, 3) and "nan" not in out and "agreement=" in out, out
+        else:
+            assert code == 1
+            line = _one_error_line(capsys)
+            assert "Polya-Gamma tilt c must be finite and at most 1e+150" in line
 
     def test_oracle_cap_refuses_large_data(self, blob_files, capsys):
         code = main([

@@ -2,11 +2,11 @@
 
 Hypothesis writes mutated LIBSVM and CSV data files (any finite float64,
 subnormals and magnitudes near 1.8e308 included) and mutated checkpoints,
-and runs them through ``main`` for ``train``, ``predict`` and ``evaluate``
-on tiny budgets.  Every run must exit 0, or exit 1 with exactly one
-``error:`` line.  A RuntimeWarning (overflow, invalid value, division by
-zero) is raised as an error inside each run, so it fails the property as
-a traceback would.
+and runs them through ``main`` for ``train`` (with and without
+standardization), ``predict`` and ``evaluate`` on tiny budgets.  Every run
+must exit 0, or exit 1 with exactly one ``error:`` line.  A RuntimeWarning
+(overflow, invalid value, division by zero) is raised as an error inside
+each run, so it fails the property as a traceback would.
 """
 
 import base64
@@ -132,10 +132,13 @@ def clean(tmp_path_factory):
 def test_train_predict_evaluate_on_mutated_data(data, clean, tmp_path_factory, capsys):
     tmp_path = tmp_path_factory.mktemp("fuzz")
     path = _write(tmp_path, *data)
-    code, _ = _run(["train", "--data", path, "--out-dir", str(tmp_path), *TINY], capsys)
     checkpoints = [clean["checkpoint"]]
-    if code == 0:
-        checkpoints.append(str(tmp_path / "checkpoint.json"))
+    for name, flags in (("standardized", []), ("raw", ["--no-standardize"])):
+        out_dir = tmp_path / name
+        code, _ = _run(["train", "--data", path, "--out-dir", str(out_dir), *TINY, *flags],
+                       capsys)
+        if code == 0:
+            checkpoints.append(str(out_dir / "checkpoint.json"))
     for checkpoint in checkpoints:
         for command in ("predict", "evaluate"):
             _run([command, "--data", path, "--checkpoint", checkpoint,

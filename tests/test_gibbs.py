@@ -345,3 +345,12 @@ class TestCompareToVi:
         assert _safe_corr(np.ones(4), np.zeros(4)) == 0.0
         x = np.array([0.1, 0.4, 0.2, 0.9])
         assert _safe_corr(x, 2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_safe_corr_of_values_whose_squares_overflow(self):
+        # Chain variances near 1e300 (gibbs-check --amplitude 1e50) overflowed
+        # np.std; the correlation is scale-free, and stays bit for bit the same.
+        x = np.array([0.1, 0.4, 0.2, 0.9])
+        y = np.array([0.3, 0.1, 0.2, 0.8])
+        assert _safe_corr(2.0**990 * x, 2.0**-900 * y) == _safe_corr(x, y)
+        assert _safe_corr(1e300 * x, 1e300 * x) == pytest.approx(1.0, abs=1e-12)

@@ -161,6 +161,22 @@ def test_kern_matrix_is_zero_to_points_past_the_float64_square_range():
     np.testing.assert_array_equal(K[2], kern_matrix(X[2:], Z, params)[0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kern_grad_reads_far_rows_as_clamped():
+    # Raw rows near 1e308 overflowed the squared distances of the
+    # lengthscale derivative; at +/- 1e150 their kernel terms are zero.
+    params = KernelParams(log_lengthscale=0.2)
+    Z = np.array([[0.0, 0.0], [1.0, -2.0]])
+    X = np.array([[1.7e308, -1.7e308], [0.5, 0.5]])
+    rng = np.random.default_rng(4)
+    P_K, P_A, p_diag = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2)
+    got = kern_grad(build_gram(X, Z, params), X, Z, params, P_K, P_A, p_diag)
+    near = np.clip(X, -1e150, 1e150)
+    want = kern_grad(build_gram(near, Z, params), near, Z, params, P_K, P_A, p_diag)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
+
+
 def test_chol_escalation_not_needed_for_spd():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(5, 5))

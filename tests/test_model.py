@@ -1,6 +1,7 @@
 """Tests for dataset validation, variational state, init, and checkpoints."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -103,7 +104,11 @@ class TestVariationalState:
         np.testing.assert_allclose(st.mu, mu, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(st.Sigma, Sigma, rtol=1e-9, atol=1e-11)
         assert st.m == 3
-        assert st.c is None
+
+    def test_holds_q_u_and_the_model_only(self):
+        # The tilts are per-batch values that the steps compute, not state.
+        assert [f.name for f in fields(VariationalState)] == [
+            "eta1", "eta2", "mu", "Sigma", "Z", "params"]
 
     def test_with_natural_returns_consistent_new_state(self):
         ds = _toy_dataset()
@@ -119,9 +124,9 @@ class TestVariationalState:
         st = prior_state(ds, 4, KernelParams(), np.random.default_rng(0))
         cp = clone(st)
         cp.eta1[0] += 1.0
-        cp.c[0] += 1.0
+        cp.eta2[0, 0] += 1.0
         assert st.eta1[0] != cp.eta1[0]
-        assert st.c[0] != cp.c[0]
+        assert st.eta2[0, 0] != cp.eta2[0, 0]
 
 
 class TestKmeansppInit:
@@ -189,6 +194,16 @@ class TestKmeansppInit:
             assert len(np.unique(seeds, axis=0)) < m
         np.testing.assert_array_equal(Z, lloyd_by_masks(X, seeds, iters))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_past_the_float64_square_range_are_clamped(self):
+        # Unstandardized rows near 1e308 overflowed the squared distances.
+        # Read as at +/- 1e150, as the kernel reads them, they seed and move
+        # the centers like any other far-apart points.
+        X = np.repeat([[-1.5e308, 0.0], [1.5e308, 1.0], [0.0, 1e200]], 4, axis=0)
+        Z = kmeanspp_init(X, 3, np.random.default_rng(2))
+        want = np.array([[-1e150, 0.0], [0.0, 1e150], [1e150, 1.0]])
+        np.testing.assert_array_equal(Z[np.argsort(Z[:, 0])], want)
+
     @pytest.mark.parametrize("n,m,rows", [(2001, 100, 2000), (3001, 150, 3000)])
     def test_above_the_floor_runs_on_the_rows_drawn_first(self, n, m, rows):
         # rows = max(2000, 20 m): the unchanged routine on the sampled rows,
@@ -225,26 +240,31 @@ class TestInitState:
         np.testing.assert_allclose(st.Sigma, gram.K_mm, rtol=1e-12)
 
     def test_initial_tilts_equal_prior_marginal_std(self):
-        # With mu = 0 and Sigma = K_mm the tilt reduces to sqrt(k(x, x))
-        # for every point, regardless of where the inducing inputs sit.
+        # With mu = 0 and Sigma = K_mm the optimal tilt reduces to
+        # sqrt(k(x, x)) for every point, wherever the inducing inputs sit.
         ds = _toy_dataset(30, 2)
         params = KernelParams(log_amplitude=np.log(1.7))
         st = prior_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
-        np.testing.assert_allclose(st.c, np.full(30, expect), rtol=1e-9)
+        c = local_update(st, build_gram(ds.X, st.Z, params))
+        np.testing.assert_allclose(c, np.full(30, expect), rtol=1e-9)
 
     def test_initial_tilts_match_kappa_form_local_update(self):
+        # The same at rows away from the inducing inputs and another kernel:
+        # the prior q(u) gives q(f_i) = N(0, k_ii), so c_i = sqrt(a^2 + jitter).
         ds = _toy_dataset(40, 3)
         params = KernelParams(log_lengthscale=0.4, log_amplitude=0.3)
         st = prior_state(ds, 7, params, np.random.default_rng(18))
-        np.testing.assert_allclose(st.c, local_update(st, build_gram(ds.X, st.Z, params)),
+        far = ds.X + 5.0
+        c = local_update(st, build_gram(np.vstack([ds.X, far]), st.Z, params))
+        np.testing.assert_allclose(c, np.full(80, np.sqrt(np.exp(0.6) + params.jitter)),
                                    rtol=1e-12)
 
     def test_explicit_inducing_inputs_are_used(self):
         ds = _toy_dataset(12, 2)
         Z = ds.X[:4] + 0.5
         mm = build_gram(ds.X[:3], Z, KernelParams())  # a bundle with rows serves too
-        st = init_state(ds, Z, KernelParams(), mm)
+        st = init_state(Z, KernelParams(), mm)
         assert st.m == 4
         np.testing.assert_allclose(st.Sigma, mm.K_mm, rtol=0)
         np.testing.assert_array_equal(st.Z, Z)
@@ -265,7 +285,6 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.eta2, st.eta2)
         np.testing.assert_allclose(loaded.mu, st.mu, atol=1e-12)
         np.testing.assert_allclose(loaded.Sigma, st.Sigma, rtol=1e-10, atol=1e-12)
-        assert loaded.c is None
 
     def test_save_load_save_reproduces_bytes(self, tmp_path):
         ds = _toy_dataset(10, 2)

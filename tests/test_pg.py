@@ -1,5 +1,7 @@
 """Tests for the Polya-Gamma primitives: moments, series switches, samplers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,22 @@ def test_sampler_heterogeneous_tilts():
 def test_sampler_rejects_non_finite_tilt(bad):
     with pytest.raises(ValueError, match="finite"):
         pg_sample(np.array([bad, 1.0]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [1.0001e150, -1e200, 1.7e308])
+def test_sampler_rejects_a_tilt_it_cannot_draw(bad):
+    # (c/2)^2 overflowed in the proposal's rate, and the series then never
+    # decided, so gibbs-check with a huge amplitude ended in a RuntimeError.
+    with pytest.raises(ValueError, match=re.escape(f"at most 1e+150 in magnitude, got {bad!r}")):
+        pg_sample(np.array([1.0, bad]), np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sampler_draws_at_the_largest_tilt():
+    # PG(1, c) concentrates at its mean tanh(c/2) / (2c) = 1 / (2c) as c grows.
+    c = np.array([1e150, -1e150, 1e100])
+    draws = pg_sample(c, np.random.default_rng(1))
+    np.testing.assert_allclose(draws, 0.5 / np.abs(c), rtol=1e-6)
 
 
 def test_undecided_series_raises_instead_of_rejecting():
