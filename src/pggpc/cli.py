@@ -5,9 +5,10 @@ Subcommands
 train        fit a model, write checkpoint.json and trace.csv
 predict      score new inputs from a checkpoint, write predictions.csv
 evaluate     error/NLL of a checkpoint on labeled data, write metrics.csv
-cv           k-fold cross-validated benchmarking, write cv.csv
+cv           k-fold cross-validated benchmarking, folds in sequence, write cv.csv
 gibbs-check  full-GP VI vs exact Gibbs agreement, write gibbs_vi.csv
-sweep-m      CV error/time across a grid of inducing-point counts
+sweep-m      CV error/time across a grid of inducing-point counts, each
+             grid point run by the same fold loop as cv, write sweep.csv
 
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
 the paper's benchmarking protocol.  An optional ``--config`` file of
@@ -19,7 +20,6 @@ single-threaded mode), and every CSV starts with a schema-version comment.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
@@ -32,9 +32,9 @@ from .inference import (
 )
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
-from .prediction import QUAD_ORDER, class_prob, evaluate, latent_predict
+from .prediction import class_prob, evaluate, latent_predict
 
-_BOOL_OPTS = {"standardize", "canonical-sort", "parallel", "trace-train-error", "unlabeled"}
+_BOOL_OPTS = {"standardize", "canonical-sort", "trace-train-error", "unlabeled"}
 
 
 def _fmt(v):
@@ -106,8 +106,6 @@ def _add_common_opts(p):
     p.add_argument("--seed", type=int, default=TrainConfig.seed,
                    help="random seed (default %(default)s)")
     p.add_argument("--out-dir", default=".", help="directory for output files")
-    p.add_argument("--quad-order", type=int, default=QUAD_ORDER,
-                   help="Gauss-Hermite nodes (default %(default)s)")
     p.add_argument("--config", default=None, help="key=value file of option defaults")
 
 
@@ -126,10 +124,6 @@ def _add_fold_opts(p, folds):
     p.add_argument("--folds", type=int, default=folds, help=f"fold count (default {folds})")
     p.add_argument("--max-test", type=int, default=100000,
                    help="cap on test-fold size (default 100000)")
-    p.add_argument(
-        "--parallel", action=argparse.BooleanOptionalAction, default=False,
-        help="run folds in parallel processes (default sequential)",
-    )
 
 
 def _add_train_opts(p):
@@ -267,7 +261,7 @@ def _train_config(args, n, d, m=None, seed=None):
     mode, fixed_lr = args.lr
     config = TrainConfig(
         num_inducing=m if m is not None else args.m,
-        batch_size=min(args.batch, n),
+        batch_size=args.batch,
         max_iters=args.max_iters,
         lr_mode=mode,
         fixed_lr=fixed_lr,
@@ -276,7 +270,6 @@ def _train_config(args, n, d, m=None, seed=None):
         seed=seed if seed is not None else args.seed,
         conv_mode=args.conv,
         heldout_frac=args.heldout_frac,
-        quad_order=args.quad_order,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
         trace_train_error=args.trace_train_error,
     )
@@ -301,7 +294,7 @@ def cmd_train(args):
     _write_csv(trace_path, "pggpc.trace.v1", result.trace_columns, result.trace)
     print(f"final_elbo={result.final_elbo!r}")
     if result.heldout is not None:
-        ev = evaluate(result.state, result.heldout, args.quad_order)
+        ev = evaluate(result.state, result.heldout)
         print(f"heldout_error={ev.error_rate!r} heldout_nll={ev.mean_nll!r}")
     print(
         f"wall_seconds={result.wall_seconds:.3f} iters={result.n_iters} "
@@ -341,7 +334,7 @@ def cmd_predict(args):
         X = load(args.data, fmt, label_col=args.label_col, n_features=args.n_features).X
     X = _prepare_features(args, X, state, preprocess)
     mu, var = latent_predict(state, X)
-    p = class_prob(mu, var, order=args.quad_order)
+    p = class_prob(mu, var)
     label = np.where(p >= 0.5, 1, -1)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "predictions.csv")
@@ -356,7 +349,7 @@ def cmd_evaluate(args):
     state, _, preprocess = load_checkpoint(args.checkpoint)
     ds = _load_labeled(args)
     ds = Dataset(_prepare_features(args, ds.X, state, preprocess), ds.y)
-    report = evaluate(state, ds, args.quad_order)
+    report = evaluate(state, ds)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "metrics.csv")
     _write_csv(out, "pggpc.metrics.v1", ("error_rate", "mean_nll", "n"),
@@ -365,34 +358,23 @@ def cmd_evaluate(args):
     return 0
 
 
-def _run_fold(payload):
+def _run_fold(train, test, args, m, seed):
     """One CV fold: standardize on the training split, fit, evaluate."""
-    X, y, train_idx, test_idx, args_dict, m, fold_seed, do_std = payload
-    train = Dataset(X[train_idx], y[train_idx])
-    test = Dataset(X[test_idx], y[test_idx])
-    scaler = None
-    if do_std:
+    if args.standardize:
         train, scaler = standardize(train)
         test = scaler.apply_dataset(test)
-    args = argparse.Namespace(**args_dict)
-    config = _train_config(args, train.n, train.d, m=m, seed=fold_seed)
-    result = fit(train, config)
-    report = evaluate(result.state, test, args.quad_order)
+    result = fit(train, _train_config(args, train.n, train.d, m=m, seed=seed))
+    report = evaluate(result.state, test)
     return report.error_rate, report.mean_nll, result.wall_seconds
 
 
 def _cv_run(ds, args, m, folds):
     plan = kfold(ds.n, folds, args.seed)
     fold_seeds = np.random.default_rng(args.seed).integers(2**31, size=folds)
-    payloads = [
-        (ds.X, ds.y, tr, te, vars(args), m, int(fold_seeds[i]), args.standardize)
-        for i, (tr, te) in enumerate(plan.folds(max_test=args.max_test))
+    results = [
+        _run_fold(ds.subset(tr), ds.subset(te), args, m, int(seed))
+        for (tr, te), seed in zip(plan.folds(max_test=args.max_test), fold_seeds)
     ]
-    if getattr(args, "parallel", False):
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_fold, payloads))
-    else:
-        results = [_run_fold(p) for p in payloads]
     return np.array(results)  # columns: error, nll, seconds
 
 
@@ -441,14 +423,13 @@ def cmd_gibbs_check(args):
         fixed_lr=1.0,
         hyper_every=0,
         seed=args.seed,
-        quad_order=args.quad_order,
         init_params=params,
         inducing_Z=ds.X,
     )
     result = fit(ds, config)
     chain = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
                       thin=args.thin, seed=args.seed)
-    report = compare_to_vi(chain, result.state, ds, quad_order=args.quad_order)
+    report = compare_to_vi(chain, result.state, ds)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "gibbs_vi.csv")
     _write_csv(out, "pggpc.gibbs_vi.v1",

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .kernel import build_gram, chol_with_escalation, kern_matrix
+from .kernel import chol_with_escalation, kern_matrix
 from .pg import pg_sample, sigmoid
-from .prediction import QUAD_ORDER, class_prob
+from .prediction import class_prob
 
 __all__ = ["GibbsChain", "gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
 
@@ -109,7 +109,8 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
         needs extra jitter, the whole chain uses K + extra I, so the prior
         draw and the conditional describe the same model.
     iters : int
-        Total sweeps including burn-in; must exceed burn_in.
+        Total sweeps including burn-in; must exceed burn_in by enough to
+        store at least two samples, so that the chain has a sample variance.
     burn_in : int
         Sweeps discarded before the first stored sample; at least 0.
     thin : int
@@ -129,8 +130,12 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
         raise ValueError(f"thin must be at least 1, got {thin}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be at least 0, got {burn_in}")
-    if iters <= burn_in:
-        raise ValueError(f"iters must exceed burn_in, got iters={iters}, burn_in={burn_in}")
+    stored = len(range(burn_in, iters, thin))
+    if stored < 2:
+        raise ValueError(
+            f"iters must exceed burn_in by enough to store at least two samples, "
+            f"got iters={iters}, burn_in={burn_in}, thin={thin}"
+        )
     rng = np.random.default_rng(seed)
     n = dataset.n
     K = kern_matrix(dataset.X, dataset.X, params, same=True)
@@ -138,7 +143,7 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
     K.flat[:: n + 1] += extra
     half_Ky = K @ (0.5 * dataset.y)
     f = np.zeros(n)
-    samples = np.empty((len(range(burn_in, iters, thin)), n))
+    samples = np.empty((stored, n))
     for t in range(iters):
         omega = pg_sample(np.abs(f), rng)
         f = f_conditional(K, L_K, half_Ky, omega, rng.standard_normal((2, n)))
@@ -189,14 +194,14 @@ def _safe_corr(a, b):
     return float(np.corrcoef(ua, ub)[0, 1])
 
 
-def compare_to_vi(chain, state, dataset, test_points=None, quad_order=QUAD_ORDER):
+def compare_to_vi(chain, state, dataset):
     """Score a full-GP variational state against the Gibbs ground truth.
 
     The state must have been trained with Z equal to the dataset's inputs
-    (full GP) and the chain run on the same data and hyperparameters.  With
-    ``test_points=None`` the latent posterior at the training points is
-    compared (VI side: q marginals); otherwise both sides project their
-    predictive onto the given points.
+    (full GP) and the chain run on the same data and hyperparameters.  The
+    latent posterior is compared at the training points: the chain's sample
+    mean, variance and mean sigmoid against q(u)'s mean, diagonal variance
+    and class probability (u = f when Z = X).
 
     Returns
     -------
@@ -208,26 +213,12 @@ def compare_to_vi(chain, state, dataset, test_points=None, quad_order=QUAD_ORDER
         raise ValueError("chain and dataset sizes disagree")
 
     F = chain.samples_f
-    if test_points is None:
-        mcmc_mean = F.mean(axis=0)
-        mcmc_var = F.var(axis=0, ddof=1)
-        mcmc_ppos = sigmoid(F).mean(axis=0)
-        vi_mean = state.mu.copy()
-        vi_var = np.diag(state.Sigma).copy()
-        vi_ppos = class_prob(vi_mean, vi_var, order=quad_order)
-    else:
-        # With Z = X the bundle's kappa is K_*n K^{-1} and its Ktilde is the
-        # exact-GP conditional variance of f* given f.
-        gram = build_gram(test_points, state.Z, state.params)
-        cond_var = np.maximum(gram.ktilde, 1e-12)
-        cond_means = F @ gram.kappa.T  # (S, n_star)
-        mcmc_mean = cond_means.mean(axis=0)
-        mcmc_var = cond_means.var(axis=0, ddof=1) + cond_var
-        mcmc_ppos = class_prob(cond_means, np.broadcast_to(cond_var, cond_means.shape),
-                               order=quad_order).mean(axis=0)
-        vi_mean, vi_var = gram.marginals(state.mu, state.Sigma)
-        vi_var = np.maximum(vi_var, 1e-12)
-        vi_ppos = class_prob(vi_mean, vi_var, order=quad_order)
+    mcmc_mean = F.mean(axis=0)
+    mcmc_var = F.var(axis=0, ddof=1)
+    mcmc_ppos = sigmoid(F).mean(axis=0)
+    vi_mean = state.mu.copy()
+    vi_var = np.diag(state.Sigma).copy()
+    vi_ppos = class_prob(vi_mean, vi_var)
 
     gaps = np.abs(mcmc_ppos - vi_ppos)
     return ComparisonReport(

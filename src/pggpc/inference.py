@@ -34,7 +34,7 @@ from .data import minibatch_iter
 from .kernel import FactorizationError, KernelParams, build_gram, kern_grad
 from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
-from .prediction import _ROW_BLOCK, QUAD_ORDER, _check_quad_order, evaluate, latent_predict
+from .prediction import _ROW_BLOCK, evaluate, latent_predict
 
 __all__ = [
     "TrainConfig",
@@ -83,7 +83,6 @@ class TrainConfig:
     seed: int = 0
     conv_mode: str = "params"  # one of CONV_MODES
     heldout_frac: float = 0.1
-    quad_order: int = QUAD_ORDER
     init_params: KernelParams | None = None
     inducing_Z: np.ndarray | None = None
     trace_train_error: bool = False
@@ -105,7 +104,6 @@ class TrainConfig:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
         if not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
-        _check_quad_order(self.quad_order)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -446,7 +444,7 @@ def fit(dataset, config):
         est = elbo(state, gram_b, train.y[idx], c, kmu, var, batch.scale)
         row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:
-            row.append(evaluate(state, train, config.quad_order, gram=mm).error_rate)
+            row.append(evaluate(state, train, gram=mm).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
@@ -459,7 +457,7 @@ def fit(dataset, config):
                 converged = True
                 break
         else:
-            nll = evaluate(state, heldout, config.quad_order, gram=mm).mean_nll
+            nll = evaluate(state, heldout, gram=mm).mean_nll
             if prev_heldout_nll is not None:
                 window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
                 if len(window) == CONV_WINDOW and np.mean(window) < HELDOUT_THRESHOLD:

@@ -234,9 +234,9 @@ class GramBundle:
     def marginals(self, mu, Sigma):
         """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
 
-        Meant for a mini-batch or a few test points, whose kappa is needed
-        anyway; :func:`pggpc.prediction.latent_predict` is the pass over many
-        rows and holds no n x m matrix.
+        Meant for the SVI step's mini-batch, whose kappa is needed anyway;
+        :func:`pggpc.prediction.latent_predict` is the pass over many rows
+        and holds no n x m matrix.
         """
         kappa = self.kappa
         return kappa @ mu, self.ktilde + np.einsum("ij,ij->i", kappa @ Sigma, kappa)

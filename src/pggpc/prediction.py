@@ -134,12 +134,6 @@ def _step_expansion_prob(mu, sd):
     return ndtr(z) - (np.pi**2 / 6.0) * z * np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sd * sd)
 
 
-def _check_quad_order(order):
-    """Raise ValueError unless order is a Gauss-Hermite node count."""
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"quad_order must be an integer of at least 1, got {order}")
-
-
 def class_prob(mu_star, var_star, order=QUAD_ORDER):
     """p(y* = +1) = integral of sigma(f) N(f | mu*, sigma*^2) df by quadrature.
 
@@ -158,15 +152,15 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     ----------
     mu_star, var_star : float or array_like
     order : int, optional
-        Gauss-Hermite nodes of the narrow branch, at least 1 (the callers'
-        ``quad_order``).
+        Gauss-Hermite nodes of the narrow branch, at least 1.
 
     Returns
     -------
     float or ndarray
         Probabilities in (0, 1).
     """
-    _check_quad_order(order)
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {order}")
     mu = np.asarray(mu_star, dtype=float)
     var = np.asarray(var_star, dtype=float)
     if np.any(var < 0.0):
@@ -190,7 +184,7 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     return out.reshape(shape)[()]
 
 
-def evaluate(state, test_set, quad_order=QUAD_ORDER, gram=None):
+def evaluate(state, test_set, gram=None):
     """Error rate and mean negative log predictive likelihood on a test set.
 
     A point counts as an error when sign(p_pos - 1/2) differs from its
@@ -200,7 +194,7 @@ def evaluate(state, test_set, quad_order=QUAD_ORDER, gram=None):
     if test_set.n == 0:
         raise ValueError("empty test set")
     mu, var = latent_predict(state, test_set.X, gram=gram)
-    p_pos = class_prob(mu, var, order=quad_order)
+    p_pos = class_prob(mu, var)
     error = float(np.mean(np.sign(p_pos - 0.5) != test_set.y))
     p_label = np.where(test_set.y > 0, p_pos, 1.0 - p_pos)
     nll = float(-np.mean(np.log(np.maximum(p_label, 1e-12))))

@@ -3,7 +3,10 @@
 import base64
 import inspect
 import json
+import re
+import shlex
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,8 +139,8 @@ def _one_error_line(capsys):
     (["--adam-lr", "-0.5"], "adam_lr"),
     (["--conv", "heldout", "--heldout-frac", "-0.3"], "heldout_frac"),
     (["--max-iters", "-4"], "max_iters"),
-    (["--quad-order", "0"], "quad_order"),
-    (["--conv", "heldout", "--quad-order", "0"], "quad_order"),
+    (["--adam-lr", "nan"], "adam_lr"),
+    (["--conv", "heldout", "--heldout-frac", "nan"], "heldout_frac"),
     (["--adam-lr", "inf"], "adam_lr"),
     (["--seed", "-1"], "--seed"),
 ])
@@ -227,7 +230,7 @@ def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
 _FLAG_FIELDS = {
     "m": "num_inducing", "batch": "batch_size", "max_iters": "max_iters",
     "conv": "conv_mode", "hyper_every": "hyper_every", "adam_lr": "adam_lr",
-    "heldout_frac": "heldout_frac", "seed": "seed", "quad_order": "quad_order",
+    "heldout_frac": "heldout_frac", "seed": "seed",
 }
 
 
@@ -253,7 +256,7 @@ def test_spelled_out_protocol_matches_plain_train(tmp_path):
     # n = 120 > 100 the inducing and batch sizes are not clamped to n.
     protocol = ["--m", "100", "--batch", "100", "--max-iters", "1000", "--conv", "params",
                 "--lr", "adaptive", "--hyper-every", "10", "--adam-lr", "0.02",
-                "--heldout-frac", "0.1", "--seed", "0", "--quad-order", "20"]
+                "--heldout-frac", "0.1", "--seed", "0"]
     path = str(tmp_path / "blobs120.txt")
     save(_two_blobs(120, seed=2, spread=1.5), path, "libsvm")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -307,19 +310,6 @@ class TestPredictAndEvaluate:
         ])
         assert code == 0
         assert len(_read_lines(tmp_path / "predictions.csv")) == 2 + 5
-
-    @pytest.mark.parametrize("command, output", [
-        ("predict", "predictions.csv"), ("evaluate", "metrics.csv"),
-    ])
-    def test_quad_order_below_one_is_one_error_line(self, command, output, blob_files, trained,
-                                                    tmp_path, capsys):
-        code = main([
-            command, "--data", blob_files["libsvm"], "--checkpoint", trained,
-            "--out-dir", str(tmp_path), "--quad-order", "0",
-        ])
-        assert code == 1
-        assert _one_error_line(capsys).startswith("error: quad_order must")
-        assert not (tmp_path / output).exists()
 
     def test_evaluate_scores_separable_blobs(self, blob_files, trained, tmp_path, capsys):
         code = main([
@@ -583,6 +573,7 @@ class TestGibbsCheck:
         (["--burn-in", "-5"], "burn_in"),
         (["--sweeps", "0", "--burn-in", "-1"], "burn_in"),
         (["--sweeps", "5", "--burn-in", "5"], "iters"),
+        (["--sweeps", "2", "--burn-in", "1"], "iters"),  # one stored sample has no variance
     ])
     def test_chain_argument_out_of_range_is_one_error_line(self, chain, name, blob_files,
                                                            tmp_path, capsys):
@@ -638,6 +629,32 @@ class TestSweepM:
     def test_empty_m_grid_rejected(self, blob_files):
         with pytest.raises(SystemExit):
             main(["sweep-m", "--data", blob_files["libsvm"], "--m-grid", ","])
+
+    def test_one_grid_point_is_the_cv_run(self, blob_files, tmp_path):
+        # Both commands run the same fold loop: a one-point grid reports
+        # cv's mean error and NLL to the last bit.
+        common = ["--data", blob_files["libsvm"], "--folds", "3", "--seed", "3",
+                  "--batch", "20", "--max-iters", "30", "--hyper-every", "0"]
+        assert main(["cv", "--m", "4", *common, "--out-dir", str(tmp_path)]) == 0
+        assert main(["sweep-m", "--m-grid", "4", *common, "--out-dir", str(tmp_path)]) == 0
+        cv_mean = _read_lines(tmp_path / "cv.csv")[-2].split(",")
+        sweep = _read_lines(tmp_path / "sweep.csv")[2].split(",")
+        assert cv_mean[0] == "mean" and sweep[0] == "4"
+        assert (sweep[1], sweep[3]) == (cv_mean[1], cv_mean[2])
+
+
+def test_readme_command_lines_parse():
+    # A flag removed from the CLI must not linger in the documented examples.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("pggpc ")]
+    assert len(lines) >= 5
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_console_script_is_installed():

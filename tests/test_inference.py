@@ -550,10 +550,6 @@ class TestTrainConfig:
         ("heldout_frac", 1.0),
         ("heldout_frac", float("nan")),
         ("max_iters", -4),
-        ("quad_order", 0),
-        ("quad_order", -3),
-        ("quad_order", 2.5),
-        ("quad_order", 3.0),
         ("conv_threshold", float("nan")),
         ("adam_lr", float("inf")),
         ("seed", -1),
@@ -563,7 +559,7 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_boundary_values_are_accepted(self):
-        TrainConfig(hyper_every=0, max_iters=0, heldout_frac=0.5, adam_lr=1e-9, quad_order=1)
+        TrainConfig(hyper_every=0, max_iters=0, heldout_frac=0.5, adam_lr=1e-9)
 
 
 class TestFit:

@@ -122,10 +122,10 @@ class TestClassProb:
 
     @pytest.mark.parametrize("order", [0, -2, 2.5, 3.0])
     def test_order_below_one_is_named(self, order):
-        with pytest.raises(ValueError, match=f"^quad_order must be an integer of at least 1, "
+        with pytest.raises(ValueError, match=f"^order must be an integer of at least 1, "
                                              f"got {order}"):
             class_prob(0.5, 0.3, order=order)
-        with pytest.raises(ValueError, match="^quad_order must"):
+        with pytest.raises(ValueError, match="^order must"):
             class_prob(np.zeros(3), np.full(3, 4.0), order=order)  # wide branch only
 
     def test_broadcasting_and_scalar_return(self):
