@@ -368,9 +368,15 @@ def _run_fold(train, test, args, m, seed):
     return report.error_rate, report.mean_nll, result.wall_seconds
 
 
-def _cv_run(ds, args, m, folds):
-    plan = kfold(ds.n, folds, args.seed)
-    fold_seeds = np.random.default_rng(args.seed).integers(2**31, size=folds)
+def _cv_run(ds, args, m):
+    """The fold loop of cv and sweep-m, after one check of their fold options."""
+    if not 2 <= args.folds <= ds.n:
+        raise ValueError(f"--folds must be at least 2 folds and at most n={ds.n}, "
+                         f"got {args.folds}")
+    if args.max_test < 1:
+        raise ValueError(f"--max-test must be at least 1, got {args.max_test}")
+    plan = kfold(ds.n, args.folds, args.seed)
+    fold_seeds = np.random.default_rng(args.seed).integers(2**31, size=args.folds)
     results = [
         _run_fold(ds.subset(tr), ds.subset(te), args, m, int(seed))
         for (tr, te), seed in zip(plan.folds(max_test=args.max_test), fold_seeds)
@@ -384,9 +390,7 @@ def _summary(values):
 
 def cmd_cv(args):
     ds = _load_labeled(args)
-    if args.folds < 2:
-        raise ValueError("cv needs at least 2 folds")
-    results = _cv_run(ds, args, args.m, args.folds)
+    results = _cv_run(ds, args, args.m)
     rows = [(i, r[0], r[1], r[2]) for i, r in enumerate(results)]
     me, se = _summary(results[:, 0])
     mn, sn = _summary(results[:, 1])
@@ -455,7 +459,7 @@ def cmd_sweep_m(args):
     ds = _load_labeled(args)
     rows = []
     for m in args.m_grid:
-        results = _cv_run(ds, args, m, args.folds)
+        results = _cv_run(ds, args, m)
         me, se = _summary(results[:, 0])
         mn, sn = _summary(results[:, 1])
         mt, _ = _summary(results[:, 2])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -133,18 +133,18 @@ def _optimal_tilts(kmu, var):
     return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
-def elbo(state, gram, y, c, kmu, var, scale):
+def elbo(state, y, c, kmu, var, scale):
     """The bound: its Gaussian part plus ``scale`` times some rows' data terms.
 
-    The Gaussian part reads the bundle's ``Kmm_inv`` and ``logdet_Kmm`` (not
-    its rows).  The data terms of the rows with labels y, tilts c and q(f)
-    marginals (kmu, var) are summed ``_ROW_BLOCK`` rows at a time, so an
-    all-rows bound has O(block) temporaries.  ``scale`` is n/s for s of n
-    rows, 1.0 for every row; the constants m/2 - n log 2 are left out.
+    The Gaussian part reads ``state.mm``'s ``Kmm_inv`` and ``logdet_Kmm``.
+    The data terms of the rows with labels y, tilts c and q(f) marginals
+    (kmu, var) are summed ``_ROW_BLOCK`` rows at a time, so an all-rows
+    bound has O(block) temporaries.  ``scale`` is n/s for s of n rows, 1.0
+    for every row; the constants m/2 - n log 2 are left out.
     """
     L_s = cholesky(state.Sigma, lower=True)
     logdet_S = 2.0 * float(np.sum(np.log(np.diag(L_s))))
-    B = gram.Kmm_inv
+    B = state.mm.Kmm_inv
     tr = float(np.sum(B * state.Sigma))
     quad = float(state.mu @ B @ state.mu)
     data = 0.0
@@ -152,7 +152,7 @@ def elbo(state, gram, y, c, kmu, var, scale):
         b = slice(lo, lo + _ROW_BLOCK)
         th = theta(c[b])
         data += 0.5 * (y[b] @ kmu[b] - th @ (var[b] + kmu[b] * kmu[b])) - np.sum(pg_kl_term(c[b]))
-    return float(0.5 * (logdet_S - gram.logdet_Kmm - tr - quad) + scale * data)
+    return float(0.5 * (logdet_S - state.mm.logdet_Kmm - tr - quad) + scale * data)
 
 
 def local_update(state, gram):
@@ -343,18 +343,17 @@ def hyper_step(state, dataset, adam, batch, gram, c):
     Returns
     -------
     (KernelParams, GramBundle)
-        The accepted parameters and a bundle for no rows holding the K_mm
-        factorization at them, which later ``build_gram(mm=...)`` calls and
-        evaluations share.
+        The accepted parameters and the bundle for no rows holding the K_mm
+        factorization at them: a new one, or ``state.mm`` on a revert.  The
+        caller puts both into the state in one ``replace``.
     """
     grad = hyper_grad(state, dataset, batch, gram, c)
-    no_rows = np.empty((0, dataset.d))
     try:
         proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
-        return proposal, build_gram(no_rows, state.Z, proposal)
+        return proposal, build_gram(np.empty((0, dataset.d)), state.Z, proposal)
     except (ValueError, FactorizationError):  # ValueError: the proposal is out of range
         adam.lr *= 0.5
-        return state.params, build_gram(no_rows, state.Z, state.params, mm=gram)
+        return state.params, state.mm
 
 
 def fit(dataset, config):
@@ -368,8 +367,9 @@ def fit(dataset, config):
     Adam step on the kernel hyperparameters from the same batch bundle's
     n/s-scaled gradient, so an iteration costs O(s m^2 + m^3) whatever n is
     (plus the held-out or train-error scoring when requested).  K_mm is
-    factorized once per hyperparameter value and shared by every bundle and
-    evaluation.  Convergence is a sliding-window average either of the
+    factorized once per hyperparameter value and held by the state as
+    ``mm``; an accepted Adam step replaces ``params`` and ``mm`` in one
+    ``replace``.  Convergence is a sliding-window average either of the
     relative natural-parameter change ("params") or of the relative
     held-out NLL change ("heldout").  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
@@ -415,8 +415,7 @@ def fit(dataset, config):
             )
         if not np.isfinite(Z).all():
             raise ValueError(f"inducing_Z must be a finite (k, {train.d}) array, got NaN or Inf")
-    mm = build_gram(np.empty((0, train.d)), Z, params)
-    state = init_state(Z, params, mm)
+    state = init_state(Z, params)
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
@@ -431,7 +430,7 @@ def fit(dataset, config):
     for it in range(1, config.max_iters + 1):
         batch = next(batches)
         idx = batch.indices
-        gram_b = build_gram(train.X[idx], state.Z, state.params, mm=mm)
+        gram_b = build_gram(train.X[idx], state.Z, state.params, mm=state.mm)
         c = local_update(state, gram_b)
         g1, G2 = natural_gradient(state, train, batch, gram_b, c)
         gvec = np.concatenate([g1, G2.ravel()])
@@ -441,15 +440,16 @@ def fit(dataset, config):
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
-        est = elbo(state, gram_b, train.y[idx], c, kmu, var, batch.scale)
+        est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
         row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:
-            row.append(evaluate(state, train, gram=mm).error_rate)
+            row.append(evaluate(state, train).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
             c = _optimal_tilts(kmu, var)  # at the state just estimated
-            state.params, mm = hyper_step(state, train, adam, batch, gram_b, c)
+            new_params, new_mm = hyper_step(state, train, adam, batch, gram_b, c)
+            state = replace(state, params=new_params, mm=new_mm)
 
         if config.conv_mode == "params":
             window.append(rel_change)
@@ -457,7 +457,7 @@ def fit(dataset, config):
                 converged = True
                 break
         else:
-            nll = evaluate(state, heldout, gram=mm).mean_nll
+            nll = evaluate(state, heldout).mean_nll
             if prev_heldout_nll is not None:
                 window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
                 if len(window) == CONV_WINDOW and np.mean(window) < HELDOUT_THRESHOLD:
@@ -465,8 +465,8 @@ def fit(dataset, config):
                     break
             prev_heldout_nll = nll
 
-    kmu, var = latent_predict(state, train.X, gram=mm)
-    final_elbo = elbo(state, mm, train.y, _optimal_tilts(kmu, var), kmu, var, 1.0)
+    kmu, var = latent_predict(state, train.X)
+    final_elbo = elbo(state, train.y, _optimal_tilts(kmu, var), kmu, var, 1.0)
     wall = time.perf_counter() - t0
     columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(

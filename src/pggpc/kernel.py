@@ -255,9 +255,8 @@ def build_gram(X_batch, Z, params, mm=None):
     Z : ndarray, shape (m, d)
     params : KernelParams
     mm : GramBundle, optional
-        A bundle whose (K_mm, chol_Kmm) were built from the same Z and
-        params; the factorization and its inverse ``Kmm_inv`` are reused
-        instead of recomputed.
+        A state's ``mm``, at the same Z and params: its factorization and
+        ``Kmm_inv`` are reused instead of recomputed.
 
     Returns
     -------

@@ -3,8 +3,8 @@
 The variational posterior over inducing values u is the Gaussian
 q(u) = N(mu, Sigma), stored canonically in natural parameters
 eta1 = Sigma^{-1} mu and eta2 = -1/2 Sigma^{-1}; (mu, Sigma) are derived
-and refreshed after every natural-space update.  The Polya-Gamma tilts,
-functions of q(u) and the kernel, are not state.
+and refreshed after every natural-space update.  The state also holds the
+K_mm factorization; the Polya-Gamma tilts, per-batch values, are not state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky
 
-from .kernel import _FAR, HYPER_NAMES, KernelParams, chol_inverse
+from .kernel import _FAR, HYPER_NAMES, FactorizationError, GramBundle, KernelParams
+from .kernel import build_gram, chol_inverse
 
 __all__ = [
     "Dataset",
@@ -85,9 +86,9 @@ def natural_to_moments(eta1, eta2):
     return mu, Sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariationalState:
-    """Sparse variational posterior state: q(u), Z and the kernel (no tilts).
+    """Sparse variational posterior state: q(u), Z, the kernel and K_mm (no tilts).
 
     Attributes
     ----------
@@ -102,6 +103,9 @@ class VariationalState:
     Z : ndarray, shape (m, d)
         Inducing inputs (fixed during training).
     params : KernelParams
+    mm : GramBundle
+        The bundle for no rows at (Z, params), the one K_mm factorization; the
+        class is frozen, so it changes with ``params``, in one ``replace``.
     """
 
     eta1: np.ndarray
@@ -110,6 +114,7 @@ class VariationalState:
     Sigma: np.ndarray
     Z: np.ndarray
     params: KernelParams
+    mm: GramBundle
 
     @property
     def m(self):
@@ -117,11 +122,11 @@ class VariationalState:
 
     @classmethod
     def from_natural(cls, eta1, eta2, Z, params):
-        mu, Sigma = natural_to_moments(eta1, eta2)
-        return cls(eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma, Z=Z, params=params)
+        mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
+        return cls(eta1, eta2, *natural_to_moments(eta1, eta2), Z, params, mm)
 
     def with_natural(self, eta1, eta2):
-        """New state at the given natural parameters (moments refreshed)."""
+        """New state at the given natural parameters (moments refreshed, ``mm`` kept)."""
         mu, Sigma = natural_to_moments(eta1, eta2)
         return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma)
 
@@ -183,17 +188,18 @@ def kmeanspp_init(X, m, rng):
     return centers
 
 
-def init_state(Z, params, mm):
+def init_state(Z, params):
     """Prior-initialized variational state.
 
-    Sets eta2 = -1/2 K_mm^{-1} and eta1 = 0, so that (mu, Sigma) is the GP
-    prior (0, K_mm) over the inducing values.  ``mm``, a bundle for
-    (Z, params) with any rows, supplies the K_mm factorization.
+    Factorizes K_mm at (Z, params) and sets eta2 = -1/2 K_mm^{-1} and
+    eta1 = 0, so that (mu, Sigma) is the GP prior (0, K_mm) over the
+    inducing values.
     """
     m = Z.shape[0]
+    mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
-        Z=Z, params=params,
+        Z=Z, params=params, mm=mm,
     )
 
 
@@ -259,8 +265,8 @@ def load_checkpoint(path):
     Returns
     -------
     (VariationalState, int, dict or None)
-        The restored state (moments refreshed from the natural parameters),
-        the stored seed, and the preprocessing block (arrays
+        The restored state (moments refreshed from the natural parameters,
+        K_mm factorized), the stored seed, and the preprocessing block (arrays
         under "means"/"stds") when present.
 
     Raises
@@ -268,7 +274,8 @@ def load_checkpoint(path):
     ValueError
         Naming the file and the field that is missing, misnamed, of the wrong
         type or shape (Z (m, d), eta1 (m,), eta2 (m, m), means/stds (d,)),
-        non-finite, or (eta2) not negative definite.
+        non-finite, or (eta2) not negative definite; or naming arrays.Z and
+        params when K_mm does not factorize at them.
     """
     with open(path) as fh:
         try:
@@ -302,6 +309,8 @@ def load_checkpoint(path):
             state = VariationalState.from_natural(eta1, eta2, Z, params)
     except (np.linalg.LinAlgError, ValueError):  # ValueError: -2 eta2 overflows
         raise _field_error(path, "arrays.eta2", "is not negative definite") from None
+    except FactorizationError:
+        raise _field_error(path, "arrays.Z", "and params give an unfactorizable K_mm") from None
     if not (np.all(np.isfinite(state.mu)) and np.all(np.isfinite(state.Sigma))):
         raise _field_error(path, "arrays", "eta1 and eta2 give a non-finite mean or covariance")
     preprocess = None

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .kernel import build_gram, kern_diag, kern_matrix
+from .kernel import kern_diag, kern_matrix
 from .pg import sigmoid
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
@@ -52,16 +52,13 @@ class EvalReport:
     n: int
 
 
-def latent_predict(state, x_star, gram=None):
-    """Latent predictive mean(s) and variance(s) at new inputs.
+def latent_predict(state, x_star):
+    """Latent predictive mean(s) and variance(s) at new inputs, from ``state.mm``.
 
     Parameters
     ----------
     state : VariationalState
     x_star : array_like, shape (d,) or (n_star, d)
-    gram : GramBundle, optional
-        Any bundle sharing this state's (Z, params); its K_mm factorization
-        is reused.
 
     Returns
     -------
@@ -72,8 +69,7 @@ def latent_predict(state, x_star, gram=None):
     x_star = np.asarray(x_star, dtype=float)
     single = x_star.ndim == 1
     X = np.atleast_2d(x_star)
-    Z, params = state.Z, state.params
-    mm = gram if gram is not None else build_gram(np.empty((0, Z.shape[1])), Z, params)
+    Z, params, mm = state.Z, state.params, state.mm
     alpha = mm.solve_mm(state.mu)
     B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
     mu_star = np.empty(X.shape[0])
@@ -184,16 +180,16 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     return out.reshape(shape)[()]
 
 
-def evaluate(state, test_set, gram=None):
+def evaluate(state, test_set):
     """Error rate and mean negative log predictive likelihood on a test set.
 
     A point counts as an error when sign(p_pos - 1/2) differs from its
-    label; probabilities are floored at 1e-12 before the log.  ``gram`` is
-    passed to :func:`latent_predict`, whose K_mm factorization it supplies.
+    label; probabilities are floored at 1e-12 before the log.  Like
+    :func:`latent_predict`, it reads the state's K_mm factorization.
     """
     if test_set.n == 0:
         raise ValueError("empty test set")
-    mu, var = latent_predict(state, test_set.X, gram=gram)
+    mu, var = latent_predict(state, test_set.X)
     p_pos = class_prob(mu, var)
     error = float(np.mean(np.sign(p_pos - 0.5) != test_set.y))
     p_label = np.where(test_set.y > 0, p_pos, 1.0 - p_pos)

@@ -8,7 +8,8 @@ log hyperparameter, the general-b Polya-Gamma mean, the truncated
 gamma-series Polya-Gamma sampler, the single-point kernel, the
 moment-to-natural parameter map, the Lloyd steps of k-means++ by one mask
 per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
-state copy, the prior state at k-means++ inducing inputs, the full-data
+state copy, the state at other kernel parameters with K_mm factorized
+afresh, the prior state at k-means++ inducing inputs, the full-data
 batch, a fresh bundle, the optimal tilts at a fresh bundle and the inverse
 standardization live here too, since only tests need them.
 """
@@ -170,10 +171,15 @@ def clone(state):
     )
 
 
+def at_params(state, params):
+    """The state with its kernel at params and K_mm factorized there afresh; q(u) is kept."""
+    no_rows = np.empty((0, state.Z.shape[1]))
+    return replace(state, params=params, mm=build_gram(no_rows, state.Z, params))
+
+
 def prior_state(dataset, m, params, rng):
     """``init_state`` at m k-means++ inducing inputs drawn with ``rng``."""
-    Z = kmeanspp_init(dataset.X, m, rng)
-    return init_state(Z, params, build_gram(np.empty((0, Z.shape[1])), Z, params))
+    return init_state(kmeanspp_init(dataset.X, m, rng), params)
 
 
 def every_row(dataset):
@@ -196,25 +202,24 @@ def unstandardize(scaler, X):
     return np.atleast_2d(np.asarray(X, dtype=float)) * scaler.stds + scaler.means
 
 
-def gauss_part(state, gram):
+def gauss_part(state):
     """Negative Gaussian KL part of the bound: ``elbo`` over no rows."""
     no_rows = np.empty(0)
-    return elbo(state, gram, no_rows, no_rows, no_rows, no_rows, 1.0)
+    return elbo(state, no_rows, no_rows, no_rows, no_rows, 1.0)
 
 
 def full_elbo(state, dataset, c, include_constants=False):
     """The bound over every row of the dataset at the tilts c, one per row.
 
-    K_mm is factorized for no rows and the q(f) marginals come from the
-    blocked ``latent_predict`` pass.  By default the value drops the
+    The state's K_mm factorization is used and the q(f) marginals come from
+    the blocked ``latent_predict`` pass.  By default the value drops the
     additive constants; ``include_constants=True`` adds m/2 - n log 2,
     making it a true lower bound on log p(y).
     """
     if np.shape(c) != (dataset.n,):
         raise ValueError("c must hold a tilt for every data point")
-    gram = build_gram(np.empty((0, dataset.d)), state.Z, state.params)
-    kmu, var = latent_predict(state, dataset.X, gram)
-    value = elbo(state, gram, dataset.y, c, kmu, var, 1.0)
+    kmu, var = latent_predict(state, dataset.X)
+    value = elbo(state, dataset.y, c, kmu, var, 1.0)
     if include_constants:
         value += 0.5 * state.m - dataset.n * _LOG2
     return value
@@ -229,7 +234,7 @@ def elbo_kappa_form(state, dataset, c):
     gram = build_gram(dataset.X, state.Z, state.params)
     kmu, var = gram.marginals(state.mu, state.Sigma)
     data = 0.5 * (dataset.y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
-    return float(gauss_part(state, gram) + data)
+    return float(gauss_part(state) + data)
 
 
 def elbo_grad_mu(state, dataset, c, gram=None):

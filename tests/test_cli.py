@@ -170,10 +170,15 @@ _SWEEP = ["sweep-m", "--m-grid", "2", "--folds", "2", "--max-iters", "2"]
     (_CV, ["--jitter", "0"], "jitter"),
     (_SWEEP, ["--lengthscale", "-1"], "lengthscale"),
     *((command, ["--seed", "-1"], "--seed") for command in (_GIBBS, _CV, _SWEEP)),
+    *((command, ["--max-test", "0"], "--max-test") for command in (_CV, _SWEEP)),
+    (_CV, ["--max-test", "-3"], "--max-test"),  # test[:-3] cut each test fold
+    (_SWEEP, ["--folds", "1"], "--folds"),
+    (_CV, ["--folds", "17"], "--folds"),  # blob_files["small"] has 16 rows
 ])
 def test_kernel_option_or_seed_out_of_range_is_one_error_line(command, flags, name, blob_files,
                                                              tmp_path, capsys):
-    # --seed -1 on train is a case of test_train_option_out_of_range_is_one_error_line.
+    # --seed -1 on train is a case of test_train_option_out_of_range_is_one_error_line;
+    # the fold options of cv and sweep-m are checked here too.
     out_dir = tmp_path / "out"
     code = main([command[0], "--data", blob_files["small"], "--out-dir", str(out_dir),
                  *command[1:], *flags])
@@ -436,6 +441,15 @@ def _vast_amplitude(doc):
     doc["params"]["log_amplitude"] = 1000.0  # exp overflows
 
 
+def _singular_kmm(doc):
+    # Two equal inducing inputs and a jitter of e^-700: K_mm is singular at
+    # every escalation, and "Cholesky failed" named neither file nor field.
+    Z = _decode(doc["arrays"]["Z"]).copy()
+    Z[1] = Z[0]
+    doc["arrays"]["Z"] = _encode(Z)
+    doc["params"]["log_jitter"] = -700.0
+
+
 def _long_means(doc):
     doc["preprocess"]["means"] = _encode(np.zeros(3))
 
@@ -460,6 +474,7 @@ def _zero_std(doc):
     (_positive_eta2, "arrays.eta2"),
     (_huge_eta2, "arrays.eta2"),
     (_vast_amplitude, "params"),
+    (_singular_kmm, "'arrays.Z' and params"),
     (_long_means, "preprocess.means"),
     (_zero_std, "preprocess.stds"),
     (lambda doc: [doc], "JSON object"),

@@ -1,6 +1,7 @@
 """Tests for the bound, local/global updates, learning rates, and training."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import cholesky
 
 import pggpc.inference as inference
 import pggpc.kernel as kernel
+import pggpc.model as model
 from pggpc.data import MiniBatch, minibatch_iter
 from pggpc.inference import (
     AdamState,
@@ -28,8 +30,8 @@ from pggpc.pg import sigmoid
 from pggpc.prediction import _ROW_BLOCK
 
 from oracles import (
+    at_params,
     bundle,
-    clone,
     elbo_grad_mu,
     elbo_grad_sigma,
     elbo_kappa_form,
@@ -69,7 +71,7 @@ def test_elbo_one_point_reference_value():
     ds = Dataset(X=np.zeros((1, 1)), y=np.array([1.0]))
     params = KernelParams(log_jitter=-60.0)
     Z = np.zeros((1, 1))
-    state = init_state(Z, params, build_gram(np.empty((0, 1)), Z, params))
+    state = init_state(Z, params)
     np.testing.assert_array_equal(state.Sigma, np.eye(1))
     c = tilts(state, ds.X)
     np.testing.assert_allclose(c, [1.0], rtol=1e-12)
@@ -102,8 +104,7 @@ def test_gauss_part_is_negative_kl_zero_at_prior():
     # At the prior q = N(0, K_mm), the Gaussian term (elbo over no rows)
     # must be exactly -m/2 (the constant full_elbo's include_constants adds back).
     ds, state = _toy_problem(m=4)
-    gram = build_gram(ds.X, state.Z, state.params)
-    assert gauss_part(state, gram) == pytest.approx(-2.0, rel=1e-10)
+    assert gauss_part(state) == pytest.approx(-2.0, rel=1e-10)
 
 
 def test_elbo_scales_the_data_terms_only():
@@ -111,10 +112,10 @@ def test_elbo_scales_the_data_terms_only():
     state, c = _warmed_state(ds, state)
     gram = bundle(state, ds.X)
     rows = (ds.y, c, *gram.marginals(state.mu, state.Sigma))
-    gauss = gauss_part(state, gram)
-    data = elbo(state, gram, *rows, 1.0) - gauss
+    gauss = gauss_part(state)
+    data = elbo(state, *rows, 1.0) - gauss
     assert data == pytest.approx(full_elbo(state, ds, c) - gauss, rel=1e-12)
-    assert elbo(state, gram, *rows, 3.0) - gauss == pytest.approx(3.0 * data, rel=1e-12)
+    assert elbo(state, *rows, 3.0) - gauss == pytest.approx(3.0 * data, rel=1e-12)
 
 
 def test_fit_assembles_every_bound_through_elbo(monkeypatch):
@@ -189,9 +190,8 @@ def test_gradients_use_the_tilts_they_are_given():
         vp, vm = state.params.as_array(), state.params.as_array()
         vp[i] += h
         vm[i] -= h
-        sp, sm = clone(state), clone(state)
-        sp.params = KernelParams.from_array(vp)
-        sm.params = KernelParams.from_array(vm)
+        sp = at_params(state, KernelParams.from_array(vp))
+        sm = at_params(state, KernelParams.from_array(vm))
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
     assert not np.allclose(grad, hyper_grad(state, ds, every_row(ds), gram, c_opt), rtol=1e-3)
@@ -217,11 +217,8 @@ def test_euclidean_gradients_match_finite_differences():
 
     gmu = elbo_grad_mu(state, ds, c, gram)
     for i in range(state.m):
-        sp, sm = clone(state), clone(state)
-        sp.mu = sp.mu.copy()
-        sm.mu = sm.mu.copy()
-        sp.mu[i] += h
-        sm.mu[i] -= h
+        e = np.eye(state.m)[i]
+        sp, sm = replace(state, mu=state.mu + h * e), replace(state, mu=state.mu - h * e)
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert gmu[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -229,9 +226,8 @@ def test_euclidean_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     D = rng.normal(size=(state.m, state.m))
     D = 0.5 * (D + D.T)
-    sp, sm = clone(state), clone(state)
-    sp.Sigma = state.Sigma + h * D
-    sm.Sigma = state.Sigma - h * D
+    sp = replace(state, Sigma=state.Sigma + h * D)
+    sm = replace(state, Sigma=state.Sigma - h * D)
     fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
     assert float(np.sum(gS * D)) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -370,9 +366,8 @@ def test_hyper_grad_matches_finite_differences():
         vp, vm = base.copy(), base.copy()
         vp[i] += h
         vm[i] -= h
-        sp, sm = clone(state), clone(state)
-        sp.params = KernelParams.from_array(vp)
-        sm.params = KernelParams.from_array(vm)
+        sp = at_params(state, KernelParams.from_array(vp))
+        sm = at_params(state, KernelParams.from_array(vm))
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
 
@@ -417,7 +412,7 @@ def test_hyper_step_reverts_on_factorization_failure(monkeypatch):
     assert new_params == old
     assert adam.lr == pytest.approx(0.01)
     assert kept.K_nm.shape == (0, state.m)
-    assert kept.chol_Kmm is gram.chol_Kmm
+    assert kept is state.mm
 
 
 def test_hyper_step_reverts_an_out_of_range_proposal():
@@ -431,7 +426,7 @@ def test_hyper_step_reverts_an_out_of_range_proposal():
     assert new_params == state.params
     assert adam.lr == 5e299
     assert kept.K_nm.shape == (0, state.m)
-    assert kept.chol_Kmm is gram.chol_Kmm
+    assert kept is state.mm
 
 
 def test_batch_hyper_grads_average_to_the_full_gradient():
@@ -466,8 +461,7 @@ def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):
     new_params, kept = hyper_step(state, ds, adam, batch, gram_b, c)
     assert new_params == state.params
     assert kept.K_nm.shape == (0, state.m)
-    assert kept.chol_Kmm is gram_b.chol_Kmm
-    assert kept.Kmm_inv is gram_b.Kmm_inv
+    assert kept is state.mm
     assert adam.lr == pytest.approx(0.01)
 
 
@@ -702,6 +696,7 @@ class TestFit:
             return kern_grad(gram, X, *args)
 
         monkeypatch.setattr(inference, "build_gram", recording(build_gram, gram_rows))
+        monkeypatch.setattr(model, "build_gram", recording(build_gram, gram_rows))
         monkeypatch.setattr(inference, "kern_grad", recording_grad)
         res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
                                   conv_threshold=0.0, hyper_every=5, seed=0))
@@ -735,6 +730,17 @@ class TestFit:
                                   conv_threshold=0.0, hyper_every=hyper_every, seed=0))
         c = tilts(res.state, ds.X)
         assert res.final_elbo == pytest.approx(elbo_kappa_form(res.state, ds, c), rel=1e-12)
+
+    @pytest.mark.parametrize("adam_lr", [0.02, 1e300])
+    def test_state_holds_the_factorization_at_its_params(self, adam_lr):
+        # Accepted steps replace params and mm together; at adam_lr=1e300
+        # every proposal is out of range, so every step is reverted.
+        ds, _ = _toy_problem(n=60, m=6)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=10,
+                                  conv_threshold=0.0, hyper_every=1, adam_lr=adam_lr, seed=0))
+        initial = KernelParams.default(ds.d)
+        assert (res.state.params == initial) == (adam_lr == 1e300)
+        _assert_kmm_bundle(res.state.mm, res.state.Z, res.state.params)
 
     def test_factorizes_kmm_once_without_hyper_steps(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)

@@ -1,7 +1,7 @@
 """Tests for dataset validation, variational state, init, and checkpoints."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -108,7 +108,14 @@ class TestVariationalState:
     def test_holds_q_u_and_the_model_only(self):
         # The tilts are per-batch values that the steps compute, not state.
         assert [f.name for f in fields(VariationalState)] == [
-            "eta1", "eta2", "mu", "Sigma", "Z", "params"]
+            "eta1", "eta2", "mu", "Sigma", "Z", "params", "mm"]
+
+    def test_is_frozen(self):
+        st = prior_state(_toy_dataset(), 4, KernelParams(), np.random.default_rng(0))
+        with pytest.raises(FrozenInstanceError):
+            st.params = KernelParams(log_lengthscale=0.5)
+        with pytest.raises(FrozenInstanceError):
+            st.Sigma = 2.0 * st.Sigma
 
     def test_with_natural_returns_consistent_new_state(self):
         ds = _toy_dataset()
@@ -263,10 +270,9 @@ class TestInitState:
     def test_explicit_inducing_inputs_are_used(self):
         ds = _toy_dataset(12, 2)
         Z = ds.X[:4] + 0.5
-        mm = build_gram(ds.X[:3], Z, KernelParams())  # a bundle with rows serves too
-        st = init_state(Z, KernelParams(), mm)
+        st = init_state(Z, KernelParams())
         assert st.m == 4
-        np.testing.assert_allclose(st.Sigma, mm.K_mm, rtol=0)
+        np.testing.assert_allclose(st.Sigma, build_gram(ds.X[:3], Z, KernelParams()).K_mm, rtol=0)
         np.testing.assert_array_equal(st.Z, Z)
 
 
@@ -285,6 +291,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.eta2, st.eta2)
         np.testing.assert_allclose(loaded.mu, st.mu, atol=1e-12)
         np.testing.assert_allclose(loaded.Sigma, st.Sigma, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(loaded.mm.chol_Kmm, st.mm.chol_Kmm)  # factorized afresh
 
     def test_save_load_save_reproduces_bytes(self, tmp_path):
         ds = _toy_dataset(10, 2)

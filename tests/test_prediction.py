@@ -1,5 +1,7 @@
 """Tests for predictive marginals, class probabilities, and test metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,7 +9,8 @@ from scipy.special import ndtr
 
 from pggpc import kernel, prediction
 from pggpc.kernel import KernelParams, build_gram, kern_diag, kern_matrix
-from pggpc.model import Dataset, VariationalState
+from pggpc.inference import TrainConfig, fit
+from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
 from pggpc.pg import sigmoid
 from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
 
@@ -246,17 +249,36 @@ class TestLatentPredict:
         assert rows and max(rows) <= _ROW_BLOCK
 
     def test_gram_reuse_matches_fresh_factorization(self):
+        # state.mm is a fresh build at (Z, params), so predicting from it
+        # matches predicting from any other bundle at the same (Z, params).
         rng = np.random.default_rng(13)
         state = _random_state(rng, m=4)
         X_train = rng.normal(size=(10, 2))
         gram = build_gram(X_train, state.Z, state.params)
+        np.testing.assert_array_equal(state.mm.K_mm, gram.K_mm)
+        np.testing.assert_array_equal(state.mm.chol_Kmm, gram.chol_Kmm)
         Xs = rng.normal(size=(5, 2))
-        np.testing.assert_array_equal(
-            latent_predict(state, Xs, gram=gram)[0], latent_predict(state, Xs)[0]
-        )
-        np.testing.assert_array_equal(
-            latent_predict(state, Xs, gram=gram)[1], latent_predict(state, Xs)[1]
-        )
+        reused = replace(state, mm=gram)
+        for got, want in zip(latent_predict(state, Xs), latent_predict(reused, Xs)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_prediction_and_scoring_do_not_factorize_kmm(self, monkeypatch, tmp_path):
+        # A fitted state and a loaded checkpoint carry their factorization.
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(40, 2))
+        data = Dataset(X, np.where(X[:, 0] > 0, 1.0, -1.0))
+        fitted = fit(data, TrainConfig(num_inducing=5, batch_size=10, max_iters=12, seed=0)).state
+        save_checkpoint(tmp_path / "ckpt.json", fitted, seed=0)
+        loaded = load_checkpoint(tmp_path / "ckpt.json")[0]
+        calls = []
+        chol = kernel.chol_with_escalation
+        monkeypatch.setattr(kernel, "chol_with_escalation",
+                            lambda K, base: calls.append(1) or chol(K, base))
+        for state in (fitted, loaded):
+            latent_predict(state, X)
+            latent_predict(state, X[0])
+            evaluate(state, data)
+        assert calls == []
 
 
 def _confident_state(mu_scale=8.0):
