@@ -32,7 +32,7 @@ def main():
 
     config = TrainConfig(
         num_inducing=data.n, batch_size=data.n, max_iters=300,
-        conv_threshold=1e-10, lr_mode="fixed", fixed_lr=1.0,
+        conv_threshold=1e-10, fixed_lr=1.0,
         hyper_every=0, seed=0, init_params=params, inducing_Z=data.X,
     )
     result = fit(data, config)

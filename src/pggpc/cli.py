@@ -13,8 +13,10 @@ sweep-m      CV error/time across a grid of inducing-point counts, each
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
 the paper's benchmarking protocol.  An optional ``--config`` file of
 ``key=value`` lines overrides the defaults, and explicit flags override the
-file.  Every command is deterministic under a fixed ``--seed`` (in
-single-threaded mode), and every CSV starts with a schema-version comment.
+file.  Every command is deterministic in single-threaded mode (the ones
+that draw at random under a fixed ``--seed``; ``predict`` and ``evaluate``
+draw nothing and take no ``--seed``), and every CSV starts with a
+schema-version comment.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import numpy as np
 
 from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
 from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, compare_to_vi, gibbs_run
-from .inference import (
-    CONV_MODES, CONV_WINDOW, HELDOUT_THRESHOLD, LR_MODES, TrainConfig, fit,
-)
+from .inference import CONV_MODES, CONV_WINDOW, HELDOUT_THRESHOLD, TrainConfig, fit
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
 from .prediction import class_prob, evaluate, latent_predict
@@ -55,18 +55,17 @@ def _write_csv(path, schema, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-_LR_CHOICES = ", ".join(m + ":<value>" if m == "fixed" else m for m in LR_MODES)
-
-
 def _parse_lr(text):
+    """``TrainConfig.fixed_lr`` from ``adaptive`` (None) or ``fixed:<v>`` (v in (0, 1])."""
+    if text == "adaptive":
+        return None
     mode, sep, value = text.partition(":")
-    if mode not in LR_MODES or (mode == "fixed") != bool(sep):
-        raise argparse.ArgumentTypeError(f"invalid --lr {text!r} (expected {_LR_CHOICES})")
-    if not sep:
-        return mode, TrainConfig.fixed_lr
+    if mode != "fixed" or not sep:
+        raise argparse.ArgumentTypeError(
+            f"invalid --lr {text!r} (expected adaptive or fixed:<value>)")
     if not 0.0 < float(value) <= 1.0:
         raise argparse.ArgumentTypeError("fixed learning rate must be in (0, 1]")
-    return mode, float(value)
+    return float(value)
 
 
 def _parse_m_grid(text):
@@ -85,7 +84,9 @@ def _infer_format(path, explicit):
     return "csv" if path.lower().endswith(".csv") else "libsvm"
 
 
-def _add_data_opts(p, labeled=True):
+def _add_data_opts(p, sampled=True):
+    """Data-file options, plus ``--canonical-sort`` and ``--seed`` for commands
+    that draw at random (``sampled``), the only ones those two act on."""
     p.add_argument("--data", required=True, help="input dataset path")
     p.add_argument(
         "--format", choices=("libsvm", "csv"), default=None,
@@ -96,15 +97,16 @@ def _add_data_opts(p, labeled=True):
         "--n-features", type=int, default=None,
         help="force feature count for libsvm input (default: inferred)",
     )
-    p.add_argument(
-        "--canonical-sort", action=argparse.BooleanOptionalAction, default=False,
-        help="sort records lexicographically before splitting (order-invariant folds)",
-    )
+    if sampled:
+        p.add_argument(
+            "--canonical-sort", action=argparse.BooleanOptionalAction, default=False,
+            help="sort records lexicographically before splitting (order-invariant folds)",
+        )
+        p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                       help="random seed (default %(default)s)")
 
 
 def _add_common_opts(p):
-    p.add_argument("--seed", type=int, default=TrainConfig.seed,
-                   help="random seed (default %(default)s)")
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.add_argument("--config", default=None, help="key=value file of option defaults")
 
@@ -128,7 +130,6 @@ def _add_fold_opts(p, folds):
 
 def _add_train_opts(p):
     for flag, name, what in (
-        ("--m", "num_inducing", "inducing points"),
         ("--batch", "batch_size", "mini-batch size"),
         ("--max-iters", "max_iters", "iteration cap"),
         ("--hyper-every", "hyper_every", "hyperparameter Adam step every N iterations, 0 disables"),
@@ -146,8 +147,8 @@ def _add_train_opts(p):
         f"relative held-out NLL change under {HELDOUT_THRESHOLD:g})",
     )
     # A string default goes through _parse_lr like a command-line value.
-    p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr_mode, metavar="MODE",
-                   help=f"learning rate: {_LR_CHOICES} (default %(default)s)")
+    p.add_argument("--lr", type=_parse_lr, default="adaptive", metavar="RULE",
+                   help="step size: adaptive or fixed:<value> (default %(default)s)")
     _add_kernel_opts(p)
     p.add_argument(
         "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
@@ -168,7 +169,7 @@ def _build_parser():
     _add_train_opts(p_train)
 
     p_pred = sub.add_parser("predict", help="score inputs from a checkpoint")
-    _add_data_opts(p_pred)
+    _add_data_opts(p_pred, sampled=False)
     _add_common_opts(p_pred)
     p_pred.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
     p_pred.add_argument(
@@ -177,7 +178,7 @@ def _build_parser():
     )
 
     p_eval = sub.add_parser("evaluate", help="error/NLL of a checkpoint on labeled data")
-    _add_data_opts(p_eval)
+    _add_data_opts(p_eval, sampled=False)
     _add_common_opts(p_eval)
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
 
@@ -210,6 +211,9 @@ def _build_parser():
     p_sw.add_argument("--m-grid", type=_parse_m_grid, default=[16, 32, 64, 128],
                       metavar="M1,M2,...", help="inducing-point grid (default 16,32,64,128)")
     _add_fold_opts(p_sw, folds=5)
+    for p in (p_train, p_cv):  # sweep-m fits each --m-grid value instead
+        p.add_argument("--m", type=int, default=TrainConfig.num_inducing,
+                       help="inducing points (default %(default)s)")
     return parser
 
 
@@ -252,19 +256,17 @@ def _apply_config_file(argv):
 def _load_labeled(args):
     fmt = _infer_format(args.data, args.format)
     ds = load(args.data, fmt, label_col=args.label_col, n_features=args.n_features)
-    if args.canonical_sort:
+    if "canonical_sort" in args and args.canonical_sort:  # predict and evaluate have none
         ds = canonical_order(ds)
     return ds
 
 
-def _train_config(args, n, d, m=None, seed=None):
-    mode, fixed_lr = args.lr
+def _train_config(args, n, d, m, seed=None):
     config = TrainConfig(
-        num_inducing=m if m is not None else args.m,
+        num_inducing=m,
         batch_size=args.batch,
         max_iters=args.max_iters,
-        lr_mode=mode,
-        fixed_lr=fixed_lr,
+        fixed_lr=args.lr,
         hyper_every=args.hyper_every,
         adam_lr=args.adam_lr,
         seed=seed if seed is not None else args.seed,
@@ -282,7 +284,7 @@ def cmd_train(args):
     scaler = None
     if args.standardize:
         ds, scaler = standardize(ds)
-    config = _train_config(args, ds.n, ds.d)
+    config = _train_config(args, ds.n, ds.d, args.m)
     result = fit(ds, config)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
@@ -331,7 +333,7 @@ def cmd_predict(args):
     if args.unlabeled:
         X = load_features(args.data, fmt, n_features=args.n_features)
     else:
-        X = load(args.data, fmt, label_col=args.label_col, n_features=args.n_features).X
+        X = _load_labeled(args).X
     X = _prepare_features(args, X, state, preprocess)
     mu, var = latent_predict(state, X)
     p = class_prob(mu, var)
@@ -369,7 +371,8 @@ def _run_fold(train, test, args, m, seed):
 
 
 def _cv_run(ds, args, m):
-    """The fold loop of cv and sweep-m, after one check of their fold options."""
+    """The fold loop of cv and sweep-m, after one check of their fold options;
+    each whole test fold from ``CvPlan.folds`` is cut to ``--max-test`` rows here."""
     if not 2 <= args.folds <= ds.n:
         raise ValueError(f"--folds must be at least 2 folds and at most n={ds.n}, "
                          f"got {args.folds}")
@@ -378,8 +381,8 @@ def _cv_run(ds, args, m):
     plan = kfold(ds.n, args.folds, args.seed)
     fold_seeds = np.random.default_rng(args.seed).integers(2**31, size=args.folds)
     results = [
-        _run_fold(ds.subset(tr), ds.subset(te), args, m, int(seed))
-        for (tr, te), seed in zip(plan.folds(max_test=args.max_test), fold_seeds)
+        _run_fold(ds.subset(tr), ds.subset(te[:args.max_test]), args, m, int(seed))
+        for (tr, te), seed in zip(plan.folds(), fold_seeds)
     ]
     return np.array(results)  # columns: error, nll, seconds
 
@@ -423,7 +426,6 @@ def cmd_gibbs_check(args):
         batch_size=ds.n,
         max_iters=args.max_iters,
         conv_threshold=1e-10,
-        lr_mode="fixed",
         fixed_lr=1.0,
         hyper_every=0,
         seed=args.seed,
@@ -491,7 +493,7 @@ def main(argv=None):
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, FactorizationError) as exc:

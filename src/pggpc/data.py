@@ -72,19 +72,17 @@ def minibatch_iter(n, s, seed):
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Deterministic k-fold assignment of n records."""
+    """Deterministic k-fold assignment of n records; its folds are whole (a
+    caller that scores part of a test fold slices it, as ``pggpc cv`` does)."""
 
     k: int
     fold_assignments: np.ndarray
 
-    def folds(self, max_test=None):
-        """Yield (train_idx, test_idx) pairs; test folds optionally capped."""
+    def folds(self):
+        """Yield (train_idx, test_idx) pairs, each in ascending order."""
         for fold in range(self.k):
-            test = np.flatnonzero(self.fold_assignments == fold)
-            if max_test is not None and test.size > max_test:
-                test = test[:max_test]
-            train = np.flatnonzero(self.fold_assignments != fold)
-            yield train, test
+            yield (np.flatnonzero(self.fold_assignments != fold),
+                   np.flatnonzero(self.fold_assignments == fold))
 
 
 def kfold(n, k, seed):

@@ -51,13 +51,11 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("iter", "wall_seconds", "elbo_estimate", "rho")
-LR_MODES = ("adaptive", "fixed", "decay")
 CONV_MODES = ("params", "heldout")
 CONV_WINDOW = 5  # iterations averaged by either convergence rule
 HELDOUT_THRESHOLD = 1e-3  # relative held-out NLL change that counts as converged
-_DECAY_POWER = 0.7  # "decay" mode: rho_t = t^-_DECAY_POWER
-_RATE_BURN_IN = 10  # "adaptive" mode: observations averaged plainly before the window
-_RATE_TAU0 = 1.0  # "adaptive" mode: initial window
+_RATE_BURN_IN = 10  # AdaptiveRate: observations averaged plainly before the window
+_RATE_TAU0 = 1.0  # AdaptiveRate: initial window
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -69,15 +67,16 @@ class TrainConfig:
     reads its defaults here.  Training converges when the ``CONV_WINDOW``
     average of the relative natural-parameter change drops below
     ``conv_threshold`` or, with ``conv_mode="heldout"``, when that of the
-    relative held-out NLL change drops below ``HELDOUT_THRESHOLD``.
+    relative held-out NLL change drops below ``HELDOUT_THRESHOLD``.  The
+    step size is :class:`AdaptiveRate` when ``fixed_lr`` is None and the
+    constant ``fixed_lr`` otherwise.
     """
 
     num_inducing: int = 100  # k-means++ on at most max(2000, 20 m) sampled rows
     batch_size: int = 100
     max_iters: int = 1000
     conv_threshold: float = 1e-4
-    lr_mode: str = "adaptive"  # one of LR_MODES
-    fixed_lr: float = 0.1
+    fixed_lr: float | None = None  # None: the adaptive rate
     hyper_every: int = 10  # 0 disables hyperparameter optimization
     adam_lr: float = 0.02
     seed: int = 0
@@ -88,13 +87,11 @@ class TrainConfig:
     trace_train_error: bool = False
 
     def __post_init__(self):
-        if self.lr_mode not in LR_MODES:
-            raise ValueError(f"unknown lr_mode {self.lr_mode!r}")
         if self.conv_mode not in CONV_MODES:
             raise ValueError(f"unknown conv_mode {self.conv_mode!r}")
         if not self.conv_threshold >= 0.0:
             raise ValueError(f"conv_threshold must be nonnegative, got {self.conv_threshold}")
-        if not 0.0 < self.fixed_lr <= 1.0:
+        if self.fixed_lr is not None and not 0.0 < self.fixed_lr <= 1.0:
             raise ValueError("fixed_lr must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
@@ -226,15 +223,11 @@ class AdaptiveRate:
     of its squared norm over an adaptive window tau, and returns
     rho = ||gbar||^2 / h clamped to (1e-6, 1].  The window grows when the
     gradient signal-to-noise is low (tau <- tau (1 - rho) + 1).  The first
-    few observations use plain running averages.  Fixed and t^-power decay
-    modes are provided for ablations.
+    few observations use plain running averages.  :func:`fit` uses it unless
+    ``TrainConfig.fixed_lr`` sets a constant step.
     """
 
-    def __init__(self, mode=TrainConfig.lr_mode, fixed_lr=TrainConfig.fixed_lr):
-        if mode not in LR_MODES:
-            raise ValueError(f"unknown learning-rate mode {mode!r}")
-        self.mode = mode
-        self.fixed_lr = float(fixed_lr)
+    def __init__(self):
         self._tau = _RATE_TAU0
         self._gbar = 0.0
         self._h = 0.0
@@ -243,10 +236,6 @@ class AdaptiveRate:
     def observe(self, gvec):
         """Record one gradient vector and return the step size to use."""
         self._count += 1
-        if self.mode == "fixed":
-            return self.fixed_lr
-        if self.mode == "decay":
-            return float(self._count ** (-_DECAY_POWER))
         g = np.asarray(gvec, dtype=float).ravel()
         w = 1.0 / (self._count if self._count <= _RATE_BURN_IN else self._tau)
         self._gbar = (1.0 - w) * self._gbar + w * g
@@ -419,7 +408,7 @@ def fit(dataset, config):
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
-    rate = AdaptiveRate(mode=config.lr_mode, fixed_lr=config.fixed_lr)
+    rate = AdaptiveRate()
     adam = AdamState(lr=config.adam_lr)
     window = deque(maxlen=CONV_WINDOW)
     prev_heldout_nll = None
@@ -434,7 +423,7 @@ def fit(dataset, config):
         c = local_update(state, gram_b)
         g1, G2 = natural_gradient(state, train, batch, gram_b, c)
         gvec = np.concatenate([g1, G2.ravel()])
-        rho = rate.observe(gvec)
+        rho = rate.observe(gvec) if config.fixed_lr is None else float(config.fixed_lr)
         eta_norm = float(np.sqrt(state.eta1 @ state.eta1 + np.sum(state.eta2 * state.eta2)))
         state = global_step(state, g1, G2, rho)
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)

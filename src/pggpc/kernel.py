@@ -21,7 +21,6 @@ __all__ = [
     "HYPER_NAMES",
     "DEFAULT_TEXT",
     "kern_matrix",
-    "kern_diag",
     "build_gram",
     "kern_grad",
     "chol_with_escalation",
@@ -140,12 +139,6 @@ def kern_matrix(X, Z, params, same=False):
     return K
 
 
-def kern_diag(X, params):
-    """Diagonal of the full kernel matrix: a^2 + jitter per point."""
-    n = np.atleast_2d(X).shape[0]
-    return np.full(n, params.amplitude**2 + params.jitter)
-
-
 def chol_with_escalation(K, base_jitter):
     """Lower Cholesky factor of K, escalating added jitter on failure.
 
@@ -200,7 +193,7 @@ class GramBundle:
     K_nm : ndarray, shape (n, m)
         Cross-kernel between the batch and the inducing inputs (no jitter).
     k_diag : ndarray, shape (n,)
-        Diagonal of the batch's full kernel matrix.
+        Diagonal of the batch's full kernel matrix: a^2 + jitter on every row.
     jitter_extra : float
         Extra diagonal added by escalation beyond the configured jitter.
     """
@@ -272,7 +265,7 @@ def build_gram(X_batch, Z, params, mm=None):
     else:
         K_mm, L, extra = mm.K_mm, mm.chol_Kmm, mm.jitter_extra
     K_nm = kern_matrix(X_batch, Z, params)
-    k_diag = kern_diag(X_batch, params)
+    k_diag = np.full(X_batch.shape[0], params.amplitude**2 + params.jitter)
     gram = GramBundle(K_mm=K_mm, chol_Kmm=L, K_nm=K_nm, k_diag=k_diag, jitter_extra=extra)
     if mm is not None:
         gram.Kmm_inv = mm.Kmm_inv  # one inverse per factorization

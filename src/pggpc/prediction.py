@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .kernel import kern_diag, kern_matrix
+from .kernel import kern_matrix
 from .pg import sigmoid
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
@@ -73,7 +73,7 @@ def latent_predict(state, x_star):
     alpha = mm.solve_mm(state.mu)
     B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
     mu_star = np.empty(X.shape[0])
-    var_star = kern_diag(X, params)
+    var_star = np.full(X.shape[0], params.amplitude**2 + params.jitter)
     for lo in range(0, X.shape[0], _ROW_BLOCK):
         K = kern_matrix(X[lo:lo + _ROW_BLOCK], Z, params)
         mu_star[lo:lo + _ROW_BLOCK] = K @ alpha

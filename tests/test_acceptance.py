@@ -194,7 +194,6 @@ def test_c04_full_batch_alternation_never_decreases_the_bound(scorecard):
         batch_size=50,
         max_iters=200,
         conv_threshold=0.0,
-        lr_mode="fixed",
         fixed_lr=1.0,
         hyper_every=0,
         seed=0,
@@ -294,7 +293,6 @@ def _full_gp_agreement(ds, params, sweeps, burn_in, vi_iters, seed):
         batch_size=ds.n,
         max_iters=vi_iters,
         conv_threshold=1e-10,
-        lr_mode="fixed",
         fixed_lr=1.0,
         hyper_every=0,
         seed=seed,
@@ -426,7 +424,7 @@ def test_c11_trained_bound_stays_below_brute_force_log_marginal(scorecard):
                      np.where(rng.random(n) < 0.5, -1.0, 1.0))
         config = TrainConfig(
             num_inducing=n, batch_size=n, max_iters=500, conv_threshold=1e-12,
-            lr_mode="fixed", fixed_lr=1.0, hyper_every=0, seed=0,
+            fixed_lr=1.0, hyper_every=0, seed=0,
             init_params=params, inducing_Z=ds.X,
         )
         result = fit(ds, config)

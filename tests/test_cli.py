@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import base64
 import inspect
 import json
@@ -11,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pggpc import cli
 from pggpc.cli import _build_parser, main
 from pggpc.data import save
 from pggpc.gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, gibbs_run
 from pggpc.inference import TrainConfig
 from pggpc.kernel import KernelParams
 from pggpc.model import Dataset, load_checkpoint
+from pggpc.prediction import evaluate
 
 
 def _two_blobs(n, seed=0, spread=0.5):
@@ -244,8 +247,11 @@ def test_training_flag_defaults_are_the_train_config_fields(command):
     args = _build_parser().parse_args([command, "--data", "unused.txt"])
     config = TrainConfig()
     for flag, name in _FLAG_FIELDS.items():
+        if flag == "m" and command == "sweep-m":  # sweep-m fits each --m-grid value instead
+            assert "m" not in args
+            continue
         assert getattr(args, flag) == getattr(config, name), flag
-    assert args.lr == (config.lr_mode, config.fixed_lr)
+    assert args.lr == config.fixed_lr
 
 
 def test_gibbs_check_chain_defaults_are_the_gibbs_run_defaults():
@@ -553,6 +559,20 @@ class TestCv:
         assert lines[-2].startswith("mean,")
         assert lines[-1].startswith("std,")
 
+    def test_max_test_caps_fold_size(self, blob_files, tmp_path, monkeypatch):
+        # Each 10-row test fold of the 40-row file is scored on its first 3 rows.
+        scored = []
+
+        def recording_evaluate(state, test_set):
+            scored.append(test_set.n)
+            return evaluate(state, test_set)
+
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        code = main(["cv", "--data", blob_files["libsvm"], "--folds", "4", "--max-test", "3",
+                     *FAST, "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert scored == [3, 3, 3, 3]
+
     def test_too_few_folds(self, blob_files, capsys):
         code = main(["cv", "--data", blob_files["libsvm"], "--folds", "1", *FAST])
         assert code == 1
@@ -670,6 +690,57 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the options read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_parsed_option_is_read(blob_files, trained, tmp_path, monkeypatch):
+    # A flag that a command parses but never reads changes nothing; --config
+    # is exempt, as it is consumed before parsing.
+    build = cli._build_parser
+    parsed = []
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            ns = _ReadRecorder()
+            ns._reads = set()
+            ns = parse(argv, namespace=ns)
+            ns._reads.clear()  # argparse's own reads while parsing do not count
+            parsed.append(ns)
+            return ns
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording_parser)
+    small, out = blob_files["small"], str(tmp_path)
+    runs = {
+        "train": ["--data", small, *FAST],
+        "predict": ["--data", small, "--checkpoint", trained],
+        "evaluate": ["--data", small, "--checkpoint", trained],
+        "cv": ["--data", small, "--folds", "2", *FAST],
+        "gibbs-check": ["--data", small, "--sweeps", "20", "--burn-in", "5", "--max-iters", "2"],
+        "sweep-m": ["--data", small, "--m-grid", "2", "--folds", "2", "--max-iters", "2"],
+    }
+    assert set(runs) == set(cli._COMMANDS)
+    unread = {}
+    for command, flags in runs.items():
+        assert main([command, *flags, "--out-dir", out]) in (0, 3), command  # 3: gibbs FAIL
+        ns = parsed[-1]
+        names = {k for k in vars(ns) if not k.startswith("_")} - {"config"}
+        if names - ns._reads:
+            unread[command] = sorted(names - ns._reads)
+    assert unread == {}
 
 
 def test_console_script_is_installed():

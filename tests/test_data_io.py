@@ -251,11 +251,6 @@ class TestKfold:
         np.testing.assert_array_equal(a.fold_assignments, b.fold_assignments)
         assert not np.array_equal(a.fold_assignments, c.fold_assignments)
 
-    def test_max_test_caps_fold_size(self):
-        plan = kfold(40, 4, seed=0)
-        for _, test in plan.folds(max_test=3):
-            assert test.size == 3
-
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="2 <= k <= n"):
             kfold(5, 1, seed=0)

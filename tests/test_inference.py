@@ -299,40 +299,36 @@ def test_epoch_of_minibatch_gradients_averages_to_full_gradient():
 
 class TestAdaptiveRate:
     def test_fixed_mode(self):
-        rate = AdaptiveRate(mode="fixed", fixed_lr=0.37)
-        for _ in range(5):
-            assert rate.observe(np.ones(4)) == 0.37
-
-    def test_decay_mode(self):
-        rate = AdaptiveRate(mode="decay")
-        got = [rate.observe(np.ones(2)) for _ in range(4)]
-        want = [t ** (-0.7) for t in range(1, 5)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        # A set fixed_lr replaces the adaptive rate: fit steps by that constant.
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(40, 2))
+        ds = Dataset(X=X, y=np.where(X[:, 0] > 0, 1.0, -1.0))
+        cfg = TrainConfig(num_inducing=5, batch_size=10, max_iters=12, conv_threshold=0.0,
+                          fixed_lr=0.37, seed=0)
+        res = fit(ds, cfg)
+        rho = res.trace[:, list(res.trace_columns).index("rho")]
+        assert rho.size == 12 and np.all(rho == 0.37)
 
     def test_constant_gradient_gives_unit_rate(self):
-        rate = AdaptiveRate(mode="adaptive")
+        rate = AdaptiveRate()
         g = np.array([1.0, -2.0, 0.5])
         for _ in range(20):
             rho = rate.observe(g)
         assert rho == 1.0
 
     def test_alternating_gradient_shrinks_rate(self):
-        rate = AdaptiveRate(mode="adaptive")
+        rate = AdaptiveRate()
         g = np.array([3.0, -1.0])
         rhos = [rate.observe(g if i % 2 == 0 else -g) for i in range(40)]
         assert rhos[-1] < 0.2
         assert all(1e-6 <= r <= 1.0 for r in rhos)
 
     def test_rate_stays_in_clamp_range(self):
-        rate = AdaptiveRate(mode="adaptive")
+        rate = AdaptiveRate()
         rng = np.random.default_rng(13)
         for _ in range(100):
             rho = rate.observe(rng.normal(size=6) * 10.0 ** rng.integers(-8, 8))
             assert 1e-6 <= rho <= 1.0
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            AdaptiveRate(mode="nesterov")
 
 
 class TestAdam:
@@ -524,15 +520,13 @@ class TestGibbsMackayBound:
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr_mode="momentum")
-        with pytest.raises(ValueError):
             TrainConfig(conv_mode="elapsed")
         with pytest.raises(ValueError):
             TrainConfig(conv_threshold=-1.0)
         with pytest.raises(ValueError):
-            TrainConfig(lr_mode="fixed", fixed_lr=0.0)
+            TrainConfig(fixed_lr=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(lr_mode="fixed", fixed_lr=1.5)
+            TrainConfig(fixed_lr=1.5)
 
     @pytest.mark.parametrize("field, value", [
         ("hyper_every", -1),
@@ -566,7 +560,6 @@ class TestFit:
             num_inducing=6,
             batch_size=50,
             max_iters=100,
-            lr_mode="fixed",
             fixed_lr=1.0,
             hyper_every=0,
             conv_threshold=0.0,

@@ -11,7 +11,6 @@ from pggpc.kernel import (
     KernelParams,
     build_gram,
     chol_with_escalation,
-    kern_diag,
     kern_grad,
     kern_matrix,
     sq_dists,
@@ -69,9 +68,12 @@ def test_kern_matrix_same_flag_controls_jitter():
 
 
 def test_kern_diag_is_marginal_variance():
+    # A bundle's k_diag is the diagonal of the full kernel matrix: a^2 + jitter.
     params = KernelParams(log_amplitude=np.log(2.0), log_jitter=np.log(1e-5))
-    X = np.zeros((6, 3))
-    np.testing.assert_allclose(kern_diag(X, params), 4.0 + 1e-5, rtol=1e-12)
+    X = np.random.default_rng(1).normal(size=(6, 3))
+    diag = np.diag(kern_matrix(X, X, params, same=True))
+    np.testing.assert_allclose(diag, 4.0 + 1e-5, rtol=1e-12)
+    np.testing.assert_allclose(build_gram(X, X[:2], params).k_diag, diag, rtol=1e-12)
 
 
 def test_kern_matrix_element_agreement():
@@ -204,7 +206,7 @@ def test_chol_escalation_gives_up_eventually():
 def _brute_bundle(X, Z, params):
     K_mm = kern_matrix(Z, Z, params, same=True)
     K_nm = kern_matrix(X, Z, params)
-    kd = kern_diag(X, params)
+    kd = np.diag(kern_matrix(X, X, params, same=True))
     kappa = K_nm @ np.linalg.inv(K_mm)
     ktilde = kd - np.einsum("ij,jk,ik->i", kappa, K_mm, kappa)
     return K_mm, K_nm, kd, kappa, np.maximum(ktilde, 0.0)
@@ -288,7 +290,7 @@ def test_kern_grad_matches_finite_differences(name_idx):
         return (
             kern_matrix(Z, Z, p, same=True),
             kern_matrix(X, Z, p),
-            kern_diag(X, p),
+            np.diag(kern_matrix(X, X, p, same=True)),
         )
 
     grads = kern_grad_dense(X, Z, KernelParams.from_array(base))
@@ -363,7 +365,8 @@ def test_marginals_match_dense_solve(shared, n):
     A = kern_matrix(X, Z, params)
     kappa = np.linalg.solve(K, A.T).T
     kSk = np.array([k @ Sigma @ k for k in kappa])
-    ref_var = kern_diag(X, params) - np.sum(kappa * A, axis=1) + kSk
+    k_diag = np.diag(kern_matrix(X, X, params, same=True))
+    ref_var = k_diag - np.sum(kappa * A, axis=1) + kSk
 
     mean, var = gram.marginals(mu, Sigma)
     np.testing.assert_allclose(mean, kappa @ mu, rtol=1e-9, atol=1e-12)
