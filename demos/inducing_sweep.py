@@ -26,12 +26,12 @@ def make_wavy(n=2000, seed=12):
 
 def main():
     data = make_wavy()
-    plan = kfold(data.n, 5, seed=0)
+    folds = kfold(data.n, 5, seed=0)
     print(f"wavy-boundary synthetic: n={data.n}, 5-fold CV, 2% label noise")
     print(f"{'m':>5} {'cv error':>9} {'cv nll':>8} {'seconds':>8}")
     for m in (4, 8, 16, 32, 64, 128):
         errors, nlls, seconds = [], [], []
-        for i, (train_idx, test_idx) in enumerate(plan.folds()):
+        for i, (train_idx, test_idx) in enumerate(folds):
             train = Dataset(data.X[train_idx], data.y[train_idx])
             test = Dataset(data.X[test_idx], data.y[test_idx])
             config = TrainConfig(num_inducing=m, batch_size=100, max_iters=250,

@@ -39,14 +39,16 @@ def main():
     print(f"variational fit: {result.n_iters} full-batch iterations, "
           f"bound {result.final_elbo:.3f}")
 
-    chain = gibbs_run(data, params, iters=6000, burn_in=1000, thin=2, seed=0)
-    print(f"gibbs chain: {chain.samples_f.shape[0]} kept samples "
-          f"(burn-in {chain.burn_in}, thinning {chain.thin})")
+    burn_in, thin = 1000, 2
+    samples = gibbs_run(data, params, iters=6000, burn_in=burn_in, thin=thin, seed=0)
+    print(f"gibbs chain: {samples.shape[0]} kept samples "
+          f"(burn-in {burn_in}, thinning {thin})")
 
-    report = compare_to_vi(chain, result.state, data)
+    report = compare_to_vi(samples, result.state, data)
     print(f"{'i':>3} {'mcmc mean':>10} {'vi mean':>10} {'mcmc p+':>9} {'vi p+':>9}")
-    for i, mm, mv, mp, vm, vv, vp in list(report.rows())[:8]:
-        print(f"{i:>3} {mm:>10.3f} {vm:>10.3f} {mp:>9.3f} {vp:>9.3f}")
+    for i in range(8):
+        print(f"{i:>3} {report.mcmc_mean[i]:>10.3f} {report.vi_mean[i]:>10.3f} "
+              f"{report.mcmc_ppos[i]:>9.3f} {report.vi_ppos[i]:>9.3f}")
     print("...")
     print(f"posterior-mean correlation  {report.mean_corr:.5f}")
     print(f"posterior-var  correlation  {report.var_corr:.5f}")

@@ -11,12 +11,15 @@ sweep-m      CV error/time across a grid of inducing-point counts, each
              grid point run by the same fold loop as cv, write sweep.csv
 
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
-the paper's benchmarking protocol.  An optional ``--config`` file of
-``key=value`` lines overrides the defaults, and explicit flags override the
-file.  Every command is deterministic in single-threaded mode (the ones
-that draw at random under a fixed ``--seed``; ``predict`` and ``evaluate``
-draw nothing and take no ``--seed``), and every CSV starts with a
-schema-version comment.
+the paper's benchmarking protocol; ``--heldout-frac F`` alone switches to
+the held-out stopping rule, and ``--trace-train-error`` is ``train``'s
+alone.  An optional ``--config`` file of ``key=value`` lines overrides the
+defaults, and explicit flags override the file.  ``--label-col`` acts only
+on labeled CSV input and ``--n-features`` only on LIBSVM input; given
+elsewhere, either is an error.  Every command is deterministic in
+single-threaded mode (the ones that draw at random under a fixed
+``--seed``; ``predict`` and ``evaluate`` draw nothing and take no
+``--seed``), and every CSV starts with a schema-version comment.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
 from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, compare_to_vi, gibbs_run
-from .inference import CONV_MODES, CONV_WINDOW, HELDOUT_THRESHOLD, TrainConfig, fit
+from .inference import CONV_WINDOW, HELDOUT_THRESHOLD, TrainConfig, fit
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
 from .prediction import class_prob, evaluate, latent_predict
@@ -92,7 +95,8 @@ def _add_data_opts(p, sampled=True):
         "--format", choices=("libsvm", "csv"), default=None,
         help="input format (default: by extension, .csv means csv)",
     )
-    p.add_argument("--label-col", type=int, default=0, help="CSV label column (default 0)")
+    p.add_argument("--label-col", type=int, default=None,
+                   help="label column of labeled csv input (default 0)")
     p.add_argument(
         "--n-features", type=int, default=None,
         help="force feature count for libsvm input (default: inferred)",
@@ -134,26 +138,20 @@ def _add_train_opts(p):
         ("--max-iters", "max_iters", "iteration cap"),
         ("--hyper-every", "hyper_every", "hyperparameter Adam step every N iterations, 0 disables"),
         ("--adam-lr", "adam_lr", "Adam rate"),
-        ("--heldout-frac", "heldout_frac", "held-out fraction for --conv heldout"),
     ):
         default = getattr(TrainConfig, name)
         p.add_argument(flag, type=type(default), default=default,
                        help=f"{what} (default %(default)s)")
     p.add_argument(
-        "--conv", choices=CONV_MODES, default=TrainConfig.conv_mode,
-        help=f"convergence criterion (default %(default)s; params: window-{CONV_WINDOW} "
-        f"average of the relative natural-parameter change under "
-        f"{TrainConfig.conv_threshold:g}; heldout: window-{CONV_WINDOW} average of the "
-        f"relative held-out NLL change under {HELDOUT_THRESHOLD:g})",
+        "--heldout-frac", type=float, default=TrainConfig.heldout_frac, metavar="F",
+        help=f"hold out this fraction of the rows and stop when the window-{CONV_WINDOW} average "
+        f"of the relative held-out NLL change is under {HELDOUT_THRESHOLD:g} (default: stop "
+        f"when that of the natural parameters is under {TrainConfig.conv_threshold:g})",
     )
     # A string default goes through _parse_lr like a command-line value.
     p.add_argument("--lr", type=_parse_lr, default="adaptive", metavar="RULE",
                    help="step size: adaptive or fixed:<value> (default %(default)s)")
     _add_kernel_opts(p)
-    p.add_argument(
-        "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
-        help="append a train_error column to the trace (default off)",
-    )
 
 
 def _build_parser():
@@ -167,6 +165,10 @@ def _build_parser():
     _add_data_opts(p_train)
     _add_common_opts(p_train)
     _add_train_opts(p_train)
+    p_train.add_argument(
+        "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
+        help="append a train_error column to the trace (default off)",
+    )
 
     p_pred = sub.add_parser("predict", help="score inputs from a checkpoint")
     _add_data_opts(p_pred, sampled=False)
@@ -253,9 +255,19 @@ def _apply_config_file(argv):
     return [argv[0]] + extra + argv[1:]
 
 
-def _load_labeled(args):
+def _data_format(args, labeled=True):
+    """The input's format, once each format-specific data option is known to act on it."""
     fmt = _infer_format(args.data, args.format)
-    ds = load(args.data, fmt, label_col=args.label_col, n_features=args.n_features)
+    if args.label_col is not None and not (labeled and fmt == "csv"):
+        raise ValueError("--label-col applies only to labeled csv input")
+    if args.n_features is not None and fmt != "libsvm":
+        raise ValueError("--n-features applies only to libsvm input")
+    return fmt
+
+
+def _load_labeled(args):
+    ds = load(args.data, _data_format(args), label_col=args.label_col or 0,
+              n_features=args.n_features)
     if "canonical_sort" in args and args.canonical_sort:  # predict and evaluate have none
         ds = canonical_order(ds)
     return ds
@@ -270,10 +282,9 @@ def _train_config(args, n, d, m, seed=None):
         hyper_every=args.hyper_every,
         adam_lr=args.adam_lr,
         seed=seed if seed is not None else args.seed,
-        conv_mode=args.conv,
         heldout_frac=args.heldout_frac,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
-        trace_train_error=args.trace_train_error,
+        trace_train_error="trace_train_error" in args and args.trace_train_error,  # train only
     )
     config.num_inducing = min(config.num_inducing, n - config.heldout_rows(n))
     return config
@@ -329,9 +340,9 @@ def _prepare_features(args, X, state, preprocess):
 
 def cmd_predict(args):
     state, _, preprocess = load_checkpoint(args.checkpoint)
-    fmt = _infer_format(args.data, args.format)
     if args.unlabeled:
-        X = load_features(args.data, fmt, n_features=args.n_features)
+        X = load_features(args.data, _data_format(args, labeled=False),
+                          n_features=args.n_features)
     else:
         X = _load_labeled(args).X
     X = _prepare_features(args, X, state, preprocess)
@@ -372,17 +383,16 @@ def _run_fold(train, test, args, m, seed):
 
 def _cv_run(ds, args, m):
     """The fold loop of cv and sweep-m, after one check of their fold options;
-    each whole test fold from ``CvPlan.folds`` is cut to ``--max-test`` rows here."""
+    each whole test fold from ``kfold`` is cut to ``--max-test`` rows here."""
     if not 2 <= args.folds <= ds.n:
         raise ValueError(f"--folds must be at least 2 folds and at most n={ds.n}, "
                          f"got {args.folds}")
     if args.max_test < 1:
         raise ValueError(f"--max-test must be at least 1, got {args.max_test}")
-    plan = kfold(ds.n, args.folds, args.seed)
     fold_seeds = np.random.default_rng(args.seed).integers(2**31, size=args.folds)
     results = [
         _run_fold(ds.subset(tr), ds.subset(te[:args.max_test]), args, m, int(seed))
-        for (tr, te), seed in zip(plan.folds(), fold_seeds)
+        for (tr, te), seed in zip(kfold(ds.n, args.folds, args.seed), fold_seeds)
     ]
     return np.array(results)  # columns: error, nll, seconds
 
@@ -433,14 +443,14 @@ def cmd_gibbs_check(args):
         inducing_Z=ds.X,
     )
     result = fit(ds, config)
-    chain = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
-                      thin=args.thin, seed=args.seed)
-    report = compare_to_vi(chain, result.state, ds)
+    samples = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
+                        thin=args.thin, seed=args.seed)
+    report = compare_to_vi(samples, result.state, ds)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "gibbs_vi.csv")
-    _write_csv(out, "pggpc.gibbs_vi.v1",
-               ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos"),
-               report.rows())
+    header = ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos")
+    rows = zip(range(ds.n), *(getattr(report, name) for name in header[1:]))
+    _write_csv(out, "pggpc.gibbs_vi.v1", header, rows)
     passed = (report.mean_corr > args.corr_threshold
               and report.mean_abs_prob_gap < args.gap_threshold)
     print(

@@ -29,7 +29,6 @@ __all__ = [
     "standardize",
     "Standardizer",
     "kfold",
-    "CvPlan",
     "minibatch_iter",
     "MiniBatch",
     "canonical_order",
@@ -70,34 +69,21 @@ def minibatch_iter(n, s, seed):
             yield MiniBatch(indices=chunk, scale=n / chunk.size)
 
 
-@dataclass(frozen=True)
-class CvPlan:
-    """Deterministic k-fold assignment of n records; its folds are whole (a
-    caller that scores part of a test fold slices it, as ``pggpc cv`` does)."""
-
-    k: int
-    fold_assignments: np.ndarray
-
-    def folds(self):
-        """Yield (train_idx, test_idx) pairs, each in ascending order."""
-        for fold in range(self.k):
-            yield (np.flatnonzero(self.fold_assignments != fold),
-                   np.flatnonzero(self.fold_assignments == fold))
-
-
 def kfold(n, k, seed):
     """k-fold split: seeded permutation, then round-robin fold ids.
 
-    Fold sizes differ by at most one, and the assignment is a deterministic
-    function of (n, k, seed).
+    Returns the k (train_idx, test_idx) pairs, each in ascending order.
+    Fold sizes differ by at most one, and the split is a deterministic
+    function of (n, k, seed).  The folds are whole: a caller that scores
+    part of a test fold slices it, as ``pggpc cv`` does.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    assignments = np.empty(n, dtype=int)
-    assignments[perm] = np.arange(n) % k
-    return CvPlan(k=k, fold_assignments=assignments)
+    fold = np.empty(n, dtype=int)
+    fold[perm] = np.arange(n) % k
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i)) for i in range(k)]
 
 
 def canonical_order(dataset):

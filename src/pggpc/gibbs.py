@@ -31,28 +31,12 @@ from .kernel import chol_with_escalation, kern_matrix
 from .pg import pg_sample, sigmoid
 from .prediction import class_prob
 
-__all__ = ["GibbsChain", "gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
+__all__ = ["gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
 
 # Default chain: total sweeps, burn-in sweeps and thinning stride.
 GIBBS_SWEEPS = 5000
 GIBBS_BURN_IN = 1000
 GIBBS_THIN = 2
-
-
-@dataclass(frozen=True)
-class GibbsChain:
-    """Stored post-burn-in samples of the latent function values.
-
-    Attributes
-    ----------
-    samples_f : ndarray, shape (S, n)
-    burn_in, thin, seed : int
-    """
-
-    samples_f: np.ndarray
-    burn_in: int
-    thin: int
-    seed: int
 
 
 def f_conditional(K, L_K, half_Ky, omega, z):
@@ -119,7 +103,8 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
 
     Returns
     -------
-    GibbsChain
+    ndarray, shape (S, n)
+        The stored draws of f, one row per kept sweep.
 
     Raises
     ------
@@ -149,7 +134,7 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
         f = f_conditional(K, L_K, half_Ky, omega, rng.standard_normal((2, n)))
         if t >= burn_in and (t - burn_in) % thin == 0:
             samples[(t - burn_in) // thin] = f
-    return GibbsChain(samples_f=samples, burn_in=burn_in, thin=thin, seed=seed)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -168,19 +153,6 @@ class ComparisonReport:
     mean_abs_prob_gap: float
     max_abs_prob_gap: float
 
-    def rows(self):
-        """Iterate (index, mcmc_mean, mcmc_var, mcmc_ppos, vi_mean, vi_var, vi_ppos)."""
-        for i in range(self.mcmc_mean.size):
-            yield (
-                i,
-                self.mcmc_mean[i],
-                self.mcmc_var[i],
-                self.mcmc_ppos[i],
-                self.vi_mean[i],
-                self.vi_var[i],
-                self.vi_ppos[i],
-            )
-
 
 def _safe_corr(a, b):
     """Pearson correlation of a and b; 1 or 0 (as they agree or not) when either is flat.
@@ -194,14 +166,15 @@ def _safe_corr(a, b):
     return float(np.corrcoef(ua, ub)[0, 1])
 
 
-def compare_to_vi(chain, state, dataset):
+def compare_to_vi(samples, state, dataset):
     """Score a full-GP variational state against the Gibbs ground truth.
 
     The state must have been trained with Z equal to the dataset's inputs
-    (full GP) and the chain run on the same data and hyperparameters.  The
-    latent posterior is compared at the training points: the chain's sample
-    mean, variance and mean sigmoid against q(u)'s mean, diagonal variance
-    and class probability (u = f when Z = X).
+    (full GP) and ``samples``, the (S, n) draws of :func:`gibbs_run`, drawn
+    on the same data and hyperparameters.  The latent posterior is compared
+    at the training points: the sample mean, variance and mean sigmoid
+    against q(u)'s mean, diagonal variance and class probability (u = f
+    when Z = X).
 
     Returns
     -------
@@ -209,13 +182,12 @@ def compare_to_vi(chain, state, dataset):
     """
     if state.Z.shape != dataset.X.shape or not np.array_equal(state.Z, dataset.X):
         raise ValueError("compare_to_vi requires a full-GP state with Z = X on this dataset")
-    if chain.samples_f.shape[1] != dataset.n:
+    if samples.shape[1] != dataset.n:
         raise ValueError("chain and dataset sizes disagree")
 
-    F = chain.samples_f
-    mcmc_mean = F.mean(axis=0)
-    mcmc_var = F.var(axis=0, ddof=1)
-    mcmc_ppos = sigmoid(F).mean(axis=0)
+    mcmc_mean = samples.mean(axis=0)
+    mcmc_var = samples.var(axis=0, ddof=1)
+    mcmc_ppos = sigmoid(samples).mean(axis=0)
     vi_mean = state.mu.copy()
     vi_var = np.diag(state.Sigma).copy()
     vi_ppos = class_prob(vi_mean, vi_var)

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("iter", "wall_seconds", "elbo_estimate", "rho")
-CONV_MODES = ("params", "heldout")
 CONV_WINDOW = 5  # iterations averaged by either convergence rule
 HELDOUT_THRESHOLD = 1e-3  # relative held-out NLL change that counts as converged
 _RATE_BURN_IN = 10  # AdaptiveRate: observations averaged plainly before the window
@@ -64,12 +63,13 @@ class TrainConfig:
     """Knobs of the SVI training loop; the one definition of their defaults.
 
     The defaults are the paper's benchmarking protocol, and the command line
-    reads its defaults here.  Training converges when the ``CONV_WINDOW``
-    average of the relative natural-parameter change drops below
-    ``conv_threshold`` or, with ``conv_mode="heldout"``, when that of the
-    relative held-out NLL change drops below ``HELDOUT_THRESHOLD``.  The
-    step size is :class:`AdaptiveRate` when ``fixed_lr`` is None and the
-    constant ``fixed_lr`` otherwise.
+    reads its defaults here.  ``heldout_frac`` picks the stopping rule:
+    when it is None, training converges when the ``CONV_WINDOW`` average of
+    the relative natural-parameter change drops below ``conv_threshold``;
+    otherwise that fraction of the rows is held out, and training converges
+    when the average relative held-out NLL change drops below
+    ``HELDOUT_THRESHOLD``.  The step size is :class:`AdaptiveRate` when
+    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise.
     """
 
     num_inducing: int = 100  # k-means++ on at most max(2000, 20 m) sampled rows
@@ -80,15 +80,12 @@ class TrainConfig:
     hyper_every: int = 10  # 0 disables hyperparameter optimization
     adam_lr: float = 0.02
     seed: int = 0
-    conv_mode: str = "params"  # one of CONV_MODES
-    heldout_frac: float = 0.1
+    heldout_frac: float | None = None  # None: the natural-parameter rule
     init_params: KernelParams | None = None
     inducing_Z: np.ndarray | None = None
     trace_train_error: bool = False
 
     def __post_init__(self):
-        if self.conv_mode not in CONV_MODES:
-            raise ValueError(f"unknown conv_mode {self.conv_mode!r}")
         if not self.conv_threshold >= 0.0:
             raise ValueError(f"conv_threshold must be nonnegative, got {self.conv_threshold}")
         if self.fixed_lr is not None and not 0.0 < self.fixed_lr <= 1.0:
@@ -99,14 +96,14 @@ class TrainConfig:
             raise ValueError(f"hyper_every must be nonnegative, got {self.hyper_every}")
         if not 0.0 < self.adam_lr < np.inf:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
-        if not 0.0 < self.heldout_frac < 1.0:
+        if self.heldout_frac is not None and not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def heldout_rows(self, n):
-        """Rows of an n-row dataset that :func:`fit` holds out; 0 unless conv_mode is "heldout"."""
-        if self.conv_mode != "heldout":
+        """Rows of an n-row dataset that :func:`fit` holds out; 0 when heldout_frac is None."""
+        if self.heldout_frac is None:
             return 0
         return max(1, int(round(n * self.heldout_frac)))
 
@@ -359,8 +356,8 @@ def fit(dataset, config):
     factorized once per hyperparameter value and held by the state as
     ``mm``; an accepted Adam step replaces ``params`` and ``mm`` in one
     ``replace``.  Convergence is a sliding-window average either of the
-    relative natural-parameter change ("params") or of the relative
-    held-out NLL change ("heldout").  After the loop one blocked
+    relative natural-parameter change or, when ``config.heldout_frac`` holds
+    rows out, of the relative held-out NLL change.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
     bundle in ``fit`` has more rows than a mini-batch.  Unless
@@ -440,7 +437,7 @@ def fit(dataset, config):
             new_params, new_mm = hyper_step(state, train, adam, batch, gram_b, c)
             state = replace(state, params=new_params, mm=new_mm)
 
-        if config.conv_mode == "params":
+        if heldout is None:
             window.append(rel_change)
             if len(window) == CONV_WINDOW and np.mean(window) < config.conv_threshold:
                 converged = True

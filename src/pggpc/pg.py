@@ -102,7 +102,7 @@ def pg_kl_term(c):
     return np.where(small, series, direct)[()]
 
 
-def pg_sample(c, rng, size=None):
+def pg_sample(c, rng):
     """Exact draw(s) from PG(1, c) via alternating-series rejection sampling.
 
     The sampler follows Devroye's scheme for the Jacobi-type density: a
@@ -115,17 +115,15 @@ def pg_sample(c, rng, size=None):
     Parameters
     ----------
     c : float or array_like
-        Tilt value(s); the sign is ignored.
+        Tilt value(s); the sign is ignored.  One draw is made per element
+        (``np.full(shape, c)`` draws many at one tilt).
     rng : numpy.random.Generator
         Source of randomness.
-    size : int or tuple of int, optional
-        If given, ``c`` is broadcast to this shape and one draw is made per
-        element.
 
     Returns
     -------
     float or ndarray
-        Positive sample(s) of omega.
+        Positive sample(s) of omega, shaped like ``c``.
 
     Raises
     ------
@@ -137,8 +135,6 @@ def pg_sample(c, rng, size=None):
     if bad.any():
         raise ValueError(f"Polya-Gamma tilt c must be finite and at most {_MAX_TILT:g} "
                          f"in magnitude, got {c[bad].flat[0]}")
-    if size is not None:
-        c = np.broadcast_to(c, size)
     z = 0.5 * np.abs(np.ravel(c))
     draws = 0.25 * _sample_jacobi_tilted(z, rng)
     return draws.reshape(np.shape(c))[()]

@@ -58,17 +58,16 @@ def latent_predict(state, x_star):
     Parameters
     ----------
     state : VariationalState
-    x_star : array_like, shape (d,) or (n_star, d)
+    x_star : array_like, shape (n_star, d)
+        A single point of shape (d,) is taken as one row.
 
     Returns
     -------
     (mu_star, var_star)
-        Floats for a single point, arrays of shape (n_star,) otherwise.
-        Variances are floored at 1e-12 against round-off.
+        Arrays of shape (n_star,).  Variances are floored at 1e-12 against
+        round-off.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    single = x_star.ndim == 1
-    X = np.atleast_2d(x_star)
+    X = np.atleast_2d(np.asarray(x_star, dtype=float))
     Z, params, mm = state.Z, state.params, state.mm
     alpha = mm.solve_mm(state.mu)
     B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
@@ -79,8 +78,6 @@ def latent_predict(state, x_star):
         mu_star[lo:lo + _ROW_BLOCK] = K @ alpha
         var_star[lo:lo + _ROW_BLOCK] += np.einsum("ij,ij->i", K @ B, K)
     np.maximum(var_star, 1e-12, out=var_star)
-    if single:
-        return float(mu_star[0]), float(var_star[0])
     return mu_star, var_star
 
 

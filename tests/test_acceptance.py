@@ -250,7 +250,7 @@ def test_c07_sampler_mean_mgf_and_kl_match_closed_forms(scorecard):
     details = []
 
     for c in (0.0, 0.5, 2.0, 10.0):
-        draws = pg_sample(c, rng, size=n_draws)
+        draws = pg_sample(np.full(n_draws, c), rng)
         se = draws.std(ddof=1) / np.sqrt(n_draws)
         gap = abs(draws.mean() - pg_mean(1, c))
         details.append(f"mean(c={c:g}) {gap / se:.2f}se")
@@ -273,7 +273,7 @@ def test_c07_sampler_mean_mgf_and_kl_match_closed_forms(scorecard):
                 failures.append("tilted mgf at c=2, t=1")
 
     c = 3.0
-    draws = pg_sample(c, rng, size=n_draws)
+    draws = pg_sample(np.full(n_draws, c), rng)
     mc_kl = log_cosh(0.5 * c) - 0.5 * c**2 * draws.mean()
     se_kl = 0.5 * c**2 * draws.std(ddof=1) / np.sqrt(n_draws)
     gap_kl = abs(mc_kl - pg_kl_term(c))
@@ -328,10 +328,9 @@ def test_c08b_variational_fit_matches_long_gibbs_chain_diabetes(scorecard, capsy
 
 
 def _tenfold_benchmark(ds, seed=0):
-    plan = kfold(ds.n, 10, seed)
     fold_seeds = np.random.default_rng(seed).integers(2**31, size=10)
     errors, nlls = [], []
-    for i, (train_idx, test_idx) in enumerate(plan.folds()):
+    for i, (train_idx, test_idx) in enumerate(kfold(ds.n, 10, seed)):
         train = Dataset(ds.X[train_idx], ds.y[train_idx])
         test = Dataset(ds.X[test_idx], ds.y[test_idx])
         train, scaler = standardize(train)
@@ -455,12 +454,12 @@ def _wavy_synthetic(n, seed):
 
 def test_c12_cv_error_non_increasing_in_inducing_count(scorecard):
     ds = _wavy_synthetic(5000, seed=12)
-    plan = kfold(ds.n, 5, seed=0)
+    folds = kfold(ds.n, 5, seed=0)
     m_grid = (16, 32, 64, 128)
     mean_errors = []
     for m in m_grid:
         fold_errors = []
-        for i, (train_idx, test_idx) in enumerate(plan.folds()):
+        for i, (train_idx, test_idx) in enumerate(folds):
             train = Dataset(ds.X[train_idx], ds.y[train_idx])
             test = Dataset(ds.X[test_idx], ds.y[test_idx])
             config = TrainConfig(num_inducing=m, batch_size=100, max_iters=250,

@@ -87,9 +87,7 @@ class TestTrain:
         assert (a / "checkpoint.json").read_bytes() != (b / "checkpoint.json").read_bytes()
 
     def test_heldout_convergence_reports_metrics(self, blob_files, tmp_path, capsys):
-        code = _train(
-            blob_files["libsvm"], tmp_path, "--conv", "heldout", "--heldout-frac", "0.2"
-        )
+        code = _train(blob_files["libsvm"], tmp_path, "--heldout-frac", "0.2")
         assert code == 0
         out = capsys.readouterr().out
         assert "heldout_error=" in out and "heldout_nll=" in out
@@ -98,7 +96,7 @@ class TestTrain:
         # 40 points: the default m = 100 must shrink to the 36 rows left after
         # holding out round(0.1 * 40) = 4, not to the full 40.
         code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path),
-                     "--conv", "heldout", "--max-iters", "5", "--hyper-every", "0"])
+                     "--heldout-frac", "0.1", "--max-iters", "5", "--hyper-every", "0"])
         assert code == 0, capsys.readouterr().err
         state, _, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
         assert state.m == 36
@@ -140,10 +138,10 @@ def _one_error_line(capsys):
 @pytest.mark.parametrize("flags, name", [
     (["--hyper-every", "-1"], "hyper_every"),
     (["--adam-lr", "-0.5"], "adam_lr"),
-    (["--conv", "heldout", "--heldout-frac", "-0.3"], "heldout_frac"),
+    (["--heldout-frac", "-0.3"], "heldout_frac"),
     (["--max-iters", "-4"], "max_iters"),
     (["--adam-lr", "nan"], "adam_lr"),
-    (["--conv", "heldout", "--heldout-frac", "nan"], "heldout_frac"),
+    (["--heldout-frac", "nan"], "heldout_frac"),
     (["--adam-lr", "inf"], "adam_lr"),
     (["--seed", "-1"], "--seed"),
 ])
@@ -237,7 +235,7 @@ def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
 
 _FLAG_FIELDS = {
     "m": "num_inducing", "batch": "batch_size", "max_iters": "max_iters",
-    "conv": "conv_mode", "hyper_every": "hyper_every", "adam_lr": "adam_lr",
+    "hyper_every": "hyper_every", "adam_lr": "adam_lr",
     "heldout_frac": "heldout_frac", "seed": "seed",
 }
 
@@ -252,6 +250,10 @@ def test_training_flag_defaults_are_the_train_config_fields(command):
             continue
         assert getattr(args, flag) == getattr(config, name), flag
     assert args.lr == config.fixed_lr
+    if command == "train":
+        assert args.trace_train_error == config.trace_train_error
+    else:  # cv and sweep-m write no trace
+        assert "trace_train_error" not in args
 
 
 def test_gibbs_check_chain_defaults_are_the_gibbs_run_defaults():
@@ -265,9 +267,8 @@ def test_gibbs_check_chain_defaults_are_the_gibbs_run_defaults():
 def test_spelled_out_protocol_matches_plain_train(tmp_path):
     # The paper's benchmarking protocol, written out flag by flag.  With
     # n = 120 > 100 the inducing and batch sizes are not clamped to n.
-    protocol = ["--m", "100", "--batch", "100", "--max-iters", "1000", "--conv", "params",
-                "--lr", "adaptive", "--hyper-every", "10", "--adam-lr", "0.02",
-                "--heldout-frac", "0.1", "--seed", "0"]
+    protocol = ["--m", "100", "--batch", "100", "--max-iters", "1000",
+                "--lr", "adaptive", "--hyper-every", "10", "--adam-lr", "0.02", "--seed", "0"]
     path = str(tmp_path / "blobs120.txt")
     save(_two_blobs(120, seed=2, spread=1.5), path, "libsvm")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -380,6 +381,26 @@ class TestPredictAndEvaluate:
             name = "predictions.csv" if command == "predict" else "metrics.csv"
             outputs.append((out_dir / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, data, option", [
+    (["predict", "--unlabeled", "--label-col", "1"], "features", "--label-col"),
+    (["train", "--label-col", "3"], "libsvm", "--label-col"),
+    (["train", "--n-features", "50"], "csv", "--n-features"),
+])
+def test_data_option_that_cannot_act_is_one_error_line(command, data, option, blob_files,
+                                                       trained, tmp_path, capsys):
+    # --label-col acts only on labeled CSV input and --n-features only on
+    # LIBSVM input; each of these runs exited 0 with the option ignored.
+    paths = dict(blob_files, features=str(tmp_path / "features.csv"))
+    np.savetxt(paths["features"], np.random.default_rng(0).normal(size=(5, 2)), delimiter=",")
+    extra = ["--checkpoint", trained] if command[0] == "predict" else FAST
+    out_dir = tmp_path / "out"
+    code = main([command[0], "--data", paths[data], "--out-dir", str(out_dir), *extra,
+                 *command[1:]])
+    assert code == 1
+    assert option in _one_error_line(capsys)
+    assert not out_dir.exists()
 
 
 def _encode(arr):

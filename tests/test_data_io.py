@@ -227,9 +227,8 @@ class TestStandardize:
 
 class TestKfold:
     def test_folds_partition_the_index_set(self):
-        plan = kfold(23, 5, seed=0)
         seen = []
-        for train, test in plan.folds():
+        for train, test in kfold(23, 5, seed=0):
             assert np.intersect1d(train, test).size == 0
             assert np.union1d(train, test).size == 23
             seen.append(test)
@@ -239,17 +238,16 @@ class TestKfold:
         assert sizes == [4, 4, 5, 5, 5]
 
     def test_leave_one_out(self):
-        plan = kfold(6, 6, seed=1)
-        tests = [test for _, test in plan.folds()]
+        tests = [test for _, test in kfold(6, 6, seed=1)]
         assert all(t.size == 1 for t in tests)
         np.testing.assert_array_equal(np.sort(np.concatenate(tests)), np.arange(6))
 
     def test_deterministic_in_seed(self):
-        a = kfold(50, 10, seed=3)
-        b = kfold(50, 10, seed=3)
-        c = kfold(50, 10, seed=4)
-        np.testing.assert_array_equal(a.fold_assignments, b.fold_assignments)
-        assert not np.array_equal(a.fold_assignments, c.fold_assignments)
+        a = [test for _, test in kfold(50, 10, seed=3)]
+        b = [test for _, test in kfold(50, 10, seed=3)]
+        c = [test for _, test in kfold(50, 10, seed=4)]
+        np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
+        assert not np.array_equal(np.concatenate(a), np.concatenate(c))
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="2 <= k <= n"):

@@ -175,8 +175,8 @@ def test_sampler_sign_invariance_is_exact():
 
 
 def test_sampler_seed_reproducibility_and_shapes():
-    a = pg_sample(1.5, np.random.default_rng(123), size=(3, 4))
-    b = pg_sample(1.5, np.random.default_rng(123), size=(3, 4))
+    a = pg_sample(np.full((3, 4), 1.5), np.random.default_rng(123))
+    b = pg_sample(np.full((3, 4), 1.5), np.random.default_rng(123))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (3, 4)
     scalar = pg_sample(1.5, np.random.default_rng(1))

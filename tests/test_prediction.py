@@ -222,16 +222,6 @@ class TestLatentPredict:
         assert var_star == pytest.approx(prior_var, rel=1e-10)
         assert class_prob(mu_star, var_star) == pytest.approx(0.5, abs=1e-12)
 
-    def test_single_point_returns_floats(self):
-        rng = np.random.default_rng(7)
-        state = _random_state(rng)
-        x = np.array([0.3, -0.4])
-        mu_one, var_one = latent_predict(state, x)
-        assert isinstance(mu_one, float) and isinstance(var_one, float)
-        mu_batch, var_batch = latent_predict(state, x[None, :])
-        assert mu_one == pytest.approx(mu_batch[0], rel=1e-14)
-        assert var_one == pytest.approx(var_batch[0], rel=1e-14)
-
     def test_kernel_rows_stay_within_a_block(self, monkeypatch):
         # Scratch is O(block * m) for any test-set size: no kernel matrix
         # built while predicting has more than _ROW_BLOCK rows.
