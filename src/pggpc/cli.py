@@ -5,15 +5,15 @@ Subcommands
 train        fit a model, write checkpoint.json and trace.csv
 predict      score new inputs from a checkpoint, write predictions.csv
 evaluate     error/NLL of a checkpoint on labeled data, write metrics.csv
-cv           k-fold cross-validated benchmarking, folds in sequence, write cv.csv
+cv           k-fold cross-validated benchmarking, folds in sequence, once per
+             inducing-point count of ``--m M1,M2,...``, write cv.csv
 gibbs-check  full-GP VI vs exact Gibbs agreement, write gibbs_vi.csv
-sweep-m      CV error/time across a grid of inducing-point counts, each
-             grid point run by the same fold loop as cv, write sweep.csv
 
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
-the paper's benchmarking protocol; ``--heldout-frac F`` alone switches to
-the held-out stopping rule, and ``--trace-train-error`` is ``train``'s
-alone.  An optional ``--config`` file of ``key=value`` lines overrides the
+the paper's benchmarking protocol; ``--fixed-lr RHO`` alone switches to a
+constant step, ``--heldout-frac F`` alone to the held-out stopping rule, and
+``--trace-train-error`` is ``train``'s alone.  An optional ``--config`` file
+of ``key=value`` lines, each naming an option of its command, overrides the
 defaults, and explicit flags override the file.  ``--label-col`` acts only
 on labeled CSV input and ``--n-features`` only on LIBSVM input; given
 elsewhere, either is an error.  Every command is deterministic in
@@ -37,9 +37,6 @@ from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
 from .prediction import class_prob, evaluate, latent_predict
 
-_BOOL_OPTS = {"standardize", "canonical-sort", "trace-train-error", "unlabeled"}
-
-
 def _fmt(v):
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
@@ -58,27 +55,14 @@ def _write_csv(path, schema, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _parse_lr(text):
-    """``TrainConfig.fixed_lr`` from ``adaptive`` (None) or ``fixed:<v>`` (v in (0, 1])."""
-    if text == "adaptive":
-        return None
-    mode, sep, value = text.partition(":")
-    if mode != "fixed" or not sep:
-        raise argparse.ArgumentTypeError(
-            f"invalid --lr {text!r} (expected adaptive or fixed:<value>)")
-    if not 0.0 < float(value) <= 1.0:
-        raise argparse.ArgumentTypeError("fixed learning rate must be in (0, 1]")
-    return float(value)
-
-
-def _parse_m_grid(text):
+def _parse_m_list(text):
     try:
-        grid = [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid --m-grid {text!r}") from None
-    if not grid:
-        raise argparse.ArgumentTypeError("empty --m-grid")
-    return grid
+        raise argparse.ArgumentTypeError(f"invalid --m list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("empty --m list")
+    return values
 
 
 def _infer_format(path, explicit):
@@ -126,12 +110,6 @@ def _add_kernel_opts(p):
                        help=f"{what}, initial value if learned (default {DEFAULT_TEXT[name]})")
 
 
-def _add_fold_opts(p, folds):
-    p.add_argument("--folds", type=int, default=folds, help=f"fold count (default {folds})")
-    p.add_argument("--max-test", type=int, default=100000,
-                   help="cap on test-fold size (default 100000)")
-
-
 def _add_train_opts(p):
     for flag, name, what in (
         ("--batch", "batch_size", "mini-batch size"),
@@ -148,9 +126,8 @@ def _add_train_opts(p):
         f"of the relative held-out NLL change is under {HELDOUT_THRESHOLD:g} (default: stop "
         f"when that of the natural parameters is under {TrainConfig.conv_threshold:g})",
     )
-    # A string default goes through _parse_lr like a command-line value.
-    p.add_argument("--lr", type=_parse_lr, default="adaptive", metavar="RULE",
-                   help="step size: adaptive or fixed:<value> (default %(default)s)")
+    p.add_argument("--fixed-lr", type=float, default=TrainConfig.fixed_lr, metavar="RHO",
+                   help="constant step size in (0, 1] (default: the adaptive rate)")
     _add_kernel_opts(p)
 
 
@@ -165,6 +142,8 @@ def _build_parser():
     _add_data_opts(p_train)
     _add_common_opts(p_train)
     _add_train_opts(p_train)
+    p_train.add_argument("--m", type=int, default=TrainConfig.num_inducing,
+                         help="inducing points (default %(default)s)")
     p_train.add_argument(
         "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
         help="append a train_error column to the trace (default off)",
@@ -176,7 +155,7 @@ def _build_parser():
     p_pred.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
     p_pred.add_argument(
         "--unlabeled", action=argparse.BooleanOptionalAction, default=False,
-        help="input has no label column (csv only)",
+        help="do not read labels: csv input has no label column; libsvm label fields are skipped",
     )
 
     p_eval = sub.add_parser("evaluate", help="error/NLL of a checkpoint on labeled data")
@@ -188,7 +167,12 @@ def _build_parser():
     _add_data_opts(p_cv)
     _add_common_opts(p_cv)
     _add_train_opts(p_cv)
-    _add_fold_opts(p_cv, folds=10)
+    p_cv.add_argument("--m", type=_parse_m_list, default=[TrainConfig.num_inducing],
+                      metavar="M1,M2,...", help="inducing points, one fold loop per value "
+                      f"(default {TrainConfig.num_inducing})")
+    p_cv.add_argument("--folds", type=int, default=10, help="fold count (default 10)")
+    p_cv.add_argument("--max-test", type=int, default=100000,
+                      help="cap on test-fold size (default 100000)")
 
     p_gc = sub.add_parser("gibbs-check", help="full-GP VI vs exact Gibbs agreement")
     _add_data_opts(p_gc)
@@ -205,26 +189,15 @@ def _build_parser():
                       help="required posterior-mean correlation (default 0.99)")
     p_gc.add_argument("--gap-threshold", type=float, default=0.05,
                       help="allowed mean |p_mcmc - p_vi| (default 0.05)")
-
-    p_sw = sub.add_parser("sweep-m", help="CV error/time across inducing-point counts")
-    _add_data_opts(p_sw)
-    _add_common_opts(p_sw)
-    _add_train_opts(p_sw)
-    p_sw.add_argument("--m-grid", type=_parse_m_grid, default=[16, 32, 64, 128],
-                      metavar="M1,M2,...", help="inducing-point grid (default 16,32,64,128)")
-    _add_fold_opts(p_sw, folds=5)
-    for p in (p_train, p_cv):  # sweep-m fits each --m-grid value instead
-        p.add_argument("--m", type=int, default=TrainConfig.num_inducing,
-                       help="inducing points (default %(default)s)")
     return parser
 
 
-def _apply_config_file(argv):
+def _apply_config_file(argv, parser):
     """Expand ``--config FILE`` into flags inserted right after the subcommand.
 
-    The file holds one ``key=value`` per line (``#`` comments allowed); keys
-    are option names without the leading dashes.  Flags given on the command
-    line come later in argv, so they override the file.
+    The file holds one ``key=value`` per line (``#`` comments allowed); each
+    key is an option of the subcommand without the leading dashes.  Flags
+    given on the command line come later in argv, so they override the file.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -236,6 +209,9 @@ def _apply_config_file(argv):
             break
     if path is None:
         return argv
+    command = next(a for a in parser._actions if a.dest == "command").choices[argv[0]]
+    options = {a.option_strings[0]: a for a in command._actions
+               if a.dest not in ("help", "config")}
     extra = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -245,13 +221,17 @@ def _apply_config_file(argv):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if key in _BOOL_OPTS:
+            key, value = key.strip(), value.strip()
+            flag = "--" + key.replace("_", "-")
+            action = options.get(flag)
+            if action is None:
+                raise ValueError(f"{path}:{lineno}: {key!r} is not an option of {argv[0]} "
+                                 "that a config file can set")
+            if isinstance(action, argparse.BooleanOptionalAction):  # --x / --no-x
                 truthy = value.lower() in ("1", "true", "yes", "on")
-                extra.append(f"--{key}" if truthy else f"--no-{key}")
+                extra.append(action.option_strings[0 if truthy else 1])
             else:
-                extra.extend([f"--{key}", value])
+                extra.extend([flag, value])
     return [argv[0]] + extra + argv[1:]
 
 
@@ -278,7 +258,7 @@ def _train_config(args, n, d, m, seed=None):
         num_inducing=m,
         batch_size=args.batch,
         max_iters=args.max_iters,
-        fixed_lr=args.lr,
+        fixed_lr=args.fixed_lr,
         hyper_every=args.hyper_every,
         adam_lr=args.adam_lr,
         seed=seed if seed is not None else args.seed,
@@ -382,8 +362,8 @@ def _run_fold(train, test, args, m, seed):
 
 
 def _cv_run(ds, args, m):
-    """The fold loop of cv and sweep-m, after one check of their fold options;
-    each whole test fold from ``kfold`` is cut to ``--max-test`` rows here."""
+    """cv's fold loop at ``m`` inducing points, after one check of the fold
+    options; each whole test fold from ``kfold`` is cut to ``--max-test`` rows here."""
     if not 2 <= args.folds <= ds.n:
         raise ValueError(f"--folds must be at least 2 folds and at most n={ds.n}, "
                          f"got {args.folds}")
@@ -397,27 +377,23 @@ def _cv_run(ds, args, m):
     return np.array(results)  # columns: error, nll, seconds
 
 
-def _summary(values):
-    return float(values.mean()), float(values.std())  # population std over folds
-
-
 def cmd_cv(args):
     ds = _load_labeled(args)
-    results = _cv_run(ds, args, args.m)
-    rows = [(i, r[0], r[1], r[2]) for i, r in enumerate(results)]
-    me, se = _summary(results[:, 0])
-    mn, sn = _summary(results[:, 1])
-    mt, st = _summary(results[:, 2])
-    rows.append(("mean", me, mn, mt))
-    rows.append(("std", se, sn, st))
+    if min(args.m) < 1:  # before the folds of any earlier value are fitted
+        raise ValueError(f"--m must list counts of at least 1, got {args.m}")
+    rows = []
+    for m in args.m:
+        results = _cv_run(ds, args, m)
+        cols = results.T  # error, nll, seconds; std is the population std over folds
+        rows += [(m, i, *r) for i, r in enumerate(results)]
+        rows += [(m, "mean", *(c.mean() for c in cols)), (m, "std", *(c.std() for c in cols))]
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "cv.csv")
-    _write_csv(out, "pggpc.cv.v1", ("fold", "error_rate", "mean_nll", "train_seconds"), rows)
-    print(f"{'fold':>6} {'error':>10} {'nll':>10} {'seconds':>10}")
-    for i, r in enumerate(results):
-        print(f"{i:>6} {r[0]:>10.4f} {r[1]:>10.4f} {r[2]:>10.3f}")
-    print(f"{'mean':>6} {me:>10.4f} {mn:>10.4f} {mt:>10.3f}")
-    print(f"{'std':>6} {se:>10.4f} {sn:>10.4f} {st:>10.3f}")
+    _write_csv(out, "pggpc.cv.v2", ("m", "fold", "error_rate", "mean_nll", "train_seconds"),
+               rows)
+    print(f"{'m':>6} {'fold':>6} {'error':>10} {'nll':>10} {'seconds':>10}")
+    for row in rows:
+        print("{:>6} {:>6} {:>10.4f} {:>10.4f} {:>10.3f}".format(*row))
     print(f"cv={out}")
     return 0
 
@@ -467,32 +443,12 @@ def cmd_gibbs_check(args):
     return 0 if passed else 3
 
 
-def cmd_sweep_m(args):
-    ds = _load_labeled(args)
-    rows = []
-    for m in args.m_grid:
-        results = _cv_run(ds, args, m)
-        me, se = _summary(results[:, 0])
-        mn, sn = _summary(results[:, 1])
-        mt, _ = _summary(results[:, 2])
-        rows.append((m, me, se, mn, sn, mt))
-        print(f"m={m:>5} error={me:.4f}+/-{se:.4f} nll={mn:.4f}+/-{sn:.4f} seconds={mt:.3f}")
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "sweep.csv")
-    _write_csv(out, "pggpc.sweep.v1",
-               ("m", "mean_error", "std_error", "mean_nll", "std_nll", "mean_train_seconds"),
-               rows)
-    print(f"sweep={out}")
-    return 0
-
-
 _COMMANDS = {
     "train": cmd_train,
     "predict": cmd_predict,
     "evaluate": cmd_evaluate,
     "cv": cmd_cv,
     "gibbs-check": cmd_gibbs_check,
-    "sweep-m": cmd_sweep_m,
 }
 
 
@@ -500,8 +456,8 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        if argv and not argv[0].startswith("-"):
-            argv = _apply_config_file(argv)
+        if argv and argv[0] in _COMMANDS:
+            argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         if "seed" in args and args.seed < 0:
             raise ValueError(f"--seed must be nonnegative, got {args.seed}")

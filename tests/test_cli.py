@@ -110,10 +110,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error:" in err and "nope.txt" in err
 
-    def test_invalid_lr_rejected_by_parser(self, blob_files):
-        with pytest.raises(SystemExit):
-            main(["train", "--data", blob_files["libsvm"], "--lr", "fixed:2"])
-
     def test_explicit_default_kernel_matches_plain_train(self, blob_files, tmp_path):
         # d = 2: log(sqrt(2)) and log(2) / 2 differ in the last bit.
         a, b = tmp_path / "a", tmp_path / "b"
@@ -144,6 +140,7 @@ def _one_error_line(capsys):
     (["--heldout-frac", "nan"], "heldout_frac"),
     (["--adam-lr", "inf"], "adam_lr"),
     (["--seed", "-1"], "--seed"),
+    (["--fixed-lr", "2"], "fixed_lr"),
 ])
 def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
     code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])
@@ -162,24 +159,25 @@ _KERNEL_FLAGS = [
 ]
 _GIBBS = ["gibbs-check", "--sweeps", "20", "--burn-in", "5", "--max-iters", "2"]
 _CV = ["cv", "--folds", "2", "--max-iters", "2"]
-_SWEEP = ["sweep-m", "--m-grid", "2", "--folds", "2", "--max-iters", "2"]
+_CV_GRID = ["cv", "--m", "2,4", "--folds", "2", "--max-iters", "2"]
 
 
 @pytest.mark.parametrize("command, flags, name", [
     *((["train", "--max-iters", "2"], flags, name) for flags, name in _KERNEL_FLAGS),
     *((_GIBBS, flags, name) for flags, name in _KERNEL_FLAGS),
     (_CV, ["--jitter", "0"], "jitter"),
-    (_SWEEP, ["--lengthscale", "-1"], "lengthscale"),
-    *((command, ["--seed", "-1"], "--seed") for command in (_GIBBS, _CV, _SWEEP)),
-    *((command, ["--max-test", "0"], "--max-test") for command in (_CV, _SWEEP)),
+    (_CV_GRID, ["--lengthscale", "-1"], "lengthscale"),
+    *((command, ["--seed", "-1"], "--seed") for command in (_GIBBS, _CV, _CV_GRID)),
+    *((command, ["--max-test", "0"], "--max-test") for command in (_CV, _CV_GRID)),
     (_CV, ["--max-test", "-3"], "--max-test"),  # test[:-3] cut each test fold
-    (_SWEEP, ["--folds", "1"], "--folds"),
+    (_CV_GRID, ["--folds", "1"], "--folds"),
     (_CV, ["--folds", "17"], "--folds"),  # blob_files["small"] has 16 rows
+    (_CV_GRID, ["--m", "2,0"], "--m"),  # it failed after fitting every fold at m = 2
 ])
 def test_kernel_option_or_seed_out_of_range_is_one_error_line(command, flags, name, blob_files,
                                                              tmp_path, capsys):
     # --seed -1 on train is a case of test_train_option_out_of_range_is_one_error_line;
-    # the fold options of cv and sweep-m are checked here too.
+    # the fold options of cv are checked here too.
     out_dir = tmp_path / "out"
     code = main([command[0], "--data", blob_files["small"], "--out-dir", str(out_dir),
                  *command[1:], *flags])
@@ -235,24 +233,23 @@ def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
 
 _FLAG_FIELDS = {
     "m": "num_inducing", "batch": "batch_size", "max_iters": "max_iters",
-    "hyper_every": "hyper_every", "adam_lr": "adam_lr",
+    "hyper_every": "hyper_every", "adam_lr": "adam_lr", "fixed_lr": "fixed_lr",
     "heldout_frac": "heldout_frac", "seed": "seed",
 }
 
 
-@pytest.mark.parametrize("command", ["train", "cv", "sweep-m"])
+@pytest.mark.parametrize("command", ["train", "cv"])
 def test_training_flag_defaults_are_the_train_config_fields(command):
     args = _build_parser().parse_args([command, "--data", "unused.txt"])
     config = TrainConfig()
     for flag, name in _FLAG_FIELDS.items():
-        if flag == "m" and command == "sweep-m":  # sweep-m fits each --m-grid value instead
-            assert "m" not in args
-            continue
-        assert getattr(args, flag) == getattr(config, name), flag
-    assert args.lr == config.fixed_lr
+        default = getattr(config, name)
+        if flag == "m" and command == "cv":  # cv runs its fold loop once per --m value
+            default = [default]
+        assert getattr(args, flag) == default, flag
     if command == "train":
         assert args.trace_train_error == config.trace_train_error
-    else:  # cv and sweep-m write no trace
+    else:  # cv writes no trace
         assert "trace_train_error" not in args
 
 
@@ -268,7 +265,7 @@ def test_spelled_out_protocol_matches_plain_train(tmp_path):
     # The paper's benchmarking protocol, written out flag by flag.  With
     # n = 120 > 100 the inducing and batch sizes are not clamped to n.
     protocol = ["--m", "100", "--batch", "100", "--max-iters", "1000",
-                "--lr", "adaptive", "--hyper-every", "10", "--adam-lr", "0.02", "--seed", "0"]
+                "--hyper-every", "10", "--adam-lr", "0.02", "--seed", "0"]
     path = str(tmp_path / "blobs120.txt")
     save(_two_blobs(120, seed=2, spread=1.5), path, "libsvm")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -322,6 +319,24 @@ class TestPredictAndEvaluate:
         ])
         assert code == 0
         assert len(_read_lines(tmp_path / "predictions.csv")) == 2 + 5
+
+    def test_predict_unlabeled_skips_libsvm_label_fields(self, blob_files, trained, tmp_path,
+                                                        capsys):
+        # Placeholder labels (all 0) fail the labeled path as non-binary;
+        # --unlabeled skips them and scores the rows as with real labels.
+        zeros = tmp_path / "zeros.txt"
+        with open(blob_files["libsvm"]) as src, open(zeros, "w") as dst:
+            for line in src:
+                dst.write("0 " + line.split(" ", 1)[1])
+        common = ["--checkpoint", trained, "--out-dir"]
+        assert main(["predict", "--data", str(zeros), *common, str(tmp_path / "a")]) == 1
+        assert "non-binary labels" in _one_error_line(capsys)
+        assert main(["predict", "--data", str(zeros), "--unlabeled",
+                     *common, str(tmp_path / "b")]) == 0
+        assert main(["predict", "--data", blob_files["libsvm"], *common,
+                     str(tmp_path / "c")]) == 0
+        assert ((tmp_path / "b" / "predictions.csv").read_bytes()
+                == (tmp_path / "c" / "predictions.csv").read_bytes())
 
     def test_evaluate_scores_separable_blobs(self, blob_files, trained, tmp_path, capsys):
         code = main([
@@ -564,6 +579,25 @@ class TestConfigFile:
         assert "expected key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("train", "conv=heldout"),  # an option that no longer exists
+    ("predict", "max_iters=5"),  # an option of another command
+])
+def test_config_key_that_is_not_an_option_is_one_error_line(command, key, blob_files, trained,
+                                                            tmp_path, capsys):
+    # Both exited 2 with argparse's usage text.
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"# options\n{key}\n")
+    extra = ["--checkpoint", trained] if command == "predict" else FAST
+    out_dir = tmp_path / "out"
+    code = main([command, "--data", blob_files["libsvm"], "--config", str(cfg),
+                 "--out-dir", str(out_dir), *extra])
+    assert code == 1
+    line = _one_error_line(capsys)
+    assert f"opts.cfg:2: {key.split('=')[0]!r}" in line
+    assert not out_dir.exists()
+
+
 class TestCv:
     def test_writes_per_fold_and_summary_rows(self, blob_files, tmp_path, capsys):
         code = main([
@@ -574,11 +608,11 @@ class TestCv:
         out = capsys.readouterr().out
         assert "cv=" in out
         lines = _read_lines(tmp_path / "cv.csv")
-        assert lines[0] == "# schema=pggpc.cv.v1"
-        assert lines[1] == "fold,error_rate,mean_nll,train_seconds"
+        assert lines[0] == "# schema=pggpc.cv.v2"
+        assert lines[1] == "m,fold,error_rate,mean_nll,train_seconds"
         assert len(lines) == 2 + 3 + 2  # folds + mean + std
-        assert lines[-2].startswith("mean,")
-        assert lines[-1].startswith("std,")
+        assert lines[-2].startswith("4,mean,")
+        assert lines[-1].startswith("4,std,")
 
     def test_max_test_caps_fold_size(self, blob_files, tmp_path, monkeypatch):
         # Each 10-row test fold of the 40-row file is scored on its first 3 rows.
@@ -598,6 +632,39 @@ class TestCv:
         code = main(["cv", "--data", blob_files["libsvm"], "--folds", "1", *FAST])
         assert code == 1
         assert "at least 2 folds" in capsys.readouterr().err
+
+    def test_m_list_writes_rows_per_m(self, blob_files, tmp_path, capsys):
+        code = main([
+            "cv", "--data", blob_files["libsvm"], "--m", "2,4",
+            "--folds", "2", "--batch", "20", "--max-iters", "15",
+            "--hyper-every", "0", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        printed = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:-1]]
+        lines = _read_lines(tmp_path / "cv.csv")
+        assert lines[1] == "m,fold,error_rate,mean_nll,train_seconds"
+        rows = [line.split(",")[:2] for line in lines[2:]]
+        assert rows == printed == [[m, fold] for m in ("2", "4")
+                                   for fold in ("0", "1", "mean", "std")]
+
+    def test_empty_m_list_rejected(self, blob_files):
+        with pytest.raises(SystemExit):
+            main(["cv", "--data", blob_files["libsvm"], "--m", ","])
+
+    def test_grid_rows_are_the_single_m_runs(self, blob_files, tmp_path):
+        # Each value of an --m list runs the same fold loop as a one-value
+        # run: its error and NLL rows agree to the last digit.
+        common = ["--data", blob_files["libsvm"], "--folds", "3", "--seed", "3",
+                  "--batch", "20", "--max-iters", "30", "--hyper-every", "0"]
+
+        def rows(m_list):  # m, fold, error_rate, mean_nll
+            out_dir = tmp_path / m_list
+            assert main(["cv", "--m", m_list, *common, "--out-dir", str(out_dir)]) == 0
+            return [line.split(",")[:4] for line in _read_lines(out_dir / "cv.csv")[2:]]
+
+        grid = rows("2,4")
+        assert len(grid) == 2 * (3 + 2)
+        assert grid == rows("2") + rows("4")
 
 
 class TestGibbsCheck:
@@ -666,39 +733,6 @@ class TestGibbsCheck:
         assert "above the Gibbs oracle cap" in capsys.readouterr().err
 
 
-class TestSweepM:
-    def test_error_table_across_inducing_counts(self, blob_files, tmp_path, capsys):
-        code = main([
-            "sweep-m", "--data", blob_files["libsvm"], "--m-grid", "2,4",
-            "--folds", "2", "--batch", "20", "--max-iters", "15",
-            "--hyper-every", "0", "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "m=    2" in out and "m=    4" in out
-        lines = _read_lines(tmp_path / "sweep.csv")
-        assert lines[0] == "# schema=pggpc.sweep.v1"
-        assert lines[1] == "m,mean_error,std_error,mean_nll,std_nll,mean_train_seconds"
-        assert len(lines) == 2 + 2
-        assert [int(l.split(",")[0]) for l in lines[2:]] == [2, 4]
-
-    def test_empty_m_grid_rejected(self, blob_files):
-        with pytest.raises(SystemExit):
-            main(["sweep-m", "--data", blob_files["libsvm"], "--m-grid", ","])
-
-    def test_one_grid_point_is_the_cv_run(self, blob_files, tmp_path):
-        # Both commands run the same fold loop: a one-point grid reports
-        # cv's mean error and NLL to the last bit.
-        common = ["--data", blob_files["libsvm"], "--folds", "3", "--seed", "3",
-                  "--batch", "20", "--max-iters", "30", "--hyper-every", "0"]
-        assert main(["cv", "--m", "4", *common, "--out-dir", str(tmp_path)]) == 0
-        assert main(["sweep-m", "--m-grid", "4", *common, "--out-dir", str(tmp_path)]) == 0
-        cv_mean = _read_lines(tmp_path / "cv.csv")[-2].split(",")
-        sweep = _read_lines(tmp_path / "sweep.csv")[2].split(",")
-        assert cv_mean[0] == "mean" and sweep[0] == "4"
-        assert (sweep[1], sweep[3]) == (cv_mean[1], cv_mean[2])
-
-
 def test_readme_command_lines_parse():
     # A flag removed from the CLI must not linger in the documented examples.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -751,7 +785,6 @@ def test_every_parsed_option_is_read(blob_files, trained, tmp_path, monkeypatch)
         "evaluate": ["--data", small, "--checkpoint", trained],
         "cv": ["--data", small, "--folds", "2", *FAST],
         "gibbs-check": ["--data", small, "--sweeps", "20", "--burn-in", "5", "--max-iters", "2"],
-        "sweep-m": ["--data", small, "--m-grid", "2", "--folds", "2", "--max-iters", "2"],
     }
     assert set(runs) == set(cli._COMMANDS)
     unread = {}
@@ -767,5 +800,5 @@ def test_every_parsed_option_is_read(blob_files, trained, tmp_path, monkeypatch)
 def test_console_script_is_installed():
     proc = subprocess.run(["pggpc", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
-    for name in ("train", "predict", "evaluate", "cv", "gibbs-check", "sweep-m"):
+    for name in cli._COMMANDS:
         assert name in proc.stdout

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from pggpc import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,9 @@ def test_readme_python_blocks_run():
     namespace = {"__name__": "readme"}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md, python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_command_table_is_the_cli_commands():
+    # A removed subcommand must not linger in the table, nor a new one be missing.
+    names = re.findall(r"^\| `pggpc ([\w-]+)` \|", README.read_text(), re.M)
+    assert sorted(names) == sorted(cli._COMMANDS)
