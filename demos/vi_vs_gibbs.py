@@ -28,7 +28,7 @@ def make_overlapping_blobs(n=60, seed=3):
 
 def main():
     data = make_overlapping_blobs()
-    params = KernelParams(log_lengthscale=0.5 * float(np.log(data.d)))
+    params = KernelParams.default(data.d)
 
     config = TrainConfig(
         num_inducing=data.n, batch_size=data.n, max_iters=300,

@@ -47,12 +47,16 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(path, schema, header, rows):
+def _write_csv(out_dir, name, schema, header, rows):
+    """Write ``out_dir/name`` (making the directory) and return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         fh.write(f"# schema={schema}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def _parse_m_list(text):
@@ -65,15 +69,10 @@ def _parse_m_list(text):
     return values
 
 
-def _infer_format(path, explicit):
-    if explicit:
-        return explicit
-    return "csv" if path.lower().endswith(".csv") else "libsvm"
-
-
 def _add_data_opts(p, sampled=True):
-    """Data-file options, plus ``--canonical-sort`` and ``--seed`` for commands
-    that draw at random (``sampled``), the only ones those two act on."""
+    """Data-file and output options, every command's, plus ``--canonical-sort``
+    and ``--seed`` for commands that draw at random (``sampled``), the only
+    ones those two act on."""
     p.add_argument("--data", required=True, help="input dataset path")
     p.add_argument(
         "--format", choices=("libsvm", "csv"), default=None,
@@ -92,9 +91,6 @@ def _add_data_opts(p, sampled=True):
         )
         p.add_argument("--seed", type=int, default=TrainConfig.seed,
                        help="random seed (default %(default)s)")
-
-
-def _add_common_opts(p):
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.add_argument("--config", default=None, help="key=value file of option defaults")
 
@@ -140,7 +136,6 @@ def _build_parser():
 
     p_train = sub.add_parser("train", help="fit a model; write checkpoint and trace")
     _add_data_opts(p_train)
-    _add_common_opts(p_train)
     _add_train_opts(p_train)
     p_train.add_argument("--m", type=int, default=TrainConfig.num_inducing,
                          help="inducing points (default %(default)s)")
@@ -151,7 +146,6 @@ def _build_parser():
 
     p_pred = sub.add_parser("predict", help="score inputs from a checkpoint")
     _add_data_opts(p_pred, sampled=False)
-    _add_common_opts(p_pred)
     p_pred.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
     p_pred.add_argument(
         "--unlabeled", action=argparse.BooleanOptionalAction, default=False,
@@ -160,35 +154,31 @@ def _build_parser():
 
     p_eval = sub.add_parser("evaluate", help="error/NLL of a checkpoint on labeled data")
     _add_data_opts(p_eval, sampled=False)
-    _add_common_opts(p_eval)
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validated benchmark")
     _add_data_opts(p_cv)
-    _add_common_opts(p_cv)
     _add_train_opts(p_cv)
     p_cv.add_argument("--m", type=_parse_m_list, default=[TrainConfig.num_inducing],
                       metavar="M1,M2,...", help="inducing points, one fold loop per value "
                       f"(default {TrainConfig.num_inducing})")
-    p_cv.add_argument("--folds", type=int, default=10, help="fold count (default 10)")
+    p_cv.add_argument("--folds", type=int, default=10, help="fold count (default %(default)s)")
     p_cv.add_argument("--max-test", type=int, default=100000,
-                      help="cap on test-fold size (default 100000)")
+                      help="cap on test-fold size (default %(default)s)")
 
     p_gc = sub.add_parser("gibbs-check", help="full-GP VI vs exact Gibbs agreement")
     _add_data_opts(p_gc)
-    _add_common_opts(p_gc)
-    p_gc.add_argument("--oracle-cap", type=int, default=1000,
-                      help="refuse datasets larger than this (default 1000)")
-    for flag, default, what in (("--sweeps", GIBBS_SWEEPS, "total Gibbs sweeps"),
+    for flag, default, what in (("--oracle-cap", 1000, "refuse datasets larger than this"),
+                                ("--sweeps", GIBBS_SWEEPS, "total Gibbs sweeps"),
                                 ("--burn-in", GIBBS_BURN_IN, "burn-in sweeps"),
-                                ("--thin", GIBBS_THIN, "thinning stride")):
+                                ("--thin", GIBBS_THIN, "thinning stride"),
+                                ("--max-iters", 200, "VI iteration cap")):
         p_gc.add_argument(flag, type=int, default=default, help=f"{what} (default %(default)s)")
-    p_gc.add_argument("--max-iters", type=int, default=200, help="VI iteration cap (default 200)")
     _add_kernel_opts(p_gc)
     p_gc.add_argument("--corr-threshold", type=float, default=0.99,
-                      help="required posterior-mean correlation (default 0.99)")
+                      help="required posterior-mean correlation (default %(default)s)")
     p_gc.add_argument("--gap-threshold", type=float, default=0.05,
-                      help="allowed mean |p_mcmc - p_vi| (default 0.05)")
+                      help="allowed mean |p_mcmc - p_vi| (default %(default)s)")
     return parser
 
 
@@ -236,12 +226,14 @@ def _apply_config_file(argv, parser):
 
 
 def _data_format(args, labeled=True):
-    """The input's format, once each format-specific data option is known to act on it."""
-    fmt = _infer_format(args.data, args.format)
+    """The input's format, stored in ``args.format`` once each format-specific data
+    option is known to act on it; without ``--format``, .csv means csv."""
+    fmt = args.format or ("csv" if args.data.lower().endswith(".csv") else "libsvm")
     if args.label_col is not None and not (labeled and fmt == "csv"):
         raise ValueError("--label-col applies only to labeled csv input")
     if args.n_features is not None and fmt != "libsvm":
         raise ValueError("--n-features applies only to libsvm input")
+    args.format = fmt
     return fmt
 
 
@@ -272,19 +264,16 @@ def _train_config(args, n, d, m, seed=None):
 
 def cmd_train(args):
     ds = _load_labeled(args)
-    scaler = None
+    preprocess = None
     if args.standardize:
         ds, scaler = standardize(ds)
+        preprocess = {"means": scaler.means, "stds": scaler.stds}
     config = _train_config(args, ds.n, ds.d, args.m)
     result = fit(ds, config)
-    os.makedirs(args.out_dir, exist_ok=True)
+    trace_path = _write_csv(args.out_dir, "trace.csv", "pggpc.trace.v1", result.trace_columns,
+                            result.trace)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
-    trace_path = os.path.join(args.out_dir, "trace.csv")
-    preprocess = None
-    if scaler is not None:
-        preprocess = {"means": scaler.means, "stds": scaler.stds}
     save_checkpoint(ckpt_path, result.state, args.seed, preprocess=preprocess)
-    _write_csv(trace_path, "pggpc.trace.v1", result.trace_columns, result.trace)
     print(f"final_elbo={result.final_elbo!r}")
     if result.heldout is not None:
         ev = evaluate(result.state, result.heldout)
@@ -305,8 +294,7 @@ def _prepare_features(args, X, state, preprocess):
     a file whose last features are all zero is widened to the checkpoint's d.
     """
     d = state.Z.shape[1]
-    libsvm = _infer_format(args.data, args.format) == "libsvm"
-    if libsvm and args.n_features is None and X.shape[1] < d:
+    if args.format == "libsvm" and args.n_features is None and X.shape[1] < d:
         X = np.pad(X, ((0, 0), (0, d - X.shape[1])))
     if X.shape[1] != d:
         raise ValueError(
@@ -329,11 +317,9 @@ def cmd_predict(args):
     mu, var = latent_predict(state, X)
     p = class_prob(mu, var)
     label = np.where(p >= 0.5, 1, -1)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "predictions.csv")
     rows = zip(range(X.shape[0]), mu, var, p, label)
-    _write_csv(out, "pggpc.predictions.v1",
-               ("index", "mu_star", "var_star", "p_pos", "predicted_label"), rows)
+    out = _write_csv(args.out_dir, "predictions.csv", "pggpc.predictions.v1",
+                     ("index", "mu_star", "var_star", "p_pos", "predicted_label"), rows)
     print(f"predictions={out} n={X.shape[0]}")
     return 0
 
@@ -343,9 +329,7 @@ def cmd_evaluate(args):
     ds = _load_labeled(args)
     ds = Dataset(_prepare_features(args, ds.X, state, preprocess), ds.y)
     report = evaluate(state, ds)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "metrics.csv")
-    _write_csv(out, "pggpc.metrics.v1", ("error_rate", "mean_nll", "n"),
+    _write_csv(args.out_dir, "metrics.csv", "pggpc.metrics.v1", ("error_rate", "mean_nll", "n"),
                [(report.error_rate, report.mean_nll, report.n)])
     print(f"error_rate={report.error_rate!r} mean_nll={report.mean_nll!r} n={report.n}")
     return 0
@@ -387,10 +371,8 @@ def cmd_cv(args):
         cols = results.T  # error, nll, seconds; std is the population std over folds
         rows += [(m, i, *r) for i, r in enumerate(results)]
         rows += [(m, "mean", *(c.mean() for c in cols)), (m, "std", *(c.std() for c in cols))]
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "cv.csv")
-    _write_csv(out, "pggpc.cv.v2", ("m", "fold", "error_rate", "mean_nll", "train_seconds"),
-               rows)
+    out = _write_csv(args.out_dir, "cv.csv", "pggpc.cv.v2",
+                     ("m", "fold", "error_rate", "mean_nll", "train_seconds"), rows)
     print(f"{'m':>6} {'fold':>6} {'error':>10} {'nll':>10} {'seconds':>10}")
     for row in rows:
         print("{:>6} {:>6} {:>10.4f} {:>10.4f} {:>10.3f}".format(*row))
@@ -422,11 +404,9 @@ def cmd_gibbs_check(args):
     samples = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
                         thin=args.thin, seed=args.seed)
     report = compare_to_vi(samples, result.state, ds)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "gibbs_vi.csv")
     header = ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos")
     rows = zip(range(ds.n), *(getattr(report, name) for name in header[1:]))
-    _write_csv(out, "pggpc.gibbs_vi.v1", header, rows)
+    out = _write_csv(args.out_dir, "gibbs_vi.csv", "pggpc.gibbs_vi.v1", header, rows)
     passed = (report.mean_corr > args.corr_threshold
               and report.mean_abs_prob_gap < args.gap_threshold)
     print(

@@ -151,7 +151,7 @@ def _map_labels(raw, path):
     return np.array([mapping[v] for v in raw])
 
 
-def _parse_libsvm(path, n_features=None):
+def _parse_libsvm(path, n_features):
     labels = []
     rows = []
     max_idx = 0
@@ -199,7 +199,7 @@ def _parse_libsvm(path, n_features=None):
     return X, labels
 
 
-def _parse_csv(path, label_col, labeled):
+def _parse_csv(path, label_col):
     data_rows = []
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -222,7 +222,7 @@ def _parse_csv(path, label_col, labeled):
                 f"{path}:{lineno}: expected {width} fields, found {len(vals)}"
             )
     table = np.array([vals for vals, _ in data_rows])
-    if not labeled:
+    if label_col is None:
         return table, None
     col = label_col if label_col >= 0 else width + label_col
     if not 0 <= col < width:
@@ -258,24 +258,22 @@ def load(path, format, label_col=0, n_features=None):
     Dataset
         With labels mapped onto {-1, +1}.
     """
-    if format == "libsvm":
-        X, labels = _parse_libsvm(path, n_features)
-    elif format == "csv":
-        X, labels = _parse_csv(path, label_col, labeled=True)
-    else:
-        raise ValueError(f"unknown format {format!r} (expected 'libsvm' or 'csv')")
+    X, labels = _parse(path, format, label_col, n_features)
     return Dataset(X, _map_labels(labels, path))
 
 
 def load_features(path, format, n_features=None):
     """Read an unlabeled feature matrix (CSV rows of numbers, or LibSVM
     records whose label field is ignored)."""
-    if format == "csv":
-        X, _ = _parse_csv(path, 0, labeled=False)
-        return X
+    return _parse(path, format, None, n_features)[0]
+
+
+def _parse(path, format, label_col, n_features):
+    """(X, labels) of the file; CSV with ``label_col=None`` has no label column."""
     if format == "libsvm":
-        X, _ = _parse_libsvm(path, n_features)
-        return X
+        return _parse_libsvm(path, n_features)
+    if format == "csv":
+        return _parse_csv(path, label_col)
     raise ValueError(f"unknown format {format!r} (expected 'libsvm' or 'csv')")
 
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.special import expit
 
 from .kernel import chol_with_escalation, kern_matrix
-from .pg import pg_sample, sigmoid
+from .pg import pg_sample
 from .prediction import class_prob
 
 __all__ = ["gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
@@ -187,7 +188,7 @@ def compare_to_vi(samples, state, dataset):
 
     mcmc_mean = samples.mean(axis=0)
     mcmc_var = samples.var(axis=0, ddof=1)
-    mcmc_ppos = sigmoid(samples).mean(axis=0)
+    mcmc_ppos = expit(samples).mean(axis=0)
     vi_mean = state.mu.copy()
     vi_var = np.diag(state.Sigma).copy()
     vi_ppos = class_prob(vi_mean, vi_var)

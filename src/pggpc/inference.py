@@ -408,6 +408,7 @@ def fit(dataset, config):
     rate = AdaptiveRate()
     adam = AdamState(lr=config.adam_lr)
     window = deque(maxlen=CONV_WINDOW)
+    threshold = config.conv_threshold if heldout is None else HELDOUT_THRESHOLD
     prev_heldout_nll = None
     trace_rows = []
     converged = False
@@ -439,17 +440,14 @@ def fit(dataset, config):
 
         if heldout is None:
             window.append(rel_change)
-            if len(window) == CONV_WINDOW and np.mean(window) < config.conv_threshold:
-                converged = True
-                break
         else:
             nll = evaluate(state, heldout).mean_nll
             if prev_heldout_nll is not None:
                 window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
-                if len(window) == CONV_WINDOW and np.mean(window) < HELDOUT_THRESHOLD:
-                    converged = True
-                    break
             prev_heldout_nll = nll
+        if len(window) == CONV_WINDOW and np.mean(window) < threshold:
+            converged = True
+            break
 
     kmu, var = latent_predict(state, train.X)
     final_elbo = elbo(state, train.y, _optimal_tilts(kmu, var), kmu, var, 1.0)

@@ -3,7 +3,7 @@
 The kernel is k(x, x') = a^2 exp(-||x - x'||^2 / (2 l^2)) plus an additive
 white-noise (jitter) term that contributes only when x and x' are the same
 point by index.  Hyperparameters are carried in log space so optimizers can
-work unconstrained.
+work unconstrained.  Distances are taken about the inducing inputs' centre.
 """
 
 from __future__ import annotations
@@ -50,15 +50,16 @@ class KernelParams:
     Attributes
     ----------
     log_lengthscale : float
-        Log of the common lengthscale l (shared across input dimensions).
+        Log of the common lengthscale l (shared across input dimensions); its
+        default depends on d, so only :meth:`default` gives one.
     log_amplitude : float
         Log of the signal amplitude a (the kernel carries a^2).
     log_jitter : float
         Log of the additive diagonal noise variance.
     """
 
-    log_lengthscale: float = 0.0
-    log_amplitude: float = 0.0
+    log_lengthscale: float
+    log_amplitude: float = float(np.log(_DEFAULT_AMPLITUDE))
     log_jitter: float = float(np.log(_DEFAULT_JITTER))
 
     def __post_init__(self):
@@ -92,8 +93,8 @@ class KernelParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         return cls(
             0.5 * float(np.log(d)) if lengthscale is None else float(np.log(lengthscale)),
-            float(np.log(_DEFAULT_AMPLITUDE if amplitude is None else amplitude)),
-            float(np.log(_DEFAULT_JITTER if jitter is None else jitter)),
+            cls.log_amplitude if amplitude is None else float(np.log(amplitude)),
+            cls.log_jitter if jitter is None else float(np.log(jitter)),
         )
 
     @classmethod
@@ -114,20 +115,34 @@ def sq_dists(X, Z):
     return np.maximum(d2, 0.0)
 
 
+def _kernel_inputs(X, Z, l=1.0):
+    """X and Z in units of l, clamped to +/- ``_FAR``, less c = trunc(mean of Z's rows).
+
+    A squared norm then holds a row's spread about Z, not its offset from the
+    origin, so far inputs keep their digits; distances do not move, and at
+    c = 0 (standardized inputs) nothing does.
+    """
+    far = _FAR * l
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / l
+    Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
+    c = np.trunc(Z.mean(axis=0))
+    if c.any():
+        X, Z = np.clip(X - c, -_FAR, _FAR), np.clip(Z - c, -_FAR, _FAR)
+    return X, Z
+
+
 def kern_matrix(X, Z, params, same=False):
     """Dense kernel matrix between row sets X and Z.
 
-    Built in one (n, m) buffer: with both sets scaled by 1/l (clamped to
-    +/- ``_FAR``), the GEMM x.z is reduced in place by the half row norms,
+    Built in one (n, m) buffer: with both sets taken by ``_kernel_inputs``
+    in units of l, the GEMM x.z is reduced in place by the half row norms,
     clamped at 0 (a squared distance is never negative), exponentiated and
     scaled by a^2.
 
     With ``same=True`` the two sets are taken to be identical point lists and
     the jitter is added on the diagonal.
     """
-    l, far = params.lengthscale, _FAR * params.lengthscale
-    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / l
-    Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
+    X, Z = _kernel_inputs(X, Z, params.lengthscale)
     K = X @ Z.T
     K -= 0.5 * np.sum(X * X, axis=1)[:, None]
     K -= 0.5 * np.sum(Z * Z, axis=1)
@@ -255,8 +270,6 @@ def build_gram(X_batch, Z, params, mm=None):
     -------
     GramBundle
     """
-    X_batch = np.atleast_2d(np.asarray(X_batch, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if mm is None:
         K_mm = kern_matrix(Z, Z, params, same=True)
         L, extra = chol_with_escalation(K_mm, params.jitter)
@@ -265,7 +278,7 @@ def build_gram(X_batch, Z, params, mm=None):
     else:
         K_mm, L, extra = mm.K_mm, mm.chol_Kmm, mm.jitter_extra
     K_nm = kern_matrix(X_batch, Z, params)
-    k_diag = np.full(X_batch.shape[0], params.amplitude**2 + params.jitter)
+    k_diag = np.full(K_nm.shape[0], params.amplitude**2 + params.jitter)
     gram = GramBundle(K_mm=K_mm, chol_Kmm=L, K_nm=K_nm, k_diag=k_diag, jitter_extra=extra)
     if mm is not None:
         gram.Kmm_inv = mm.Kmm_inv  # one inverse per factorization
@@ -280,15 +293,15 @@ def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):
     log a and (jitter I, 0, jitter) in log jitter.  D holds the squared
     distances, the only kernel work done here; S is the squared-exponential
     part read from the bundle: K_nm, and K_mm less its jitter diagonal
-    ``params.jitter + gram.jitter_extra``.  The rows of X and Z are clamped
-    to +/- ``_FAR`` before D is taken, so no square overflows.  Returns
-    shape (3,), ordered as KernelParams.as_array().
+    ``params.jitter + gram.jitter_extra``.  D is taken on the rows as
+    ``_kernel_inputs`` gives them, so no square overflows.  Returns shape
+    (3,), ordered as KernelParams.as_array().
     """
     S_mm = gram.K_mm.copy()
     S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
     PS_mm = P_K * S_mm
     PS_nm = P_A * gram.K_nm
-    X, Z = np.clip(X, -_FAR, _FAR), np.clip(Z, -_FAR, _FAR)
+    X, Z = _kernel_inputs(X, Z)
     d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(X, Z))
     return np.array([
         d_ell / params.lengthscale**2,

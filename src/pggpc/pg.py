@@ -13,10 +13,9 @@ through |c| because PG(b, c) = PG(b, -c).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, erfcx, expit
+from scipy.special import erfc, erfcx
 
 __all__ = [
-    "sigmoid",
     "log_cosh",
     "theta",
     "pg_kl_term",
@@ -33,22 +32,6 @@ _MAX_TILT = 1e150
 _TRUNC = 0.64
 _INV_SQRT_2T = 1.0 / np.sqrt(2.0 * _TRUNC)
 _SQRT_HALF_T = np.sqrt(0.5 * _TRUNC)
-
-
-def sigmoid(z):
-    """Logistic link sigma(z) = 1 / (1 + exp(-z)).
-
-    Parameters
-    ----------
-    z : float or array_like
-        Logit value(s); any finite magnitude is safe (no overflow).
-
-    Returns
-    -------
-    float or ndarray
-        Probabilities in (0, 1).
-    """
-    return expit(z)
 
 
 def log_cosh(x):

@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from .kernel import kern_matrix
-from .pg import sigmoid
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
 
@@ -112,7 +111,7 @@ def _trapezoid_prob(mu, sd):
         t = _TRAP_STEP * np.arange(-half, half + 1)
         rows = order[lo:lo + max(1, _TRAP_BLOCK // t.size)]
         w = np.exp(-0.5 * (t / sd[rows, None]) ** 2)
-        p = np.einsum("ij,ij->i", w, sigmoid(mu[rows, None] + t))
+        p = np.einsum("ij,ij->i", w, expit(mu[rows, None] + t))
         out[rows] = p / w.sum(axis=1)
         lo += rows.size
     return out
@@ -167,7 +166,7 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     if narrow.any():
         nodes, weights = np.polynomial.hermite.hermgauss(order)
         f = mu_flat[narrow, None] + np.sqrt(2.0 * var_flat[narrow])[:, None] * nodes
-        out[narrow] = sigmoid(f) @ weights * (1.0 / np.sqrt(np.pi))
+        out[narrow] = expit(f) @ weights * (1.0 / np.sqrt(np.pi))
     vast = var_flat > _TRAP_MAX_VAR
     if vast.any():
         out[vast] = _step_expansion_prob(mu_flat[vast], np.sqrt(var_flat[vast]))

@@ -18,12 +18,13 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.special import expit as sigmoid
 
 from pggpc.data import MiniBatch
 from pggpc.inference import elbo, local_update
 from pggpc.kernel import build_gram, chol_with_escalation, sq_dists
 from pggpc.model import init_state, kmeanspp_init
-from pggpc.pg import log_cosh, pg_kl_term, sigmoid, theta
+from pggpc.pg import log_cosh, pg_kl_term, theta
 from pggpc.prediction import latent_predict
 
 _LOG2 = float(np.log(2.0))

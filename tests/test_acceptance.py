@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
+from scipy.special import expit as sigmoid
 
 from pggpc.data import MiniBatch, kfold, load, standardize
 from pggpc.gibbs import compare_to_vi, gibbs_run
@@ -26,7 +27,7 @@ from pggpc.inference import (
 )
 from pggpc.kernel import KernelParams, build_gram, kern_matrix
 from pggpc.model import Dataset, VariationalState, init_state, kmeanspp_init
-from pggpc.pg import log_cosh, pg_kl_term, pg_sample, sigmoid
+from pggpc.pg import log_cosh, pg_kl_term, pg_sample
 from pggpc.prediction import class_prob, evaluate
 
 from oracles import (
@@ -211,7 +212,7 @@ def test_c05_covariance_precision_stays_choleskyable_for_10000_steps(scorecard):
     ds = _separable_blobs(200, seed=5, spread=1.2)
     rng = np.random.default_rng(0)
     Z = kmeanspp_init(ds.X, 8, rng)
-    state = init_state(Z, KernelParams())
+    state = init_state(Z, KernelParams(0.0))
     rate = AdaptiveRate()
     checked = 0
     for _ in range(10_000):

@@ -104,6 +104,19 @@ class TestTrain:
     def test_csv_input_by_extension(self, blob_files, tmp_path):
         assert _train(blob_files["csv"], tmp_path) == 0
 
+    def test_format_flag_overrides_the_extension(self, blob_files, tmp_path, capsys):
+        # The same rows as CSV named .txt and as LIBSVM named .csv.
+        csv_txt, libsvm_csv = tmp_path / "blobs_csv.txt", tmp_path / "blobs_libsvm.csv"
+        csv_txt.write_bytes(Path(blob_files["csv"]).read_bytes())
+        libsvm_csv.write_bytes(Path(blob_files["libsvm"]).read_bytes())
+        assert _train(str(csv_txt), tmp_path / "a", "--format", "csv") == 0
+        assert _train(str(libsvm_csv), tmp_path / "b", "--format", "libsvm") == 0
+        ckpt = [(tmp_path / run / "checkpoint.json").read_bytes() for run in ("a", "b")]
+        assert ckpt[0] == ckpt[1]
+        capsys.readouterr()
+        assert _train(str(csv_txt), tmp_path / "c") == 1  # read as LIBSVM by its extension
+        assert f"{csv_txt}:1:" in _one_error_line(capsys)
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.txt"), *FAST])
         assert code == 1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from pggpc import gibbs
 from pggpc.gibbs import (
@@ -13,7 +14,6 @@ from pggpc.gibbs import (
 )
 from pggpc.kernel import KernelParams, chol_with_escalation, kern_matrix
 from pggpc.model import Dataset, VariationalState
-from pggpc.pg import sigmoid
 from pggpc.prediction import class_prob
 
 from oracles import f_conditional_dense
@@ -112,7 +112,7 @@ def _independent_two_points():
     """Two inputs so far apart the kernel renders them independent."""
     X = np.array([[0.0], [100.0]])
     y = np.array([1.0, -1.0])
-    return Dataset(X, y), KernelParams()
+    return Dataset(X, y), KernelParams(0.0)
 
 
 def _quadrature_posterior(y_i, prior_var):
@@ -141,7 +141,7 @@ class TestGibbsRun:
 
     def test_label_flip_mirrors_the_posterior(self):
         X = np.array([[0.0], [100.0]])
-        params = KernelParams()
+        params = KernelParams(0.0)
         base = gibbs_run(Dataset(X, np.array([1.0, -1.0])), params,
                          iters=3000, burn_in=500, thin=2, seed=7)
         flipped = gibbs_run(Dataset(X, np.array([-1.0, 1.0])), params,
@@ -161,7 +161,7 @@ class TestGibbsRun:
     def test_shapes_and_thinning(self):
         rng = np.random.default_rng(9)
         data = Dataset(rng.normal(size=(3, 2)), np.array([1.0, -1.0, 1.0]))
-        samples = gibbs_run(data, KernelParams(), iters=50, burn_in=10, thin=4, seed=0)
+        samples = gibbs_run(data, KernelParams(0.0), iters=50, burn_in=10, thin=4, seed=0)
         assert samples.shape == (10, 3)
 
     def test_iters_must_exceed_burn_in(self):
@@ -193,7 +193,7 @@ class TestGibbsRun:
             return chol_with_escalation(K, base_jitter)
 
         monkeypatch.setattr(gibbs, "chol_with_escalation", counting)
-        gibbs_run(data, KernelParams(), iters=37, burn_in=7, thin=3, seed=0)
+        gibbs_run(data, KernelParams(0.0), iters=37, burn_in=7, thin=3, seed=0)
         assert calls == [(6, 6)] * 38
 
     def test_escalated_prior_covariance_is_used_throughout(self, monkeypatch):
@@ -202,7 +202,7 @@ class TestGibbsRun:
         # from the same escalated K + extra I.
         X = np.repeat([[0.0, 0.0], [0.6, -0.3], [1.0, 1.0]], 3, axis=0)
         data = Dataset(X, np.repeat([1.0, -1.0, 1.0], 3))
-        params = KernelParams(log_jitter=float(np.log(1e-300)))
+        params = KernelParams(0.0, log_jitter=float(np.log(1e-300)))
         K_raw = kern_matrix(X, X, params, same=True)
         _, extra = chol_with_escalation(K_raw, 1e-12)
         assert extra > 0.0
@@ -242,7 +242,7 @@ class TestCompareToVi:
     def test_requires_full_gp_state(self):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
-        params = KernelParams()
+        params = KernelParams(0.0)
         state = _full_gp_state(data, params, rng)
         sparse = VariationalState.from_natural(
             state.eta1[:3], state.eta2[:3, :3], data.X[:3], params
@@ -253,7 +253,7 @@ class TestCompareToVi:
     def test_chain_size_mismatch_raises(self):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
-        state = _full_gp_state(data, KernelParams(), rng)
+        state = _full_gp_state(data, KernelParams(0.0), rng)
         with pytest.raises(ValueError, match="disagree"):
             compare_to_vi(np.zeros((5, 3)), state, data)
 
@@ -263,7 +263,7 @@ class TestCompareToVi:
         rng = np.random.default_rng(21)
         data = Dataset(rng.normal(size=(4, 2)),
                        np.array([1.0, -1.0, 1.0, 1.0]))
-        state = _full_gp_state(data, KernelParams(), rng, spread=1.5)
+        state = _full_gp_state(data, KernelParams(0.0), rng, spread=1.5)
         v = np.diag(state.Sigma)
         S = 40_000
         F = state.mu + np.sqrt(v) * rng.standard_normal(size=(S, 4))

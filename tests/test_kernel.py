@@ -28,7 +28,7 @@ def test_kern_reference_value():
 
 
 def test_kern_same_index_adds_jitter():
-    params = KernelParams(log_jitter=np.log(1e-3))
+    params = KernelParams(0.0, log_jitter=np.log(1e-3))
     x = np.array([0.3, -0.7])
     assert kern(x, x, params) == pytest.approx(1.0, rel=1e-12)
     assert kern(x, x, params, same_index=True) == pytest.approx(1.0 + 1e-3, rel=1e-12)
@@ -36,7 +36,7 @@ def test_kern_same_index_adds_jitter():
 
 def test_kern_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kern([1.0, 2.0], [1.0, 2.0, 3.0], KernelParams())
+        kern([1.0, 2.0], [1.0, 2.0, 3.0], KernelParams(0.0))
 
 
 def test_kern_hyperparameter_scaling():
@@ -58,7 +58,7 @@ def test_sq_dists_matches_brute_force():
 def test_kern_matrix_same_flag_controls_jitter():
     rng = np.random.default_rng(1)
     Z = rng.normal(size=(5, 2))
-    params = KernelParams(log_jitter=np.log(1e-4))
+    params = KernelParams(0.0, log_jitter=np.log(1e-4))
     K_plain = kern_matrix(Z, Z, params)
     K_same = kern_matrix(Z, Z, params, same=True)
     np.testing.assert_allclose(np.diag(K_plain), 1.0, rtol=1e-12)
@@ -69,7 +69,7 @@ def test_kern_matrix_same_flag_controls_jitter():
 
 def test_kern_diag_is_marginal_variance():
     # A bundle's k_diag is the diagonal of the full kernel matrix: a^2 + jitter.
-    params = KernelParams(log_amplitude=np.log(2.0), log_jitter=np.log(1e-5))
+    params = KernelParams(0.0, log_amplitude=np.log(2.0), log_jitter=np.log(1e-5))
     X = np.random.default_rng(1).normal(size=(6, 3))
     diag = np.diag(kern_matrix(X, X, params, same=True))
     np.testing.assert_allclose(diag, 4.0 + 1e-5, rtol=1e-12)
@@ -108,7 +108,7 @@ def test_kern_matrix_holds_one_n_by_m_buffer():
     Z = rng.normal(size=(300, 8))
     tracemalloc.start()
     try:
-        K = kern_matrix(X, Z, KernelParams())
+        K = kern_matrix(X, Z, KernelParams(0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,7 +125,7 @@ def test_params_array_round_trip_and_validation():
     with pytest.raises(ValueError):
         KernelParams(log_lengthscale=np.inf)
     with pytest.raises(ValueError):
-        KernelParams(log_amplitude=np.nan)
+        KernelParams(0.0, log_amplitude=np.nan)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -139,7 +139,7 @@ def test_log_parameter_out_of_range_is_named(field, value):
     # Past these, exp overflows in l, a^2 or the jitter (a traceback, or a
     # RuntimeWarning and an infinite kernel).
     with pytest.raises(ValueError, match=f"^{field} must be finite and at most"):
-        KernelParams(**{field: value})
+        KernelParams(**{"log_lengthscale": 0.0, field: value})
     KernelParams(log_lengthscale=-350.0, log_amplitude=350.0, log_jitter=-700.0)
 
 
@@ -238,7 +238,7 @@ def test_build_gram_residual_nonnegative_and_tiny_on_inducing_points():
     # jitter discrepancy: residual = 2 j - j^2 [K_mm^{-1}]_ii per point.
     rng = np.random.default_rng(5)
     Z = rng.normal(size=(6, 2))
-    params = KernelParams()
+    params = KernelParams(0.0)
     gram = build_gram(Z, Z, params)
     assert np.all(gram.ktilde >= 0.0)
     assert np.all(gram.ktilde <= 2.5 * params.jitter)
@@ -247,7 +247,7 @@ def test_build_gram_residual_nonnegative_and_tiny_on_inducing_points():
 def test_build_gram_reuses_inducing_factorization():
     rng = np.random.default_rng(6)
     Z = rng.normal(size=(5, 3))
-    params = KernelParams()
+    params = KernelParams(0.0)
     mm = build_gram(np.empty((0, 3)), Z, params)
     batch = rng.normal(size=(8, 3))
     gram = build_gram(batch, Z, params, mm=mm)
@@ -260,7 +260,7 @@ def test_build_gram_reuses_inducing_factorization():
 def test_shared_bundle_reuses_inducing_inverse():
     rng = np.random.default_rng(6)
     Z = rng.normal(size=(5, 3))
-    params = KernelParams()
+    params = KernelParams(0.0)
     mm = build_gram(np.empty((0, 3)), Z, params)
     gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
     assert gram.Kmm_inv is mm.Kmm_inv
@@ -269,7 +269,7 @@ def test_shared_bundle_reuses_inducing_inverse():
 def test_solve_mm_matches_dense_solve():
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(5, 2))
-    gram = build_gram(np.empty((0, 2)), Z, KernelParams())
+    gram = build_gram(np.empty((0, 2)), Z, KernelParams(0.0))
     B = rng.normal(size=(5, 3))
     np.testing.assert_allclose(
         gram.solve_mm(B), np.linalg.solve(gram.K_mm, B), rtol=1e-9, atol=1e-11
@@ -307,7 +307,7 @@ def test_kern_grad_jitter_touches_only_diagonals():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(5, 2))
     Z = rng.normal(size=(3, 2))
-    params = KernelParams(log_jitter=np.log(2e-5))
+    params = KernelParams(0.0, log_jitter=np.log(2e-5))
     dK_mm, dK_nm, dk_diag = kern_grad_dense(X, Z, params)["log_jitter"]
     np.testing.assert_allclose(dK_mm, 2e-5 * np.eye(3), rtol=1e-12)
     np.testing.assert_array_equal(dK_nm, np.zeros((5, 3)))
@@ -340,7 +340,7 @@ def test_kern_grad_contracts_the_dense_derivatives(escalated):
 def test_gram_cholesky_is_lower_triangular_factor():
     rng = np.random.default_rng(10)
     Z = rng.normal(size=(4, 2))
-    gram = build_gram(np.empty((0, 2)), Z, KernelParams())
+    gram = build_gram(np.empty((0, 2)), Z, KernelParams(0.0))
     ref = cholesky(gram.K_mm, lower=True)
     np.testing.assert_allclose(gram.chol_Kmm, ref, rtol=1e-12, atol=1e-14)
 

@@ -100,7 +100,7 @@ class TestVariationalState:
         Sigma = A @ A.T + 3.0 * np.eye(3)
         mu = rng.normal(size=3)
         eta1, eta2 = moments_to_natural(mu, Sigma)
-        st = VariationalState.from_natural(eta1, eta2, np.zeros((3, 1)), KernelParams())
+        st = VariationalState.from_natural(eta1, eta2, np.zeros((3, 1)), KernelParams(0.0))
         np.testing.assert_allclose(st.mu, mu, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(st.Sigma, Sigma, rtol=1e-9, atol=1e-11)
         assert st.m == 3
@@ -111,7 +111,7 @@ class TestVariationalState:
             "eta1", "eta2", "mu", "Sigma", "Z", "params", "mm"]
 
     def test_is_frozen(self):
-        st = prior_state(_toy_dataset(), 4, KernelParams(), np.random.default_rng(0))
+        st = prior_state(_toy_dataset(), 4, KernelParams(0.0), np.random.default_rng(0))
         with pytest.raises(FrozenInstanceError):
             st.params = KernelParams(log_lengthscale=0.5)
         with pytest.raises(FrozenInstanceError):
@@ -119,7 +119,7 @@ class TestVariationalState:
 
     def test_with_natural_returns_consistent_new_state(self):
         ds = _toy_dataset()
-        st = prior_state(ds, 4, KernelParams(), np.random.default_rng(0))
+        st = prior_state(ds, 4, KernelParams(0.0), np.random.default_rng(0))
         new = st.with_natural(st.eta1 + 0.1, st.eta2 * 1.5)
         assert new is not st
         mu, Sigma = natural_to_moments(new.eta1, new.eta2)
@@ -128,7 +128,7 @@ class TestVariationalState:
 
     def test_clone_is_independent(self):
         ds = _toy_dataset()
-        st = prior_state(ds, 4, KernelParams(), np.random.default_rng(0))
+        st = prior_state(ds, 4, KernelParams(0.0), np.random.default_rng(0))
         cp = clone(st)
         cp.eta1[0] += 1.0
         cp.eta2[0, 0] += 1.0
@@ -238,7 +238,7 @@ class TestKmeansppInit:
 class TestInitState:
     def test_prior_initialization(self):
         ds = _toy_dataset(25, 2)
-        params = KernelParams()
+        params = KernelParams(0.0)
         st = prior_state(ds, 5, params, np.random.default_rng(13))
         gram = build_gram(ds.X, st.Z, params)
         np.testing.assert_array_equal(st.eta1, np.zeros(5))
@@ -250,7 +250,7 @@ class TestInitState:
         # With mu = 0 and Sigma = K_mm the optimal tilt reduces to
         # sqrt(k(x, x)) for every point, wherever the inducing inputs sit.
         ds = _toy_dataset(30, 2)
-        params = KernelParams(log_amplitude=np.log(1.7))
+        params = KernelParams(0.0, log_amplitude=np.log(1.7))
         st = prior_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
         c = local_update(st, build_gram(ds.X, st.Z, params))
@@ -270,9 +270,10 @@ class TestInitState:
     def test_explicit_inducing_inputs_are_used(self):
         ds = _toy_dataset(12, 2)
         Z = ds.X[:4] + 0.5
-        st = init_state(Z, KernelParams())
+        st = init_state(Z, KernelParams(0.0))
         assert st.m == 4
-        np.testing.assert_allclose(st.Sigma, build_gram(ds.X[:3], Z, KernelParams()).K_mm, rtol=0)
+        np.testing.assert_allclose(st.Sigma, build_gram(ds.X[:3], Z, KernelParams(0.0)).K_mm,
+                                   rtol=0)
         np.testing.assert_array_equal(st.Z, Z)
 
 
@@ -295,7 +296,7 @@ class TestCheckpoint:
 
     def test_save_load_save_reproduces_bytes(self, tmp_path):
         ds = _toy_dataset(10, 2)
-        st = prior_state(ds, 3, KernelParams(), np.random.default_rng(16))
+        st = prior_state(ds, 3, KernelParams(0.0), np.random.default_rng(16))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(p1, st, seed=5)
         loaded, seed, _ = load_checkpoint(p1)
@@ -304,7 +305,7 @@ class TestCheckpoint:
 
     def test_preprocess_block_round_trips(self, tmp_path):
         ds = _toy_dataset(10, 2)
-        st = prior_state(ds, 3, KernelParams(), np.random.default_rng(17))
+        st = prior_state(ds, 3, KernelParams(0.0), np.random.default_rng(17))
         pre = {"means": np.array([0.5, -1.5]), "stds": np.array([2.0, 0.25])}
         path = tmp_path / "c.json"
         save_checkpoint(path, st, seed=1, preprocess=pre)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit as sigmoid
 
 from pggpc.pg import (
     _series_accept,
     log_cosh,
     pg_kl_term,
     pg_sample,
-    sigmoid,
     theta,
 )
 

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit as sigmoid
 from scipy.special import ndtr
 
 from pggpc import kernel, prediction
 from pggpc.kernel import KernelParams, build_gram, kern_matrix
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
-from pggpc.pg import sigmoid
 from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
 
 from oracles import prior_state
@@ -205,7 +205,7 @@ class TestLatentPredict:
         X = rng.normal(size=(20, 2))
         y = np.sign(X[:, 0]) + (X[:, 0] == 0)
         data = Dataset(X, y)
-        state = prior_state(data, 5, KernelParams(), rng)
+        state = prior_state(data, 5, KernelParams(0.0), rng)
 
         Xs = rng.normal(size=(7, 2))
         mu_star, var_star = latent_predict(state, Xs)
@@ -275,7 +275,7 @@ class TestLatentPredict:
 def _confident_state(mu_scale=8.0):
     """1-D state whose predictions at z = -5 and +5 are near 0 and 1."""
     Z = np.array([[-5.0], [5.0]])
-    params = KernelParams(log_amplitude=np.log(3.0))
+    params = KernelParams(0.0, log_amplitude=np.log(3.0))
     Sigma = 0.01 * np.eye(2)
     mu = np.array([-mu_scale, mu_scale])
     return VariationalState.from_natural(
@@ -314,7 +314,7 @@ class TestEvaluate:
         X = rng.normal(size=(12, 2))
         y = np.where(rng.random(12) < 0.5, -1.0, 1.0)
         data = Dataset(X, y)
-        state = prior_state(data, 4, KernelParams(), rng)
+        state = prior_state(data, 4, KernelParams(0.0), rng)
         report = evaluate(state, data)
         assert report.mean_nll == pytest.approx(np.log(2.0), abs=1e-10)
 
