@@ -233,6 +233,8 @@ def _data_format(args, labeled=True):
         raise ValueError("--label-col applies only to labeled csv input")
     if args.n_features is not None and fmt != "libsvm":
         raise ValueError("--n-features applies only to libsvm input")
+    if args.n_features is not None and args.n_features < 1:
+        raise ValueError(f"--n-features must be at least 1, got {args.n_features}")
     args.format = fmt
     return fmt
 

@@ -227,6 +227,8 @@ def _parse_csv(path, label_col):
     col = label_col if label_col >= 0 else width + label_col
     if not 0 <= col < width:
         raise ValueError(f"{path}: label column {label_col} out of range for width {width}")
+    if width == 1:
+        raise ValueError(f"{path}: no feature column besides the label column")
     labels = list(table[:, col])
     X = np.delete(table, col, axis=1)
     return X, labels

@@ -186,12 +186,14 @@ def chol_inverse(L):
     """A^{-1} from the lower Cholesky factor L of an SPD matrix A, exactly symmetric.
 
     LAPACK ``potri`` fills the lower triangle of the inverse; it is mirrored
-    into the upper one.
+    into the upper one in place.
     """
     inv, info = lapack.dpotri(L, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"potri failed (info={info})")
-    return np.tril(inv) + np.tril(inv, -1).T
+    out = np.tril(inv)
+    out += np.tril(inv, -1).T
+    return out
 
 
 @dataclass(eq=False)
@@ -230,8 +232,9 @@ class GramBundle:
 
     @cached_property
     def kappa(self):
-        """kappa = K_nm K_mm^{-1}, shape (n, m)."""
-        return self.solve_mm(self.K_nm.T).T
+        """kappa = K_nm K_mm^{-1}, shape (n, m): one GEMM with ``Kmm_inv``, which a
+        batch bundle shares with the state's ``mm``, so no batch solves against K_mm."""
+        return self.K_nm @ self.Kmm_inv
 
     @cached_property
     def ktilde(self):

@@ -2,9 +2,10 @@
 
 The variational posterior over inducing values u is the Gaussian
 q(u) = N(mu, Sigma), stored canonically in natural parameters
-eta1 = Sigma^{-1} mu and eta2 = -1/2 Sigma^{-1}; (mu, Sigma) are derived
-and refreshed after every natural-space update.  The state also holds the
-K_mm factorization; the Polya-Gamma tilts, per-batch values, are not state.
+eta1 = Sigma^{-1} mu and eta2 = -1/2 Sigma^{-1}; (mu, Sigma) and log|Sigma|
+are derived from one Cholesky factor of the precision after every
+natural-space update.  The state also holds the K_mm factorization; the
+Polya-Gamma tilts, per-batch values, are not state.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -58,6 +60,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain NaN or Inf")
         if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -79,11 +83,15 @@ class Dataset:
 
 
 def natural_to_moments(eta1, eta2):
-    """(mu, Sigma) from natural parameters; requires -2 eta2 SPD."""
+    """(mu, Sigma, log|Sigma|) from natural parameters; requires -2 eta2 SPD.
+
+    One Cholesky factor L_P of the precision -2 eta2 gives both Sigma (by
+    ``potri``) and log|Sigma| = -2 sum log diag L_P.
+    """
     prec = -2.0 * eta2
-    Sigma = chol_inverse(cholesky(0.5 * (prec + prec.T), lower=True))
-    mu = Sigma @ eta1
-    return mu, Sigma
+    L = cholesky(0.5 * (prec + prec.T), lower=True)
+    Sigma = chol_inverse(L)
+    return Sigma @ eta1, Sigma, -2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,12 @@ class VariationalState:
     mm : GramBundle
         The bundle for no rows at (Z, params), the one K_mm factorization; the
         class is frozen, so it changes with ``params``, in one ``replace``.
+
+    ``logdet_Sigma``, log|Sigma|, is not a field.  ``from_natural``,
+    ``with_natural`` and ``init_state`` fill it from the factor that gave
+    Sigma; any other instance, such as one that ``dataclasses.replace``
+    builds with a new Sigma, computes it from ``cholesky(Sigma)`` when first
+    read, so it always belongs to the instance's own Sigma.
     """
 
     eta1: np.ndarray
@@ -120,15 +134,25 @@ class VariationalState:
     def m(self):
         return self.Z.shape[0]
 
+    @cached_property
+    def logdet_Sigma(self):
+        """log|Sigma|."""
+        return 2.0 * float(np.sum(np.log(np.diag(cholesky(self.Sigma, lower=True)))))
+
+    def _with_logdet(self, logdet_Sigma):
+        object.__setattr__(self, "logdet_Sigma", logdet_Sigma)
+        return self
+
     @classmethod
     def from_natural(cls, eta1, eta2, Z, params):
         mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
-        return cls(eta1, eta2, *natural_to_moments(eta1, eta2), Z, params, mm)
+        mu, Sigma, logdet = natural_to_moments(eta1, eta2)
+        return cls(eta1, eta2, mu, Sigma, Z, params, mm)._with_logdet(logdet)
 
     def with_natural(self, eta1, eta2):
         """New state at the given natural parameters (moments refreshed, ``mm`` kept)."""
-        mu, Sigma = natural_to_moments(eta1, eta2)
-        return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma)
+        mu, Sigma, logdet = natural_to_moments(eta1, eta2)
+        return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma)._with_logdet(logdet)
 
 
 def kmeanspp_init(X, m, rng):
@@ -193,14 +217,14 @@ def init_state(Z, params):
 
     Factorizes K_mm at (Z, params) and sets eta2 = -1/2 K_mm^{-1} and
     eta1 = 0, so that (mu, Sigma) is the GP prior (0, K_mm) over the
-    inducing values.
+    inducing values, and log|Sigma| is ``mm.logdet_Kmm``.
     """
     m = Z.shape[0]
     mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
         Z=Z, params=params, mm=mm,
-    )
+    )._with_logdet(mm.logdet_Kmm)
 
 
 def _encode_array(arr):

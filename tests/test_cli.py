@@ -431,6 +431,26 @@ def test_data_option_that_cannot_act_is_one_error_line(command, data, option, bl
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data, flags, name", [
+    ("labels", [], "labels.csv"),
+    ("libsvm", ["--n-features", "0"], "--n-features"),
+    ("libsvm", ["--n-features", "-2"], "--n-features"),
+])
+def test_input_with_no_feature_columns_is_one_error_line(data, flags, name, blob_files,
+                                                         tmp_path, capsys):
+    # A label-only CSV reached KernelParams.default(0) (a divide-by-zero
+    # warning, then an error naming log_lengthscale), and --n-features 0 or
+    # below failed on the file's first feature index or as "too large".
+    paths = dict(blob_files, labels=str(tmp_path / "labels.csv"))
+    Path(paths["labels"]).write_text("1\n0\n1\n0\n")
+    out_dir = tmp_path / "out"
+    code = main(["train", "--data", paths[data], "--out-dir", str(out_dir), *FAST, *flags])
+    assert code == 1
+    assert name in _one_error_line(capsys)
+    assert not out_dir.exists()
+
+
 def _encode(arr):
     arr = np.ascontiguousarray(arr, dtype="<f8")
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}

@@ -108,6 +108,13 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="out of range"):
             load(path, "csv", label_col=7)
 
+    def test_label_column_alone_names_the_file(self, tmp_path):
+        # It reached KernelParams.default(0): a divide-by-zero warning, then
+        # an error naming log_lengthscale instead of the file.
+        path = _write(tmp_path, "labels.csv", "1\n0\n1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: no feature column"):
+            load(path, "csv")
+
     def test_empty_file_raises(self, tmp_path):
         path = _write(tmp_path, "a.csv", "\n\n")
         with pytest.raises(ValueError, match="no data rows"):

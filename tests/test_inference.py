@@ -654,9 +654,10 @@ class TestFit:
         cholesky(-2.0 * res.state.eta2, lower=True)
         assert np.all(np.isfinite(res.trace))
 
-    def test_one_kmm_solve_per_iteration(self, monkeypatch):
-        # Each mini-batch solves against K_mm once (for kappa); the inverse
-        # comes from the shared factorization and the bound reads it.
+    def test_no_kmm_solve_inside_the_loop(self, monkeypatch):
+        # kappa and the bound read the shared K_mm^{-1}; only the closing
+        # latent_predict pass solves against K_mm, three times (alpha and
+        # the two sides of B).
         ds, _ = _toy_problem(n=60, m=6)
         calls = []
         solve_mm = GramBundle.solve_mm
@@ -666,10 +667,31 @@ class TestFit:
             return solve_mm(self, B)
 
         monkeypatch.setattr(GramBundle, "solve_mm", counting)
+        fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
+                            conv_threshold=0.0, hyper_every=0, seed=0))
+        assert len(calls) == 3
+
+    def test_one_cholesky_per_iteration(self, monkeypatch):
+        # The precision's factor gives Sigma and log|Sigma| alike; besides
+        # it, only set-up factorizes (K_mm), and the closing bound reads the
+        # cached log|Sigma|.  At two factorizations an iteration this read
+        # 2 T + 2.
+        ds, _ = _toy_problem(n=60, m=6)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (model, inference, kernel):
+            if hasattr(module, "cholesky"):
+                monkeypatch.setattr(module, "cholesky", counting(module.cholesky))
         iters = 40
         fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=iters,
                             conv_threshold=0.0, hyper_every=0, seed=0))
-        assert len(calls) <= iters + 5
+        assert len(calls) == iters + 1
 
     def test_hyper_iterations_touch_only_batch_rows(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)

@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cho_solve, cholesky, lapack
 
 from pggpc.kernel import (
     FactorizationError,
     KernelParams,
     build_gram,
+    chol_inverse,
     chol_with_escalation,
     kern_grad,
     kern_matrix,
@@ -264,6 +265,37 @@ def test_shared_bundle_reuses_inducing_inverse():
     mm = build_gram(np.empty((0, 3)), Z, params)
     gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
     assert gram.Kmm_inv is mm.Kmm_inv
+
+
+def test_kappa_by_the_shared_inverse_matches_the_solve_at_high_condition():
+    # kappa is one GEMM with K_mm^{-1}; against cho_solve on the factor it
+    # moved by 8.9e-11 (kappa) and 1.2e-10 (ktilde) at most here.
+    rng = np.random.default_rng(1)
+    Z = rng.normal(size=(300, 8))
+    params = KernelParams(float(np.log(4.0)))
+    mm = build_gram(np.empty((0, 8)), Z, params)
+    gram = build_gram(rng.normal(size=(100, 8)), Z, params, mm=mm)
+    assert 1e7 < np.linalg.cond(gram.K_mm) < 3e7
+    kappa = cho_solve((gram.chol_Kmm, True), gram.K_nm.T).T
+    ktilde = np.maximum(gram.k_diag - np.sum(kappa * gram.K_nm, axis=1), 0.0)
+    np.testing.assert_allclose(gram.kappa, kappa, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(gram.ktilde, ktilde, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_chol_inverse_is_the_exact_mirror_of_potri(m):
+    # The in-place mirror gives the bits of tril(inv) + tril(inv, -1).T, also
+    # when the factor's upper triangle holds values that potri must not read.
+    rng = np.random.default_rng(m)
+    A = rng.normal(size=(m, m))
+    L = cholesky(A @ A.T + m * np.eye(m), lower=True)
+    for factor in (L, L + np.triu(rng.normal(size=(m, m)), 1)):
+        inv, info = lapack.dpotri(factor, lower=1)
+        assert info == 0
+        out = chol_inverse(factor)
+        np.testing.assert_array_equal(out, np.tril(inv) + np.tril(inv, -1).T)
+        np.testing.assert_array_equal(out, out.T)
+        np.testing.assert_array_equal(out, chol_inverse(L))
 
 
 def test_solve_mm_matches_dense_solve():
