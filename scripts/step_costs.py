@@ -70,8 +70,8 @@ def _point(n, m, s, d, reps, seed=0):
     batch = MiniBatch(indices=rng.choice(n, s, replace=False), scale=n / s)
     Xb, yb = ds.X[batch.indices], ds.y[batch.indices]
     gram = build_gram(Xb, state.Z, state.params, mm=state.mm)
-    c = local_update(state, gram)
     kmu, var = gram.marginals(state.mu, state.Sigma)
+    c = local_update(kmu, var)
     ms = {
         "build_gram": _median_ms(lambda: build_gram(Xb, state.Z, state.params, mm=state.mm),
                                  reps),

@@ -152,6 +152,8 @@ def _map_labels(raw, path):
 
 
 def _parse_libsvm(path, n_features):
+    if n_features is not None and n_features < 1:
+        raise ValueError(f"{path}: n_features must be at least 1, got {n_features}")
     labels = []
     rows = []
     max_idx = 0
@@ -252,8 +254,8 @@ def load(path, format, label_col=0, n_features=None):
     label_col : int, optional
         Label column for CSV input (negative counts from the end).
     n_features : int, optional
-        Force the feature dimension for LibSVM input (otherwise inferred
-        from the largest index present).
+        Force the feature dimension for LibSVM input, at least 1 (otherwise
+        inferred from the largest index present).
 
     Returns
     -------

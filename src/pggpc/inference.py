@@ -121,11 +121,6 @@ class FitResult:
     heldout: Dataset | None = None
 
 
-def _optimal_tilts(kmu, var):
-    """Tilts that maximize the bound at q(f) marginals (kmu, var): sqrt(var + kmu^2)."""
-    return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
-
-
 def elbo(state, y, c, kmu, var, scale):
     """The bound: its Gaussian part plus ``scale`` times some rows' data terms.
 
@@ -138,7 +133,7 @@ def elbo(state, y, c, kmu, var, scale):
     for every row; the constants m/2 - n log 2 are left out.
     """
     B = state.mm.Kmm_inv
-    tr = float(np.sum(B * state.Sigma))
+    tr = float(np.vdot(B, state.Sigma))
     quad = float(state.mu @ B @ state.mu)
     data = 0.0
     for lo in range(0, y.shape[0], _ROW_BLOCK):
@@ -148,24 +143,21 @@ def elbo(state, y, c, kmu, var, scale):
     return float(0.5 * (state.logdet_Sigma - state.mm.logdet_Kmm - tr - quad) + scale * data)
 
 
-def local_update(state, gram):
-    """Optimal tilts c_i = sqrt(Ktilde_ii + kappa_i Sigma kappa_i^T + (kappa_i mu)^2).
+def local_update(kmu, var):
+    """Optimal tilts c_i = sqrt(var_i + kmu_i^2) at q(f) marginals (kmu, var).
 
-    The marginals come from the bundle's kappa and Ktilde, as the natural
-    gradient of a mini-batch needs them anyway.
-
-    Parameters
-    ----------
-    state : VariationalState
-    gram : GramBundle
-        Bundle for the rows to update, at the state's (Z, params).
+    The marginals are ``GramBundle.marginals`` of the rows' bundle at the
+    state, Ktilde_ii + kappa_i Sigma kappa_i^T and kappa_i mu, or
+    :func:`~pggpc.prediction.latent_predict`'s; the caller computes them
+    once and reads them again for the bound, so the tilts cost no pass of
+    their own.
 
     Returns
     -------
     ndarray
-        The tilts of the bundle's rows.
+        The tilts of the rows, maximizing the bound at the marginals' q(u).
     """
-    return _optimal_tilts(*gram.marginals(state.mu, state.Sigma))
+    return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
 def natural_gradient(state, dataset, batch, gram, c):
@@ -174,7 +166,9 @@ def natural_gradient(state, dataset, batch, gram, c):
     g1 = (n / 2s) kappa_S^T y_S - eta1
     G2 = -1/2 (K_mm^{-1} + (n/s) kappa_S^T Theta_S kappa_S) - eta2
 
-    with Theta_S = diag(theta(c)) at the batch tilts c.  The full-data
+    with Theta_S = diag(theta(c)) at the batch tilts c.  kappa^T Theta kappa
+    is R^T R with R = Theta^{1/2} kappa, which NumPy computes by SYRK, so it
+    is exactly symmetric, and so is G2 when eta2 is.  The full-data
     gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters
@@ -193,11 +187,10 @@ def natural_gradient(state, dataset, batch, gram, c):
         g1 of shape (m,) and G2 of shape (m, m).
     """
     kappa = gram.kappa
-    th = theta(c)
     g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[batch.indices]) - state.eta1
-    ktk = (kappa * th[:, None]).T @ kappa
-    G2 = -0.5 * (gram.Kmm_inv + batch.scale * ktk) - state.eta2
-    return g1, 0.5 * (G2 + G2.T)
+    R = kappa * np.sqrt(theta(c))[:, None]
+    G2 = -0.5 * (gram.Kmm_inv + batch.scale * (R.T @ R)) - state.eta2
+    return g1, G2
 
 
 def global_step(state, g1, G2, rho):
@@ -225,7 +218,7 @@ class AdaptiveRate:
 
     def __init__(self):
         self._tau = _RATE_TAU0
-        self._gbar = 0.0
+        self._gbar = None  # the first observation sets its shape
         self._h = 0.0
         self._count = 0
 
@@ -234,7 +227,10 @@ class AdaptiveRate:
         self._count += 1
         g = np.asarray(gvec, dtype=float).ravel()
         w = 1.0 / (self._count if self._count <= _RATE_BURN_IN else self._tau)
-        self._gbar = (1.0 - w) * self._gbar + w * g
+        if self._count == 1:
+            self._gbar = np.zeros_like(g)
+        self._gbar *= 1.0 - w
+        self._gbar += w * g
         self._h = (1.0 - w) * self._h + w * float(g @ g)
         if self._h <= 0.0:
             rho = 1.0
@@ -344,13 +340,14 @@ def hyper_step(state, dataset, adam, batch, gram, c):
 def fit(dataset, config):
     """Train the sparse variational classifier by natural-gradient SVI.
 
-    Each iteration draws a without-replacement mini-batch, takes the
-    batch's tilts at their closed-form optimum, and takes a natural-gradient
-    step of size rho on (eta1, eta2).  Every ``hyper_every`` iterations it
-    then retakes the batch's tilts from the q(f) marginals at the new
-    (mu, Sigma) that the bound estimate has just computed, and takes one
-    Adam step on the kernel hyperparameters from the same batch bundle's
-    n/s-scaled gradient, so an iteration costs O(s m^2 + m^3) whatever n is
+    Each iteration draws a without-replacement mini-batch, computes its
+    q(f) marginals once, takes from them the batch's tilts at their
+    closed-form optimum and the trace's bound estimate, and takes a
+    natural-gradient step of size rho on (eta1, eta2).  Every
+    ``hyper_every`` iterations it then retakes the batch's tilts from the
+    marginals at the new (mu, Sigma) and takes one Adam step on the kernel
+    hyperparameters from the same batch bundle's n/s-scaled gradient, so
+    an iteration costs O(s m^2 + m^3) whatever n is
     (plus the held-out or train-error scoring when requested).  K_mm is
     factorized once per hyperparameter value and held by the state as
     ``mm``; an accepted Adam step replaces ``params`` and ``mm`` in one
@@ -369,7 +366,10 @@ def fit(dataset, config):
     FitResult
         Trained state, the bound over every training row, the trace
         array with columns ``(iter, wall_seconds, elbo_estimate, rho)``
-        (plus ``train_error`` when requested), and convergence info.
+        (plus ``train_error`` when requested), and convergence info.  The
+        ``elbo_estimate`` of row t is the batch bound (data terms scaled by
+        n/s) at the state entering iteration t, with that batch's optimal
+        tilts; ``wall_seconds`` is read after the iteration's step.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_split = root.spawn(3)
@@ -417,7 +417,9 @@ def fit(dataset, config):
         batch = next(batches)
         idx = batch.indices
         gram_b = build_gram(train.X[idx], state.Z, state.params, mm=state.mm)
-        c = local_update(state, gram_b)
+        kmu, var = gram_b.marginals(state.mu, state.Sigma)
+        c = local_update(kmu, var)
+        est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
         g1, G2 = natural_gradient(state, train, batch, gram_b, c)
         gvec = np.concatenate([g1, G2.ravel()])
         rho = rate.observe(gvec) if config.fixed_lr is None else float(config.fixed_lr)
@@ -425,15 +427,13 @@ def fit(dataset, config):
         state = global_step(state, g1, G2, rho)
         rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
 
-        kmu, var = gram_b.marginals(state.mu, state.Sigma)
-        est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
         row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:
             row.append(evaluate(state, train).error_rate)
         trace_rows.append(row)
 
         if config.hyper_every and it % config.hyper_every == 0:
-            c = _optimal_tilts(kmu, var)  # at the state just estimated
+            c = local_update(*gram_b.marginals(state.mu, state.Sigma))  # at the new q(u)
             new_params, new_mm = hyper_step(state, train, adam, batch, gram_b, c)
             state = replace(state, params=new_params, mm=new_mm)
 
@@ -449,7 +449,7 @@ def fit(dataset, config):
             break
 
     kmu, var = latent_predict(state, train.X)
-    final_elbo = elbo(state, train.y, _optimal_tilts(kmu, var), kmu, var, 1.0)
+    final_elbo = elbo(state, train.y, local_update(kmu, var), kmu, var, 1.0)
     wall = time.perf_counter() - t0
     columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(

@@ -185,15 +185,16 @@ def chol_with_escalation(K, base_jitter):
 def chol_inverse(L):
     """A^{-1} from the lower Cholesky factor L of an SPD matrix A, exactly symmetric.
 
-    LAPACK ``potri`` fills the lower triangle of the inverse; it is mirrored
-    into the upper one in place.
+    LAPACK ``potri`` fills the lower triangle of the inverse in a Fortran-
+    ordered copy; each column's upper part is copied from its row in place,
+    and the C-ordered transpose, the same matrix, is returned.
     """
     inv, info = lapack.dpotri(L, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"potri failed (info={info})")
-    out = np.tril(inv)
-    out += np.tril(inv, -1).T
-    return out
+    for j in range(1, inv.shape[0]):
+        inv[:j, j] = inv[j, :j]
+    return inv.T
 
 
 @dataclass(eq=False)

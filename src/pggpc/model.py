@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, lapack
 
 from .kernel import _FAR, HYPER_NAMES, FactorizationError, GramBundle, KernelParams
 from .kernel import build_gram, chol_inverse
@@ -83,13 +83,29 @@ class Dataset:
 
 
 def natural_to_moments(eta1, eta2):
-    """(mu, Sigma, log|Sigma|) from natural parameters; requires -2 eta2 SPD.
+    """(mu, Sigma, log|Sigma|) from natural parameters; -2 eta2 must be SPD.
 
-    One Cholesky factor L_P of the precision -2 eta2 gives both Sigma (by
-    ``potri``) and log|Sigma| = -2 sum log diag L_P.
+    eta2 must also be exactly symmetric, as every step and checkpoint keeps
+    it: LAPACK ``potrf`` factorizes the fresh buffer -2 eta2 in place and
+    reads one triangle of it.  Its factor L_P gives both Sigma (by
+    :func:`~pggpc.kernel.chol_inverse`) and log|Sigma| = -2 sum log diag L_P.
+
+    Raises
+    ------
+    ValueError
+        If -2 eta2 holds NaN or Inf, as ``scipy.linalg.cholesky`` says it.
+    numpy.linalg.LinAlgError
+        If -2 eta2 is not positive definite.
     """
     prec = -2.0 * eta2
-    L = cholesky(0.5 * (prec + prec.T), lower=True)
+    if not np.isfinite(prec).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # prec is symmetric, so its transpose is the same matrix in Fortran order,
+    # which potrf overwrites without a copy.
+    L, info = lapack.dpotrf(prec.T, lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the precision is not positive definite")
     Sigma = chol_inverse(L)
     return Sigma @ eta1, Sigma, -2.0 * float(np.sum(np.log(np.diag(L))))
 
@@ -298,8 +314,8 @@ def load_checkpoint(path):
     ValueError
         Naming the file and the field that is missing, misnamed, of the wrong
         type or shape (Z (m, d), eta1 (m,), eta2 (m, m), means/stds (d,)),
-        non-finite, or (eta2) not negative definite; or naming arrays.Z and
-        params when K_mm does not factorize at them.
+        non-finite, or (eta2) not exactly symmetric or not negative definite;
+        or naming arrays.Z and params when K_mm does not factorize at them.
     """
     with open(path) as fh:
         try:
@@ -328,6 +344,8 @@ def load_checkpoint(path):
     m, d = Z.shape
     eta1 = _checked_array(path, doc, "arrays.eta1", (m,))
     eta2 = _checked_array(path, doc, "arrays.eta2", (m, m))
+    if not np.array_equal(eta2, eta2.T):  # the moments read one triangle
+        raise _field_error(path, "arrays.eta2", "is not exactly symmetric")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             state = VariationalState.from_natural(eta1, eta2, Z, params)

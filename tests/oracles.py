@@ -195,7 +195,7 @@ def bundle(state, X):
 
 def tilts(state, X):
     """The optimal tilts at the rows X: ``local_update`` on a fresh bundle."""
-    return local_update(state, bundle(state, X))
+    return local_update(*bundle(state, X).marginals(state.mu, state.Sigma))
 
 
 def unstandardize(scaler, X):

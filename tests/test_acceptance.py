@@ -219,7 +219,8 @@ def test_c05_covariance_precision_stays_choleskyable_for_10000_steps(scorecard):
         idx = rng.choice(ds.n, size=20, replace=False)
         batch = MiniBatch(indices=idx, scale=ds.n / idx.size)
         gram_b = build_gram(ds.X[idx], state.Z, state.params, mm=state.mm)
-        g1, G2 = natural_gradient(state, ds, batch, gram_b, local_update(state, gram_b))
+        c = local_update(*gram_b.marginals(state.mu, state.Sigma))
+        g1, G2 = natural_gradient(state, ds, batch, gram_b, c)
         rho = rate.observe(np.concatenate([g1, G2.ravel()]))
         state = global_step(state, g1, G2, rho)
         np.linalg.cholesky(-2.0 * state.eta2)  # raises LinAlgError on failure

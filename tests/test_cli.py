@@ -505,6 +505,14 @@ def _positive_eta2(doc):
     doc["arrays"]["eta2"] = _encode(np.eye(len(_decode(doc["arrays"]["eta1"]))))
 
 
+def _asymmetric_eta2(doc):
+    # One ulp off symmetry: the moments read one triangle of eta2, so the
+    # other would be dropped without a word.
+    eta2 = _decode(doc["arrays"]["eta2"]).copy()
+    eta2[0, 1] = np.nextafter(eta2[0, 1], np.inf)
+    doc["arrays"]["eta2"] = _encode(eta2)
+
+
 def _huge_eta2(doc):
     # -2 eta2 overflows: a RuntimeWarning, then scipy's "array must not contain infs".
     eta2 = _decode(doc["arrays"]["eta2"]).copy()
@@ -547,6 +555,7 @@ def _zero_std(doc):
     (_drop_z, "arrays.Z"),
     (_garbled_eta1, "arrays.eta1"),
     (_positive_eta2, "arrays.eta2"),
+    (_asymmetric_eta2, "arrays.eta2"),
     (_huge_eta2, "arrays.eta2"),
     (_vast_amplitude, "params"),
     (_singular_kmm, "'arrays.Z' and params"),

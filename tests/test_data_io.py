@@ -44,6 +44,15 @@ class TestLibsvmParsing:
         with pytest.raises(ValueError, match="exceeds n_features"):
             load(path, "libsvm", n_features=1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_n_features_below_one_names_the_option_and_file(self, tmp_path, k):
+        path = _write(tmp_path, "a.txt", "+1 1:1.0\n-1 2:2.0\n")
+        expected = rf"a\.txt: n_features must be at least 1, got {k}"
+        for read in (lambda: load(path, "libsvm", n_features=k),
+                     lambda: load_features(path, "libsvm", n_features=k)):
+            with pytest.raises(ValueError, match=expected):
+                read()
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = _write(tmp_path, "a.txt", "\n+1 1:1.0\n\n-1 1:2.0\n\n")
         assert load(path, "libsvm").n == 2

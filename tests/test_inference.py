@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, lapack
 from scipy.special import expit as sigmoid
 
 import pggpc.inference as inference
@@ -59,8 +59,8 @@ def _warmed_state(ds, state, steps=3, rho=0.5):
     """The state moved off the prior, so gradients are non-trivial, and its optimal tilts."""
     for _ in range(steps):
         gram = bundle(state, ds.X)
-        g1, G2 = natural_gradient(state, ds, every_row(ds), gram, local_update(state, gram))
-        state = global_step(state, g1, G2, rho)
+        c = local_update(*gram.marginals(state.mu, state.Sigma))
+        state = global_step(state, *natural_gradient(state, ds, every_row(ds), gram, c), rho)
     return state, tilts(state, ds.X)
 
 
@@ -148,9 +148,9 @@ def test_local_update_is_coordinatewise_optimal():
 def test_local_update_subset_matches_full():
     ds, state = _toy_problem(n=20, m=4, seed=2)
     state, _ = _warmed_state(ds, state)
-    full = local_update(state, bundle(state, ds.X))
+    full = tilts(state, ds.X)
     idx = np.array([3, 7, 15])
-    sub = local_update(state, bundle(state, ds.X[idx]))
+    sub = tilts(state, ds.X[idx])
     np.testing.assert_allclose(sub, full[idx], rtol=1e-12)
 
 
@@ -236,7 +236,7 @@ def test_full_batch_unit_step_reaches_fixed_point():
     ds, state = _toy_problem(n=22, m=4, seed=7)
     batch = every_row(ds)
     gram = bundle(state, ds.X)
-    c = local_update(state, gram)
+    c = local_update(*gram.marginals(state.mu, state.Sigma))
     g1, G2 = natural_gradient(state, ds, batch, gram, c)
     state = global_step(state, g1, G2, rho=1.0)
 
@@ -255,7 +255,8 @@ def test_full_batch_unit_step_reaches_fixed_point():
 def test_global_step_validates_rate_and_zero_is_noop():
     ds, state = _toy_problem(n=10, m=3, seed=8)
     gram = bundle(state, ds.X)
-    g1, G2 = natural_gradient(state, ds, every_row(ds), gram, local_update(state, gram))
+    c = local_update(*gram.marginals(state.mu, state.Sigma))
+    g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
     same = global_step(state, g1, G2, rho=0.0)
     np.testing.assert_array_equal(same.eta1, state.eta1)
     np.testing.assert_array_equal(same.eta2, state.eta2)
@@ -271,8 +272,8 @@ def test_partial_steps_preserve_spd_precision():
         idx = rng.choice(ds.n, size=4, replace=False)
         batch = MiniBatch(indices=idx, scale=ds.n / 4.0)
         gram = bundle(state, ds.X[idx])
-        g1, G2 = natural_gradient(state, ds, batch, gram, local_update(state, gram))
-        state = global_step(state, g1, G2, rho=0.3)
+        c = local_update(*gram.marginals(state.mu, state.Sigma))
+        state = global_step(state, *natural_gradient(state, ds, batch, gram, c), rho=0.3)
         cholesky(-2.0 * state.eta2, lower=True)  # raises if not SPD
 
 
@@ -688,6 +689,7 @@ class TestFit:
         for module in (model, inference, kernel):
             if hasattr(module, "cholesky"):
                 monkeypatch.setattr(module, "cholesky", counting(module.cholesky))
+        monkeypatch.setattr(lapack, "dpotrf", counting(lapack.dpotrf))  # natural_to_moments
         iters = 40
         fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=iters,
                             conv_threshold=0.0, hyper_every=0, seed=0))
@@ -717,10 +719,12 @@ class TestFit:
         # the K_mm bundle before the loop, the batches, and each step's K_mm bundle
         assert gram_rows == [0] + ([15] * 5 + [0]) * 4
 
-    def test_hyper_iterations_compute_batch_marginals_once(self, monkeypatch):
-        # The tilts a hyperparameter step reads are the marginals the bound
-        # estimate has just computed at the same state, so every iteration
-        # computes batch marginals twice (tilt update, estimate), step or not.
+    @pytest.mark.parametrize("hyper_every, expected", [(0, 40), (1, 80), (10, 44)])
+    def test_batch_marginals_once_per_iteration_and_per_hyper_step(self, monkeypatch,
+                                                                   hyper_every, expected):
+        # One set entering each iteration gives its tilts and its bound
+        # estimate; a hyperparameter step takes its tilts from one more set,
+        # at the new q(u).
         ds, _ = _toy_problem(n=60, m=6)
         calls = []
         marginals = GramBundle.marginals
@@ -730,10 +734,41 @@ class TestFit:
             return marginals(self, mu, Sigma)
 
         monkeypatch.setattr(GramBundle, "marginals", counting)
-        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
-                                  conv_threshold=0.0, hyper_every=1, seed=0))
-        assert res.n_iters == 20
-        assert calls == [15] * 40
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
+                                  conv_threshold=0.0, hyper_every=hyper_every, seed=0))
+        assert res.n_iters == 40
+        assert calls == [15] * expected
+
+    @pytest.mark.parametrize("hyper_every", [0, 3])
+    def test_eta2_stays_exactly_symmetric(self, hyper_every):
+        # natural_to_moments factorizes one triangle of -2 eta2, so every
+        # step must keep the other triangle equal to it.
+        ds, _ = _toy_problem(n=60, m=6)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
+                                  conv_threshold=0.0, hyper_every=hyper_every, seed=0))
+        assert np.array_equal(res.state.eta2, res.state.eta2.T)
+        assert np.array_equal(res.state.Sigma, res.state.Sigma.T)
+
+    def test_first_estimate_is_the_bound_entering_the_first_iteration(self, monkeypatch):
+        # Row t of the trace is the batch bound at the state entering
+        # iteration t, with that batch's optimal tilts: row 1 is at the prior.
+        ds, _ = _toy_problem(n=60, m=6)
+        Z, params = ds.X[:6] + 0.1, KernelParams.default(ds.d)
+        batches = []
+
+        def recording(*args):
+            for batch in minibatch_iter(*args):
+                batches.append(batch)
+                yield batch
+
+        monkeypatch.setattr(inference, "minibatch_iter", recording)
+        res = fit(ds, TrainConfig(batch_size=15, max_iters=3, conv_threshold=0.0,
+                                  inducing_Z=Z, init_params=params, seed=0))
+        idx, scale = batches[0].indices, batches[0].scale
+        state = init_state(Z, params)
+        kmu, var = build_gram(ds.X[idx], Z, params).marginals(state.mu, state.Sigma)
+        c = np.sqrt(var + kmu * kmu)
+        assert res.trace[0, 2] == elbo(state, ds.y[idx], c, kmu, var, scale)
 
     @pytest.mark.parametrize("hyper_every", [0, 5])
     def test_closing_tilts_and_bound_match_kappa_form(self, hyper_every):

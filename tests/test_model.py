@@ -139,6 +139,7 @@ class TestVariationalState:
         m = 40
         Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         prec = (Q * np.logspace(0, np.log10(cond), m)) @ Q.T
+        prec = 0.5 * (prec + prec.T)  # exactly symmetric, as every eta2 is kept
         st = VariationalState.from_natural(rng.normal(size=m), -0.5 * prec,
                                            rng.normal(size=(m, 2)), KernelParams(0.0))
         stepped = st.with_natural(st.eta1, 0.9 * st.eta2)
@@ -291,7 +292,7 @@ class TestInitState:
         params = KernelParams(0.0, log_amplitude=np.log(1.7))
         st = prior_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
-        c = local_update(st, build_gram(ds.X, st.Z, params))
+        c = local_update(*build_gram(ds.X, st.Z, params).marginals(st.mu, st.Sigma))
         np.testing.assert_allclose(c, np.full(30, expect), rtol=1e-9)
 
     def test_initial_tilts_match_kappa_form_local_update(self):
@@ -301,7 +302,8 @@ class TestInitState:
         params = KernelParams(log_lengthscale=0.4, log_amplitude=0.3)
         st = prior_state(ds, 7, params, np.random.default_rng(18))
         far = ds.X + 5.0
-        c = local_update(st, build_gram(np.vstack([ds.X, far]), st.Z, params))
+        gram = build_gram(np.vstack([ds.X, far]), st.Z, params)
+        c = local_update(*gram.marginals(st.mu, st.Sigma))
         np.testing.assert_allclose(c, np.full(80, np.sqrt(np.exp(0.6) + params.jitter)),
                                    rtol=1e-12)
 
