@@ -3,13 +3,16 @@
 
 For each (n, m, s, d) grid point the script draws n synthetic labeled rows
 in-process (standard normal inputs, a smooth nonlinear boundary, 5% of the
-labels flipped), fits them with fixed kernel hyperparameters
+labels flipped), fits them ``FITS`` times with fixed kernel hyperparameters
 (``hyper_every=0``, ``conv_threshold=0``), and on the fitted state and one
 mini-batch of s rows times each piece of an iteration: the batch
 ``build_gram`` (sharing the state's K_mm factorization), kappa,
 ``GramBundle.marginals``, ``natural_gradient``, ``natural_to_moments`` and
-``elbo``.  Each is the median of ``--reps`` calls, in ms.  ``iter_ms_p50``
-is the median gap between consecutive rows of the fit's trace.
+``elbo``.  Each is the median of ``--reps`` calls, in ms; the set-up's
+``kmeanspp_init`` on the n rows, 10-100x dearer, is the median of
+``SETUP_REPS`` calls.  ``iter_ms_p50`` is the median over the fits of each
+fit's median gap between consecutive rows of its trace, so one slow fit
+does not move it.
 
 The run is stored under ``runs[<label>]`` of the output file; runs under
 other labels are kept, so one file holds a before and an after run of the
@@ -36,10 +39,12 @@ import scipy  # noqa: E402
 from pggpc.data import MiniBatch  # noqa: E402
 from pggpc.inference import TrainConfig, elbo, fit, local_update, natural_gradient  # noqa: E402
 from pggpc.kernel import GramBundle, build_gram  # noqa: E402
-from pggpc.model import Dataset, natural_to_moments  # noqa: E402
+from pggpc.model import Dataset, kmeanspp_init, natural_to_moments  # noqa: E402
 
 GRID = ((4000, 300, 100, 8), (20000, 100, 100, 8))
 FIT_ITERS = 60
+FITS = 5
+SETUP_REPS = 20
 
 
 def _data(n, d, rng):
@@ -64,15 +69,18 @@ def _median_ms(fn, reps):
 def _point(n, m, s, d, reps, seed=0):
     rng = np.random.default_rng([seed, n, m, s, d])
     ds = _data(n, d, rng)
-    res = fit(ds, TrainConfig(num_inducing=m, batch_size=s, max_iters=FIT_ITERS,
-                              conv_threshold=0.0, hyper_every=0, seed=seed))
-    state = res.state
+    config = TrainConfig(num_inducing=m, batch_size=s, max_iters=FIT_ITERS, conv_threshold=0.0,
+                         hyper_every=0, seed=seed)
+    fits = [fit(ds, config) for _ in range(FITS)]
+    state = fits[0].state
     batch = MiniBatch(indices=rng.choice(n, s, replace=False), scale=n / s)
     Xb, yb = ds.X[batch.indices], ds.y[batch.indices]
     gram = build_gram(Xb, state.Z, state.params, mm=state.mm)
     kmu, var = gram.marginals(state.mu, state.Sigma)
     c = local_update(kmu, var)
     ms = {
+        "kmeanspp_init": _median_ms(lambda: kmeanspp_init(ds.X, m, np.random.default_rng(seed)),
+                                    SETUP_REPS),
         "build_gram": _median_ms(lambda: build_gram(Xb, state.Z, state.params, mm=state.mm),
                                  reps),
         "kappa": _median_ms(lambda: GramBundle.kappa.func(gram), reps),
@@ -83,7 +91,7 @@ def _point(n, m, s, d, reps, seed=0):
                                          reps),
         "elbo": _median_ms(lambda: elbo(state, yb, c, kmu, var, batch.scale), reps),
     }
-    iter_ms = 1e3 * float(np.median(np.diff(res.trace[:, 1])))
+    iter_ms = 1e3 * float(np.median([np.median(np.diff(r.trace[:, 1])) for r in fits]))
     return {"grid": {"n": n, "m": m, "s": s, "d": d}, "ms_per_call": ms, "iter_ms_p50": iter_ms}
 
 
@@ -138,7 +146,8 @@ def main():
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    run = {"machine": _machine(), "fit_iters": FIT_ITERS, "reps": args.reps,
+    run = {"machine": _machine(), "fit_iters": FIT_ITERS, "fits": FITS, "reps": args.reps,
+           "setup_reps": SETUP_REPS,
            "points": [_point(*p, reps=args.reps) for p in (args.grid or GRID)]}
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:

@@ -166,10 +166,11 @@ def natural_gradient(state, dataset, batch, gram, c):
     g1 = (n / 2s) kappa_S^T y_S - eta1
     G2 = -1/2 (K_mm^{-1} + (n/s) kappa_S^T Theta_S kappa_S) - eta2
 
-    with Theta_S = diag(theta(c)) at the batch tilts c.  kappa^T Theta kappa
-    is R^T R with R = Theta^{1/2} kappa, which NumPy computes by SYRK, so it
-    is exactly symmetric, and so is G2 when eta2 is.  The full-data
-    gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
+    with Theta_S = diag(theta(c)) at the batch tilts c.  The data part is
+    R^T R with R = (n Theta_S / 2s)^{1/2} kappa_S, which NumPy computes by
+    SYRK, so it is exactly symmetric, and so is G2 when eta2 is; with the
+    bundle's cached -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
+    The full-data gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters
     ----------
@@ -188,8 +189,10 @@ def natural_gradient(state, dataset, batch, gram, c):
     """
     kappa = gram.kappa
     g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[batch.indices]) - state.eta1
-    R = kappa * np.sqrt(theta(c))[:, None]
-    G2 = -0.5 * (gram.Kmm_inv + batch.scale * (R.T @ R)) - state.eta2
+    R = kappa * np.sqrt(0.5 * batch.scale * theta(c))[:, None]
+    G2 = R.T @ R
+    np.subtract(gram.neg_half_Kmm_inv, G2, out=G2)
+    G2 -= state.eta2
     return g1, G2
 
 
@@ -205,37 +208,46 @@ def global_step(state, g1, G2, rho):
     return state.with_natural(state.eta1 + rho * g1, state.eta2 + rho * G2)
 
 
+def _sq_norm(*arrays):
+    """Squared Euclidean norm of the arrays' entries taken together."""
+    return sum(float(np.vdot(a, a)) for a in arrays)
+
+
 class AdaptiveRate:
     """Stochastic-gradient-statistics learning rate.
 
-    Maintains moving averages gbar of the flattened natural gradient and h
-    of its squared norm over an adaptive window tau, and returns
-    rho = ||gbar||^2 / h clamped to (1e-6, 1].  The window grows when the
-    gradient signal-to-noise is low (tau <- tau (1 - rho) + 1).  The first
-    few observations use plain running averages.  :func:`fit` uses it unless
+    Maintains moving averages gbar of the natural gradient, given in parts
+    such as (g1, G2), and h of its squared norm over an adaptive window
+    tau, and returns rho = ||gbar||^2 / h clamped to (1e-6, 1].  The window
+    grows when the gradient signal-to-noise is low (tau <- tau (1 - rho) + 1).
+    The first few observations use plain running averages.  :func:`fit` uses it unless
     ``TrainConfig.fixed_lr`` sets a constant step.
     """
 
     def __init__(self):
         self._tau = _RATE_TAU0
-        self._gbar = None  # the first observation sets its shape
+        self._gbar = None  # the first observation sets the parts' shapes
         self._h = 0.0
         self._count = 0
+        self.sq_norm = 0.0  # ||g||^2 of the last observation
 
-    def observe(self, gvec):
-        """Record one gradient vector and return the step size to use."""
+    def observe(self, *grads):
+        """Record one gradient, in one or more parts, and return the step size to use.
+
+        The parts are read in place, not joined; their squared norm is left
+        in ``sq_norm``.
+        """
         self._count += 1
-        g = np.asarray(gvec, dtype=float).ravel()
+        grads = [np.asarray(g, dtype=float) for g in grads]
         w = 1.0 / (self._count if self._count <= _RATE_BURN_IN else self._tau)
         if self._count == 1:
-            self._gbar = np.zeros_like(g)
-        self._gbar *= 1.0 - w
-        self._gbar += w * g
-        self._h = (1.0 - w) * self._h + w * float(g @ g)
-        if self._h <= 0.0:
-            rho = 1.0
-        else:
-            rho = float(self._gbar @ self._gbar) / self._h
+            self._gbar = [np.zeros_like(g) for g in grads]
+        for gbar, g in zip(self._gbar, grads):
+            gbar *= 1.0 - w
+            gbar += w * g
+        self.sq_norm = _sq_norm(*grads)
+        self._h = (1.0 - w) * self._h + w * self.sq_norm
+        rho = 1.0 if self._h <= 0.0 else _sq_norm(*self._gbar) / self._h
         rho = min(1.0, max(rho, 1e-6))
         self._tau = self._tau * (1.0 - rho) + 1.0
         return rho
@@ -302,7 +314,7 @@ def hyper_grad(state, dataset, batch, gram, c):
     ky = scale * (kappa.T @ y)
 
     P_K = (
-        -0.5 * B
+        gram.neg_half_Kmm_inv
         + 0.5 * B @ Sigma @ B
         + 0.5 * np.outer(mu_t, mu_t)
         - 0.5 * np.outer(ky, mu_t)
@@ -421,11 +433,13 @@ def fit(dataset, config):
         c = local_update(kmu, var)
         est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
         g1, G2 = natural_gradient(state, train, batch, gram_b, c)
-        gvec = np.concatenate([g1, G2.ravel()])
-        rho = rate.observe(gvec) if config.fixed_lr is None else float(config.fixed_lr)
-        eta_norm = float(np.sqrt(state.eta1 @ state.eta1 + np.sum(state.eta2 * state.eta2)))
+        if config.fixed_lr is None:
+            rho, g_sq = rate.observe(g1, G2), rate.sq_norm
+        else:
+            rho, g_sq = float(config.fixed_lr), _sq_norm(g1, G2)
+        eta_norm = np.sqrt(_sq_norm(state.eta1, state.eta2))
         state = global_step(state, g1, G2, rho)
-        rel_change = rho * float(np.linalg.norm(gvec)) / (eta_norm + 1e-12)
+        rel_change = rho * np.sqrt(g_sq) / (eta_norm + 1e-12)
 
         row = [float(it), time.perf_counter() - t0, est, float(rho)]
         if config.trace_train_error:

@@ -115,43 +115,61 @@ def sq_dists(X, Z):
     return np.maximum(d2, 0.0)
 
 
-def _kernel_inputs(X, Z, l=1.0):
-    """X and Z in units of l, clamped to +/- ``_FAR``, less c = trunc(mean of Z's rows).
+class _Inducing:
+    """Inducing inputs as the kernel reads them at lengthscale l.
 
-    A squared norm then holds a row's spread about Z, not its offset from the
-    origin, so far inputs keep their digits; distances do not move, and at
-    c = 0 (standardized inputs) nothing does.
+    Z in units of l, clamped to +/- ``_FAR``, less c = trunc(mean of its
+    rows), and half the squared norm of each row.  :meth:`rows` takes any
+    rows X the same way, so that a squared norm holds a row's spread about
+    Z, not its offset from the origin, and far inputs keep their digits;
+    distances do not move, and at c = 0 (standardized inputs) nothing does.
+    A K_mm factorization keeps its inducing side (``GramBundle.inducing``),
+    so a batch bundle built with ``mm`` does none of this work on Z.
     """
-    far = _FAR * l
-    X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / l
-    Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
-    c = np.trunc(Z.mean(axis=0))
-    if c.any():
-        X, Z = np.clip(X - c, -_FAR, _FAR), np.clip(Z - c, -_FAR, _FAR)
-    return X, Z
+
+    __slots__ = ("l", "c", "Z", "half_sq")
+
+    def __init__(self, Z, l=1.0):
+        far = _FAR * l
+        Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
+        self.l = l
+        self.c = np.trunc(Z.mean(axis=0))
+        self.Z = np.clip(Z - self.c, -_FAR, _FAR) if self.c.any() else Z
+        self.half_sq = 0.5 * np.sum(self.Z * self.Z, axis=1)
+
+    def rows(self, X):
+        """The rows X in the same units and about the same centre as ``Z``."""
+        far = _FAR * self.l
+        X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / self.l
+        return np.clip(X - self.c, -_FAR, _FAR) if self.c.any() else X
 
 
-def kern_matrix(X, Z, params, same=False):
-    """Dense kernel matrix between row sets X and Z.
-
-    Built in one (n, m) buffer: with both sets taken by ``_kernel_inputs``
-    in units of l, the GEMM x.z is reduced in place by the half row norms,
-    clamped at 0 (a squared distance is never negative), exponentiated and
-    scaled by a^2.
-
-    With ``same=True`` the two sets are taken to be identical point lists and
-    the jitter is added on the diagonal.
-    """
-    X, Z = _kernel_inputs(X, Z, params.lengthscale)
-    K = X @ Z.T
+def _cross(X, inducing, params, same=False):
+    """The kernel matrix between the rows X and an ``_Inducing``'s Z; see :func:`kern_matrix`."""
+    X = inducing.rows(X)
+    K = X @ inducing.Z.T
     K -= 0.5 * np.sum(X * X, axis=1)[:, None]
-    K -= 0.5 * np.sum(Z * Z, axis=1)
+    K -= inducing.half_sq
     np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
     K *= params.amplitude**2
     if same:
         K[np.diag_indices_from(K)] += params.jitter
     return K
+
+
+def kern_matrix(X, Z, params, same=False):
+    """Dense kernel matrix between row sets X and Z.
+
+    Built in one (n, m) buffer: with both sets taken in units of l about
+    the centre of Z's rows (see ``_Inducing``), the GEMM x.z is reduced in
+    place by the half row norms, clamped at 0 (a squared distance is never
+    negative), exponentiated and scaled by a^2.
+
+    With ``same=True`` the two sets are taken to be identical point lists and
+    the jitter is added on the diagonal.
+    """
+    return _cross(X, _Inducing(Z, params.lengthscale), params, same)
 
 
 def chol_with_escalation(K, base_jitter):
@@ -214,13 +232,16 @@ class GramBundle:
         Diagonal of the batch's full kernel matrix: a^2 + jitter on every row.
     jitter_extra : float
         Extra diagonal added by escalation beyond the configured jitter.
+    inducing : _Inducing
+        Z as the kernel reads it at the lengthscale of the factorization.
     """
 
     K_mm: np.ndarray
     chol_Kmm: np.ndarray
     K_nm: np.ndarray
     k_diag: np.ndarray
-    jitter_extra: float = 0.0
+    jitter_extra: float
+    inducing: _Inducing
 
     def solve_mm(self, B):
         """K_mm^{-1} B via the cached Cholesky factor."""
@@ -230,6 +251,11 @@ class GramBundle:
     def Kmm_inv(self):
         """Explicit K_mm^{-1}, exactly symmetric."""
         return chol_inverse(self.chol_Kmm)
+
+    @cached_property
+    def neg_half_Kmm_inv(self):
+        """-1/2 K_mm^{-1}, the prior's part of the natural gradient's G2."""
+        return -0.5 * self.Kmm_inv
 
     @cached_property
     def kappa(self):
@@ -267,25 +293,27 @@ def build_gram(X_batch, Z, params, mm=None):
     Z : ndarray, shape (m, d)
     params : KernelParams
     mm : GramBundle, optional
-        A state's ``mm``, at the same Z and params: its factorization and
-        ``Kmm_inv`` are reused instead of recomputed.
+        A state's ``mm``, at the same Z and params: its factorization, its
+        inducing side and its ``Kmm_inv`` and ``neg_half_Kmm_inv`` are
+        reused instead of recomputed.
 
     Returns
     -------
     GramBundle
     """
     if mm is None:
-        K_mm = kern_matrix(Z, Z, params, same=True)
+        inducing = _Inducing(Z, params.lengthscale)
+        K_mm = _cross(Z, inducing, params, same=True)
         L, extra = chol_with_escalation(K_mm, params.jitter)
         if extra:
             K_mm = K_mm + extra * np.eye(K_mm.shape[0])
     else:
-        K_mm, L, extra = mm.K_mm, mm.chol_Kmm, mm.jitter_extra
-    K_nm = kern_matrix(X_batch, Z, params)
+        K_mm, L, extra, inducing = mm.K_mm, mm.chol_Kmm, mm.jitter_extra, mm.inducing
+    K_nm = _cross(X_batch, inducing, params)
     k_diag = np.full(K_nm.shape[0], params.amplitude**2 + params.jitter)
-    gram = GramBundle(K_mm=K_mm, chol_Kmm=L, K_nm=K_nm, k_diag=k_diag, jitter_extra=extra)
-    if mm is not None:
-        gram.Kmm_inv = mm.Kmm_inv  # one inverse per factorization
+    gram = GramBundle(K_mm, L, K_nm, k_diag, extra, inducing)
+    if mm is not None:  # one inverse per factorization
+        gram.Kmm_inv, gram.neg_half_Kmm_inv = mm.Kmm_inv, mm.neg_half_Kmm_inv
     return gram
 
 
@@ -298,15 +326,16 @@ def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):
     distances, the only kernel work done here; S is the squared-exponential
     part read from the bundle: K_nm, and K_mm less its jitter diagonal
     ``params.jitter + gram.jitter_extra``.  D is taken on the rows as
-    ``_kernel_inputs`` gives them, so no square overflows.  Returns shape
-    (3,), ordered as KernelParams.as_array().
+    ``_Inducing`` takes them at unit lengthscale, so no square overflows.
+    Returns shape (3,), ordered as KernelParams.as_array().
     """
     S_mm = gram.K_mm.copy()
     S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
     PS_mm = P_K * S_mm
     PS_nm = P_A * gram.K_nm
-    X, Z = _kernel_inputs(X, Z)
-    d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(X, Z))
+    inducing = _Inducing(Z)
+    Z = inducing.Z
+    d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(inducing.rows(X), Z))
     return np.array([
         d_ell / params.lengthscale**2,
         2.0 * (np.sum(PS_mm) + np.sum(PS_nm) + params.amplitude**2 * np.sum(p_diag)),

@@ -202,30 +202,42 @@ def kmeanspp_init(X, m, rng):
         n = rows
     X = np.clip(X, -_FAR, _FAR)  # as the kernel does, so no squared distance overflows
 
-    centers = np.empty((m, X.shape[1]))
+    # Each center is a row of aug = [z, -||z||^2 / 2], so that one GEMM with
+    # [x, 1] gives every Lloyd score x.z - ||z||^2 / 2; the nearest center
+    # has the largest, since ||x - z||^2 adds ||x||^2, the same for every z.
+    d = X.shape[1]
+    aug = np.empty((m, d + 1))
+    centers = aug[:, :d]
+    XT = X.T.copy()  # features as rows: the passes below run along n
     centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    diff = XT - centers[0][:, None]  # the one n x d buffer of the seeding
+    d2 = np.einsum("ji,ji->i", diff, diff)
+    d2_j, cdf = np.empty(n), np.empty(n)
     for j in range(1, m):
         total = d2.sum()
         if total > 0.0:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
+            # rng.choice(n, p=d2 / total)'s own draw, one double from rng,
+            # without its O(n) checks of p.
+            np.divide(d2, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            centers[j] = X[cdf.searchsorted(rng.random(), side="right")]
         else:
             centers[j] = X[rng.integers(n)]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        np.subtract(XT, centers[j][:, None], out=diff)
+        np.minimum(d2, np.einsum("ji,ji->i", diff, diff, out=d2_j), out=d2)
 
-    xx = np.sum(X * X, axis=1)[:, None]
-    d2_all = np.empty((n, m))  # the one n x m buffer of every Lloyd step
+    X1 = np.hstack([X, np.ones((n, 1))])
+    score = np.empty((n, m))  # the one n x m buffer of every Lloyd step
     for _ in range(_LLOYD_ITERS):
-        np.matmul(X, centers.T, out=d2_all)
-        d2_all *= -2.0
-        d2_all += xx
-        d2_all += np.sum(centers * centers, axis=1)[None, :]
-        assign = np.argmin(d2_all, axis=1)
+        aug[:, d] = -0.5 * np.einsum("ij,ij->i", centers, centers)
+        np.matmul(X1, aug.T, out=score)
+        assign = np.argmax(score, axis=1)
         counts = np.bincount(assign, minlength=m)
-        sums = np.stack([np.bincount(assign, weights=col, minlength=m) for col in X.T], axis=1)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=m) for col in XT], axis=1)
         filled = counts > 0  # an empty cluster keeps its center
         centers[filled] = sums[filled] / counts[filled, None]
-    return centers
+    return centers.copy()
 
 
 def init_state(Z, params):

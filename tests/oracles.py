@@ -6,7 +6,8 @@ predictive pass and again from a bundle over every row, the
 Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
 log hyperparameter, the general-b Polya-Gamma mean, the truncated
 gamma-series Polya-Gamma sampler, the single-point kernel, the
-moment-to-natural parameter map, the Lloyd steps of k-means++ by one mask
+moment-to-natural parameter map, the k-means++ seeds by ``rng.choice``
+one center at a time, the Lloyd steps of k-means++ by one mask
 per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
 state copy, the state at other kernel parameters with K_mm factorized
 afresh, the prior state at k-means++ inducing inputs, the full-data
@@ -258,6 +259,33 @@ def elbo_grad_sigma(state, dataset, c, gram=None):
     L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
     Sinv = cho_solve((L_s, True), np.eye(state.Sigma.shape[0]))
     return 0.5 * (0.5 * (Sinv + Sinv.T) - gram.Kmm_inv - ktk)
+
+
+def kmeanspp_seeds(X, m, rng):
+    """k-means++ seeds, each drawn by ``rng.choice(n, p=d2 / total)``.
+
+    Reads the rows ``kmeanspp_init`` reads: max(2000, 20 m) of them drawn
+    first when n is larger, clamped to +/- 1e150.  When every row
+    coincides with a seed (total == 0) the next seed is a uniform row.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    rows = max(2000, 20 * m)
+    if n > rows:
+        X = X[rng.choice(n, rows, replace=False)]
+        n = rows
+    X = np.clip(X, -1e150, 1e150)
+    centers = np.empty((m, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, m):
+        total = d2.sum()
+        if total > 0.0:
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = X[rng.integers(n)]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
 
 
 def lloyd_by_masks(X, centers, iters):

@@ -25,7 +25,8 @@ from pggpc.inference import (
     local_update,
     natural_gradient,
 )
-from pggpc.kernel import FactorizationError, GramBundle, KernelParams, build_gram, kern_grad
+from pggpc.kernel import (FactorizationError, GramBundle, KernelParams, build_gram, kern_grad,
+                          kern_matrix)
 from pggpc.model import Dataset, init_state
 from pggpc.prediction import _ROW_BLOCK, class_prob, latent_predict
 
@@ -324,6 +325,21 @@ class TestAdaptiveRate:
         assert rhos[-1] < 0.2
         assert all(1e-6 <= r <= 1.0 for r in rhos)
 
+    def test_parts_give_the_rate_of_the_joined_vector(self):
+        # fit passes (g1, G2) without joining them; the rate and the squared
+        # norm it leaves are those of the concatenated vector.
+        rng = np.random.default_rng(29)
+        parts, joined = AdaptiveRate(), AdaptiveRate()
+        g1, G2 = rng.normal(size=4), rng.normal(size=(4, 4))
+        rhos = []
+        for _ in range(60):
+            n1, N2 = g1 + rng.normal(size=4), G2 + rng.normal(size=(4, 4))
+            rhos.append(parts.observe(n1, N2))
+            vec = np.concatenate([n1, N2.ravel()])
+            assert rhos[-1] == pytest.approx(joined.observe(vec), rel=1e-12, abs=0.0)
+            assert parts.sq_norm == pytest.approx(float(vec @ vec), rel=1e-12, abs=0.0)
+        assert min(rhos) < 0.5 < max(rhos)
+
     def test_rate_stays_in_clamp_range(self):
         rate = AdaptiveRate()
         rng = np.random.default_rng(13)
@@ -441,6 +457,20 @@ def test_batch_hyper_grads_average_to_the_full_gradient():
     grads = np.array(grads)
     assert not np.allclose(grads[0], full, rtol=1e-3)
     np.testing.assert_allclose(grads.mean(axis=0), full, rtol=1e-12)
+
+
+def test_accepted_hyper_steps_carry_the_inducing_side_of_their_parameters():
+    # Each accepted Adam step puts a new mm into the state; its inducing
+    # side is taken at the new lengthscale, so batch bundles built with it
+    # give the K_nm of the new parameters.
+    ds, _ = _toy_problem(n=40, m=5, seed=17)
+    res = fit(ds, TrainConfig(num_inducing=5, batch_size=10, max_iters=6, conv_threshold=0.0,
+                              hyper_every=1, adam_lr=0.05, seed=2))
+    state = res.state
+    assert state.params.log_lengthscale != KernelParams.default(ds.d).log_lengthscale
+    assert state.mm.inducing.l == state.params.lengthscale
+    gram = build_gram(ds.X, state.Z, state.params, mm=state.mm)
+    np.testing.assert_array_equal(gram.K_nm, kern_matrix(ds.X, state.Z, state.params))
 
 
 def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):

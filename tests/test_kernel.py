@@ -265,6 +265,29 @@ def test_shared_bundle_reuses_inducing_inverse():
     mm = build_gram(np.empty((0, 3)), Z, params)
     gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
     assert gram.Kmm_inv is mm.Kmm_inv
+    assert gram.neg_half_Kmm_inv is mm.neg_half_Kmm_inv
+
+
+@pytest.mark.parametrize("case", ["standardized", "translated", "clamped"])
+def test_shared_bundle_reuses_the_inducing_side(case):
+    # A batch bundle built with mm reads Z's side of the kernel (Z in units
+    # of l, its centre and half squared norms) from mm; K_nm is the matrix
+    # kern_matrix computes afresh, bit for bit.
+    rng = np.random.default_rng(8)
+    params = KernelParams(float(np.log(1.3)))
+    Z, X = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
+    if case == "translated":
+        Z, X = Z + 1e5, X + 1e5
+    elif case == "clamped":
+        X[:3] = [[2e150, 0.0, 0.0], [-1.7e308, 1.0, 0.5], [0.0, 0.0, -1e200]]
+    mm = build_gram(np.empty((0, 3)), Z, params)
+    assert mm.inducing.c.any() == (case == "translated")
+    gram = build_gram(X, Z, params, mm=mm)
+    assert gram.inducing is mm.inducing
+    np.testing.assert_array_equal(gram.K_nm, kern_matrix(X, Z, params))
+    assert np.all(gram.K_nm[3:] > 0.0)
+    if case == "clamped":
+        np.testing.assert_array_equal(gram.K_nm[:3], 0.0)
 
 
 def test_kappa_by_the_shared_inverse_matches_the_solve_at_high_condition():

@@ -19,7 +19,7 @@ from pggpc.model import (
 )
 
 import pggpc.model as model
-from oracles import clone, lloyd_by_masks, moments_to_natural, prior_state
+from oracles import clone, kmeanspp_seeds, lloyd_by_masks, moments_to_natural, prior_state
 
 
 def _toy_dataset(n=20, d=2, seed=0):
@@ -239,6 +239,18 @@ class TestKmeansppInit:
         if n == 30:
             assert len(np.unique(seeds, axis=0)) < m
         np.testing.assert_array_equal(Z, lloyd_by_masks(X, seeds, iters))
+
+    @pytest.mark.parametrize("n,d,m", [(30, 2, 6), (500, 3, 50), (2000, 8, 100), (4000, 8, 300),
+                                       (2400, 8, 100), (7000, 5, 300)])
+    def test_seeds_equal_the_draws_by_rng_choice(self, monkeypatch, n, d, m):
+        # Each seed is choice's own draw, one double from the generator; the
+        # last two cases read max(2000, 20 m) < n sampled rows.
+        X = np.random.default_rng(n).normal(size=(n, d))
+        if n == 30:  # three distinct points: from the fourth seed on, total == 0
+            X = np.repeat(X[:3], 10, axis=0)
+        monkeypatch.setattr(model, "_LLOYD_ITERS", 0)
+        np.testing.assert_array_equal(kmeanspp_init(X, m, np.random.default_rng(1)),
+                                      kmeanspp_seeds(X, m, np.random.default_rng(1)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_past_the_float64_square_range_are_clamped(self):
