@@ -8,7 +8,9 @@ labels flipped), fits them ``FITS`` times with fixed kernel hyperparameters
 mini-batch of s rows times each piece of an iteration: the batch
 ``build_gram`` (sharing the state's K_mm factorization), kappa,
 ``GramBundle.marginals``, ``natural_gradient``, ``natural_to_moments`` and
-``elbo``.  Each is the median of ``--reps`` calls, in ms; the set-up's
+``elbo``.  ``build_gram`` forms kappa with the rows, so its time includes
+kappa's; the kappa piece times that GEMM, K_nm K_mm^{-1}, inline.  Each
+is the median of ``--reps`` calls, in ms; the set-up's
 ``kmeanspp_init`` on the n rows, 10-100x dearer, is the median of
 ``SETUP_REPS`` calls.  ``iter_ms_p50`` is the median over the fits of each
 fit's median gap between consecutive rows of its trace, so one slow fit
@@ -38,7 +40,7 @@ import scipy  # noqa: E402
 
 from pggpc.data import MiniBatch  # noqa: E402
 from pggpc.inference import TrainConfig, elbo, fit, local_update, natural_gradient  # noqa: E402
-from pggpc.kernel import GramBundle, build_gram  # noqa: E402
+from pggpc.kernel import build_gram  # noqa: E402
 from pggpc.model import Dataset, kmeanspp_init, natural_to_moments  # noqa: E402
 
 GRID = ((4000, 300, 100, 8), (20000, 100, 100, 8))
@@ -83,7 +85,7 @@ def _point(n, m, s, d, reps, seed=0):
                                     SETUP_REPS),
         "build_gram": _median_ms(lambda: build_gram(Xb, state.Z, state.params, mm=state.mm),
                                  reps),
-        "kappa": _median_ms(lambda: GramBundle.kappa.func(gram), reps),
+        "kappa": _median_ms(lambda: gram.K_nm @ gram.Kmm_inv, reps),
         "marginals": _median_ms(lambda: gram.marginals(state.mu, state.Sigma), reps),
         "natural_gradient": _median_ms(lambda: natural_gradient(state, ds, batch, gram, c),
                                        reps),

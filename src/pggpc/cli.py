@@ -391,6 +391,9 @@ def cmd_gibbs_check(args):
     if args.standardize:
         ds, _ = standardize(ds)
     params = KernelParams.default(ds.d, args.lengthscale, args.amplitude, args.jitter)
+    # The chain first, so its options are checked before the fit; each has its own seed.
+    samples = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
+                        thin=args.thin, seed=args.seed)
     config = TrainConfig(
         num_inducing=ds.n,
         batch_size=ds.n,
@@ -403,8 +406,6 @@ def cmd_gibbs_check(args):
         inducing_Z=ds.X,
     )
     result = fit(ds, config)
-    samples = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
-                        thin=args.thin, seed=args.seed)
     report = compare_to_vi(samples, result.state, ds)
     header = ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos")
     rows = zip(range(ds.n), *(getattr(report, name) for name in header[1:]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv as _csv
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -181,6 +182,8 @@ def _parse_libsvm(path, n_features):
                     raise ValueError(f"{path}:{lineno}: malformed entry {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: index {idx} is not 1-based")
+                if not isfinite(val):
+                    raise _non_finite(path, lineno, val)
                 entries[idx] = val
             rows.append(entries)
             if entries:
@@ -223,17 +226,25 @@ def _parse_csv(path, label_col):
             raise ValueError(
                 f"{path}:{lineno}: expected {width} fields, found {len(vals)}"
             )
-    table = np.array([vals for vals, _ in data_rows])
-    if label_col is None:
-        return table, None
-    col = label_col if label_col >= 0 else width + label_col
-    if not 0 <= col < width:
-        raise ValueError(f"{path}: label column {label_col} out of range for width {width}")
-    if width == 1:
-        raise ValueError(f"{path}: no feature column besides the label column")
-    labels = list(table[:, col])
-    X = np.delete(table, col, axis=1)
+    X = np.array([vals for vals, _ in data_rows])
+    labels = None
+    if label_col is not None:
+        col = label_col if label_col >= 0 else width + label_col
+        if not 0 <= col < width:
+            raise ValueError(f"{path}: label column {label_col} out of range for width {width}")
+        if width == 1:
+            raise ValueError(f"{path}: no feature column besides the label column")
+        labels = list(X[:, col])
+        X = np.delete(X, col, axis=1)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise _non_finite(path, data_rows[i][1], X[i, j])
     return X, labels
+
+
+def _non_finite(path, lineno, value):
+    return ValueError(f"{path}:{lineno}: feature value {value} is not a finite number")
 
 
 def _is_number(tok):
@@ -273,7 +284,8 @@ def load_features(path, format, n_features=None):
 
 
 def _parse(path, format, label_col, n_features):
-    """(X, labels) of the file; CSV with ``label_col=None`` has no label column."""
+    """(X, labels) of the file; CSV with ``label_col=None`` has no label column.
+    A NaN or Inf (or overflowing) feature value is an error naming the file and line."""
     if format == "libsvm":
         return _parse_libsvm(path, n_features)
     if format == "csv":

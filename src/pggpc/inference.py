@@ -169,7 +169,7 @@ def natural_gradient(state, dataset, batch, gram, c):
     with Theta_S = diag(theta(c)) at the batch tilts c.  The data part is
     R^T R with R = (n Theta_S / 2s)^{1/2} kappa_S, which NumPy computes by
     SYRK, so it is exactly symmetric, and so is G2 when eta2 is; with the
-    bundle's cached -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
+    bundle's -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
     The full-data gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters

@@ -9,7 +9,6 @@ work unconstrained.  Distances are taken about the inducing inputs' centre.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack
@@ -215,9 +214,11 @@ def chol_inverse(L):
     return inv.T
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GramBundle:
     """Gram matrices shared by the inference and prediction paths.
+
+    Every field is set by :func:`build_gram`, the one constructor.
 
     Attributes
     ----------
@@ -226,48 +227,41 @@ class GramBundle:
         escalation recorded in ``jitter_extra``).
     chol_Kmm : ndarray, shape (m, m)
         Lower Cholesky factor of ``K_mm``.
-    K_nm : ndarray, shape (n, m)
-        Cross-kernel between the batch and the inducing inputs (no jitter).
-    k_diag : ndarray, shape (n,)
-        Diagonal of the batch's full kernel matrix: a^2 + jitter on every row.
+    Kmm_inv : ndarray, shape (m, m)
+        K_mm^{-1}, exactly symmetric.
+    neg_half_Kmm_inv : ndarray, shape (m, m)
+        -1/2 K_mm^{-1}, the prior's part of the natural gradient's G2.
+    logdet_Kmm : float
+        log|K_mm|.
     jitter_extra : float
         Extra diagonal added by escalation beyond the configured jitter.
     inducing : _Inducing
         Z as the kernel reads it at the lengthscale of the factorization.
+    K_nm : ndarray, shape (n, m)
+        Cross-kernel between the batch and the inducing inputs (no jitter).
+    k_diag : float
+        a^2 + jitter, the diagonal of the batch's full kernel matrix on every row.
+    kappa : ndarray, shape (n, m)
+        K_nm K_mm^{-1}, one GEMM with ``Kmm_inv``: no batch solves against K_mm.
+    ktilde : ndarray, shape (n,)
+        Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0.
     """
 
     K_mm: np.ndarray
     chol_Kmm: np.ndarray
-    K_nm: np.ndarray
-    k_diag: np.ndarray
+    Kmm_inv: np.ndarray
+    neg_half_Kmm_inv: np.ndarray
+    logdet_Kmm: float
     jitter_extra: float
     inducing: _Inducing
+    K_nm: np.ndarray
+    k_diag: float
+    kappa: np.ndarray
+    ktilde: np.ndarray
 
     def solve_mm(self, B):
-        """K_mm^{-1} B via the cached Cholesky factor."""
+        """K_mm^{-1} B via the Cholesky factor."""
         return cho_solve((self.chol_Kmm, True), B)
-
-    @cached_property
-    def Kmm_inv(self):
-        """Explicit K_mm^{-1}, exactly symmetric."""
-        return chol_inverse(self.chol_Kmm)
-
-    @cached_property
-    def neg_half_Kmm_inv(self):
-        """-1/2 K_mm^{-1}, the prior's part of the natural gradient's G2."""
-        return -0.5 * self.Kmm_inv
-
-    @cached_property
-    def kappa(self):
-        """kappa = K_nm K_mm^{-1}, shape (n, m): one GEMM with ``Kmm_inv``, which a
-        batch bundle shares with the state's ``mm``, so no batch solves against K_mm."""
-        return self.K_nm @ self.Kmm_inv
-
-    @cached_property
-    def ktilde(self):
-        """Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0."""
-        resid = self.k_diag - np.sum(self.kappa * self.K_nm, axis=1)
-        return np.maximum(resid, 0.0)
 
     def marginals(self, mu, Sigma):
         """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
@@ -279,13 +273,12 @@ class GramBundle:
         kappa = self.kappa
         return kappa @ mu, self.ktilde + np.einsum("ij,ij->i", kappa @ Sigma, kappa)
 
-    @property
-    def logdet_Kmm(self):
-        return float(2.0 * np.sum(np.log(np.diag(self.chol_Kmm))))
-
 
 def build_gram(X_batch, Z, params, mm=None):
     """Assemble the GramBundle for a batch against inducing inputs Z.
+
+    A new factorization comes with K_mm^{-1}, -1/2 K_mm^{-1} and log|K_mm|;
+    kappa and the residual diagonal come with the rows.
 
     Parameters
     ----------
@@ -294,8 +287,8 @@ def build_gram(X_batch, Z, params, mm=None):
     params : KernelParams
     mm : GramBundle, optional
         A state's ``mm``, at the same Z and params: its factorization, its
-        inducing side and its ``Kmm_inv`` and ``neg_half_Kmm_inv`` are
-        reused instead of recomputed.
+        inducing side, ``Kmm_inv``, ``neg_half_Kmm_inv`` and ``logdet_Kmm``
+        are passed on by reference instead of recomputed.
 
     Returns
     -------
@@ -307,14 +300,17 @@ def build_gram(X_batch, Z, params, mm=None):
         L, extra = chol_with_escalation(K_mm, params.jitter)
         if extra:
             K_mm = K_mm + extra * np.eye(K_mm.shape[0])
+        Kmm_inv = chol_inverse(L)
+        neg_half, logdet = -0.5 * Kmm_inv, float(2.0 * np.sum(np.log(np.diag(L))))
     else:
-        K_mm, L, extra, inducing = mm.K_mm, mm.chol_Kmm, mm.jitter_extra, mm.inducing
+        K_mm, L, Kmm_inv, neg_half = mm.K_mm, mm.chol_Kmm, mm.Kmm_inv, mm.neg_half_Kmm_inv
+        logdet, extra, inducing = mm.logdet_Kmm, mm.jitter_extra, mm.inducing
     K_nm = _cross(X_batch, inducing, params)
-    k_diag = np.full(K_nm.shape[0], params.amplitude**2 + params.jitter)
-    gram = GramBundle(K_mm, L, K_nm, k_diag, extra, inducing)
-    if mm is not None:  # one inverse per factorization
-        gram.Kmm_inv, gram.neg_half_Kmm_inv = mm.Kmm_inv, mm.neg_half_Kmm_inv
-    return gram
+    k_diag = params.amplitude**2 + params.jitter
+    kappa = K_nm @ Kmm_inv
+    ktilde = np.maximum(k_diag - np.sum(kappa * K_nm, axis=1), 0.0)
+    return GramBundle(K_mm, L, Kmm_inv, neg_half, logdet, extra, inducing,
+                      K_nm, k_diag, kappa, ktilde)
 
 
 def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):

@@ -13,10 +13,9 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky, lapack
+from scipy.linalg import lapack
 
 from .kernel import _FAR, HYPER_NAMES, FactorizationError, GramBundle, KernelParams
 from .kernel import build_gram, chol_inverse
@@ -124,24 +123,21 @@ class VariationalState:
         Derived posterior mean of the inducing values.
     Sigma : ndarray, shape (m, m)
         Derived posterior covariance.
+    logdet_Sigma : float
+        log|Sigma|, from the precision's factor that gave Sigma.
     Z : ndarray, shape (m, d)
         Inducing inputs (fixed during training).
     params : KernelParams
     mm : GramBundle
         The bundle for no rows at (Z, params), the one K_mm factorization; the
         class is frozen, so it changes with ``params``, in one ``replace``.
-
-    ``logdet_Sigma``, log|Sigma|, is not a field.  ``from_natural``,
-    ``with_natural`` and ``init_state`` fill it from the factor that gave
-    Sigma; any other instance, such as one that ``dataclasses.replace``
-    builds with a new Sigma, computes it from ``cholesky(Sigma)`` when first
-    read, so it always belongs to the instance's own Sigma.
     """
 
     eta1: np.ndarray
     eta2: np.ndarray
     mu: np.ndarray
     Sigma: np.ndarray
+    logdet_Sigma: float
     Z: np.ndarray
     params: KernelParams
     mm: GramBundle
@@ -150,25 +146,15 @@ class VariationalState:
     def m(self):
         return self.Z.shape[0]
 
-    @cached_property
-    def logdet_Sigma(self):
-        """log|Sigma|."""
-        return 2.0 * float(np.sum(np.log(np.diag(cholesky(self.Sigma, lower=True)))))
-
-    def _with_logdet(self, logdet_Sigma):
-        object.__setattr__(self, "logdet_Sigma", logdet_Sigma)
-        return self
-
     @classmethod
     def from_natural(cls, eta1, eta2, Z, params):
         mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
-        mu, Sigma, logdet = natural_to_moments(eta1, eta2)
-        return cls(eta1, eta2, mu, Sigma, Z, params, mm)._with_logdet(logdet)
+        return cls(eta1, eta2, *natural_to_moments(eta1, eta2), Z, params, mm)
 
     def with_natural(self, eta1, eta2):
         """New state at the given natural parameters (moments refreshed, ``mm`` kept)."""
         mu, Sigma, logdet = natural_to_moments(eta1, eta2)
-        return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma)._with_logdet(logdet)
+        return replace(self, eta1=eta1, eta2=eta2, mu=mu, Sigma=Sigma, logdet_Sigma=logdet)
 
 
 def kmeanspp_init(X, m, rng):
@@ -251,8 +237,8 @@ def init_state(Z, params):
     mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
-        Z=Z, params=params, mm=mm,
-    )._with_logdet(mm.logdet_Kmm)
+        logdet_Sigma=mm.logdet_Kmm, Z=Z, params=params, mm=mm,
+    )
 
 
 def _encode_array(arr):

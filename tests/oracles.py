@@ -10,7 +10,8 @@ moment-to-natural parameter map, the k-means++ seeds by ``rng.choice``
 one center at a time, the Lloyd steps of k-means++ by one mask
 per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
 state copy, the state at other kernel parameters with K_mm factorized
-afresh, the prior state at k-means++ inducing inputs, the full-data
+afresh, the state at other moments of q(u), the prior state at k-means++
+inducing inputs, the full-data
 batch, a fresh bundle, the optimal tilts at a fresh bundle and the inverse
 standardization live here too, since only tests need them.
 """
@@ -177,6 +178,17 @@ def at_params(state, params):
     """The state with its kernel at params and K_mm factorized there afresh; q(u) is kept."""
     no_rows = np.empty((0, state.Z.shape[1]))
     return replace(state, params=params, mm=build_gram(no_rows, state.Z, params))
+
+
+def at_moments(state, mu=None, Sigma=None):
+    """The state with q(u) moved to (mu, Sigma), each kept when None, and
+    log|Sigma| taken by ``slogdet``; the natural parameters are left as they were."""
+    mu = state.mu if mu is None else mu
+    Sigma = state.Sigma if Sigma is None else Sigma
+    sign, logdet = np.linalg.slogdet(Sigma)
+    if sign <= 0:
+        raise ValueError("Sigma must be positive definite")
+    return replace(state, mu=mu, Sigma=Sigma, logdet_Sigma=float(logdet))
 
 
 def prior_state(dataset, m, params, rng):

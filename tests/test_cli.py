@@ -333,6 +333,30 @@ class TestPredictAndEvaluate:
         assert code == 0
         assert len(_read_lines(tmp_path / "predictions.csv")) == 2 + 5
 
+    @pytest.mark.parametrize("row", ["nan,0.3", "inf,1"])
+    def test_predict_unlabeled_rejects_non_finite_features(self, trained, tmp_path, capsys, row):
+        # A NaN row was written as "1,nan,nan,nan,-1" and an Inf row scored p = 0.5.
+        feat = tmp_path / "features.csv"
+        feat.write_text(f"0.1,0.2\n{row}\n")
+        code = main(["predict", "--data", str(feat), "--unlabeled",
+                     "--checkpoint", trained, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        line = _one_error_line(capsys)
+        assert f"{feat}:2: feature value" in line and "not a finite number" in line
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_labeled_non_finite_features_name_the_file_and_line(self, command, trained,
+                                                                  tmp_path, capsys):
+        # These printed only "error: features contain NaN or Inf".
+        data = tmp_path / "bad.txt"
+        data.write_text("+1 1:0.5 2:0.1\n-1 1:-0.5 2:nan\n+1 1:0.7 2:0.2\n")
+        args = ["--data", str(data), "--out-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            args += ["--checkpoint", trained]
+        assert main([command, *args]) == 1
+        assert f"{data}:2: feature value nan is not a finite number" in _one_error_line(capsys)
+
     def test_predict_unlabeled_skips_libsvm_label_fields(self, blob_files, trained, tmp_path,
                                                         capsys):
         # Placeholder labels (all 0) fail the labeled path as non-binary;
@@ -741,11 +765,15 @@ class TestGibbsCheck:
         (["--sweeps", "2", "--burn-in", "1"], "iters"),  # one stored sample has no variance
     ])
     def test_chain_argument_out_of_range_is_one_error_line(self, chain, name, blob_files,
-                                                           tmp_path, capsys):
+                                                           tmp_path, capsys, monkeypatch):
+        # The whole VI fit ran before the chain's options were checked.
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
         code = main(["gibbs-check", "--data", blob_files["small"], "--max-iters", "5",
                      "--sweeps", "20", "--out-dir", str(tmp_path), *chain])
         assert code == 1
         assert _one_error_line(capsys).startswith(f"error: {name} must")
+        assert fits == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("amplitude, reported", [

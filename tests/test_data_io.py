@@ -142,6 +142,31 @@ class TestCsvParsing:
             load_features(path, "arff")
 
 
+class TestNonFiniteFeatures:
+    # They were read as given: load failed in Dataset with no file name, and
+    # load_features (predict --unlabeled) scored NaN rows as NaN and
+    # clamped Inf rows to p = 0.5.
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("fmt, lines", [
+        ("csv", ["1,0.5,1.0", "0,{v},0.3"]),
+        ("libsvm", ["+1 1:0.5 2:1.0", "", "-1 1:0.2 2:{v}"]),
+    ])
+    def test_labeled_and_unlabeled_name_the_file_and_line(self, tmp_path, fmt, lines, value):
+        text = "\n".join(lines).format(v=value) + "\n"
+        path = _write(tmp_path, f"bad.{fmt}", text)
+        line = 3 if fmt == "libsvm" else 2
+        want = rf"bad\.{fmt}:{line}: feature value .* is not a finite number"
+        with pytest.raises(ValueError, match=want):
+            load(path, fmt)
+        with pytest.raises(ValueError, match=want):
+            load_features(path, fmt)
+
+    def test_non_finite_label_is_not_a_feature(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "nan,0.5\n1,1.5\n")
+        with pytest.raises(ValueError, match="non-binary labels"):
+            load(path, "csv")
+
+
 class TestLabelMapping:
     @pytest.mark.parametrize(
         "raw, mapped",

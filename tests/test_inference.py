@@ -1,7 +1,6 @@
 """Tests for the bound, local/global updates, learning rates, and training."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from pggpc.model import Dataset, init_state
 from pggpc.prediction import _ROW_BLOCK, class_prob, latent_predict
 
 from oracles import (
+    at_moments,
     at_params,
     bundle,
     elbo_grad_mu,
@@ -219,7 +219,7 @@ def test_euclidean_gradients_match_finite_differences():
     gmu = elbo_grad_mu(state, ds, c, gram)
     for i in range(state.m):
         e = np.eye(state.m)[i]
-        sp, sm = replace(state, mu=state.mu + h * e), replace(state, mu=state.mu - h * e)
+        sp, sm = at_moments(state, mu=state.mu + h * e), at_moments(state, mu=state.mu - h * e)
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert gmu[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -227,8 +227,8 @@ def test_euclidean_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     D = rng.normal(size=(state.m, state.m))
     D = 0.5 * (D + D.T)
-    sp = replace(state, Sigma=state.Sigma + h * D)
-    sm = replace(state, Sigma=state.Sigma - h * D)
+    sp = at_moments(state, Sigma=state.Sigma + h * D)
+    sm = at_moments(state, Sigma=state.Sigma - h * D)
     fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
     assert float(np.sum(gS * D)) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -702,11 +702,9 @@ class TestFit:
                             conv_threshold=0.0, hyper_every=0, seed=0))
         assert len(calls) == 3
 
-    def test_one_cholesky_per_iteration(self, monkeypatch):
-        # The precision's factor gives Sigma and log|Sigma| alike; besides
-        # it, only set-up factorizes (K_mm), and the closing bound reads the
-        # cached log|Sigma|.  At two factorizations an iteration this read
-        # 2 T + 2.
+    @staticmethod
+    def _factorizations(monkeypatch, iters, hyper_every):
+        """Cholesky factorizations in one fit of the toy problem."""
         ds, _ = _toy_problem(n=60, m=6)
         calls = []
 
@@ -720,10 +718,23 @@ class TestFit:
             if hasattr(module, "cholesky"):
                 monkeypatch.setattr(module, "cholesky", counting(module.cholesky))
         monkeypatch.setattr(lapack, "dpotrf", counting(lapack.dpotrf))  # natural_to_moments
-        iters = 40
         fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=iters,
-                            conv_threshold=0.0, hyper_every=0, seed=0))
-        assert len(calls) == iters + 1
+                            conv_threshold=0.0, hyper_every=hyper_every, seed=0))
+        return len(calls)
+
+    def test_one_cholesky_per_iteration(self, monkeypatch):
+        # The precision's factor gives Sigma and log|Sigma| alike; besides
+        # it, only set-up factorizes (K_mm), and the closing bound reads the
+        # state's log|Sigma|.  At two factorizations an iteration this read
+        # 2 T + 2.
+        assert self._factorizations(monkeypatch, 40, 0) == 40 + 1
+
+    def test_one_more_cholesky_per_adam_step(self, monkeypatch):
+        # An Adam step factorizes K_mm at its proposal and nothing else: its
+        # replace keeps the state's log|Sigma|.  When that was a cached value
+        # the replace dropped it, and the next bound paid a Cholesky of Sigma
+        # (57 here).
+        assert self._factorizations(monkeypatch, 40, 5) == 40 + 1 + 8
 
     def test_hyper_iterations_touch_only_batch_rows(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)

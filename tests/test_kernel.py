@@ -1,6 +1,7 @@
 """Tests for the squared-exponential kernel, Gram assembly, and gradients."""
 
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import cho_solve, cholesky, lapack
 
 from pggpc.kernel import (
     FactorizationError,
+    GramBundle,
     KernelParams,
     build_gram,
     chol_inverse,
@@ -69,12 +71,15 @@ def test_kern_matrix_same_flag_controls_jitter():
 
 
 def test_kern_diag_is_marginal_variance():
-    # A bundle's k_diag is the diagonal of the full kernel matrix: a^2 + jitter.
+    # A bundle's k_diag is the diagonal of the full kernel matrix, the same
+    # on every row: the scalar a^2 + jitter.
     params = KernelParams(0.0, log_amplitude=np.log(2.0), log_jitter=np.log(1e-5))
     X = np.random.default_rng(1).normal(size=(6, 3))
     diag = np.diag(kern_matrix(X, X, params, same=True))
     np.testing.assert_allclose(diag, 4.0 + 1e-5, rtol=1e-12)
-    np.testing.assert_allclose(build_gram(X, X[:2], params).k_diag, diag, rtol=1e-12)
+    k_diag = build_gram(X, X[:2], params).k_diag
+    assert k_diag == params.amplitude**2 + params.jitter
+    np.testing.assert_allclose(np.full(6, k_diag), diag, rtol=1e-12)
 
 
 def test_kern_matrix_element_agreement():
@@ -222,7 +227,7 @@ def test_build_gram_matches_brute_force():
     K_mm, K_nm, kd, kappa, ktilde = _brute_bundle(X, Z, params)
     np.testing.assert_allclose(gram.K_mm, K_mm, rtol=1e-12)
     np.testing.assert_allclose(gram.K_nm, K_nm, rtol=1e-12)
-    np.testing.assert_allclose(gram.k_diag, kd, rtol=1e-12)
+    np.testing.assert_allclose(np.full(9, gram.k_diag), kd, rtol=1e-12)
     np.testing.assert_allclose(gram.kappa, kappa, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(gram.ktilde, ktilde, rtol=1e-6, atol=1e-10)
     np.testing.assert_allclose(
@@ -266,6 +271,23 @@ def test_shared_bundle_reuses_inducing_inverse():
     gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
     assert gram.Kmm_inv is mm.Kmm_inv
     assert gram.neg_half_Kmm_inv is mm.neg_half_Kmm_inv
+    assert gram.logdet_Kmm is mm.logdet_Kmm
+
+
+def test_bundle_is_a_frozen_record_of_its_fields():
+    # build_gram sets every derived value as a field; nothing is filled later.
+    rng = np.random.default_rng(6)
+    Z = rng.normal(size=(5, 3))
+    params = KernelParams(0.0)
+    mm = build_gram(np.empty((0, 3)), Z, params)
+    for gram in (mm, build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm),
+                 build_gram(rng.normal(size=(8, 3)), Z, params)):
+        assert list(vars(gram)) == [f.name for f in fields(GramBundle)]
+        gram.marginals(np.zeros(5), np.eye(5))
+        gram.solve_mm(np.ones(5))
+        assert list(vars(gram)) == [f.name for f in fields(GramBundle)]
+        with pytest.raises(FrozenInstanceError):
+            gram.kappa = np.zeros((8, 5))
 
 
 @pytest.mark.parametrize("case", ["standardized", "translated", "clamped"])
@@ -300,7 +322,8 @@ def test_kappa_by_the_shared_inverse_matches_the_solve_at_high_condition():
     gram = build_gram(rng.normal(size=(100, 8)), Z, params, mm=mm)
     assert 1e7 < np.linalg.cond(gram.K_mm) < 3e7
     kappa = cho_solve((gram.chol_Kmm, True), gram.K_nm.T).T
-    ktilde = np.maximum(gram.k_diag - np.sum(kappa * gram.K_nm, axis=1), 0.0)
+    a2_plus_jitter = params.amplitude**2 + params.jitter
+    ktilde = np.maximum(a2_plus_jitter - np.sum(kappa * gram.K_nm, axis=1), 0.0)
     np.testing.assert_allclose(gram.kappa, kappa, rtol=0, atol=1e-9)
     np.testing.assert_allclose(gram.ktilde, ktilde, rtol=0, atol=1e-9)
 
