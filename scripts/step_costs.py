@@ -16,6 +16,12 @@ is the median of ``--reps`` calls, in ms; the set-up's
 fit's median gap between consecutive rows of its trace, so one slow fit
 does not move it.
 
+The host's speed drifts between runs taken minutes apart, so each point
+also records ``ref_ms``: the median ms of a fixed NumPy reference kernel
+(a Cholesky, a triangular solve, a GEMM and elementwise exp/log on seeded
+inputs), timed just before and just after the point.  Compare two runs'
+pieces only as far as their ``ref_ms`` agree, or in units of it.
+
 The run is stored under ``runs[<label>]`` of the output file; runs under
 other labels are kept, so one file holds a before and an after run of the
 same grid.  With no thread count in the environment, the BLAS is pinned to
@@ -37,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.linalg import solve_triangular  # noqa: E402
 
 from pggpc.data import MiniBatch  # noqa: E402
 from pggpc.inference import TrainConfig, elbo, fit, local_update, natural_gradient  # noqa: E402
@@ -47,6 +54,7 @@ GRID = ((4000, 300, 100, 8), (20000, 100, 100, 8))
 FIT_ITERS = 60
 FITS = 5
 SETUP_REPS = 20
+REF_REPS = 20
 
 
 def _data(n, d, rng):
@@ -66,6 +74,20 @@ def _median_ms(fn, reps):
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * float(np.median(times))
+
+
+def _reference_kernel():
+    """A fixed NumPy workload on seeded inputs, as a yardstick of the host's speed."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((300, 300))
+    K = a @ a.T / 300 + np.eye(300)
+    B = rng.standard_normal((300, 100))
+    v = rng.standard_normal(200_000)
+
+    def run():
+        W = solve_triangular(np.linalg.cholesky(K), B, lower=True)
+        return float((W.T @ W).trace() + np.log1p(np.exp(-np.abs(v))).sum())
+    return run
 
 
 def _point(n, m, s, d, reps, seed=0):
@@ -148,16 +170,23 @@ def main():
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
+    ref = _reference_kernel()
+    points = []
+    for p in args.grid or GRID:
+        before = _median_ms(ref, REF_REPS)
+        points.append(_point(*p, reps=args.reps))
+        points[-1]["ref_ms"] = {"before": before, "after": _median_ms(ref, REF_REPS)}
     run = {"machine": _machine(), "fit_iters": FIT_ITERS, "fits": FITS, "reps": args.reps,
-           "setup_reps": SETUP_REPS,
-           "points": [_point(*p, reps=args.reps) for p in (args.grid or GRID)]}
+           "setup_reps": SETUP_REPS, "ref_reps": REF_REPS, "points": points}
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     for p in run["points"]:
         costs = " ".join(f"{k}={v:.3f}" for k, v in p["ms_per_call"].items())
-        print(f"{args.label} {p['grid']}: iter_ms_p50={p['iter_ms_p50']:.3f} {costs}")
+        ref = p["ref_ms"]
+        print(f"{args.label} {p['grid']}: ref_ms={ref['before']:.3f}/{ref['after']:.3f} "
+              f"iter_ms_p50={p['iter_ms_p50']:.3f} {costs}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
-from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, compare_to_vi, gibbs_run
+from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, chain_size, compare_to_vi, gibbs_run
 from .inference import CONV_WINDOW, HELDOUT_THRESHOLD, TrainConfig, fit
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
@@ -391,9 +391,7 @@ def cmd_gibbs_check(args):
     if args.standardize:
         ds, _ = standardize(ds)
     params = KernelParams.default(ds.d, args.lengthscale, args.amplitude, args.jitter)
-    # The chain first, so its options are checked before the fit; each has its own seed.
-    samples = gibbs_run(ds, params, iters=args.sweeps, burn_in=args.burn_in,
-                        thin=args.thin, seed=args.seed)
+    chain_size(args.sweeps, args.burn_in, args.thin)  # before the fit, which the chain follows
     config = TrainConfig(
         num_inducing=ds.n,
         batch_size=ds.n,
@@ -406,6 +404,7 @@ def cmd_gibbs_check(args):
         inducing_Z=ds.X,
     )
     result = fit(ds, config)
+    samples = gibbs_run(ds, params, args.sweeps, args.burn_in, args.thin, args.seed)
     report = compare_to_vi(samples, result.state, ds)
     header = ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos")
     rows = zip(range(ds.n), *(getattr(report, name) for name in header[1:]))

@@ -32,7 +32,7 @@ from .kernel import chol_with_escalation, kern_matrix
 from .pg import pg_sample
 from .prediction import class_prob
 
-__all__ = ["gibbs_run", "f_conditional", "compare_to_vi", "ComparisonReport"]
+__all__ = ["gibbs_run", "chain_size", "f_conditional", "compare_to_vi", "ComparisonReport"]
 
 # Default chain: total sweeps, burn-in sweeps and thinning stride.
 GIBBS_SWEEPS = 5000
@@ -80,6 +80,19 @@ def f_conditional(K, L_K, half_Ky, omega, z):
     return f0 + half_Ky - K @ (w * v)
 
 
+def chain_size(iters, burn_in, thin):
+    """Samples a chain with these options stores; a ValueError names one out of range."""
+    if thin < 1:
+        raise ValueError(f"thin must be at least 1, got {thin}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
+    stored = len(range(burn_in, iters, thin))
+    if stored < 2:
+        raise ValueError(f"iters must exceed burn_in by enough to store at least two samples, "
+                         f"got iters={iters}, burn_in={burn_in}, thin={thin}")
+    return stored
+
+
 def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=GIBBS_THIN,
               seed=0):
     """Run the augmented Gibbs chain and keep thinned post-burn-in samples.
@@ -110,18 +123,9 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
     Raises
     ------
     ValueError
-        If thin, burn_in or iters is out of range.
+        If thin, burn_in or iters is out of range, as :func:`chain_size` checks.
     """
-    if thin < 1:
-        raise ValueError(f"thin must be at least 1, got {thin}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be at least 0, got {burn_in}")
-    stored = len(range(burn_in, iters, thin))
-    if stored < 2:
-        raise ValueError(
-            f"iters must exceed burn_in by enough to store at least two samples, "
-            f"got iters={iters}, burn_in={burn_in}, thin={thin}"
-        )
+    stored = chain_size(iters, burn_in, thin)
     rng = np.random.default_rng(seed)
     n = dataset.n
     K = kern_matrix(dataset.X, dataset.X, params, same=True)

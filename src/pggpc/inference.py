@@ -322,7 +322,7 @@ def hyper_grad(state, dataset, batch, gram, c):
         + ktk @ MB
     )
     P_A = scale * (0.5 * np.outer(y, mu_t) + Tk - Tk @ MB)
-    return kern_grad(gram, X, state.Z, state.params, P_K, P_A, -0.5 * scale * th)
+    return kern_grad(gram, X, state.params, P_K, P_A, -0.5 * scale * th)
 
 
 def hyper_step(state, dataset, adam, batch, gram, c):

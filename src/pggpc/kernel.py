@@ -24,7 +24,6 @@ __all__ = [
     "kern_grad",
     "chol_with_escalation",
     "chol_inverse",
-    "sq_dists",
 ]
 
 _DEFAULT_AMPLITUDE = 1.0
@@ -104,16 +103,6 @@ class KernelParams:
 HYPER_NAMES = tuple(f.name for f in fields(KernelParams))
 
 
-def sq_dists(X, Z):
-    """Pairwise squared Euclidean distances, clamped at zero."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    xx = np.sum(X * X, axis=1)[:, None]
-    zz = np.sum(Z * Z, axis=1)[None, :]
-    d2 = xx + zz - 2.0 * (X @ Z.T)
-    return np.maximum(d2, 0.0)
-
-
 class _Inducing:
     """Inducing inputs as the kernel reads them at lengthscale l.
 
@@ -122,13 +111,13 @@ class _Inducing:
     rows X the same way, so that a squared norm holds a row's spread about
     Z, not its offset from the origin, and far inputs keep their digits;
     distances do not move, and at c = 0 (standardized inputs) nothing does.
-    A K_mm factorization keeps its inducing side (``GramBundle.inducing``),
-    so a batch bundle built with ``mm`` does none of this work on Z.
+    A K_mm factorization keeps it (``GramBundle.inducing``): the Gram
+    matrix, gradient and prediction take their distances from it alone.
     """
 
     __slots__ = ("l", "c", "Z", "half_sq")
 
-    def __init__(self, Z, l=1.0):
+    def __init__(self, Z, l):
         far = _FAR * l
         Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
         self.l = l
@@ -142,14 +131,17 @@ class _Inducing:
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / self.l
         return np.clip(X - self.c, -_FAR, _FAR) if self.c.any() else X
 
+    def neg_half_sq(self, X):
+        """-||x - z||^2 / 2, clamped at 0, for rows X taken by :meth:`rows`, in one buffer."""
+        D = X @ self.Z.T
+        D -= 0.5 * np.sum(X * X, axis=1)[:, None]
+        D -= self.half_sq
+        return np.minimum(D, 0.0, out=D)
+
 
 def _cross(X, inducing, params, same=False):
     """The kernel matrix between the rows X and an ``_Inducing``'s Z; see :func:`kern_matrix`."""
-    X = inducing.rows(X)
-    K = X @ inducing.Z.T
-    K -= 0.5 * np.sum(X * X, axis=1)[:, None]
-    K -= inducing.half_sq
-    np.minimum(K, 0.0, out=K)
+    K = inducing.neg_half_sq(inducing.rows(X))
     np.exp(K, out=K)
     K *= params.amplitude**2
     if same:
@@ -160,10 +152,9 @@ def _cross(X, inducing, params, same=False):
 def kern_matrix(X, Z, params, same=False):
     """Dense kernel matrix between row sets X and Z.
 
-    Built in one (n, m) buffer: with both sets taken in units of l about
-    the centre of Z's rows (see ``_Inducing``), the GEMM x.z is reduced in
-    place by the half row norms, clamped at 0 (a squared distance is never
-    negative), exponentiated and scaled by a^2.
+    Both sets are taken in units of l about the centre of Z's rows (see
+    ``_Inducing``, built afresh here; a factorization reads its own), and
+    the half squared distances are exponentiated in place and scaled by a^2.
 
     With ``same=True`` the two sets are taken to be identical point lists and
     the jitter is added on the diagonal.
@@ -313,27 +304,29 @@ def build_gram(X_batch, Z, params, mm=None):
                       K_nm, k_diag, kappa, ktilde)
 
 
-def kern_grad(gram, X, Z, params, P_K, P_A, p_diag):
+def kern_grad(gram, X, params, P_K, P_A, p_diag):
     """<P_K, dK_mm> + <P_A, dK_nm> + p_diag . dk_diag per log hyperparameter.
 
     The derivatives of the bundle's (K_mm, K_nm, k_diag) at the rows X are
-    (S_mm o D_mm, S_nm o D_nm, 0) / l^2 in log l, (2 S_mm, 2 S_nm, 2 a^2) in
-    log a and (jitter I, 0, jitter) in log jitter.  D holds the squared
-    distances, the only kernel work done here; S is the squared-exponential
-    part read from the bundle: K_nm, and K_mm less its jitter diagonal
-    ``params.jitter + gram.jitter_extra``.  D is taken on the rows as
-    ``_Inducing`` takes them at unit lengthscale, so no square overflows.
+    (S_mm o D_mm, S_nm o D_nm, 0) in log l, (2 S_mm, 2 S_nm, 2 a^2) in log a
+    and (jitter I, 0, jitter) in log jitter.  D holds the squared distances
+    in units of l, -2 ``neg_half_sq`` of the bundle's inducing side (so no
+    square overflows), the only kernel work done here; S is read from the
+    bundle: K_nm, and K_mm less its jitter ``params.jitter + gram.jitter_extra``.
     Returns shape (3,), ordered as KernelParams.as_array().
     """
     S_mm = gram.K_mm.copy()
     S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
     PS_mm = P_K * S_mm
     PS_nm = P_A * gram.K_nm
-    inducing = _Inducing(Z)
-    Z = inducing.Z
-    d_ell = np.sum(PS_mm * sq_dists(Z, Z)) + np.sum(PS_nm * sq_dists(inducing.rows(X), Z))
+    inducing = gram.inducing
+    D_mm = inducing.neg_half_sq(inducing.Z)
+    np.fill_diagonal(D_mm, 0.0)  # z to itself: exactly 0, not the expanded form's round-off
+    D_nm = inducing.neg_half_sq(inducing.rows(X))
+    D_mm *= PS_mm
+    D_nm *= PS_nm
     return np.array([
-        d_ell / params.lengthscale**2,
+        -2.0 * (np.sum(D_mm) + np.sum(D_nm)),
         2.0 * (np.sum(PS_mm) + np.sum(PS_nm) + params.amplitude**2 * np.sum(p_diag)),
         params.jitter * (np.trace(P_K) + np.sum(p_diag)),
     ])

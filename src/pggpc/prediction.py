@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .kernel import kern_matrix
+from .kernel import _cross
 
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
 
@@ -54,6 +54,9 @@ class EvalReport:
 def latent_predict(state, x_star):
     """Latent predictive mean(s) and variance(s) at new inputs, from ``state.mm``.
 
+    Each row block's K_*m is taken against ``state.mm.inducing``, and
+    sigma*^2 starts at ``state.mm.k_diag``.
+
     Parameters
     ----------
     state : VariationalState
@@ -67,13 +70,13 @@ def latent_predict(state, x_star):
         round-off.
     """
     X = np.atleast_2d(np.asarray(x_star, dtype=float))
-    Z, params, mm = state.Z, state.params, state.mm
+    mm = state.mm
     alpha = mm.solve_mm(state.mu)
     B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
     mu_star = np.empty(X.shape[0])
-    var_star = np.full(X.shape[0], params.amplitude**2 + params.jitter)
+    var_star = np.full(X.shape[0], mm.k_diag)
     for lo in range(0, X.shape[0], _ROW_BLOCK):
-        K = kern_matrix(X[lo:lo + _ROW_BLOCK], Z, params)
+        K = _cross(X[lo:lo + _ROW_BLOCK], mm.inducing, state.params)
         mu_star[lo:lo + _ROW_BLOCK] = K @ alpha
         var_star[lo:lo + _ROW_BLOCK] += np.einsum("ij,ij->i", K @ B, K)
     np.maximum(var_star, 1e-12, out=var_star)

@@ -5,15 +5,15 @@ full-GP bound two ways, the sparse bound over every row from the blocked
 predictive pass and again from a bundle over every row, the
 Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
 log hyperparameter, the general-b Polya-Gamma mean, the truncated
-gamma-series Polya-Gamma sampler, the single-point kernel, the
-moment-to-natural parameter map, the k-means++ seeds by ``rng.choice``
-one center at a time, the Lloyd steps of k-means++ by one mask
-per cluster, and the dense mean and covariance of the Gibbs f-draw.  The
-state copy, the state at other kernel parameters with K_mm factorized
-afresh, the state at other moments of q(u), the prior state at k-means++
-inducing inputs, the full-data
-batch, a fresh bundle, the optimal tilts at a fresh bundle and the inverse
-standardization live here too, since only tests need them.
+gamma-series Polya-Gamma sampler, the single-point kernel, the squared
+distances about the origin, the moment-to-natural parameter map, the
+k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd steps of
+k-means++ by one mask per cluster, and the dense mean and covariance of
+the Gibbs f-draw.  The state copy, the state at other kernel parameters
+with K_mm factorized afresh, the state at other moments of q(u), the prior
+state at k-means++ inducing inputs, the full-data batch, a fresh bundle,
+the optimal tilts at a fresh bundle and the inverse standardization live
+here too, since only tests need them.
 """
 
 from dataclasses import replace
@@ -24,7 +24,7 @@ from scipy.special import expit as sigmoid
 
 from pggpc.data import MiniBatch
 from pggpc.inference import elbo, local_update
-from pggpc.kernel import build_gram, chol_with_escalation, sq_dists
+from pggpc.kernel import build_gram, chol_with_escalation
 from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, theta
 from pggpc.prediction import latent_predict
@@ -57,6 +57,16 @@ def kern(x, xp, params, same_index=False):
     if same_index:
         val += params.jitter
     return float(val)
+
+
+def sq_dists(X, Z):
+    """Pairwise squared Euclidean distances about the origin, clamped at zero."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    xx = np.sum(X * X, axis=1)[:, None]
+    zz = np.sum(Z * Z, axis=1)[None, :]
+    d2 = xx + zz - 2.0 * (X @ Z.T)
+    return np.maximum(d2, 0.0)
 
 
 def kern_grad_dense(X, Z, params):

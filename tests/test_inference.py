@@ -473,6 +473,28 @@ def test_accepted_hyper_steps_carry_the_inducing_side_of_their_parameters():
     np.testing.assert_array_equal(gram.K_nm, kern_matrix(ds.X, state.Z, state.params))
 
 
+def test_gradient_and_prediction_read_the_factorizations_inducing_side(monkeypatch):
+    # The gradient and prediction take their distances to Z from state.mm's
+    # inducing side: neither prepares Z again (per row block, for prediction).
+    ds, state = _toy_problem(n=40, m=5, seed=18)
+    state, c = _warmed_state(ds, state)
+    batch = MiniBatch(indices=np.arange(0, 40, 4), scale=4.0)
+    gram = build_gram(ds.X[batch.indices], state.Z, state.params, mm=state.mm)
+    built = []
+    init = kernel._Inducing.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(kernel._Inducing, "__init__", counting)
+    hyper_grad(state, ds, batch, gram, c[batch.indices])
+    assert built == []
+    mu_star, _ = latent_predict(state, np.zeros((3 * _ROW_BLOCK + 1, ds.d)))
+    assert mu_star.shape == (3 * _ROW_BLOCK + 1,)
+    assert built == []
+
+
 def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)

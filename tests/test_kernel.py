@@ -16,11 +16,10 @@ from pggpc.kernel import (
     chol_with_escalation,
     kern_grad,
     kern_matrix,
-    sq_dists,
 )
 from pggpc.prediction import _ROW_BLOCK
 
-from oracles import kern, kern_grad_dense
+from oracles import kern, kern_grad_dense, sq_dists
 
 EXP_NEG_1 = 0.3678794411714423216  # kernel value at squared distance 2, a = l = 1
 
@@ -178,11 +177,27 @@ def test_kern_grad_reads_far_rows_as_clamped():
     X = np.array([[1.7e308, -1.7e308], [0.5, 0.5]])
     rng = np.random.default_rng(4)
     P_K, P_A, p_diag = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2)
-    got = kern_grad(build_gram(X, Z, params), X, Z, params, P_K, P_A, p_diag)
+    got = kern_grad(build_gram(X, Z, params), X, params, P_K, P_A, p_diag)
     near = np.clip(X, -1e150, 1e150)
-    want = kern_grad(build_gram(near, Z, params), near, Z, params, P_K, P_A, p_diag)
+    want = kern_grad(build_gram(near, Z, params), near, params, P_K, P_A, p_diag)
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, want)
+
+
+def test_kern_grad_takes_no_lengthscale_derivative_on_the_kmm_diagonal():
+    # k(z, z) = a^2 at every lengthscale, but the expanded form of each
+    # squared self-distance rounds to a few eps |z|^2 / l^2, not 0: on
+    # inducing inputs 40 lengthscales apart (every other entry of K_mm
+    # underflows to 0) that round-off alone made the log-l derivative,
+    # exactly 0, read 9e-13.
+    rng = np.random.default_rng(7)
+    grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+    Z = 40.0 * grid + rng.uniform(-1.0, 1.0, size=grid.shape)
+    params, X = KernelParams(0.0), np.empty((0, 2))
+    gram = build_gram(X, Z, params)
+    np.testing.assert_array_equal(gram.K_mm, np.diag(np.diag(gram.K_mm)))
+    got = kern_grad(gram, X, params, np.eye(9), np.empty((0, 9)), np.empty(0))
+    assert got[0] == 0.0
 
 
 def test_chol_escalation_not_needed_for_spd():
@@ -410,7 +425,7 @@ def test_kern_grad_contracts_the_dense_derivatives(escalated):
     P_K, P_A, p_diag = rng.normal(size=(m, m)), rng.normal(size=(9, m)), rng.normal(size=9)
     want = [np.sum(P_K * dK_mm) + np.sum(P_A * dK_nm) + p_diag @ dk_diag
             for dK_mm, dK_nm, dk_diag in kern_grad_dense(X, Z, params).values()]
-    got = kern_grad(gram, X, Z, params, P_K, P_A, p_diag)
+    got = kern_grad(gram, X, params, P_K, P_A, p_diag)
     assert got.shape == (3,)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 

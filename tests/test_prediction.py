@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import expit as sigmoid
 from scipy.special import ndtr
 
-from pggpc import kernel, prediction
+from pggpc import kernel
 from pggpc.kernel import KernelParams, build_gram, kern_matrix
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
@@ -224,15 +224,16 @@ class TestLatentPredict:
 
     def test_kernel_rows_stay_within_a_block(self, monkeypatch):
         # Scratch is O(block * m) for any test-set size: no kernel matrix
-        # built while predicting has more than _ROW_BLOCK rows.
+        # built while predicting has more than _ROW_BLOCK rows.  Every such
+        # matrix is a distance buffer of the inducing side first.
         rows = []
+        neg_half_sq = kernel._Inducing.neg_half_sq
 
-        def counting(X, Z, params, same=False):
-            rows.append(np.atleast_2d(X).shape[0])
-            return kern_matrix(X, Z, params, same=same)
+        def counting(self, X):
+            rows.append(X.shape[0])
+            return neg_half_sq(self, X)
 
-        monkeypatch.setattr(kernel, "kern_matrix", counting)
-        monkeypatch.setattr(prediction, "kern_matrix", counting, raising=False)
+        monkeypatch.setattr(kernel._Inducing, "neg_half_sq", counting)
         rng = np.random.default_rng(19)
         state = _random_state(rng, m=5)
         mu_star, _ = latent_predict(state, rng.normal(size=(3 * _ROW_BLOCK + 1, 2)))
