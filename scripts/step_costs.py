@@ -6,8 +6,8 @@ in-process (standard normal inputs, a smooth nonlinear boundary, 5% of the
 labels flipped), fits them ``FITS`` times with fixed kernel hyperparameters
 (``hyper_every=0``, ``conv_threshold=0``), and on the fitted state and one
 mini-batch of s rows times each piece of an iteration: the batch
-``build_gram`` (sharing the state's K_mm factorization), kappa,
-``GramBundle.marginals``, ``natural_gradient``, ``natural_to_moments`` and
+``build_gram`` against the state's K_mm factorization, kappa,
+``GramRows.marginals``, ``natural_gradient``, ``natural_to_moments`` and
 ``elbo``.  ``build_gram`` forms kappa with the rows, so its time includes
 kappa's; the kappa piece times that GEMM, K_nm K_mm^{-1}, inline.  Each
 is the median of ``--reps`` calls, in ms; the set-up's
@@ -99,15 +99,14 @@ def _point(n, m, s, d, reps, seed=0):
     state = fits[0].state
     batch = MiniBatch(indices=rng.choice(n, s, replace=False), scale=n / s)
     Xb, yb = ds.X[batch.indices], ds.y[batch.indices]
-    gram = build_gram(Xb, state.Z, state.params, mm=state.mm)
+    gram = build_gram(Xb, state.mm)
     kmu, var = gram.marginals(state.mu, state.Sigma)
     c = local_update(kmu, var)
     ms = {
         "kmeanspp_init": _median_ms(lambda: kmeanspp_init(ds.X, m, np.random.default_rng(seed)),
                                     SETUP_REPS),
-        "build_gram": _median_ms(lambda: build_gram(Xb, state.Z, state.params, mm=state.mm),
-                                 reps),
-        "kappa": _median_ms(lambda: gram.K_nm @ gram.Kmm_inv, reps),
+        "build_gram": _median_ms(lambda: build_gram(Xb, state.mm), reps),
+        "kappa": _median_ms(lambda: gram.K_nm @ state.mm.Kmm_inv, reps),
         "marginals": _median_ms(lambda: gram.marginals(state.mu, state.Sigma), reps),
         "natural_gradient": _median_ms(lambda: natural_gradient(state, ds, batch, gram, c),
                                        reps),

@@ -11,15 +11,14 @@ gibbs-check  full-GP VI vs exact Gibbs agreement, write gibbs_vi.csv
 
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
 the paper's benchmarking protocol; ``--fixed-lr RHO`` alone switches to a
-constant step, ``--heldout-frac F`` alone to the held-out stopping rule, and
-``--trace-train-error`` is ``train``'s alone.  An optional ``--config`` file
-of ``key=value`` lines, each naming an option of its command, overrides the
-defaults, and explicit flags override the file.  ``--label-col`` acts only
-on labeled CSV input and ``--n-features`` only on LIBSVM input; given
-elsewhere, either is an error.  Every command is deterministic in
-single-threaded mode (the ones that draw at random under a fixed
-``--seed``; ``predict`` and ``evaluate`` draw nothing and take no
-``--seed``), and every CSV starts with a schema-version comment.
+constant step and ``--heldout-frac F`` alone to the held-out stopping rule.
+An optional ``--config`` file of ``key=value`` lines, each naming an option
+of its command, overrides the defaults, and explicit flags override the
+file.  ``--label-col`` acts only on labeled CSV input and ``--n-features``
+only on LIBSVM input; given elsewhere, either is an error.  Every command
+is deterministic in single-threaded mode (the ones that draw at random
+under a fixed ``--seed``; ``predict`` and ``evaluate`` draw nothing and
+take no ``--seed``), and every CSV starts with a schema-version comment.
 """
 
 from __future__ import annotations
@@ -139,10 +138,6 @@ def _build_parser():
     _add_train_opts(p_train)
     p_train.add_argument("--m", type=int, default=TrainConfig.num_inducing,
                          help="inducing points (default %(default)s)")
-    p_train.add_argument(
-        "--trace-train-error", action=argparse.BooleanOptionalAction, default=False,
-        help="append a train_error column to the trace (default off)",
-    )
 
     p_pred = sub.add_parser("predict", help="score inputs from a checkpoint")
     _add_data_opts(p_pred, sampled=False)
@@ -258,7 +253,6 @@ def _train_config(args, n, d, m, seed=None):
         seed=seed if seed is not None else args.seed,
         heldout_frac=args.heldout_frac,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
-        trace_train_error="trace_train_error" in args and args.trace_train_error,  # train only
     )
     config.num_inducing = min(config.num_inducing, n - config.heldout_rows(n))
     return config

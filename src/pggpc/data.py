@@ -207,15 +207,14 @@ def _parse_libsvm(path, n_features):
 def _parse_csv(path, label_col):
     data_rows = []
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        for lineno, row in enumerate(reader, 1):
-            if not row or all(not f.strip() for f in row):
-                continue
+        rows = ((lineno, row) for lineno, row in enumerate(_csv.reader(fh), 1)
+                if any(f.strip() for f in row))
+        for k, (lineno, row) in enumerate(rows):
             try:
                 data_rows.append(([float(f) for f in row], lineno))
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                if k == 0:
+                    continue  # header row: the first non-blank one
                 bad = next(f for f in row if not _is_number(f))
                 raise ValueError(f"{path}:{lineno}: malformed field {bad!r}") from None
     if not data_rows:

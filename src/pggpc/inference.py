@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import minibatch_iter
-from .kernel import FactorizationError, KernelParams, build_gram, kern_grad
+from .kernel import FactorizationError, KernelParams, build_gram, factorize, kern_grad
 from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
 from .prediction import _ROW_BLOCK, evaluate, latent_predict
@@ -82,7 +82,6 @@ class TrainConfig:
     heldout_frac: float | None = None  # None: the natural-parameter rule
     init_params: KernelParams | None = None
     inducing_Z: np.ndarray | None = None
-    trace_train_error: bool = False
 
     def __post_init__(self):
         if not self.conv_threshold >= 0.0:
@@ -146,8 +145,8 @@ def elbo(state, y, c, kmu, var, scale):
 def local_update(kmu, var):
     """Optimal tilts c_i = sqrt(var_i + kmu_i^2) at q(f) marginals (kmu, var).
 
-    The marginals are ``GramBundle.marginals`` of the rows' bundle at the
-    state, Ktilde_ii + kappa_i Sigma kappa_i^T and kappa_i mu, or
+    The marginals are ``GramRows.marginals`` of the rows at the state,
+    Ktilde_ii + kappa_i Sigma kappa_i^T and kappa_i mu, or
     :func:`~pggpc.prediction.latent_predict`'s; the caller computes them
     once and reads them again for the bound, so the tilts cost no pass of
     their own.
@@ -169,7 +168,7 @@ def natural_gradient(state, dataset, batch, gram, c):
     with Theta_S = diag(theta(c)) at the batch tilts c.  The data part is
     R^T R with R = (n Theta_S / 2s)^{1/2} kappa_S, which NumPy computes by
     SYRK, so it is exactly symmetric, and so is G2 when eta2 is; with the
-    bundle's -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
+    factorization's -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
     The full-data gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
 
     Parameters
@@ -177,8 +176,8 @@ def natural_gradient(state, dataset, batch, gram, c):
     state : VariationalState
     dataset : Dataset
     batch : MiniBatch
-    gram : GramBundle
-        Bundle for the batch rows.
+    gram : GramRows
+        The batch rows against ``state.mm``.
     c : ndarray, shape (s,)
         Tilts of the batch rows.
 
@@ -191,7 +190,7 @@ def natural_gradient(state, dataset, batch, gram, c):
     g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[batch.indices]) - state.eta1
     R = kappa * np.sqrt(0.5 * batch.scale * theta(c))[:, None]
     G2 = R.T @ R
-    np.subtract(gram.neg_half_Kmm_inv, G2, out=G2)
+    np.subtract(state.mm.neg_half_Kmm_inv, G2, out=G2)
     G2 -= state.eta2
     return g1, G2
 
@@ -289,7 +288,7 @@ def hyper_grad(state, dataset, batch, gram, c):
         P_A = y mu~^T / 2 + Theta kappa - Theta kappa M B
         p_diag = -theta / 2,
 
-    contracted with the batch bundle's derivatives by
+    contracted with the derivatives at ``state.mm`` and the batch rows by
     :func:`~pggpc.kernel.kern_grad`.  The data parts (kappa^T y and
     kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s as
     in :func:`natural_gradient`, so the estimate is unbiased for the
@@ -303,7 +302,7 @@ def hyper_grad(state, dataset, batch, gram, c):
     """
     idx = batch.indices
     X, y, scale = dataset.X[idx], dataset.y[idx], batch.scale
-    B = gram.Kmm_inv
+    B = state.mm.Kmm_inv
     mu, Sigma = state.mu, state.Sigma
     mu_t = B @ mu
     MB = (Sigma + np.outer(mu, mu)) @ B
@@ -314,7 +313,7 @@ def hyper_grad(state, dataset, batch, gram, c):
     ky = scale * (kappa.T @ y)
 
     P_K = (
-        gram.neg_half_Kmm_inv
+        state.mm.neg_half_Kmm_inv
         + 0.5 * B @ Sigma @ B
         + 0.5 * np.outer(mu_t, mu_t)
         - 0.5 * np.outer(ky, mu_t)
@@ -322,28 +321,28 @@ def hyper_grad(state, dataset, batch, gram, c):
         + ktk @ MB
     )
     P_A = scale * (0.5 * np.outer(y, mu_t) + Tk - Tk @ MB)
-    return kern_grad(gram, X, state.params, P_K, P_A, -0.5 * scale * th)
+    return kern_grad(state.mm, gram, X, P_K, P_A, -0.5 * scale * th)
 
 
 def hyper_step(state, dataset, adam, batch, gram, c):
     """One Adam ascent step on the kernel hyperparameters.
 
     q(u) and the batch tilts c are held fixed; the gradient is
-    :func:`hyper_grad` on the batch, its bundle and c.  If the proposal is
+    :func:`hyper_grad` on the batch, its rows and c.  If the proposal is
     out of ``KernelParams``' range, or the factorization fails at it even
     after jitter escalation, the step is reverted and the Adam rate halved.
 
     Returns
     -------
     (KernelParams, GramBundle)
-        The accepted parameters and the bundle for no rows holding the K_mm
-        factorization at them: a new one, or ``state.mm`` on a revert.  The
-        caller puts both into the state in one ``replace``.
+        The accepted parameters and the K_mm factorization at ``state.Z``
+        and them, ``(mm.params, mm)``: a new one, or ``state.mm`` on a
+        revert.  The caller puts ``mm`` into the state.
     """
     grad = hyper_grad(state, dataset, batch, gram, c)
     try:
-        proposal = KernelParams.from_array(state.params.as_array() + adam.step(grad))
-        return proposal, build_gram(np.empty((0, dataset.d)), state.Z, proposal)
+        mm = factorize(state.Z, KernelParams.from_array(state.params.as_array() + adam.step(grad)))
+        return mm.params, mm
     except (ValueError, FactorizationError):  # ValueError: the proposal is out of range
         adam.lr *= 0.5
         return state.params, state.mm
@@ -358,17 +357,17 @@ def fit(dataset, config):
     natural-gradient step of size rho on (eta1, eta2).  Every
     ``hyper_every`` iterations it then retakes the batch's tilts from the
     marginals at the new (mu, Sigma) and takes one Adam step on the kernel
-    hyperparameters from the same batch bundle's n/s-scaled gradient, so
-    an iteration costs O(s m^2 + m^3) whatever n is
-    (plus the held-out or train-error scoring when requested).  K_mm is
-    factorized once per hyperparameter value and held by the state as
-    ``mm``; an accepted Adam step replaces ``params`` and ``mm`` in one
-    ``replace``.  Convergence is a sliding-window average either of the
-    relative natural-parameter change or, when ``config.heldout_frac`` holds
-    rows out, of the relative held-out NLL change.  After the loop one blocked
+    hyperparameters from the same batch rows' n/s-scaled gradient, so an
+    iteration costs O(s m^2 + m^3) whatever n is (plus the held-out scoring
+    when requested).  K_mm is factorized once per hyperparameter value and
+    held by the state as ``mm``, which carries Z and the parameters; an
+    accepted Adam step replaces ``mm``.  Convergence is a sliding-window
+    average either of the relative natural-parameter change or, when
+    ``config.heldout_frac`` holds rows out, of the relative held-out NLL
+    change.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
-    bundle in ``fit`` has more rows than a mini-batch.  Unless
+    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  Unless
     ``config.inducing_Z`` gives them, the inducing inputs come from
     :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m) training
     rows drawn without replacement (all of them when n is at most that).
@@ -377,11 +376,11 @@ def fit(dataset, config):
     -------
     FitResult
         Trained state, the bound over every training row, the trace
-        array with columns ``(iter, wall_seconds, elbo_estimate, rho)``
-        (plus ``train_error`` when requested), and convergence info.  The
-        ``elbo_estimate`` of row t is the batch bound (data terms scaled by
-        n/s) at the state entering iteration t, with that batch's optimal
-        tilts; ``wall_seconds`` is read after the iteration's step.
+        array with columns ``(iter, wall_seconds, elbo_estimate, rho)``,
+        and convergence info.  The ``elbo_estimate`` of row t is the batch
+        bound (data terms scaled by n/s) at the state entering iteration t,
+        with that batch's optimal tilts; ``wall_seconds`` is read after the
+        iteration's step.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_split = root.spawn(3)
@@ -428,7 +427,7 @@ def fit(dataset, config):
     for it in range(1, config.max_iters + 1):
         batch = next(batches)
         idx = batch.indices
-        gram_b = build_gram(train.X[idx], state.Z, state.params, mm=state.mm)
+        gram_b = build_gram(train.X[idx], state.mm)
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
         c = local_update(kmu, var)
         est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
@@ -441,15 +440,11 @@ def fit(dataset, config):
         state = global_step(state, g1, G2, rho)
         rel_change = rho * np.sqrt(g_sq) / (eta_norm + 1e-12)
 
-        row = [float(it), time.perf_counter() - t0, est, float(rho)]
-        if config.trace_train_error:
-            row.append(evaluate(state, train).error_rate)
-        trace_rows.append(row)
+        trace_rows.append([float(it), time.perf_counter() - t0, est, float(rho)])
 
         if config.hyper_every and it % config.hyper_every == 0:
             c = local_update(*gram_b.marginals(state.mu, state.Sigma))  # at the new q(u)
-            new_params, new_mm = hyper_step(state, train, adam, batch, gram_b, c)
-            state = replace(state, params=new_params, mm=new_mm)
+            state = replace(state, mm=hyper_step(state, train, adam, batch, gram_b, c)[1])
 
         if heldout is None:
             window.append(rel_change)
@@ -465,11 +460,10 @@ def fit(dataset, config):
     kmu, var = latent_predict(state, train.X)
     final_elbo = elbo(state, train.y, local_update(kmu, var), kmu, var, 1.0)
     wall = time.perf_counter() - t0
-    columns = TRACE_COLUMNS + (("train_error",) if config.trace_train_error else ())
     return FitResult(
         state=state,
-        trace=np.array(trace_rows) if trace_rows else np.empty((0, len(columns))),
-        trace_columns=columns,
+        trace=np.array(trace_rows) if trace_rows else np.empty((0, len(TRACE_COLUMNS))),
+        trace_columns=TRACE_COLUMNS,
         converged=converged,
         n_iters=it,
         wall_seconds=wall,

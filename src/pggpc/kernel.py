@@ -16,10 +16,12 @@ from scipy.linalg import cho_solve, cholesky, lapack
 __all__ = [
     "KernelParams",
     "GramBundle",
+    "GramRows",
     "FactorizationError",
     "HYPER_NAMES",
     "DEFAULT_TEXT",
     "kern_matrix",
+    "factorize",
     "build_gram",
     "kern_grad",
     "chol_with_escalation",
@@ -112,7 +114,7 @@ class _Inducing:
     Z, not its offset from the origin, and far inputs keep their digits;
     distances do not move, and at c = 0 (standardized inputs) nothing does.
     A K_mm factorization keeps it (``GramBundle.inducing``): the Gram
-    matrix, gradient and prediction take their distances from it alone.
+    rows, gradient and prediction take their distances from it alone.
     """
 
     __slots__ = ("l", "c", "Z", "half_sq")
@@ -207,12 +209,17 @@ def chol_inverse(L):
 
 @dataclass(frozen=True, eq=False)
 class GramBundle:
-    """Gram matrices shared by the inference and prediction paths.
+    """The K_mm factorization at (Z, params), shared by inference and prediction.
 
-    Every field is set by :func:`build_gram`, the one constructor.
+    Every field is set by :func:`factorize`, the one constructor.
 
     Attributes
     ----------
+    Z : ndarray, shape (m, d)
+        Inducing inputs.
+    params : KernelParams
+    inducing : _Inducing
+        Z as the kernel reads it at ``params``' lengthscale.
     K_mm : ndarray, shape (m, m)
         Inducing-point kernel matrix including the jitter diagonal (plus any
         escalation recorded in ``jitter_extra``).
@@ -226,33 +233,43 @@ class GramBundle:
         log|K_mm|.
     jitter_extra : float
         Extra diagonal added by escalation beyond the configured jitter.
-    inducing : _Inducing
-        Z as the kernel reads it at the lengthscale of the factorization.
-    K_nm : ndarray, shape (n, m)
-        Cross-kernel between the batch and the inducing inputs (no jitter).
     k_diag : float
-        a^2 + jitter, the diagonal of the batch's full kernel matrix on every row.
-    kappa : ndarray, shape (n, m)
-        K_nm K_mm^{-1}, one GEMM with ``Kmm_inv``: no batch solves against K_mm.
-    ktilde : ndarray, shape (n,)
-        Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0.
+        a^2 + jitter, the diagonal of the full kernel matrix on every row.
     """
 
+    Z: np.ndarray
+    params: KernelParams
+    inducing: _Inducing
     K_mm: np.ndarray
     chol_Kmm: np.ndarray
     Kmm_inv: np.ndarray
     neg_half_Kmm_inv: np.ndarray
     logdet_Kmm: float
     jitter_extra: float
-    inducing: _Inducing
-    K_nm: np.ndarray
     k_diag: float
-    kappa: np.ndarray
-    ktilde: np.ndarray
 
     def solve_mm(self, B):
         """K_mm^{-1} B via the Cholesky factor."""
         return cho_solve((self.chol_Kmm, True), B)
+
+
+@dataclass(frozen=True, eq=False)
+class GramRows:
+    """Kernel rows of a batch against a factorization, set by :func:`build_gram`.
+
+    Attributes
+    ----------
+    K_nm : ndarray, shape (n, m)
+        Cross-kernel between the batch and the inducing inputs (no jitter).
+    kappa : ndarray, shape (n, m)
+        K_nm K_mm^{-1}, one GEMM with ``Kmm_inv``: no batch solves against K_mm.
+    ktilde : ndarray, shape (n,)
+        Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0.
+    """
+
+    K_nm: np.ndarray
+    kappa: np.ndarray
+    ktilde: np.ndarray
 
     def marginals(self, mu, Sigma):
         """Marginals of q(f) at the rows: (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
@@ -265,61 +282,43 @@ class GramBundle:
         return kappa @ mu, self.ktilde + np.einsum("ij,ij->i", kappa @ Sigma, kappa)
 
 
-def build_gram(X_batch, Z, params, mm=None):
-    """Assemble the GramBundle for a batch against inducing inputs Z.
-
-    A new factorization comes with K_mm^{-1}, -1/2 K_mm^{-1} and log|K_mm|;
-    kappa and the residual diagonal come with the rows.
-
-    Parameters
-    ----------
-    X_batch : ndarray, shape (s, d)
-    Z : ndarray, shape (m, d)
-    params : KernelParams
-    mm : GramBundle, optional
-        A state's ``mm``, at the same Z and params: its factorization, its
-        inducing side, ``Kmm_inv``, ``neg_half_Kmm_inv`` and ``logdet_Kmm``
-        are passed on by reference instead of recomputed.
-
-    Returns
-    -------
-    GramBundle
-    """
-    if mm is None:
-        inducing = _Inducing(Z, params.lengthscale)
-        K_mm = _cross(Z, inducing, params, same=True)
-        L, extra = chol_with_escalation(K_mm, params.jitter)
-        if extra:
-            K_mm = K_mm + extra * np.eye(K_mm.shape[0])
-        Kmm_inv = chol_inverse(L)
-        neg_half, logdet = -0.5 * Kmm_inv, float(2.0 * np.sum(np.log(np.diag(L))))
-    else:
-        K_mm, L, Kmm_inv, neg_half = mm.K_mm, mm.chol_Kmm, mm.Kmm_inv, mm.neg_half_Kmm_inv
-        logdet, extra, inducing = mm.logdet_Kmm, mm.jitter_extra, mm.inducing
-    K_nm = _cross(X_batch, inducing, params)
-    k_diag = params.amplitude**2 + params.jitter
-    kappa = K_nm @ Kmm_inv
-    ktilde = np.maximum(k_diag - np.sum(kappa * K_nm, axis=1), 0.0)
-    return GramBundle(K_mm, L, Kmm_inv, neg_half, logdet, extra, inducing,
-                      K_nm, k_diag, kappa, ktilde)
+def factorize(Z, params):
+    """The GramBundle at inducing inputs Z, shape (m, d), and ``params``."""
+    inducing = _Inducing(Z, params.lengthscale)
+    K_mm = _cross(Z, inducing, params, same=True)
+    L, extra = chol_with_escalation(K_mm, params.jitter)
+    if extra:
+        K_mm = K_mm + extra * np.eye(K_mm.shape[0])
+    Kmm_inv = chol_inverse(L)
+    return GramBundle(Z, params, inducing, K_mm, L, Kmm_inv, -0.5 * Kmm_inv,
+                      float(2.0 * np.sum(np.log(np.diag(L)))), extra,
+                      params.amplitude**2 + params.jitter)
 
 
-def kern_grad(gram, X, params, P_K, P_A, p_diag):
+def build_gram(X, mm):
+    """The rows X, shape (s, d), against the factorization ``mm``: K_nm, kappa, Ktilde."""
+    K_nm = _cross(X, mm.inducing, mm.params)
+    kappa = K_nm @ mm.Kmm_inv
+    ktilde = np.maximum(mm.k_diag - np.sum(kappa * K_nm, axis=1), 0.0)
+    return GramRows(K_nm, kappa, ktilde)
+
+
+def kern_grad(mm, rows, X, P_K, P_A, p_diag):
     """<P_K, dK_mm> + <P_A, dK_nm> + p_diag . dk_diag per log hyperparameter.
 
-    The derivatives of the bundle's (K_mm, K_nm, k_diag) at the rows X are
+    The derivatives of (K_mm, K_nm, k_diag) at ``mm`` and its ``rows`` X are
     (S_mm o D_mm, S_nm o D_nm, 0) in log l, (2 S_mm, 2 S_nm, 2 a^2) in log a
     and (jitter I, 0, jitter) in log jitter.  D holds the squared distances
-    in units of l, -2 ``neg_half_sq`` of the bundle's inducing side (so no
-    square overflows), the only kernel work done here; S is read from the
-    bundle: K_nm, and K_mm less its jitter ``params.jitter + gram.jitter_extra``.
+    in units of l, -2 ``neg_half_sq`` of ``mm.inducing`` (so no square
+    overflows), the only kernel work done here; S is read from K_nm, and
+    from K_mm less its jitter ``mm.params.jitter + mm.jitter_extra``.
     Returns shape (3,), ordered as KernelParams.as_array().
     """
-    S_mm = gram.K_mm.copy()
-    S_mm[np.diag_indices_from(S_mm)] -= params.jitter + gram.jitter_extra
+    S_mm = mm.K_mm.copy()
+    S_mm[np.diag_indices_from(S_mm)] -= mm.params.jitter + mm.jitter_extra
     PS_mm = P_K * S_mm
-    PS_nm = P_A * gram.K_nm
-    inducing = gram.inducing
+    PS_nm = P_A * rows.K_nm
+    inducing = mm.inducing
     D_mm = inducing.neg_half_sq(inducing.Z)
     np.fill_diagonal(D_mm, 0.0)  # z to itself: exactly 0, not the expanded form's round-off
     D_nm = inducing.neg_half_sq(inducing.rows(X))
@@ -327,6 +326,6 @@ def kern_grad(gram, X, params, P_K, P_A, p_diag):
     D_nm *= PS_nm
     return np.array([
         -2.0 * (np.sum(D_mm) + np.sum(D_nm)),
-        2.0 * (np.sum(PS_mm) + np.sum(PS_nm) + params.amplitude**2 * np.sum(p_diag)),
-        params.jitter * (np.trace(P_K) + np.sum(p_diag)),
+        2.0 * (np.sum(PS_mm) + np.sum(PS_nm) + mm.params.amplitude**2 * np.sum(p_diag)),
+        mm.params.jitter * (np.trace(P_K) + np.sum(p_diag)),
     ])

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .kernel import _FAR, HYPER_NAMES, FactorizationError, GramBundle, KernelParams
-from .kernel import build_gram, chol_inverse
+from .kernel import chol_inverse, factorize
 
 __all__ = [
     "Dataset",
@@ -111,7 +111,7 @@ def natural_to_moments(eta1, eta2):
 
 @dataclass(frozen=True)
 class VariationalState:
-    """Sparse variational posterior state: q(u), Z, the kernel and K_mm (no tilts).
+    """Sparse variational posterior state: q(u) and the K_mm factorization (no tilts).
 
     Attributes
     ----------
@@ -125,12 +125,9 @@ class VariationalState:
         Derived posterior covariance.
     logdet_Sigma : float
         log|Sigma|, from the precision's factor that gave Sigma.
-    Z : ndarray, shape (m, d)
-        Inducing inputs (fixed during training).
-    params : KernelParams
     mm : GramBundle
-        The bundle for no rows at (Z, params), the one K_mm factorization; the
-        class is frozen, so it changes with ``params``, in one ``replace``.
+        The one K_mm factorization, whose inducing inputs ``Z`` (fixed during
+        training) and kernel ``params`` the state reads as its own.
     """
 
     eta1: np.ndarray
@@ -138,9 +135,15 @@ class VariationalState:
     mu: np.ndarray
     Sigma: np.ndarray
     logdet_Sigma: float
-    Z: np.ndarray
-    params: KernelParams
     mm: GramBundle
+
+    @property
+    def Z(self):
+        return self.mm.Z
+
+    @property
+    def params(self):
+        return self.mm.params
 
     @property
     def m(self):
@@ -148,8 +151,7 @@ class VariationalState:
 
     @classmethod
     def from_natural(cls, eta1, eta2, Z, params):
-        mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
-        return cls(eta1, eta2, *natural_to_moments(eta1, eta2), Z, params, mm)
+        return cls(eta1, eta2, *natural_to_moments(eta1, eta2), factorize(Z, params))
 
     def with_natural(self, eta1, eta2):
         """New state at the given natural parameters (moments refreshed, ``mm`` kept)."""
@@ -234,10 +236,10 @@ def init_state(Z, params):
     inducing values, and log|Sigma| is ``mm.logdet_Kmm``.
     """
     m = Z.shape[0]
-    mm = build_gram(np.empty((0, Z.shape[1])), Z, params)
+    mm = factorize(Z, params)
     return VariationalState(
         eta1=np.zeros(m), eta2=-0.5 * mm.Kmm_inv, mu=np.zeros(m), Sigma=mm.K_mm.copy(),
-        logdet_Sigma=mm.logdet_Kmm, Z=Z, params=params, mm=mm,
+        logdet_Sigma=mm.logdet_Kmm, mm=mm,
     )
 
 

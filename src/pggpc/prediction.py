@@ -54,8 +54,8 @@ class EvalReport:
 def latent_predict(state, x_star):
     """Latent predictive mean(s) and variance(s) at new inputs, from ``state.mm``.
 
-    Each row block's K_*m is taken against ``state.mm.inducing``, and
-    sigma*^2 starts at ``state.mm.k_diag``.
+    Each row block's K_*m is taken against ``state.mm.inducing`` at
+    ``state.mm.params``, and sigma*^2 starts at ``state.mm.k_diag``.
 
     Parameters
     ----------
@@ -76,7 +76,7 @@ def latent_predict(state, x_star):
     mu_star = np.empty(X.shape[0])
     var_star = np.full(X.shape[0], mm.k_diag)
     for lo in range(0, X.shape[0], _ROW_BLOCK):
-        K = _cross(X[lo:lo + _ROW_BLOCK], mm.inducing, state.params)
+        K = _cross(X[lo:lo + _ROW_BLOCK], mm.inducing, mm.params)
         mu_star[lo:lo + _ROW_BLOCK] = K @ alpha
         var_star[lo:lo + _ROW_BLOCK] += np.einsum("ij,ij->i", K @ B, K)
     np.maximum(var_star, 1e-12, out=var_star)

@@ -2,7 +2,7 @@
 
 Each routine recomputes a library quantity by an independent route: the
 full-GP bound two ways, the sparse bound over every row from the blocked
-predictive pass and again from a bundle over every row, the
+predictive pass and again from Gram rows for every row, the
 Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
 log hyperparameter, the general-b Polya-Gamma mean, the truncated
 gamma-series Polya-Gamma sampler, the single-point kernel, the squared
@@ -11,8 +11,8 @@ k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd steps of
 k-means++ by one mask per cluster, and the dense mean and covariance of
 the Gibbs f-draw.  The state copy, the state at other kernel parameters
 with K_mm factorized afresh, the state at other moments of q(u), the prior
-state at k-means++ inducing inputs, the full-data batch, a fresh bundle,
-the optimal tilts at a fresh bundle and the inverse standardization live
+state at k-means++ inducing inputs, the full-data batch, the Gram rows of
+some inputs, the optimal tilts at them and the inverse standardization live
 here too, since only tests need them.
 """
 
@@ -24,7 +24,7 @@ from scipy.special import expit as sigmoid
 
 from pggpc.data import MiniBatch
 from pggpc.inference import elbo, local_update
-from pggpc.kernel import build_gram, chol_with_escalation
+from pggpc.kernel import build_gram, chol_with_escalation, factorize
 from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, theta
 from pggpc.prediction import latent_predict
@@ -74,8 +74,8 @@ def kern_grad_dense(X, Z, params):
 
     Maps each of "log_lengthscale", "log_amplitude", "log_jitter" to a
     (dK_mm, dK_nm, dk_diag) triple matching the shapes produced by
-    ``build_gram`` (jitter included only where the kernel adds it: the K_mm
-    diagonal and k_diag, never the cross matrix).
+    ``factorize`` and ``build_gram`` (jitter included only where the kernel
+    adds it: the K_mm diagonal and k_diag, never the cross matrix).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -185,9 +185,8 @@ def clone(state):
 
 
 def at_params(state, params):
-    """The state with its kernel at params and K_mm factorized there afresh; q(u) is kept."""
-    no_rows = np.empty((0, state.Z.shape[1]))
-    return replace(state, params=params, mm=build_gram(no_rows, state.Z, params))
+    """The state with K_mm factorized afresh at its Z and params; q(u) is kept."""
+    return replace(state, mm=factorize(state.Z, params))
 
 
 def at_moments(state, mu=None, Sigma=None):
@@ -211,14 +210,14 @@ def every_row(dataset):
     return MiniBatch(indices=np.arange(dataset.n), scale=1.0)
 
 
-def bundle(state, X):
-    """A fresh bundle for the rows X at the state's (Z, params)."""
-    return build_gram(X, state.Z, state.params)
+def gram_rows(state, X):
+    """The Gram rows of X against the state's K_mm factorization."""
+    return build_gram(X, state.mm)
 
 
 def tilts(state, X):
-    """The optimal tilts at the rows X: ``local_update`` on a fresh bundle."""
-    return local_update(*bundle(state, X).marginals(state.mu, state.Sigma))
+    """The optimal tilts at the rows X: ``local_update`` on their Gram rows."""
+    return local_update(*gram_rows(state, X).marginals(state.mu, state.Sigma))
 
 
 def unstandardize(scaler, X):
@@ -250,12 +249,12 @@ def full_elbo(state, dataset, c, include_constants=False):
 
 
 def elbo_kappa_form(state, dataset, c):
-    """The bound at the tilts c with q(f) marginals read from a bundle over every row.
+    """The bound at the tilts c with q(f) marginals read from Gram rows for every row.
 
     kappa = K_nm K_mm^{-1} and Ktilde are held for all n rows, and the
     marginals are (kappa mu, Ktilde + diag(kappa Sigma kappa^T)).
     """
-    gram = build_gram(dataset.X, state.Z, state.params)
+    gram = build_gram(dataset.X, state.mm)
     kmu, var = gram.marginals(state.mu, state.Sigma)
     data = 0.5 * (dataset.y @ kmu - theta(c) @ (var + kmu * kmu)) - np.sum(pg_kl_term(c))
     return float(gauss_part(state) + data)
@@ -264,23 +263,23 @@ def elbo_kappa_form(state, dataset, c):
 def elbo_grad_mu(state, dataset, c, gram=None):
     """Euclidean gradient dL/dmu = -(K_mm^{-1} + kappa^T Theta kappa) mu + 1/2 kappa^T y."""
     if gram is None:
-        gram = build_gram(dataset.X, state.Z, state.params)
+        gram = build_gram(dataset.X, state.mm)
     kappa = gram.kappa
     th = theta(c)
     ktk = (kappa * th[:, None]).T @ kappa
-    return -(gram.Kmm_inv + ktk) @ state.mu + 0.5 * (kappa.T @ dataset.y)
+    return -(state.mm.Kmm_inv + ktk) @ state.mu + 0.5 * (kappa.T @ dataset.y)
 
 
 def elbo_grad_sigma(state, dataset, c, gram=None):
     """Euclidean gradient dL/dSigma = 1/2 (Sigma^{-1} - K_mm^{-1} - kappa^T Theta kappa)."""
     if gram is None:
-        gram = build_gram(dataset.X, state.Z, state.params)
+        gram = build_gram(dataset.X, state.mm)
     kappa = gram.kappa
     th = theta(c)
     ktk = (kappa * th[:, None]).T @ kappa
     L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
     Sinv = cho_solve((L_s, True), np.eye(state.Sigma.shape[0]))
-    return 0.5 * (0.5 * (Sinv + Sinv.T) - gram.Kmm_inv - ktk)
+    return 0.5 * (0.5 * (Sinv + Sinv.T) - state.mm.Kmm_inv - ktk)
 
 
 def kmeanspp_seeds(X, m, rng):

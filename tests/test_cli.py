@@ -130,12 +130,6 @@ class TestTrain:
         assert _train(blob_files["libsvm"], b, "--amplitude", "1", "--jitter", "1e-6") == 0
         assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
 
-    def test_trace_train_error_column(self, blob_files, tmp_path):
-        code = _train(blob_files["libsvm"], tmp_path, "--trace-train-error")
-        assert code == 0
-        trace = _read_lines(tmp_path / "trace.csv")
-        assert trace[1] == "iter,wall_seconds,elbo_estimate,rho,train_error"
-
 
 def _one_error_line(capsys):
     err = capsys.readouterr().err
@@ -260,10 +254,6 @@ def test_training_flag_defaults_are_the_train_config_fields(command):
         if flag == "m" and command == "cv":  # cv runs its fold loop once per --m value
             default = [default]
         assert getattr(args, flag) == default, flag
-    if command == "train":
-        assert args.trace_train_error == config.trace_train_error
-    else:  # cv writes no trace
-        assert "trace_train_error" not in args
 
 
 def test_gibbs_check_chain_defaults_are_the_gibbs_run_defaults():

@@ -87,10 +87,12 @@ class TestLibsvmParsing:
 
 class TestCsvParsing:
     def test_header_row_is_detected_and_skipped(self, tmp_path):
-        path = _write(tmp_path, "a.csv", "label,f1,f2\n1,0.5,2.0\n0,1.5,-1.0\n")
-        data = load(path, "csv")
-        np.testing.assert_array_equal(data.X, [[0.5, 2.0], [1.5, -1.0]])
-        np.testing.assert_array_equal(data.y, [1.0, -1.0])
+        # The header is the first non-blank row, also after blank lines.
+        for text in ("label,f1,f2\n1,0.5,2.0\n0,1.5,-1.0\n",
+                     "\nlabel,f1,f2\n1,0.5,2.0\n0,1.5,-1.0\n"):
+            data = load(_write(tmp_path, "a.csv", text), "csv")
+            np.testing.assert_array_equal(data.X, [[0.5, 2.0], [1.5, -1.0]])
+            np.testing.assert_array_equal(data.y, [1.0, -1.0])
 
     def test_headerless_numeric_first_row_is_data(self, tmp_path):
         path = _write(tmp_path, "a.csv", "1,0.5\n0,1.5\n")

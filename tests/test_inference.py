@@ -1,6 +1,7 @@
 """Tests for the bound, local/global updates, learning rates, and training."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,15 +25,14 @@ from pggpc.inference import (
     local_update,
     natural_gradient,
 )
-from pggpc.kernel import (FactorizationError, GramBundle, KernelParams, build_gram, kern_grad,
-                          kern_matrix)
+from pggpc.kernel import (FactorizationError, GramBundle, GramRows, KernelParams, build_gram,
+                          factorize, kern_grad, kern_matrix)
 from pggpc.model import Dataset, init_state
 from pggpc.prediction import _ROW_BLOCK, class_prob, latent_predict
 
 from oracles import (
     at_moments,
     at_params,
-    bundle,
     elbo_grad_mu,
     elbo_grad_sigma,
     elbo_kappa_form,
@@ -40,6 +40,7 @@ from oracles import (
     full_elbo,
     gauss_part,
     gibbs_mackay_bound,
+    gram_rows,
     prior_state,
     tilts,
 )
@@ -59,7 +60,7 @@ def _toy_problem(n=30, d=2, m=5, seed=0):
 def _warmed_state(ds, state, steps=3, rho=0.5):
     """The state moved off the prior, so gradients are non-trivial, and its optimal tilts."""
     for _ in range(steps):
-        gram = bundle(state, ds.X)
+        gram = gram_rows(state, ds.X)
         c = local_update(*gram.marginals(state.mu, state.Sigma))
         state = global_step(state, *natural_gradient(state, ds, every_row(ds), gram, c), rho)
     return state, tilts(state, ds.X)
@@ -111,7 +112,7 @@ def test_gauss_part_is_negative_kl_zero_at_prior():
 def test_elbo_scales_the_data_terms_only():
     ds, state = _toy_problem(n=12, m=3, seed=3)
     state, c = _warmed_state(ds, state)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     rows = (ds.y, c, *gram.marginals(state.mu, state.Sigma))
     gauss = gauss_part(state)
     data = elbo(state, *rows, 1.0) - gauss
@@ -158,11 +159,11 @@ def test_local_update_subset_matches_full():
 def test_natural_gradient_matches_dense_formulas():
     ds, state = _toy_problem(n=25, m=4, seed=3)
     state, c = _warmed_state(ds, state)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
 
-    K_mm = build_gram(ds.X, state.Z, state.params).K_mm
-    kappa = build_gram(ds.X, state.Z, state.params).kappa
+    K_mm = state.mm.K_mm
+    kappa = build_gram(ds.X, state.mm).kappa
     th = np.tanh(0.5 * c) / (2.0 * c)
     g1_ref = 0.5 * kappa.T @ ds.y - state.eta1
     G2_ref = -0.5 * (np.linalg.inv(K_mm) + kappa.T @ np.diag(th) @ kappa) - state.eta2
@@ -177,10 +178,10 @@ def test_gradients_use_the_tilts_they_are_given():
     ds, state = _toy_problem(n=14, m=4, seed=14)
     state, c_opt = _warmed_state(ds, state)
     c = 1.7 * c_opt + 0.3
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
     th = np.tanh(0.5 * c) / (2.0 * c)
-    G2_ref = -0.5 * (np.linalg.inv(gram.K_mm) + gram.kappa.T @ np.diag(th) @ gram.kappa)
+    G2_ref = -0.5 * (np.linalg.inv(state.mm.K_mm) + gram.kappa.T @ np.diag(th) @ gram.kappa)
     np.testing.assert_allclose(g1, 0.5 * gram.kappa.T @ ds.y - state.eta1, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(G2, G2_ref - state.eta2, rtol=1e-7, atol=1e-9)
     assert not np.allclose(G2, natural_gradient(state, ds, every_row(ds), gram, c_opt)[1])
@@ -203,7 +204,7 @@ def test_natural_gradient_identity_with_euclidean_gradients():
     # identities in the mean/covariance parameterization.
     ds, state = _toy_problem(n=18, m=4, seed=4)
     state, c = _warmed_state(ds, state)
-    g1, G2 = natural_gradient(state, ds, every_row(ds), bundle(state, ds.X), c)
+    g1, G2 = natural_gradient(state, ds, every_row(ds), gram_rows(state, ds.X), c)
     gmu = elbo_grad_mu(state, ds, c)
     gS = elbo_grad_sigma(state, ds, c)
     np.testing.assert_allclose(g1, gmu - 2.0 * gS @ state.mu, rtol=1e-8, atol=1e-10)
@@ -213,7 +214,7 @@ def test_natural_gradient_identity_with_euclidean_gradients():
 def test_euclidean_gradients_match_finite_differences():
     ds, state = _toy_problem(n=8, m=3, seed=5)
     state, c = _warmed_state(ds, state)
-    gram = build_gram(ds.X, state.Z, state.params)
+    gram = build_gram(ds.X, state.mm)
     h = 1e-6
 
     gmu = elbo_grad_mu(state, ds, c, gram)
@@ -236,14 +237,14 @@ def test_euclidean_gradients_match_finite_differences():
 def test_full_batch_unit_step_reaches_fixed_point():
     ds, state = _toy_problem(n=22, m=4, seed=7)
     batch = every_row(ds)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     c = local_update(*gram.marginals(state.mu, state.Sigma))
     g1, G2 = natural_gradient(state, ds, batch, gram, c)
     state = global_step(state, g1, G2, rho=1.0)
 
     th = np.tanh(0.5 * c) / (2.0 * c)
     target1 = 0.5 * gram.kappa.T @ ds.y
-    target2 = -0.5 * (gram.Kmm_inv + gram.kappa.T @ np.diag(th) @ gram.kappa)
+    target2 = -0.5 * (state.mm.Kmm_inv + gram.kappa.T @ np.diag(th) @ gram.kappa)
     np.testing.assert_allclose(state.eta1, target1, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(state.eta2, target2, rtol=1e-10, atol=1e-12)
 
@@ -255,7 +256,7 @@ def test_full_batch_unit_step_reaches_fixed_point():
 
 def test_global_step_validates_rate_and_zero_is_noop():
     ds, state = _toy_problem(n=10, m=3, seed=8)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     c = local_update(*gram.marginals(state.mu, state.Sigma))
     g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
     same = global_step(state, g1, G2, rho=0.0)
@@ -272,7 +273,7 @@ def test_partial_steps_preserve_spd_precision():
     for _ in range(50):
         idx = rng.choice(ds.n, size=4, replace=False)
         batch = MiniBatch(indices=idx, scale=ds.n / 4.0)
-        gram = bundle(state, ds.X[idx])
+        gram = gram_rows(state, ds.X[idx])
         c = local_update(*gram.marginals(state.mu, state.Sigma))
         state = global_step(state, *natural_gradient(state, ds, batch, gram, c), rho=0.3)
         cholesky(-2.0 * state.eta2, lower=True)  # raises if not SPD
@@ -284,7 +285,7 @@ def test_epoch_of_minibatch_gradients_averages_to_full_gradient():
     # (at fixed state and tilts).
     ds, state = _toy_problem(n=6, m=3, seed=11)
     state, c = _warmed_state(ds, state)
-    g1_full, G2_full = natural_gradient(state, ds, every_row(ds), bundle(state, ds.X), c)
+    g1_full, G2_full = natural_gradient(state, ds, every_row(ds), gram_rows(state, ds.X), c)
 
     perm = np.random.default_rng(12).permutation(6)
     parts = [perm[0:2], perm[2:4], perm[4:6]]
@@ -292,7 +293,7 @@ def test_epoch_of_minibatch_gradients_averages_to_full_gradient():
     G2_sum = np.zeros_like(G2_full)
     for idx in parts:
         b = MiniBatch(indices=idx, scale=3.0)
-        g1, G2 = natural_gradient(state, ds, b, bundle(state, ds.X[idx]), c[idx])
+        g1, G2 = natural_gradient(state, ds, b, gram_rows(state, ds.X[idx]), c[idx])
         g1_sum += g1
         G2_sum += G2
     np.testing.assert_allclose(g1_sum / 3.0, g1_full, rtol=1e-9, atol=1e-12)
@@ -372,7 +373,7 @@ class TestAdam:
 def test_hyper_grad_matches_finite_differences():
     ds, state = _toy_problem(n=14, m=4, seed=14)
     state, c = _warmed_state(ds, state)
-    grad = hyper_grad(state, ds, every_row(ds), bundle(state, ds.X), c)
+    grad = hyper_grad(state, ds, every_row(ds), gram_rows(state, ds.X), c)
     base = state.params.as_array()
     h = 1e-6
     for i in range(3):
@@ -385,12 +386,12 @@ def test_hyper_grad_matches_finite_differences():
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
 
 
-def _assert_kmm_bundle(gram, Z, params):
-    """gram holds no rows and the K_mm factorization a fresh build at params gives."""
-    fresh = build_gram(np.empty((0, Z.shape[1])), Z, params)
-    assert gram.K_nm.shape == (0, Z.shape[0])
-    np.testing.assert_array_equal(gram.K_mm, fresh.K_mm)
-    np.testing.assert_array_equal(gram.chol_Kmm, fresh.chol_Kmm)
+def _assert_factorization(mm, Z, params):
+    """mm carries (Z, params) and the K_mm factorization a fresh one at them gives."""
+    fresh = factorize(Z, params)
+    assert mm.Z is Z and mm.params == params
+    np.testing.assert_array_equal(mm.K_mm, fresh.K_mm)
+    np.testing.assert_array_equal(mm.chol_Kmm, fresh.chol_Kmm)
 
 
 def _fail_factorizations(monkeypatch):
@@ -403,28 +404,27 @@ def _fail_factorizations(monkeypatch):
 def test_hyper_step_moves_along_gradient_signs():
     ds, state = _toy_problem(n=14, m=4, seed=15)
     state, c = _warmed_state(ds, state)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     grad = hyper_grad(state, ds, every_row(ds), gram, c)
     adam = AdamState(lr=0.01)
-    new_params, new_gram = hyper_step(state, ds, adam, every_row(ds), gram, c)
+    new_params, new_mm = hyper_step(state, ds, adam, every_row(ds), gram, c)
     delta = new_params.as_array() - state.params.as_array()
     for i in range(3):
         if abs(grad[i]) > 1e-8:
             assert np.sign(delta[i]) == np.sign(grad[i])
-    _assert_kmm_bundle(new_gram, state.Z, new_params)
+    _assert_factorization(new_mm, state.Z, new_params)
 
 
 def test_hyper_step_reverts_on_factorization_failure(monkeypatch):
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)
     adam = AdamState(lr=0.02)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     _fail_factorizations(monkeypatch)
     old = state.params
     new_params, kept = hyper_step(state, ds, adam, every_row(ds), gram, c)
     assert new_params == old
     assert adam.lr == pytest.approx(0.01)
-    assert kept.K_nm.shape == (0, state.m)
     assert kept is state.mm
 
 
@@ -434,11 +434,10 @@ def test_hyper_step_reverts_an_out_of_range_proposal():
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)
     adam = AdamState(lr=1e300)
-    gram = bundle(state, ds.X)
+    gram = gram_rows(state, ds.X)
     new_params, kept = hyper_step(state, ds, adam, every_row(ds), gram, c)
     assert new_params == state.params
     assert adam.lr == 5e299
-    assert kept.K_nm.shape == (0, state.m)
     assert kept is state.mm
 
 
@@ -447,30 +446,53 @@ def test_batch_hyper_grads_average_to_the_full_gradient():
     # the full data part, and the unscaled KL part is common to every batch.
     ds, state = _toy_problem(n=30, m=5, seed=14)
     state, c = _warmed_state(ds, state)
-    full = hyper_grad(state, ds, every_row(ds), bundle(state, ds.X), c)
+    full = hyper_grad(state, ds, every_row(ds), gram_rows(state, ds.X), c)
     batches = minibatch_iter(ds.n, 6, np.random.SeedSequence(3))
     grads = []
     for _ in range(ds.n // 6):
         batch = next(batches)
         idx = batch.indices
-        grads.append(hyper_grad(state, ds, batch, bundle(state, ds.X[idx]), c[idx]))
+        grads.append(hyper_grad(state, ds, batch, gram_rows(state, ds.X[idx]), c[idx]))
     grads = np.array(grads)
     assert not np.allclose(grads[0], full, rtol=1e-3)
     np.testing.assert_allclose(grads.mean(axis=0), full, rtol=1e-12)
 
 
 def test_accepted_hyper_steps_carry_the_inducing_side_of_their_parameters():
-    # Each accepted Adam step puts a new mm into the state; its inducing
-    # side is taken at the new lengthscale, so batch bundles built with it
-    # give the K_nm of the new parameters.
+    # Each accepted Adam step puts a new mm into the state; the state reads
+    # Z and the parameters from it, and its inducing side is taken at the
+    # new lengthscale, so Gram rows built against it give the K_nm of the
+    # new parameters.
     ds, _ = _toy_problem(n=40, m=5, seed=17)
     res = fit(ds, TrainConfig(num_inducing=5, batch_size=10, max_iters=6, conv_threshold=0.0,
                               hyper_every=1, adam_lr=0.05, seed=2))
     state = res.state
     assert state.params.log_lengthscale != KernelParams.default(ds.d).log_lengthscale
+    assert state.params is state.mm.params and state.Z is state.mm.Z
     assert state.mm.inducing.l == state.params.lengthscale
-    gram = build_gram(ds.X, state.Z, state.params, mm=state.mm)
+    gram = build_gram(ds.X, state.mm)
     np.testing.assert_array_equal(gram.K_nm, kern_matrix(ds.X, state.Z, state.params))
+
+
+def test_state_takes_no_kernel_apart_from_its_factorization():
+    _, state = _toy_problem(n=10, m=3, seed=16)
+    with pytest.raises(TypeError):
+        replace(state, params=KernelParams(1.0))
+    with pytest.raises(TypeError):
+        replace(state, Z=state.Z + 1.0)
+
+
+def test_hyper_step_returns_the_params_of_the_factorization_it_returns():
+    # The pair is (mm.params, mm) on an accepted step and (state.params,
+    # state.mm) on a reverted one, so comparing its first entry with
+    # state.params tells the two apart.
+    ds, state = _toy_problem(n=10, m=3, seed=16)
+    state, c = _warmed_state(ds, state)
+    gram = gram_rows(state, ds.X)
+    params, mm = hyper_step(state, ds, AdamState(lr=0.02), every_row(ds), gram, c)
+    assert params is mm.params and mm is not state.mm and params != state.params
+    params, mm = hyper_step(state, ds, AdamState(lr=1e300), every_row(ds), gram, c)
+    assert params is state.params and mm is state.mm
 
 
 def test_gradient_and_prediction_read_the_factorizations_inducing_side(monkeypatch):
@@ -479,7 +501,7 @@ def test_gradient_and_prediction_read_the_factorizations_inducing_side(monkeypat
     ds, state = _toy_problem(n=40, m=5, seed=18)
     state, c = _warmed_state(ds, state)
     batch = MiniBatch(indices=np.arange(0, 40, 4), scale=4.0)
-    gram = build_gram(ds.X[batch.indices], state.Z, state.params, mm=state.mm)
+    gram = build_gram(ds.X[batch.indices], state.mm)
     built = []
     init = kernel._Inducing.__init__
 
@@ -499,17 +521,16 @@ def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)
     batch = MiniBatch(indices=np.array([1, 4, 7, 8]), scale=2.5)
-    gram_b = build_gram(ds.X[batch.indices], state.Z, state.params)
+    gram_b = build_gram(ds.X[batch.indices], state.mm)
     c = c[batch.indices]
-    new_params, new_gram = hyper_step(state, ds, AdamState(lr=0.02), batch, gram_b, c)
+    new_params, new_mm = hyper_step(state, ds, AdamState(lr=0.02), batch, gram_b, c)
     assert new_params != state.params
-    _assert_kmm_bundle(new_gram, state.Z, new_params)
+    _assert_factorization(new_mm, state.Z, new_params)
 
     _fail_factorizations(monkeypatch)
     adam = AdamState(lr=0.02)
     new_params, kept = hyper_step(state, ds, adam, batch, gram_b, c)
     assert new_params == state.params
-    assert kept.K_nm.shape == (0, state.m)
     assert kept is state.mm
     assert adam.lr == pytest.approx(0.01)
 
@@ -668,7 +689,7 @@ class TestFit:
         assert res.heldout.n == 16
         assert np.isfinite(res.final_elbo)
 
-    def test_trace_schema_and_optional_error_column(self):
+    def test_trace_schema(self):
         rng = np.random.default_rng(24)
         X = rng.normal(size=(30, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
@@ -678,16 +699,6 @@ class TestFit:
         assert res.trace.shape[1] == 4
         np.testing.assert_array_equal(res.trace[:, 0], np.arange(1, res.trace.shape[0] + 1))
         assert np.all(np.diff(res.trace[:, 1]) >= 0.0)
-
-        res2 = fit(
-            ds,
-            TrainConfig(
-                num_inducing=4, batch_size=10, max_iters=12, seed=0, trace_train_error=True
-            ),
-        )
-        assert res2.trace_columns[-1] == "train_error"
-        errs = res2.trace[:, -1]
-        assert np.all((0.0 <= errs) & (errs <= 1.0))
 
     def test_stochastic_run_keeps_precision_factorizable(self):
         rng = np.random.default_rng(25)
@@ -760,27 +771,23 @@ class TestFit:
 
     def test_hyper_iterations_touch_only_batch_rows(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)
-        gram_rows, grad_rows = [], []
+        built_rows, grad_rows = [], []
 
-        def recording(fn, rows):
-            def wrapper(X, *args, **kwargs):
-                rows.append(np.atleast_2d(X).shape[0])
-                return fn(X, *args, **kwargs)
-            return wrapper
+        def recording_gram(X, mm):
+            built_rows.append(X.shape[0])
+            return build_gram(X, mm)
 
-        def recording_grad(gram, X, *args):
+        def recording_grad(mm, gram, X, *args):
             grad_rows.append((gram.K_nm.shape[0], X.shape[0]))
-            return kern_grad(gram, X, *args)
+            return kern_grad(mm, gram, X, *args)
 
-        monkeypatch.setattr(inference, "build_gram", recording(build_gram, gram_rows))
-        monkeypatch.setattr(model, "build_gram", recording(build_gram, gram_rows))
+        monkeypatch.setattr(inference, "build_gram", recording_gram)
         monkeypatch.setattr(inference, "kern_grad", recording_grad)
         res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
                                   conv_threshold=0.0, hyper_every=5, seed=0))
         assert res.n_iters == 20
-        assert grad_rows == [(15, 15)] * 4  # the batch bundle and the batch rows
-        # the K_mm bundle before the loop, the batches, and each step's K_mm bundle
-        assert gram_rows == [0] + ([15] * 5 + [0]) * 4
+        assert grad_rows == [(15, 15)] * 4  # the batch's Gram rows and the batch rows
+        assert built_rows == [15] * 20  # K_mm alone is factorize's, which reads no rows
 
     @pytest.mark.parametrize("hyper_every, expected", [(0, 40), (1, 80), (10, 44)])
     def test_batch_marginals_once_per_iteration_and_per_hyper_step(self, monkeypatch,
@@ -790,13 +797,13 @@ class TestFit:
         # at the new q(u).
         ds, _ = _toy_problem(n=60, m=6)
         calls = []
-        marginals = GramBundle.marginals
+        marginals = GramRows.marginals
 
         def counting(self, mu, Sigma):
             calls.append(self.K_nm.shape[0])
             return marginals(self, mu, Sigma)
 
-        monkeypatch.setattr(GramBundle, "marginals", counting)
+        monkeypatch.setattr(GramRows, "marginals", counting)
         res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
                                   conv_threshold=0.0, hyper_every=hyper_every, seed=0))
         assert res.n_iters == 40
@@ -829,7 +836,7 @@ class TestFit:
                                   inducing_Z=Z, init_params=params, seed=0))
         idx, scale = batches[0].indices, batches[0].scale
         state = init_state(Z, params)
-        kmu, var = build_gram(ds.X[idx], Z, params).marginals(state.mu, state.Sigma)
+        kmu, var = build_gram(ds.X[idx], state.mm).marginals(state.mu, state.Sigma)
         c = np.sqrt(var + kmu * kmu)
         assert res.trace[0, 2] == elbo(state, ds.y[idx], c, kmu, var, scale)
 
@@ -843,14 +850,15 @@ class TestFit:
 
     @pytest.mark.parametrize("adam_lr", [0.02, 1e300])
     def test_state_holds_the_factorization_at_its_params(self, adam_lr):
-        # Accepted steps replace params and mm together; at adam_lr=1e300
-        # every proposal is out of range, so every step is reverted.
+        # Accepted steps replace mm, which carries the params; at
+        # adam_lr=1e300 every proposal is out of range, so every step is
+        # reverted.
         ds, _ = _toy_problem(n=60, m=6)
         res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=10,
                                   conv_threshold=0.0, hyper_every=1, adam_lr=adam_lr, seed=0))
         initial = KernelParams.default(ds.d)
         assert (res.state.params == initial) == (adam_lr == 1e300)
-        _assert_kmm_bundle(res.state.mm, res.state.Z, res.state.params)
+        _assert_factorization(res.state.mm, res.state.Z, res.state.params)
 
     def test_factorizes_kmm_once_without_hyper_steps(self, monkeypatch):
         ds, _ = _toy_problem(n=60, m=6)
@@ -866,8 +874,7 @@ class TestFit:
         for iters in (2, 12):
             calls.clear()
             res = fit(ds, TrainConfig(num_inducing=6, batch_size=16, max_iters=iters,
-                                      heldout_frac=0.1, hyper_every=0,
-                                      trace_train_error=True, seed=0))
+                                      heldout_frac=0.1, hyper_every=0, seed=0))
             counts.append((res.n_iters, len(calls)))
         assert counts[1][0] > counts[0][0]
         assert counts[0][1] == counts[1][1] == 1

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, lapack
 
+import pggpc.kernel as kernel
 from pggpc.kernel import (
     FactorizationError,
     GramBundle,
+    GramRows,
     KernelParams,
     build_gram,
     chol_inverse,
     chol_with_escalation,
+    factorize,
     kern_grad,
     kern_matrix,
 )
@@ -70,13 +73,13 @@ def test_kern_matrix_same_flag_controls_jitter():
 
 
 def test_kern_diag_is_marginal_variance():
-    # A bundle's k_diag is the diagonal of the full kernel matrix, the same
-    # on every row: the scalar a^2 + jitter.
+    # A factorization's k_diag is the diagonal of the full kernel matrix,
+    # the same on every row: the scalar a^2 + jitter.
     params = KernelParams(0.0, log_amplitude=np.log(2.0), log_jitter=np.log(1e-5))
     X = np.random.default_rng(1).normal(size=(6, 3))
     diag = np.diag(kern_matrix(X, X, params, same=True))
     np.testing.assert_allclose(diag, 4.0 + 1e-5, rtol=1e-12)
-    k_diag = build_gram(X, X[:2], params).k_diag
+    k_diag = factorize(X[:2], params).k_diag
     assert k_diag == params.amplitude**2 + params.jitter
     np.testing.assert_allclose(np.full(6, k_diag), diag, rtol=1e-12)
 
@@ -177,9 +180,10 @@ def test_kern_grad_reads_far_rows_as_clamped():
     X = np.array([[1.7e308, -1.7e308], [0.5, 0.5]])
     rng = np.random.default_rng(4)
     P_K, P_A, p_diag = rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=2)
-    got = kern_grad(build_gram(X, Z, params), X, params, P_K, P_A, p_diag)
+    mm = factorize(Z, params)
+    got = kern_grad(mm, build_gram(X, mm), X, P_K, P_A, p_diag)
     near = np.clip(X, -1e150, 1e150)
-    want = kern_grad(build_gram(near, Z, params), near, params, P_K, P_A, p_diag)
+    want = kern_grad(mm, build_gram(near, mm), near, P_K, P_A, p_diag)
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, want)
 
@@ -193,10 +197,9 @@ def test_kern_grad_takes_no_lengthscale_derivative_on_the_kmm_diagonal():
     rng = np.random.default_rng(7)
     grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
     Z = 40.0 * grid + rng.uniform(-1.0, 1.0, size=grid.shape)
-    params, X = KernelParams(0.0), np.empty((0, 2))
-    gram = build_gram(X, Z, params)
-    np.testing.assert_array_equal(gram.K_mm, np.diag(np.diag(gram.K_mm)))
-    got = kern_grad(gram, X, params, np.eye(9), np.empty((0, 9)), np.empty(0))
+    mm, X = factorize(Z, KernelParams(0.0)), np.empty((0, 2))
+    np.testing.assert_array_equal(mm.K_mm, np.diag(np.diag(mm.K_mm)))
+    got = kern_grad(mm, build_gram(X, mm), X, np.eye(9), np.empty((0, 9)), np.empty(0))
     assert got[0] == 0.0
 
 
@@ -238,20 +241,21 @@ def test_build_gram_matches_brute_force():
     X = rng.normal(size=(9, 2))
     Z = rng.normal(size=(4, 2))
     params = KernelParams(log_lengthscale=np.log(1.2))
-    gram = build_gram(X, Z, params)
+    mm = factorize(Z, params)
+    gram = build_gram(X, mm)
     K_mm, K_nm, kd, kappa, ktilde = _brute_bundle(X, Z, params)
-    np.testing.assert_allclose(gram.K_mm, K_mm, rtol=1e-12)
+    np.testing.assert_allclose(mm.K_mm, K_mm, rtol=1e-12)
     np.testing.assert_allclose(gram.K_nm, K_nm, rtol=1e-12)
-    np.testing.assert_allclose(np.full(9, gram.k_diag), kd, rtol=1e-12)
+    np.testing.assert_allclose(np.full(9, mm.k_diag), kd, rtol=1e-12)
     np.testing.assert_allclose(gram.kappa, kappa, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(gram.ktilde, ktilde, rtol=1e-6, atol=1e-10)
     np.testing.assert_allclose(
-        gram.Kmm_inv, np.linalg.inv(K_mm), rtol=1e-8, atol=1e-10
+        mm.Kmm_inv, np.linalg.inv(K_mm), rtol=1e-8, atol=1e-10
     )
     sign, logdet = np.linalg.slogdet(K_mm)
     assert sign == 1.0
-    assert gram.logdet_Kmm == pytest.approx(logdet, rel=1e-10)
-    np.testing.assert_array_equal(gram.Kmm_inv, gram.Kmm_inv.T)
+    assert mm.logdet_Kmm == pytest.approx(logdet, rel=1e-10)
+    np.testing.assert_array_equal(mm.Kmm_inv, mm.Kmm_inv.T)
 
 
 def test_build_gram_residual_nonnegative_and_tiny_on_inducing_points():
@@ -260,55 +264,46 @@ def test_build_gram_residual_nonnegative_and_tiny_on_inducing_points():
     rng = np.random.default_rng(5)
     Z = rng.normal(size=(6, 2))
     params = KernelParams(0.0)
-    gram = build_gram(Z, Z, params)
+    gram = build_gram(Z, factorize(Z, params))
     assert np.all(gram.ktilde >= 0.0)
     assert np.all(gram.ktilde <= 2.5 * params.jitter)
 
 
-def test_build_gram_reuses_inducing_factorization():
+def test_build_gram_reuses_inducing_factorization(monkeypatch):
+    # build_gram factorizes nothing: kappa is one GEMM with the
+    # factorization's K_mm^{-1}.
     rng = np.random.default_rng(6)
-    Z = rng.normal(size=(5, 3))
-    params = KernelParams(0.0)
-    mm = build_gram(np.empty((0, 3)), Z, params)
-    batch = rng.normal(size=(8, 3))
-    gram = build_gram(batch, Z, params, mm=mm)
-    assert gram.K_mm is mm.K_mm
-    assert gram.chol_Kmm is mm.chol_Kmm
-    fresh = build_gram(batch, Z, params)
-    np.testing.assert_allclose(gram.kappa, fresh.kappa, rtol=1e-12)
+    mm = factorize(rng.normal(size=(5, 3)), KernelParams(0.0))
 
+    def refuse(*args):
+        raise AssertionError("build_gram factorized K_mm")
 
-def test_shared_bundle_reuses_inducing_inverse():
-    rng = np.random.default_rng(6)
-    Z = rng.normal(size=(5, 3))
-    params = KernelParams(0.0)
-    mm = build_gram(np.empty((0, 3)), Z, params)
-    gram = build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm)
-    assert gram.Kmm_inv is mm.Kmm_inv
-    assert gram.neg_half_Kmm_inv is mm.neg_half_Kmm_inv
-    assert gram.logdet_Kmm is mm.logdet_Kmm
+    monkeypatch.setattr(kernel, "chol_with_escalation", refuse)
+    monkeypatch.setattr(kernel, "chol_inverse", refuse)
+    gram = build_gram(rng.normal(size=(8, 3)), mm)
+    np.testing.assert_array_equal(gram.kappa, gram.K_nm @ mm.Kmm_inv)
 
 
 def test_bundle_is_a_frozen_record_of_its_fields():
-    # build_gram sets every derived value as a field; nothing is filled later.
+    # factorize and build_gram set every derived value as a field; nothing
+    # is filled later.
     rng = np.random.default_rng(6)
-    Z = rng.normal(size=(5, 3))
-    params = KernelParams(0.0)
-    mm = build_gram(np.empty((0, 3)), Z, params)
-    for gram in (mm, build_gram(rng.normal(size=(8, 3)), Z, params, mm=mm),
-                 build_gram(rng.normal(size=(8, 3)), Z, params)):
-        assert list(vars(gram)) == [f.name for f in fields(GramBundle)]
-        gram.marginals(np.zeros(5), np.eye(5))
-        gram.solve_mm(np.ones(5))
-        assert list(vars(gram)) == [f.name for f in fields(GramBundle)]
-        with pytest.raises(FrozenInstanceError):
-            gram.kappa = np.zeros((8, 5))
+    mm = factorize(rng.normal(size=(5, 3)), KernelParams(0.0))
+    gram = build_gram(rng.normal(size=(8, 3)), mm)
+    mm.solve_mm(np.ones(5))
+    gram.marginals(np.zeros(5), np.eye(5))
+    for record, cls in ((mm, GramBundle), (gram, GramRows)):
+        assert list(vars(record)) == [f.name for f in fields(cls)]
+    with pytest.raises(FrozenInstanceError):
+        mm.params = KernelParams(1.0)
+    with pytest.raises(FrozenInstanceError):
+        gram.kappa = np.zeros((8, 5))
 
 
 @pytest.mark.parametrize("case", ["standardized", "translated", "clamped"])
 def test_shared_bundle_reuses_the_inducing_side(case):
-    # A batch bundle built with mm reads Z's side of the kernel (Z in units
-    # of l, its centre and half squared norms) from mm; K_nm is the matrix
+    # Gram rows read Z's side of the kernel (Z in units of l, its centre and
+    # half squared norms) from the factorization; K_nm is the matrix
     # kern_matrix computes afresh, bit for bit.
     rng = np.random.default_rng(8)
     params = KernelParams(float(np.log(1.3)))
@@ -317,10 +312,9 @@ def test_shared_bundle_reuses_the_inducing_side(case):
         Z, X = Z + 1e5, X + 1e5
     elif case == "clamped":
         X[:3] = [[2e150, 0.0, 0.0], [-1.7e308, 1.0, 0.5], [0.0, 0.0, -1e200]]
-    mm = build_gram(np.empty((0, 3)), Z, params)
+    mm = factorize(Z, params)
     assert mm.inducing.c.any() == (case == "translated")
-    gram = build_gram(X, Z, params, mm=mm)
-    assert gram.inducing is mm.inducing
+    gram = build_gram(X, mm)
     np.testing.assert_array_equal(gram.K_nm, kern_matrix(X, Z, params))
     assert np.all(gram.K_nm[3:] > 0.0)
     if case == "clamped":
@@ -333,10 +327,10 @@ def test_kappa_by_the_shared_inverse_matches_the_solve_at_high_condition():
     rng = np.random.default_rng(1)
     Z = rng.normal(size=(300, 8))
     params = KernelParams(float(np.log(4.0)))
-    mm = build_gram(np.empty((0, 8)), Z, params)
-    gram = build_gram(rng.normal(size=(100, 8)), Z, params, mm=mm)
-    assert 1e7 < np.linalg.cond(gram.K_mm) < 3e7
-    kappa = cho_solve((gram.chol_Kmm, True), gram.K_nm.T).T
+    mm = factorize(Z, params)
+    gram = build_gram(rng.normal(size=(100, 8)), mm)
+    assert 1e7 < np.linalg.cond(mm.K_mm) < 3e7
+    kappa = cho_solve((mm.chol_Kmm, True), gram.K_nm.T).T
     a2_plus_jitter = params.amplitude**2 + params.jitter
     ktilde = np.maximum(a2_plus_jitter - np.sum(kappa * gram.K_nm, axis=1), 0.0)
     np.testing.assert_allclose(gram.kappa, kappa, rtol=0, atol=1e-9)
@@ -362,10 +356,10 @@ def test_chol_inverse_is_the_exact_mirror_of_potri(m):
 def test_solve_mm_matches_dense_solve():
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(5, 2))
-    gram = build_gram(np.empty((0, 2)), Z, KernelParams(0.0))
+    mm = factorize(Z, KernelParams(0.0))
     B = rng.normal(size=(5, 3))
     np.testing.assert_allclose(
-        gram.solve_mm(B), np.linalg.solve(gram.K_mm, B), rtol=1e-9, atol=1e-11
+        mm.solve_mm(B), np.linalg.solve(mm.K_mm, B), rtol=1e-9, atol=1e-11
     )
 
 
@@ -409,8 +403,9 @@ def test_kern_grad_jitter_touches_only_diagonals():
 
 @pytest.mark.parametrize("escalated", [False, True], ids=["plain", "escalated"])
 def test_kern_grad_contracts_the_dense_derivatives(escalated):
-    # kern_grad reads S from the bundle instead of rebuilding it; on an
-    # escalated bundle K_mm also carries jitter_extra, which it must remove.
+    # kern_grad reads S from the factorization and the rows instead of
+    # rebuilding it; on an escalated factorization K_mm also carries
+    # jitter_extra, which it must remove.
     rng = np.random.default_rng(11)
     if escalated:
         Z = np.linspace(0.0, 1.0, 30)[:, None]  # fails to factorize at jitter 1e-16
@@ -419,13 +414,13 @@ def test_kern_grad_contracts_the_dense_derivatives(escalated):
         Z = rng.normal(size=(6, 1))
         params = KernelParams(log_lengthscale=0.3, log_amplitude=-0.1, log_jitter=np.log(1e-4))
     X = rng.normal(size=(9, 1))
-    gram = build_gram(X, Z, params)
-    assert (gram.jitter_extra > 0.0) == escalated
+    mm = factorize(Z, params)
+    assert (mm.jitter_extra > 0.0) == escalated
     m = Z.shape[0]
     P_K, P_A, p_diag = rng.normal(size=(m, m)), rng.normal(size=(9, m)), rng.normal(size=9)
     want = [np.sum(P_K * dK_mm) + np.sum(P_A * dK_nm) + p_diag @ dk_diag
             for dK_mm, dK_nm, dk_diag in kern_grad_dense(X, Z, params).values()]
-    got = kern_grad(gram, X, params, P_K, P_A, p_diag)
+    got = kern_grad(mm, build_gram(X, mm), X, P_K, P_A, p_diag)
     assert got.shape == (3,)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -433,23 +428,19 @@ def test_kern_grad_contracts_the_dense_derivatives(escalated):
 def test_gram_cholesky_is_lower_triangular_factor():
     rng = np.random.default_rng(10)
     Z = rng.normal(size=(4, 2))
-    gram = build_gram(np.empty((0, 2)), Z, KernelParams(0.0))
-    ref = cholesky(gram.K_mm, lower=True)
-    np.testing.assert_allclose(gram.chol_Kmm, ref, rtol=1e-12, atol=1e-14)
+    mm = factorize(Z, KernelParams(0.0))
+    ref = cholesky(mm.K_mm, lower=True)
+    np.testing.assert_allclose(mm.chol_Kmm, ref, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("shared, n", [
-    pytest.param(False, 7, id="False"),
-    pytest.param(True, 7, id="True"),
-    pytest.param(True, 2 * _ROW_BLOCK + 3, id="True-blocks"),  # more rows than a prediction block
-])
-def test_marginals_match_dense_solve(shared, n):
+# The second has more rows than a prediction block.
+@pytest.mark.parametrize("n", [7, 2 * _ROW_BLOCK + 3], ids=["rows", "blocks"])
+def test_marginals_match_dense_solve(n):
     rng = np.random.default_rng(8)
     Z = rng.normal(size=(5, 2))
     X = rng.normal(size=(n, 2))
     params = KernelParams(log_lengthscale=0.3, log_amplitude=0.2)
-    mm = build_gram(rng.normal(size=(3, 2)), Z, params) if shared else None
-    gram = build_gram(X, Z, params, mm=mm)
+    gram = build_gram(X, factorize(Z, params))
     mu = rng.normal(size=5)
     R = rng.normal(size=(5, 5))
     Sigma = R @ R.T + 0.1 * np.eye(5)

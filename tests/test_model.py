@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pggpc.inference import local_update
-from pggpc.kernel import KernelParams, build_gram
+from pggpc.kernel import KernelParams, build_gram, factorize
 from pggpc.model import (
     Dataset,
     VariationalState,
@@ -112,7 +112,7 @@ class TestVariationalState:
     def test_holds_q_u_and_the_model_only(self):
         # The tilts are per-batch values that the steps compute, not state.
         assert [f.name for f in fields(VariationalState)] == [
-            "eta1", "eta2", "mu", "Sigma", "logdet_Sigma", "Z", "params", "mm"]
+            "eta1", "eta2", "mu", "Sigma", "logdet_Sigma", "mm"]
 
     def test_is_frozen(self):
         st = prior_state(_toy_dataset(), 4, KernelParams(0.0), np.random.default_rng(0))
@@ -282,11 +282,11 @@ class TestInitState:
         ds = _toy_dataset(25, 2)
         params = KernelParams(0.0)
         st = prior_state(ds, 5, params, np.random.default_rng(13))
-        gram = build_gram(ds.X, st.Z, params)
+        fresh = factorize(st.Z, params)
         np.testing.assert_array_equal(st.eta1, np.zeros(5))
-        np.testing.assert_allclose(st.eta2, -0.5 * gram.Kmm_inv, atol=1e-12)
+        np.testing.assert_allclose(st.eta2, -0.5 * fresh.Kmm_inv, atol=1e-12)
         np.testing.assert_array_equal(st.mu, np.zeros(5))
-        np.testing.assert_allclose(st.Sigma, gram.K_mm, rtol=1e-12)
+        np.testing.assert_allclose(st.Sigma, fresh.K_mm, rtol=1e-12)
 
     def test_initial_tilts_equal_prior_marginal_std(self):
         # With mu = 0 and Sigma = K_mm the optimal tilt reduces to
@@ -295,7 +295,7 @@ class TestInitState:
         params = KernelParams(0.0, log_amplitude=np.log(1.7))
         st = prior_state(ds, 6, params, np.random.default_rng(14))
         expect = np.sqrt(1.7**2 + params.jitter)
-        c = local_update(*build_gram(ds.X, st.Z, params).marginals(st.mu, st.Sigma))
+        c = local_update(*build_gram(ds.X, st.mm).marginals(st.mu, st.Sigma))
         np.testing.assert_allclose(c, np.full(30, expect), rtol=1e-9)
 
     def test_initial_tilts_match_kappa_form_local_update(self):
@@ -305,7 +305,7 @@ class TestInitState:
         params = KernelParams(log_lengthscale=0.4, log_amplitude=0.3)
         st = prior_state(ds, 7, params, np.random.default_rng(18))
         far = ds.X + 5.0
-        gram = build_gram(np.vstack([ds.X, far]), st.Z, params)
+        gram = build_gram(np.vstack([ds.X, far]), st.mm)
         c = local_update(*gram.marginals(st.mu, st.Sigma))
         np.testing.assert_allclose(c, np.full(80, np.sqrt(np.exp(0.6) + params.jitter)),
                                    rtol=1e-12)
@@ -315,8 +315,7 @@ class TestInitState:
         Z = ds.X[:4] + 0.5
         st = init_state(Z, KernelParams(0.0))
         assert st.m == 4
-        np.testing.assert_allclose(st.Sigma, build_gram(ds.X[:3], Z, KernelParams(0.0)).K_mm,
-                                   rtol=0)
+        np.testing.assert_allclose(st.Sigma, factorize(Z, KernelParams(0.0)).K_mm, rtol=0)
         np.testing.assert_array_equal(st.Z, Z)
 
 

@@ -9,7 +9,7 @@ from scipy.special import expit as sigmoid
 from scipy.special import ndtr
 
 from pggpc import kernel
-from pggpc.kernel import KernelParams, build_gram, kern_matrix
+from pggpc.kernel import KernelParams, factorize, kern_matrix
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
 from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
@@ -241,16 +241,15 @@ class TestLatentPredict:
         assert rows and max(rows) <= _ROW_BLOCK
 
     def test_gram_reuse_matches_fresh_factorization(self):
-        # state.mm is a fresh build at (Z, params), so predicting from it
-        # matches predicting from any other bundle at the same (Z, params).
+        # state.mm is a fresh factorization at (Z, params), so predicting
+        # from it matches predicting from any other one at the same (Z, params).
         rng = np.random.default_rng(13)
         state = _random_state(rng, m=4)
-        X_train = rng.normal(size=(10, 2))
-        gram = build_gram(X_train, state.Z, state.params)
-        np.testing.assert_array_equal(state.mm.K_mm, gram.K_mm)
-        np.testing.assert_array_equal(state.mm.chol_Kmm, gram.chol_Kmm)
+        fresh = factorize(state.Z, state.params)
+        np.testing.assert_array_equal(state.mm.K_mm, fresh.K_mm)
+        np.testing.assert_array_equal(state.mm.chol_Kmm, fresh.chol_Kmm)
         Xs = rng.normal(size=(5, 2))
-        reused = replace(state, mm=gram)
+        reused = replace(state, mm=fresh)
         for got, want in zip(latent_predict(state, Xs), latent_predict(reused, Xs)):
             np.testing.assert_array_equal(got, want)
 
