@@ -1,7 +1,7 @@
 """Tests for the squared-exponential kernel, Gram assembly, and gradients."""
 
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -282,6 +282,19 @@ def test_build_gram_reuses_inducing_factorization(monkeypatch):
     monkeypatch.setattr(kernel, "chol_inverse", refuse)
     gram = build_gram(rng.normal(size=(8, 3)), mm)
     np.testing.assert_array_equal(gram.kappa, gram.K_nm @ mm.Kmm_inv)
+
+
+def test_shared_bundle_reuses_inducing_inverse():
+    # Rows hold no copy of K_mm^{-1}, -1/2 K_mm^{-1} or log|K_mm|: kappa is
+    # built from the factorization's own inverse, whatever inverse it carries.
+    rng = np.random.default_rng(6)
+    mm = factorize(rng.normal(size=(5, 3)), KernelParams(0.0))
+    X = rng.normal(size=(8, 3))
+    assert not {"Kmm_inv", "neg_half_Kmm_inv", "logdet_Kmm"} & {f.name for f in fields(GramRows)}
+    gram = build_gram(X, mm)
+    doubled = build_gram(X, replace(mm, Kmm_inv=2.0 * mm.Kmm_inv))
+    np.testing.assert_array_equal(doubled.K_nm, gram.K_nm)
+    np.testing.assert_array_equal(doubled.kappa, 2.0 * gram.kappa)
 
 
 def test_bundle_is_a_frozen_record_of_its_fields():
