@@ -8,13 +8,18 @@ labels flipped), fits them ``FITS`` times with fixed kernel hyperparameters
 mini-batch of s rows times each piece of an iteration: the batch
 ``build_gram`` against the state's K_mm factorization, kappa,
 ``GramRows.marginals``, ``natural_gradient``, ``natural_to_moments`` and
-``elbo``.  ``build_gram`` forms kappa with the rows, so its time includes
-kappa's; the kappa piece times that GEMM, K_nm K_mm^{-1}, inline.  Each
-is the median of ``--reps`` calls, in ms; the set-up's
-``kmeanspp_init`` on the n rows, 10-100x dearer, is the median of
-``SETUP_REPS`` calls.  ``iter_ms_p50`` is the median over the fits of each
-fit's median gap between consecutive rows of its trace, so one slow fit
-does not move it.
+``elbo``, and the two pieces of a hyperparameter step: ``hyper_grad`` on
+the batch and ``factorize`` at the state's Z and parameters.
+``build_gram`` forms kappa with the rows, so its time includes kappa's;
+the kappa piece times that GEMM, K_nm K_mm^{-1}, inline.  Each is the
+median of ``--reps`` calls, in ms; the set-up's ``kmeanspp_init`` on the
+n rows, 10-100x dearer, is the median of ``SETUP_REPS`` calls.
+``iter_ms_p50`` is the median over the fits of each fit's median gap
+between consecutive rows of its trace, so one slow fit does not move it.
+``hyper_iter_ms_p50`` is the same median over ``FITS`` more fits with
+``hyper_every=10``, taken over the gaps that hold an Adam step: an
+iteration's trace row is written before its hyperparameter step, so the
+step falls in the gap after the row of each tenth iteration.
 
 The host's speed drifts between runs taken minutes apart, so each point
 also records ``ref_ms``: the median ms of a fixed NumPy reference kernel
@@ -36,8 +41,12 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
+from dataclasses import replace
 
+# The checkout's sources, so the script runs without an install.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -46,12 +55,15 @@ import scipy  # noqa: E402
 from scipy.linalg import solve_triangular  # noqa: E402
 
 from pggpc.data import MiniBatch  # noqa: E402
-from pggpc.inference import TrainConfig, elbo, fit, local_update, natural_gradient  # noqa: E402
-from pggpc.kernel import build_gram  # noqa: E402
+from pggpc.inference import (  # noqa: E402
+    TrainConfig, elbo, fit, hyper_grad, local_update, natural_gradient,
+)
+from pggpc.kernel import build_gram, factorize  # noqa: E402
 from pggpc.model import Dataset, kmeanspp_init, natural_to_moments  # noqa: E402
 
-GRID = ((4000, 300, 100, 8), (20000, 100, 100, 8))
+GRID = ((4000, 300, 100, 8), (20000, 100, 100, 8), (8000, 1000, 100, 8))
 FIT_ITERS = 60
+HYPER_EVERY = 10
 FITS = 5
 SETUP_REPS = 20
 REF_REPS = 20
@@ -90,12 +102,20 @@ def _reference_kernel():
     return run
 
 
+def _median_gap_ms(fits, every=1):
+    """Median over the fits of each fit's median trace gap after the rows of every
+    ``every``-th iteration, in ms."""
+    gaps = [np.diff(r.trace[:, 1])[r.trace[:-1, 0] % every == 0] for r in fits]
+    return 1e3 * float(np.median([np.median(g) for g in gaps]))
+
+
 def _point(n, m, s, d, reps, seed=0):
     rng = np.random.default_rng([seed, n, m, s, d])
     ds = _data(n, d, rng)
     config = TrainConfig(num_inducing=m, batch_size=s, max_iters=FIT_ITERS, conv_threshold=0.0,
                          hyper_every=0, seed=seed)
     fits = [fit(ds, config) for _ in range(FITS)]
+    hyper_fits = [fit(ds, replace(config, hyper_every=HYPER_EVERY)) for _ in range(FITS)]
     state = fits[0].state
     batch = MiniBatch(indices=rng.choice(n, s, replace=False), scale=n / s)
     Xb, yb = ds.X[batch.indices], ds.y[batch.indices]
@@ -113,9 +133,12 @@ def _point(n, m, s, d, reps, seed=0):
         "natural_to_moments": _median_ms(lambda: natural_to_moments(state.eta1, state.eta2),
                                          reps),
         "elbo": _median_ms(lambda: elbo(state, yb, c, kmu, var, batch.scale), reps),
+        "hyper_grad": _median_ms(lambda: hyper_grad(state, ds, batch, gram, c), reps),
+        "factorize": _median_ms(lambda: factorize(state.Z, state.params), reps),
     }
-    iter_ms = 1e3 * float(np.median([np.median(np.diff(r.trace[:, 1])) for r in fits]))
-    return {"grid": {"n": n, "m": m, "s": s, "d": d}, "ms_per_call": ms, "iter_ms_p50": iter_ms}
+    return {"grid": {"n": n, "m": m, "s": s, "d": d}, "ms_per_call": ms,
+            "iter_ms_p50": _median_gap_ms(fits),
+            "hyper_iter_ms_p50": _median_gap_ms(hyper_fits, HYPER_EVERY)}
 
 
 def _blas():
@@ -159,8 +182,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the file")
     parser.add_argument("--grid", type=_grid_point, action="append", metavar="N,M,S,D",
-                        help="grid point, repeatable (default: 4000,300,100,8 and "
-                             "20000,100,100,8)")
+                        help="grid point, repeatable (default: 4000,300,100,8, "
+                             "20000,100,100,8 and 8000,1000,100,8)")
     parser.add_argument("--reps", type=int, default=200, help="calls timed per piece")
     parser.add_argument("--out", default="BENCH_step.json", help="output file")
     args = parser.parse_args()
@@ -175,7 +198,8 @@ def main():
         before = _median_ms(ref, REF_REPS)
         points.append(_point(*p, reps=args.reps))
         points[-1]["ref_ms"] = {"before": before, "after": _median_ms(ref, REF_REPS)}
-    run = {"machine": _machine(), "fit_iters": FIT_ITERS, "fits": FITS, "reps": args.reps,
+    run = {"machine": _machine(), "fit_iters": FIT_ITERS, "fits": FITS,
+           "hyper_every": HYPER_EVERY, "reps": args.reps,
            "setup_reps": SETUP_REPS, "ref_reps": REF_REPS, "points": points}
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:
@@ -185,7 +209,8 @@ def main():
         costs = " ".join(f"{k}={v:.3f}" for k, v in p["ms_per_call"].items())
         ref = p["ref_ms"]
         print(f"{args.label} {p['grid']}: ref_ms={ref['before']:.3f}/{ref['after']:.3f} "
-              f"iter_ms_p50={p['iter_ms_p50']:.3f} {costs}")
+              f"iter_ms_p50={p['iter_ms_p50']:.3f} "
+              f"hyper_iter_ms_p50={p['hyper_iter_ms_p50']:.3f} {costs}")
 
 
 if __name__ == "__main__":

@@ -293,7 +293,12 @@ def hyper_grad(state, dataset, batch, gram, c):
     kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s as
     in :func:`natural_gradient`, so the estimate is unbiased for the
     full-data gradient, the batch ``MiniBatch(np.arange(n), 1.0)``; the
-    Gaussian KL part is exact.
+    Gaussian KL part is exact.  P_K and P_A are formed in factored form:
+    with MB = M B and W = Theta kappa MB - (Theta kappa + y mu~^T) / 2,
+
+        P_K = (B MB - B) / 2 + (n/s) kappa^T W,    P_A = (n/s) (Theta kappa / 2 - W),
+
+    two m^3 products (MB, B MB) and two s m^2 ones (Theta kappa MB, kappa^T W).
 
     Returns
     -------
@@ -302,25 +307,13 @@ def hyper_grad(state, dataset, batch, gram, c):
     """
     idx = batch.indices
     X, y, scale = dataset.X[idx], dataset.y[idx], batch.scale
-    B = state.mm.Kmm_inv
-    mu, Sigma = state.mu, state.Sigma
-    mu_t = B @ mu
-    MB = (Sigma + np.outer(mu, mu)) @ B
-    kappa = gram.kappa
+    B, mu = state.mm.Kmm_inv, state.mu
+    MB = (state.Sigma + np.outer(mu, mu)) @ B
     th = theta(c)
-    Tk = kappa * th[:, None]
-    ktk = scale * (kappa.T @ Tk)
-    ky = scale * (kappa.T @ y)
-
-    P_K = (
-        state.mm.neg_half_Kmm_inv
-        + 0.5 * B @ Sigma @ B
-        + 0.5 * np.outer(mu_t, mu_t)
-        - 0.5 * np.outer(ky, mu_t)
-        - 0.5 * ktk
-        + ktk @ MB
-    )
-    P_A = scale * (0.5 * np.outer(y, mu_t) + Tk - Tk @ MB)
+    Tk = gram.kappa * th[:, None]
+    W = Tk @ MB - 0.5 * (Tk + np.outer(y, B @ mu))
+    P_K = 0.5 * (B @ MB - B) + scale * (gram.kappa.T @ W)
+    P_A = scale * (0.5 * Tk - W)
     return kern_grad(state.mm, gram, X, P_K, P_A, -0.5 * scale * th)
 
 

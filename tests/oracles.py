@@ -2,18 +2,19 @@
 
 Each routine recomputes a library quantity by an independent route: the
 full-GP bound two ways, the sparse bound over every row from the blocked
-predictive pass and again from Gram rows for every row, the
-Euclidean gradients of the bound, the dense Gram-matrix derivatives in each
-log hyperparameter, the general-b Polya-Gamma mean, the truncated
-gamma-series Polya-Gamma sampler, the single-point kernel, the squared
-distances about the origin, the moment-to-natural parameter map, the
-k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd steps of
-k-means++ by one mask per cluster, and the dense mean and covariance of
-the Gibbs f-draw.  The state copy, the state at other kernel parameters
-with K_mm factorized afresh, the state at other moments of q(u), the prior
-state at k-means++ inducing inputs, the full-data batch, the Gram rows of
-some inputs, the optimal tilts at them and the inverse standardization live
-here too, since only tests need them.
+predictive pass and again from Gram rows for every row, the Euclidean
+gradients of the bound, the six-term weights that contract the Gram-matrix
+derivatives into the hyperparameter gradient, the dense Gram-matrix
+derivatives in each log hyperparameter, the general-b Polya-Gamma mean,
+the truncated gamma-series Polya-Gamma sampler, the single-point kernel,
+the squared distances about the origin, the moment-to-natural parameter
+map, the k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd
+steps of k-means++ by one mask per cluster, and the dense mean and
+covariance of the Gibbs f-draw.  The state copy, the state at other kernel
+parameters with K_mm factorized afresh, the state at other moments of
+q(u), the prior state at k-means++ inducing inputs, the full-data batch,
+the Gram rows of some inputs, the optimal tilts at them and the inverse
+standardization live here too, since only tests need them.
 """
 
 from dataclasses import replace
@@ -280,6 +281,29 @@ def elbo_grad_sigma(state, dataset, c, gram=None):
     L_s = cholesky(0.5 * (state.Sigma + state.Sigma.T), lower=True)
     Sinv = cho_solve((L_s, True), np.eye(state.Sigma.shape[0]))
     return 0.5 * (0.5 * (Sinv + Sinv.T) - state.mm.Kmm_inv - ktk)
+
+
+def hyper_weights_dense(state, y, scale, gram, c):
+    """The weights (P_K, P_A, p_diag) of ``hyper_grad``, term by term.
+
+    With B = K_mm^{-1}, mu~ = B mu, M = Sigma + mu mu^T, Theta = diag(theta(c))
+    and the data parts scaled by ``scale``:
+        P_K = -B/2 + B Sigma B / 2 + mu~ mu~^T / 2 - (kappa^T y) mu~^T / 2
+              - kappa^T Theta kappa / 2 + kappa^T Theta kappa M B
+        P_A = y mu~^T / 2 + Theta kappa - Theta kappa M B
+        p_diag = -theta / 2.
+    """
+    B = state.mm.Kmm_inv
+    mu_t = B @ state.mu
+    M = state.Sigma + np.outer(state.mu, state.mu)
+    kappa = gram.kappa
+    th = theta(c)
+    Theta = np.diag(th)
+    ktk = scale * (kappa.T @ Theta @ kappa)
+    P_K = (-0.5 * B + 0.5 * B @ state.Sigma @ B + 0.5 * np.outer(mu_t, mu_t)
+           - 0.5 * scale * np.outer(kappa.T @ y, mu_t) - 0.5 * ktk + ktk @ M @ B)
+    P_A = scale * (0.5 * np.outer(y, mu_t) + Theta @ kappa - Theta @ kappa @ M @ B)
+    return P_K, P_A, -0.5 * scale * th
 
 
 def kmeanspp_seeds(X, m, rng):

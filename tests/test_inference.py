@@ -41,6 +41,7 @@ from oracles import (
     gauss_part,
     gibbs_mackay_bound,
     gram_rows,
+    hyper_weights_dense,
     prior_state,
     tilts,
 )
@@ -384,6 +385,30 @@ def test_hyper_grad_matches_finite_differences():
         sm = at_params(state, KernelParams.from_array(vm))
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
+
+
+def test_hyper_grad_contracts_the_six_term_weights_at_escalated_jitter():
+    # hyper_grad forms P_K and P_A in factored form, with two m^3 products
+    # where the six terms take four.  Two 8-point clusters 1e7 lengthscales
+    # either side of the origin give distances with round-off of order 0.01,
+    # so K_mm is indefinite by far more than its jitter and factorizes only
+    # at jitter_extra = 1e5 times it, yet well conditioned (cond 86).  Near-
+    # duplicate inducing inputs escalate only at cond ~1e15, where the two
+    # orderings of the same products differ by O(1).
+    rng = np.random.default_rng(19)
+    C = 1e7
+    Z = np.concatenate([C + 0.1 * np.arange(8), -C - 0.1 * np.arange(8)])[:, None]
+    X = np.concatenate([C + rng.uniform(0.0, 0.8, 20), -C - rng.uniform(0.0, 0.8, 20)])[:, None]
+    ds = Dataset(X=X, y=np.where(rng.random(40) < 0.5, 1.0, -1.0))
+    state, _ = _warmed_state(ds, init_state(Z, KernelParams(0.0)))
+    assert state.mm.jitter_extra > 0.0
+    batch = MiniBatch(indices=np.arange(0, 40, 4), scale=4.0)
+    Xb = ds.X[batch.indices]
+    gram = build_gram(Xb, state.mm)
+    c = local_update(*gram.marginals(state.mu, state.Sigma))
+    want = kern_grad(state.mm, gram, Xb,
+                     *hyper_weights_dense(state, ds.y[batch.indices], batch.scale, gram, c))
+    np.testing.assert_allclose(hyper_grad(state, ds, batch, gram, c), want, rtol=1e-10)
 
 
 def _assert_factorization(mm, Z, params):
