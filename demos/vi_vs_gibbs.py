@@ -30,17 +30,12 @@ def main():
     data = make_overlapping_blobs()
     params = KernelParams.default(data.d)
 
-    config = TrainConfig(
-        num_inducing=data.n, batch_size=data.n, max_iters=300,
-        conv_threshold=1e-10, fixed_lr=1.0,
-        hyper_every=0, seed=0, init_params=params, inducing_Z=data.X,
-    )
-    result = fit(data, config)
+    result = fit(data, TrainConfig.full_gp(data, params, max_iters=300, seed=0))
     print(f"variational fit: {result.n_iters} full-batch iterations, "
           f"bound {result.final_elbo:.3f}")
 
     burn_in, thin = 1000, 2
-    samples = gibbs_run(data, params, iters=6000, burn_in=burn_in, thin=thin, seed=0)
+    samples = gibbs_run(result.state.mm, data.y, iters=6000, burn_in=burn_in, thin=thin, seed=0)
     print(f"gibbs chain: {samples.shape[0]} kept samples "
           f"(burn-in {burn_in}, thinning {thin})")
 

@@ -24,7 +24,8 @@ step falls in the gap after the row of each tenth iteration.
 The host's speed drifts between runs taken minutes apart, so each point
 also records ``ref_ms``: the median ms of a fixed NumPy reference kernel
 (a Cholesky, a triangular solve, a GEMM and elementwise exp/log on seeded
-inputs), timed just before and just after the point.  Compare two runs'
+inputs), timed just before and just after the point, after one untimed
+warm-up call.  Compare two runs'
 pieces only as far as their ``ref_ms`` agree, or in units of it.
 
 The run is stored under ``runs[<label>]`` of the output file; runs under
@@ -193,6 +194,7 @@ def main():
         with open(args.out) as fh:
             doc = json.load(fh)
     ref = _reference_kernel()
+    ref()  # untimed: the first call pays one-off set-up the readings must not hold
     points = []
     for p in args.grid or GRID:
         before = _median_ms(ref, REF_REPS)

@@ -386,19 +386,8 @@ def cmd_gibbs_check(args):
         ds, _ = standardize(ds)
     params = KernelParams.default(ds.d, args.lengthscale, args.amplitude, args.jitter)
     chain_size(args.sweeps, args.burn_in, args.thin)  # before the fit, which the chain follows
-    config = TrainConfig(
-        num_inducing=ds.n,
-        batch_size=ds.n,
-        max_iters=args.max_iters,
-        conv_threshold=1e-10,
-        fixed_lr=1.0,
-        hyper_every=0,
-        seed=args.seed,
-        init_params=params,
-        inducing_Z=ds.X,
-    )
-    result = fit(ds, config)
-    samples = gibbs_run(ds, params, args.sweeps, args.burn_in, args.thin, args.seed)
+    result = fit(ds, TrainConfig.full_gp(ds, params, args.max_iters, args.seed))
+    samples = gibbs_run(result.state.mm, ds.y, args.sweeps, args.burn_in, args.thin, args.seed)
     report = compare_to_vi(samples, result.state, ds)
     header = ("index", "mcmc_mean", "mcmc_var", "mcmc_ppos", "vi_mean", "vi_var", "vi_ppos")
     rows = zip(range(ds.n), *(getattr(report, name) for name in header[1:]))

@@ -185,6 +185,10 @@ def _parse_libsvm(path, n_features):
                 if not isfinite(val):
                     raise _non_finite(path, lineno, val)
                 entries[idx] = val
+            if len(entries) < len(tokens) - 1:  # an index repeats; find it only here
+                seen = [int(tok.partition(":")[0]) for tok in tokens[1:]]
+                idx = next(i for k, i in enumerate(seen) if i in seen[:k])
+                raise ValueError(f"{path}:{lineno}: feature index {idx} appears twice")
             rows.append(entries)
             if entries:
                 max_idx = max(max_idx, max(entries))

@@ -16,8 +16,10 @@ conditioning) a prior draw f0 ~ N(0, K) is corrected through the
 n x n matrix B = I + Omega^{1/2} K Omega^{1/2}, whose eigenvalues are all
 at least 1 for any omega >= 0, so one Cholesky of B per sweep gives an
 exact draw with nothing divided by omega.  A sweep costs n^3/3 flops for
-chol(B), two triangular solves and two matrix-vector products; chol(K)
-and K y / 2 are computed once per chain.
+chol(B), two triangular solves and two matrix-vector products.  The chain
+reads the fit's factorization: K and chol(K) are the ``K_mm`` and ``chol_Kmm``
+of the full-GP fit's ``state.mm``, so both share one matrix and one jitter
+escalation; K y / 2 is computed once per chain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import expit
 
-from .kernel import chol_with_escalation, kern_matrix
+from .kernel import chol_with_escalation
 from .pg import pg_sample
 from .prediction import class_prob
 
@@ -93,19 +95,17 @@ def chain_size(iters, burn_in, thin):
     return stored
 
 
-def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=GIBBS_THIN,
-              seed=0):
+def gibbs_run(mm, y, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=GIBBS_THIN, seed=0):
     """Run the augmented Gibbs chain and keep thinned post-burn-in samples.
 
     Parameters
     ----------
-    dataset : Dataset
-        Desk-scale data (each sweep costs O(n^3)).
-    params : KernelParams
-        Kernel hyperparameters of the exact model (jitter included on the
-        diagonal, matching the variational model's kernel).  If chol(K)
-        needs extra jitter, the whole chain uses K + extra I, so the prior
-        draw and the conditional describe the same model.
+    mm : GramBundle
+        The K_mm factorization at Z = the n data rows, such as a full-GP fit's
+        ``state.mm``: ``K_mm`` (with any escalation) is f's prior covariance
+        and ``chol_Kmm`` its factor.  Each sweep costs O(n^3).
+    y : ndarray, shape (n,)
+        Labels in {-1, +1} of the rows, n = mm's m.
     iters : int
         Total sweeps including burn-in; must exceed burn_in by enough to
         store at least two samples, so that the chain has a sample variance.
@@ -123,15 +123,16 @@ def gibbs_run(dataset, params, iters=GIBBS_SWEEPS, burn_in=GIBBS_BURN_IN, thin=G
     Raises
     ------
     ValueError
-        If thin, burn_in or iters is out of range, as :func:`chain_size` checks.
+        If thin, burn_in or iters is out of range, as :func:`chain_size` checks,
+        or if y's length is not mm's m.
     """
     stored = chain_size(iters, burn_in, thin)
+    K, L_K = mm.K_mm, mm.chol_Kmm
+    n = K.shape[0]
+    if np.shape(y) != (n,):
+        raise ValueError(f"y must hold one label per inducing input, m={n}, got {np.shape(y)}")
     rng = np.random.default_rng(seed)
-    n = dataset.n
-    K = kern_matrix(dataset.X, dataset.X, params, same=True)
-    L_K, extra = chol_with_escalation(K, 1e-12)
-    K.flat[:: n + 1] += extra
-    half_Ky = K @ (0.5 * dataset.y)
+    half_Ky = K @ (0.5 * y)
     f = np.zeros(n)
     samples = np.empty((stored, n))
     for t in range(iters):
@@ -175,8 +176,9 @@ def compare_to_vi(samples, state, dataset):
     """Score a full-GP variational state against the Gibbs ground truth.
 
     The state must have been trained with Z equal to the dataset's inputs
-    (full GP) and ``samples``, the (S, n) draws of :func:`gibbs_run`, drawn
-    on the same data and hyperparameters.  The latent posterior is compared
+    (full GP, as ``TrainConfig.full_gp`` sets it up) and ``samples``, the
+    (S, n) draws of :func:`gibbs_run`, drawn from the state's own
+    factorization ``state.mm`` and the dataset's labels.  The latent posterior is compared
     at the training points: the sample mean, variance and mean sigmoid
     against q(u)'s mean, diagonal variance and class probability (u = f
     when Z = X).

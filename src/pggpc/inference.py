@@ -96,8 +96,18 @@ class TrainConfig:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
         if self.heldout_frac is not None and not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    @classmethod
+    def full_gp(cls, dataset, params, max_iters, seed):
+        """The full-GP fit the Gibbs oracle checks: Z = X, the full batch, unit steps
+        and ``params`` held fixed, so ``state.mm`` is the chain's prior factorization."""
+        return cls(num_inducing=dataset.n, batch_size=dataset.n, max_iters=max_iters,
+                   conv_threshold=1e-10, fixed_lr=1.0, hyper_every=0, seed=seed,
+                   init_params=params, inducing_Z=dataset.X)
 
     def heldout_rows(self, n):
         """Rows of an n-row dataset that :func:`fit` holds out; 0 when heldout_frac is None."""

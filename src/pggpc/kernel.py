@@ -20,7 +20,6 @@ __all__ = [
     "FactorizationError",
     "HYPER_NAMES",
     "DEFAULT_TEXT",
-    "kern_matrix",
     "factorize",
     "build_gram",
     "kern_grad",
@@ -142,26 +141,14 @@ class _Inducing:
 
 
 def _cross(X, inducing, params, same=False):
-    """The kernel matrix between the rows X and an ``_Inducing``'s Z; see :func:`kern_matrix`."""
+    """The kernel matrix between the rows X and an ``_Inducing``'s Z; with ``same=True``
+    (X is Z's own point list) the jitter is added on the diagonal."""
     K = inducing.neg_half_sq(inducing.rows(X))
     np.exp(K, out=K)
     K *= params.amplitude**2
     if same:
         K[np.diag_indices_from(K)] += params.jitter
     return K
-
-
-def kern_matrix(X, Z, params, same=False):
-    """Dense kernel matrix between row sets X and Z.
-
-    Both sets are taken in units of l about the centre of Z's rows (see
-    ``_Inducing``, built afresh here; a factorization reads its own), and
-    the half squared distances are exponentiated in place and scaled by a^2.
-
-    With ``same=True`` the two sets are taken to be identical point lists and
-    the jitter is added on the diagonal.
-    """
-    return _cross(X, _Inducing(Z, params.lengthscale), params, same)
 
 
 def chol_with_escalation(K, base_jitter):

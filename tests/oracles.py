@@ -10,7 +10,8 @@ the truncated gamma-series Polya-Gamma sampler, the single-point kernel,
 the squared distances about the origin, the moment-to-natural parameter
 map, the k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd
 steps of k-means++ by one mask per cluster, and the dense mean and
-covariance of the Gibbs f-draw.  The state copy, the state at other kernel
+covariance of the Gibbs f-draw.  The dense kernel matrix between two row
+sets by the library's own arithmetic, the state copy, the state at other kernel
 parameters with K_mm factorized afresh, the state at other moments of
 q(u), the prior state at k-means++ inducing inputs, the full-data batch,
 the Gram rows of some inputs, the optimal tilts at them and the inverse
@@ -25,7 +26,7 @@ from scipy.special import expit as sigmoid
 
 from pggpc.data import MiniBatch
 from pggpc.inference import elbo, local_update
-from pggpc.kernel import build_gram, chol_with_escalation, factorize
+from pggpc.kernel import _cross, _Inducing, build_gram, chol_with_escalation, factorize
 from pggpc.model import init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, theta
 from pggpc.prediction import latent_predict
@@ -58,6 +59,18 @@ def kern(x, xp, params, same_index=False):
     if same_index:
         val += params.jitter
     return float(val)
+
+
+def kern_matrix(X, Z, params, same=False):
+    """Dense kernel matrix between row sets X and Z, by the library's own arithmetic.
+
+    Both sets are taken in units of l about the centre of Z's rows, with
+    Z's ``_Inducing`` built afresh (a factorization keeps its own), so the
+    result is bit for bit what ``factorize`` and ``build_gram`` hold.  With
+    ``same=True`` the two sets are taken to be identical point lists and the
+    jitter is added on the diagonal.
+    """
+    return _cross(X, _Inducing(Z, params.lengthscale), params, same)
 
 
 def sq_dists(X, Z):

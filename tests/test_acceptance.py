@@ -24,7 +24,7 @@ from pggpc.inference import (
     local_update,
     natural_gradient,
 )
-from pggpc.kernel import KernelParams, build_gram, kern_matrix
+from pggpc.kernel import KernelParams, build_gram
 from pggpc.model import Dataset, VariationalState, init_state, kmeanspp_init
 from pggpc.pg import log_cosh, pg_kl_term, pg_sample
 from pggpc.prediction import class_prob, evaluate
@@ -38,6 +38,7 @@ from oracles import (
     full_elbo,
     gibbs_mackay_bound,
     gram_rows,
+    kern_matrix,
     pg_mean,
     tilts,
 )
@@ -290,19 +291,8 @@ def test_c07_sampler_mean_mgf_and_kl_match_closed_forms(scorecard):
 
 
 def _full_gp_agreement(ds, params, sweeps, burn_in, vi_iters, seed):
-    config = TrainConfig(
-        num_inducing=ds.n,
-        batch_size=ds.n,
-        max_iters=vi_iters,
-        conv_threshold=1e-10,
-        fixed_lr=1.0,
-        hyper_every=0,
-        seed=seed,
-        init_params=params,
-        inducing_Z=ds.X,
-    )
-    result = fit(ds, config)
-    chain = gibbs_run(ds, params, iters=sweeps, burn_in=burn_in, thin=2, seed=seed)
+    result = fit(ds, TrainConfig.full_gp(ds, params, vi_iters, seed))
+    chain = gibbs_run(result.state.mm, ds.y, iters=sweeps, burn_in=burn_in, thin=2, seed=seed)
     return compare_to_vi(chain, result.state, ds)
 
 

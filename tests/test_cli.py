@@ -148,6 +148,7 @@ def _one_error_line(capsys):
     (["--adam-lr", "inf"], "adam_lr"),
     (["--seed", "-1"], "--seed"),
     (["--fixed-lr", "2"], "fixed_lr"),
+    (["--batch", "0", "--max-iters", "0"], "batch_size"),  # no batch is drawn
 ])
 def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
     code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])
@@ -784,6 +785,26 @@ class TestGibbsCheck:
             assert code == 1
             line = _one_error_line(capsys)
             assert "Polya-Gamma tilt c must be finite and at most 1e+150" in line
+
+    def test_chain_draws_from_the_fits_escalated_factorization(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Ten points, each three times: at amplitude 3e5 the fit's K_mm needs
+        # extra jitter.  The chain factorized its own copy of K on a ladder
+        # based at 1e-12, which gave up at 1e-6 (exit 1); it now reads the fit's.
+        rng = np.random.default_rng(0)
+        X = np.repeat(rng.standard_normal((10, 2)), 3, axis=0)
+        path = str(tmp_path / "repeated.txt")
+        save(Dataset(X, np.repeat(np.tile([1.0, -1.0], 5), 3)), path, "libsvm")
+        fits, chains = [], []
+        inner_fit, inner_run = cli.fit, cli.gibbs_run
+        monkeypatch.setattr(cli, "fit", lambda *a: fits.append(inner_fit(*a)) or fits[-1])
+        monkeypatch.setattr(cli, "gibbs_run", lambda *a: chains.append(a[0]) or inner_run(*a))
+        code = main(["gibbs-check", "--data", path, "--amplitude", "3e5",
+                     "--sweeps", "200", "--burn-in", "50", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code in (0, 3) and "agreement=" in out, out
+        assert len(fits) == 1 and fits[0].state.mm.jitter_extra > 0.0
+        assert len(chains) == 1 and chains[0] is fits[0].state.mm
 
     def test_oracle_cap_refuses_large_data(self, blob_files, capsys):
         code = main([

@@ -79,6 +79,13 @@ class TestLibsvmParsing:
         with pytest.raises(ValueError, match=rf"a\.txt: .*{index}"):
             load(path, "libsvm")
 
+    def test_repeated_index_names_the_line(self, tmp_path):
+        # The last value used to win: "1:0.5 1:0.7" loaded as x_1 = 0.7.
+        path = _write(tmp_path, "a.txt", "-1 2:1.0\n+1 1:0.5 1:0.7 2:1.0\n")
+        for read in (lambda: load(path, "libsvm"), lambda: load_features(path, "libsvm")):
+            with pytest.raises(ValueError, match=r"a\.txt:2: feature index 1 appears twice"):
+                read()
+
     def test_zero_index_rejected(self, tmp_path):
         path = _write(tmp_path, "a.txt", "+1 0:3.0\n")
         with pytest.raises(ValueError, match="1-based"):

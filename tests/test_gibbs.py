@@ -12,7 +12,7 @@ from pggpc.gibbs import (
     f_conditional,
     gibbs_run,
 )
-from pggpc.kernel import KernelParams, chol_with_escalation, kern_matrix
+from pggpc.kernel import KernelParams, chol_with_escalation, factorize
 from pggpc.model import Dataset, VariationalState
 from pggpc.prediction import class_prob
 
@@ -109,10 +109,10 @@ class TestFConditional:
 
 
 def _independent_two_points():
-    """Two inputs so far apart the kernel renders them independent."""
+    """The prior factorization and labels of two inputs so far apart the kernel
+    renders them independent."""
     X = np.array([[0.0], [100.0]])
-    y = np.array([1.0, -1.0])
-    return Dataset(X, y), KernelParams(0.0)
+    return factorize(X, KernelParams(0.0)), np.array([1.0, -1.0])
 
 
 def _quadrature_posterior(y_i, prior_var):
@@ -129,45 +129,42 @@ class TestGibbsRun:
     def test_posterior_moments_match_quadrature(self):
         # With a diagonal prior the exact posterior factorizes into 1-D
         # logistic-Gaussian integrals the chain must reproduce.
-        data, params = _independent_two_points()
-        samples = gibbs_run(data, params, iters=8500, burn_in=500, thin=2, seed=42)
-        prior_var = params.amplitude**2 + params.jitter
+        mm, y = _independent_two_points()
+        samples = gibbs_run(mm, y, iters=8500, burn_in=500, thin=2, seed=42)
         for i in range(2):
             draws = samples[:, i]
-            ref_mean, ref_var = _quadrature_posterior(data.y[i], prior_var)
+            ref_mean, ref_var = _quadrature_posterior(y[i], mm.k_diag)
             se = _batch_means_se(draws)
             assert draws.mean() == pytest.approx(ref_mean, abs=4.5 * se + 0.005)
             assert draws.var(ddof=1) == pytest.approx(ref_var, abs=0.06)
 
     def test_label_flip_mirrors_the_posterior(self):
-        X = np.array([[0.0], [100.0]])
-        params = KernelParams(0.0)
-        base = gibbs_run(Dataset(X, np.array([1.0, -1.0])), params,
-                         iters=3000, burn_in=500, thin=2, seed=7)
-        flipped = gibbs_run(Dataset(X, np.array([-1.0, 1.0])), params,
-                            iters=3000, burn_in=500, thin=2, seed=8)
+        mm, y = _independent_two_points()
+        base = gibbs_run(mm, y, iters=3000, burn_in=500, thin=2, seed=7)
+        flipped = gibbs_run(mm, -y, iters=3000, burn_in=500, thin=2, seed=8)
         p_base = sigmoid(base).mean(axis=0)
         p_flip = sigmoid(flipped).mean(axis=0)
         np.testing.assert_allclose(p_flip, 1.0 - p_base, atol=0.05)
 
     def test_seed_reproducibility(self):
-        data, params = _independent_two_points()
-        a = gibbs_run(data, params, iters=200, burn_in=50, thin=2, seed=3)
-        b = gibbs_run(data, params, iters=200, burn_in=50, thin=2, seed=3)
-        c = gibbs_run(data, params, iters=200, burn_in=50, thin=2, seed=4)
+        mm, y = _independent_two_points()
+        a = gibbs_run(mm, y, iters=200, burn_in=50, thin=2, seed=3)
+        b = gibbs_run(mm, y, iters=200, burn_in=50, thin=2, seed=3)
+        c = gibbs_run(mm, y, iters=200, burn_in=50, thin=2, seed=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_shapes_and_thinning(self):
         rng = np.random.default_rng(9)
-        data = Dataset(rng.normal(size=(3, 2)), np.array([1.0, -1.0, 1.0]))
-        samples = gibbs_run(data, KernelParams(0.0), iters=50, burn_in=10, thin=4, seed=0)
+        mm = factorize(rng.normal(size=(3, 2)), KernelParams(0.0))
+        samples = gibbs_run(mm, np.array([1.0, -1.0, 1.0]), iters=50, burn_in=10, thin=4,
+                            seed=0)
         assert samples.shape == (10, 3)
 
     def test_iters_must_exceed_burn_in(self):
-        data, params = _independent_two_points()
+        mm, y = _independent_two_points()
         with pytest.raises(ValueError, match="exceed"):
-            gibbs_run(data, params, iters=100, burn_in=100)
+            gibbs_run(mm, y, iters=100, burn_in=100)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"thin": 0}, "thin"),
@@ -177,15 +174,21 @@ class TestGibbsRun:
         ({"iters": 6, "burn_in": 5}, "iters"),  # one stored sample has no variance
     ])
     def test_chain_arguments_out_of_range_name_the_argument(self, kwargs, name):
-        data, params = _independent_two_points()
+        mm, y = _independent_two_points()
         with pytest.raises(ValueError, match=f"^{name} must"):
-            gibbs_run(data, params, **{"iters": 20, "burn_in": 5, **kwargs})
+            gibbs_run(mm, y, **{"iters": 20, "burn_in": 5, **kwargs})
 
-    def test_one_factorization_per_sweep_plus_one(self, monkeypatch):
-        # chol(K) once per chain, chol(B) once per sweep; forming and
-        # factorizing Sigma_w would cost two per sweep.
+    @pytest.mark.parametrize("y", [np.ones(3), np.ones(1), np.ones((2, 1))])
+    def test_labels_not_one_per_inducing_input_name_y(self, y):
+        mm, _ = _independent_two_points()
+        with pytest.raises(ValueError, match=r"^y must hold one label per inducing input, m=2"):
+            gibbs_run(mm, y, iters=20, burn_in=5)
+
+    def test_one_factorization_per_sweep(self, monkeypatch):
+        # chol(B) once per sweep, and none of K, which the factorization
+        # holds; forming and factorizing Sigma_w would cost two per sweep.
         rng = np.random.default_rng(4)
-        data = Dataset(rng.normal(size=(6, 2)), np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+        mm = factorize(rng.normal(size=(6, 2)), KernelParams(0.0))
         calls = []
 
         def counting(K, base_jitter):
@@ -193,19 +196,19 @@ class TestGibbsRun:
             return chol_with_escalation(K, base_jitter)
 
         monkeypatch.setattr(gibbs, "chol_with_escalation", counting)
-        gibbs_run(data, KernelParams(0.0), iters=37, burn_in=7, thin=3, seed=0)
-        assert calls == [(6, 6)] * 38
+        gibbs_run(mm, np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), iters=37, burn_in=7, thin=3,
+                  seed=0)
+        assert calls == [(6, 6)] * 37
 
     def test_escalated_prior_covariance_is_used_throughout(self, monkeypatch):
-        # Duplicated inputs with a jitter far below round-off: chol(K) fails
-        # as given, so the chain must draw the prior and the conditional
-        # from the same escalated K + extra I.
+        # Duplicated inputs with a jitter below round-off: K_mm fails to
+        # factorize as given, so the factorization escalates, and the chain
+        # must draw the prior and the conditional from that factorization's
+        # own K_mm + extra I and its factor.
         X = np.repeat([[0.0, 0.0], [0.6, -0.3], [1.0, 1.0]], 3, axis=0)
-        data = Dataset(X, np.repeat([1.0, -1.0, 1.0], 3))
-        params = KernelParams(0.0, log_jitter=float(np.log(1e-300)))
-        K_raw = kern_matrix(X, X, params, same=True)
-        _, extra = chol_with_escalation(K_raw, 1e-12)
-        assert extra > 0.0
+        y = np.repeat([1.0, -1.0, 1.0], 3)
+        mm = factorize(X, KernelParams(0.0, log_jitter=float(np.log(1e-16))))
+        assert mm.jitter_extra > 0.0
         seen = []
         draw = gibbs.f_conditional
 
@@ -214,17 +217,16 @@ class TestGibbsRun:
             return draw(K, L_K, half_Ky, omega, z)
 
         monkeypatch.setattr(gibbs, "f_conditional", recording)
-        samples = gibbs_run(data, params, iters=40, burn_in=10, thin=2, seed=5)
+        samples = gibbs_run(mm, y, iters=40, burn_in=10, thin=2, seed=5)
         assert np.all(np.isfinite(samples))
         assert samples.shape == (15, 9)
 
-        K_esc = K_raw + extra * np.eye(9)
+        assert len(seen) == 40
+        assert all(K is mm.K_mm and L_K is mm.chol_Kmm for K, L_K, _, _ in seen)
         K, L_K, half_Ky, omega = seen[-1]
-        np.testing.assert_array_equal(K, K_esc)
-        np.testing.assert_allclose(L_K @ L_K.T, K_esc, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(half_Ky, K_esc @ (0.5 * data.y), rtol=1e-12)
-        _, AC = _draw_maps(K, omega, data.y, L_K=L_K)
-        _, Sw_ref = f_conditional_dense(K_esc, omega, data.y)
+        np.testing.assert_array_equal(half_Ky, mm.K_mm @ (0.5 * y))
+        _, AC = _draw_maps(K, omega, y, L_K=L_K)
+        _, Sw_ref = f_conditional_dense(mm.K_mm, omega, y)
         np.testing.assert_allclose(AC @ AC.T, Sw_ref, rtol=1e-9, atol=1e-12)
 
 

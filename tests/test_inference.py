@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky, lapack
 from scipy.special import expit as sigmoid
 
@@ -26,7 +28,7 @@ from pggpc.inference import (
     natural_gradient,
 )
 from pggpc.kernel import (FactorizationError, GramBundle, GramRows, KernelParams, build_gram,
-                          factorize, kern_grad, kern_matrix)
+                          factorize, kern_grad)
 from pggpc.model import Dataset, init_state
 from pggpc.prediction import _ROW_BLOCK, class_prob, latent_predict
 
@@ -42,6 +44,7 @@ from oracles import (
     gibbs_mackay_bound,
     gram_rows,
     hyper_weights_dense,
+    kern_matrix,
     prior_state,
     tilts,
 )
@@ -638,6 +641,8 @@ class TestTrainConfig:
         ("conv_threshold", float("nan")),
         ("adam_lr", float("inf")),
         ("seed", -1),
+        ("batch_size", 0),
+        ("batch_size", -3),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
@@ -1005,6 +1010,40 @@ def test_label_flip_negates_eta1_and_leaves_the_rest_bit_identical(kwargs, logis
     p_a = class_prob(*latent_predict(a.state, X_test))
     p_b = class_prob(*latent_predict(b.state, X_test))
     np.testing.assert_allclose(p_b, 1.0 - p_a, rtol=0.0, atol=1e-15)
+
+
+@st.composite
+def _flip_cases(draw):
+    """A small dataset and a TrainConfig under the natural-parameter rule."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, draw(st.integers(1, 4))))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    config = TrainConfig(
+        num_inducing=draw(st.integers(1, n)),
+        batch_size=draw(st.integers(1, n)),
+        max_iters=draw(st.integers(0, 30)),
+        fixed_lr=draw(st.sampled_from([None, 0.3, 1.0])),
+        hyper_every=draw(st.integers(0, 5)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return Dataset(X=X, y=y), config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_flip_cases())
+def test_label_flip_negates_eta1_over_the_config_space(case):
+    # The parametrized test above at three configurations, here over the
+    # step rules, hyperparameter schedules and batch, inducing and data sizes.
+    ds, config = case
+    a = fit(ds, config)
+    b = fit(Dataset(X=ds.X, y=-ds.y), config)
+    assert np.array_equal(b.state.eta1, -a.state.eta1)
+    assert np.array_equal(b.state.eta2, a.state.eta2)
+    assert b.state.params == a.state.params
+    cols = [a.trace_columns.index(name) for name in ("iter", "elbo_estimate", "rho")]
+    assert np.array_equal(b.trace[:, cols], a.trace[:, cols])
+    assert (b.final_elbo, b.n_iters) == (a.final_elbo, a.n_iters)
 
 
 def _relative_gap(a, b):

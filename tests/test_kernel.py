@@ -18,11 +18,10 @@ from pggpc.kernel import (
     chol_with_escalation,
     factorize,
     kern_grad,
-    kern_matrix,
 )
 from pggpc.prediction import _ROW_BLOCK
 
-from oracles import kern, kern_grad_dense, sq_dists
+from oracles import kern, kern_grad_dense, kern_matrix, sq_dists
 
 EXP_NEG_1 = 0.3678794411714423216  # kernel value at squared distance 2, a = l = 1
 

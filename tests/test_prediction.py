@@ -9,12 +9,12 @@ from scipy.special import expit as sigmoid
 from scipy.special import ndtr
 
 from pggpc import kernel
-from pggpc.kernel import KernelParams, factorize, kern_matrix
+from pggpc.kernel import KernelParams, factorize
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
 from pggpc.prediction import _ROW_BLOCK, EvalReport, class_prob, evaluate, latent_predict
 
-from oracles import prior_state
+from oracles import kern_matrix, prior_state
 
 # Reference values computed with 40-digit quadrature of the logistic-Gaussian
 # integral; frozen here so regressions in the rule are caught exactly.
