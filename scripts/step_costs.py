@@ -55,7 +55,6 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg import solve_triangular  # noqa: E402
 
-from pggpc.data import MiniBatch  # noqa: E402
 from pggpc.inference import (  # noqa: E402
     TrainConfig, elbo, fit, hyper_grad, local_update, natural_gradient,
 )
@@ -118,8 +117,8 @@ def _point(n, m, s, d, reps, seed=0):
     fits = [fit(ds, config) for _ in range(FITS)]
     hyper_fits = [fit(ds, replace(config, hyper_every=HYPER_EVERY)) for _ in range(FITS)]
     state = fits[0].state
-    batch = MiniBatch(indices=rng.choice(n, s, replace=False), scale=n / s)
-    Xb, yb = ds.X[batch.indices], ds.y[batch.indices]
+    idx = rng.choice(n, s, replace=False)
+    Xb, yb, scale = ds.X[idx], ds.y[idx], n / s
     gram = build_gram(Xb, state.mm)
     kmu, var = gram.marginals(state.mu, state.Sigma)
     c = local_update(kmu, var)
@@ -129,12 +128,12 @@ def _point(n, m, s, d, reps, seed=0):
         "build_gram": _median_ms(lambda: build_gram(Xb, state.mm), reps),
         "kappa": _median_ms(lambda: gram.K_nm @ state.mm.Kmm_inv, reps),
         "marginals": _median_ms(lambda: gram.marginals(state.mu, state.Sigma), reps),
-        "natural_gradient": _median_ms(lambda: natural_gradient(state, ds, batch, gram, c),
+        "natural_gradient": _median_ms(lambda: natural_gradient(state, gram, yb, c, scale),
                                        reps),
         "natural_to_moments": _median_ms(lambda: natural_to_moments(state.eta1, state.eta2),
                                          reps),
-        "elbo": _median_ms(lambda: elbo(state, yb, c, kmu, var, batch.scale), reps),
-        "hyper_grad": _median_ms(lambda: hyper_grad(state, ds, batch, gram, c), reps),
+        "elbo": _median_ms(lambda: elbo(state, yb, c, kmu, var, scale), reps),
+        "hyper_grad": _median_ms(lambda: hyper_grad(state, gram, yb, c, scale), reps),
         "factorize": _median_ms(lambda: factorize(state.Z, state.params), reps),
     }
     return {"grid": {"n": n, "m": m, "s": s, "d": d}, "ms_per_call": ms,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -177,11 +178,15 @@ def _build_parser():
     return parser
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")  # config booleans
+
+
 def _apply_config_file(argv, parser):
     """Expand ``--config FILE`` into flags inserted right after the subcommand.
 
     The file holds one ``key=value`` per line (``#`` comments allowed); each
-    key is an option of the subcommand without the leading dashes.  Flags
+    key is an option of the subcommand without the leading dashes, and a
+    switch takes 1/true/yes/on or 0/false/no/off in any case.  Flags
     given on the command line come later in argv, so they override the file.
     """
     path = None
@@ -213,8 +218,10 @@ def _apply_config_file(argv, parser):
                 raise ValueError(f"{path}:{lineno}: {key!r} is not an option of {argv[0]} "
                                  "that a config file can set")
             if isinstance(action, argparse.BooleanOptionalAction):  # --x / --no-x
-                truthy = value.lower() in ("1", "true", "yes", "on")
-                extra.append(action.option_strings[0 if truthy else 1])
+                if value.lower() not in _TRUE + _FALSE:
+                    raise ValueError(f"{path}:{lineno}: {key!r} takes one of "
+                                     f"{'/'.join(_TRUE)} or {'/'.join(_FALSE)}, got {value!r}")
+                extra.append(action.option_strings[0 if value.lower() in _TRUE else 1])
             else:
                 extra.extend([flag, value])
     return [argv[0]] + extra + argv[1:]
@@ -254,8 +261,7 @@ def _train_config(args, n, d, m, seed=None):
         heldout_frac=args.heldout_frac,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
     )
-    config.num_inducing = min(config.num_inducing, n - config.heldout_rows(n))
-    return config
+    return replace(config, num_inducing=min(m, n - config.heldout_rows(n)))
 
 
 def cmd_train(args):

@@ -31,34 +31,15 @@ __all__ = [
     "Standardizer",
     "kfold",
     "minibatch_iter",
-    "MiniBatch",
     "canonical_order",
 ]
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    """A without-replacement mini-batch and its ELBO rescaling factor.
-
-    Attributes
-    ----------
-    indices : ndarray of int
-        Distinct row indices into the training set.
-    scale : float
-        Exactly n / |S|, the factor that makes batch sums unbiased for
-        full-data sums.
-    """
-
-    indices: np.ndarray
-    scale: float
-
-
 def minibatch_iter(n, s, seed):
-    """Endless stream of mini-batches, reshuffled each epoch.
+    """Endless stream of mini-batches' row indices, reshuffled each epoch.
 
     Within an epoch the batches partition {0..n-1} (sampling without
-    replacement); the final batch of an epoch may be short and carries its
-    own exact scale factor.
+    replacement); the final batch of an epoch may be short.
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= batch size <= n, got s={s}, n={n}")
@@ -66,8 +47,7 @@ def minibatch_iter(n, s, seed):
     while True:
         perm = rng.permutation(n)
         for start in range(0, n, s):
-            chunk = perm[start : start + s]
-            yield MiniBatch(indices=chunk, scale=n / chunk.size)
+            yield perm[start : start + s]
 
 
 def kfold(n, k, seed):

@@ -57,7 +57,7 @@ _RATE_TAU0 = 1.0  # AdaptiveRate: initial window
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the SVI training loop; the one definition of their defaults.
 
@@ -68,7 +68,9 @@ class TrainConfig:
     otherwise that fraction of the rows is held out, and training converges
     when the average relative held-out NLL change drops below
     ``HELDOUT_THRESHOLD``.  The step size is :class:`AdaptiveRate` when
-    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise.
+    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise.  It is
+    frozen, as only construction validates it: ``dataclasses.replace``
+    gives a changed copy, validated again.
     """
 
     num_inducing: int = 100  # k-means++ on at most max(2000, 20 m) sampled rows
@@ -169,7 +171,7 @@ def local_update(kmu, var):
     return np.sqrt(np.maximum(var + kmu * kmu, 0.0))
 
 
-def natural_gradient(state, dataset, batch, gram, c):
+def natural_gradient(state, gram, y, c, scale):
     """Mini-batch natural gradient of the bound in (eta1, eta2).
 
     g1 = (n / 2s) kappa_S^T y_S - eta1
@@ -179,17 +181,19 @@ def natural_gradient(state, dataset, batch, gram, c):
     R^T R with R = (n Theta_S / 2s)^{1/2} kappa_S, which NumPy computes by
     SYRK, so it is exactly symmetric, and so is G2 when eta2 is; with the
     factorization's -1/2 K_mm^{-1}, G2 takes two m x m passes after it.
-    The full-data gradient is the batch ``MiniBatch(np.arange(n), 1.0)``.
+    The full-data gradient takes every row, its tilts and scale 1.0.
 
     Parameters
     ----------
     state : VariationalState
-    dataset : Dataset
-    batch : MiniBatch
     gram : GramRows
         The batch rows against ``state.mm``.
+    y : ndarray, shape (s,)
+        Labels of the batch rows.
     c : ndarray, shape (s,)
         Tilts of the batch rows.
+    scale : float
+        n/s, which makes the batch's sums unbiased for the full-data ones.
 
     Returns
     -------
@@ -197,8 +201,8 @@ def natural_gradient(state, dataset, batch, gram, c):
         g1 of shape (m,) and G2 of shape (m, m).
     """
     kappa = gram.kappa
-    g1 = 0.5 * batch.scale * (kappa.T @ dataset.y[batch.indices]) - state.eta1
-    R = kappa * np.sqrt(0.5 * batch.scale * theta(c))[:, None]
+    g1 = 0.5 * scale * (kappa.T @ y) - state.eta1
+    R = kappa * np.sqrt(0.5 * scale * theta(c))[:, None]
     G2 = R.T @ R
     np.subtract(state.mm.neg_half_Kmm_inv, G2, out=G2)
     G2 -= state.eta2
@@ -282,11 +286,12 @@ class AdamState:
         return self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
-def hyper_grad(state, dataset, batch, gram, c):
+def hyper_grad(state, gram, y, c, scale):
     """Mini-batch gradient of the bound in (log l, log a, log jitter).
 
     Differentiates the bound through K_mm, kappa, and Ktilde while holding
-    (mu, Sigma) and the batch tilts c fixed.  With B = K_mm^{-1}, mu~ = B mu,
+    (mu, Sigma) and the batch tilts c fixed; the batch is given as in
+    :func:`natural_gradient`.  With B = K_mm^{-1}, mu~ = B mu,
     M = Sigma + mu mu^T and Theta = diag(theta(c)), the bound's derivative
     against any kernel perturbation (dK_mm, dK_nm, dk_diag) is
 
@@ -300,11 +305,10 @@ def hyper_grad(state, dataset, batch, gram, c):
 
     contracted with the derivatives at ``state.mm`` and the batch rows by
     :func:`~pggpc.kernel.kern_grad`.  The data parts (kappa^T y and
-    kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s as
-    in :func:`natural_gradient`, so the estimate is unbiased for the
-    full-data gradient, the batch ``MiniBatch(np.arange(n), 1.0)``; the
-    Gaussian KL part is exact.  P_K and P_A are formed in factored form:
-    with MB = M B and W = Theta kappa MB - (Theta kappa + y mu~^T) / 2,
+    kappa^T Theta kappa in P_K, all of P_A and p_diag) are scaled by n/s, so
+    the estimate is unbiased for the full-data gradient (every row, scale
+    1.0); the Gaussian KL part is exact.  P_K and P_A are formed in
+    factored form: with MB = M B and W = Theta kappa MB - (Theta kappa + y mu~^T) / 2,
 
         P_K = (B MB - B) / 2 + (n/s) kappa^T W,    P_A = (n/s) (Theta kappa / 2 - W),
 
@@ -315,8 +319,6 @@ def hyper_grad(state, dataset, batch, gram, c):
     ndarray, shape (3,)
         Ordered as KernelParams.as_array().
     """
-    idx = batch.indices
-    X, y, scale = dataset.X[idx], dataset.y[idx], batch.scale
     B, mu = state.mm.Kmm_inv, state.mu
     MB = (state.Sigma + np.outer(mu, mu)) @ B
     th = theta(c)
@@ -324,48 +326,50 @@ def hyper_grad(state, dataset, batch, gram, c):
     W = Tk @ MB - 0.5 * (Tk + np.outer(y, B @ mu))
     P_K = 0.5 * (B @ MB - B) + scale * (gram.kappa.T @ W)
     P_A = scale * (0.5 * Tk - W)
-    return kern_grad(state.mm, gram, X, P_K, P_A, -0.5 * scale * th)
+    return kern_grad(state.mm, gram, P_K, P_A, -0.5 * scale * th)
 
 
-def hyper_step(state, dataset, adam, batch, gram, c):
+def hyper_step(state, adam, gram, y, c, scale):
     """One Adam ascent step on the kernel hyperparameters.
 
     q(u) and the batch tilts c are held fixed; the gradient is
-    :func:`hyper_grad` on the batch, its rows and c.  If the proposal is
-    out of ``KernelParams``' range, or the factorization fails at it even
-    after jitter escalation, the step is reverted and the Adam rate halved.
+    :func:`hyper_grad` on the batch.  If the proposal is out of
+    ``KernelParams``' range, or the factorization fails at it even after
+    jitter escalation, the step is reverted and the Adam rate halved.
 
     Returns
     -------
-    (KernelParams, GramBundle)
-        The accepted parameters and the K_mm factorization at ``state.Z``
-        and them, ``(mm.params, mm)``: a new one, or ``state.mm`` on a
-        revert.  The caller puts ``mm`` into the state.
+    (KernelParams, VariationalState)
+        The accepted parameters and the next state: ``state`` with q(u)
+        kept and the K_mm factorization at ``state.Z`` and the new
+        parameters, or ``state`` itself on a revert.
     """
-    grad = hyper_grad(state, dataset, batch, gram, c)
+    grad = hyper_grad(state, gram, y, c, scale)
     try:
         mm = factorize(state.Z, KernelParams.from_array(state.params.as_array() + adam.step(grad)))
-        return mm.params, mm
     except (ValueError, FactorizationError):  # ValueError: the proposal is out of range
         adam.lr *= 0.5
-        return state.params, state.mm
+        return state.params, state
+    return mm.params, replace(state, mm=mm)
 
 
 def fit(dataset, config):
     """Train the sparse variational classifier by natural-gradient SVI.
 
-    Each iteration draws a without-replacement mini-batch, computes its
-    q(f) marginals once, takes from them the batch's tilts at their
-    closed-form optimum and the trace's bound estimate, and takes a
-    natural-gradient step of size rho on (eta1, eta2).  Every
-    ``hyper_every`` iterations it then retakes the batch's tilts from the
-    marginals at the new (mu, Sigma) and takes one Adam step on the kernel
-    hyperparameters from the same batch rows' n/s-scaled gradient, so an
-    iteration costs O(s m^2 + m^3) whatever n is (plus the held-out scoring
-    when requested).  K_mm is factorized once per hyperparameter value and
-    held by the state as ``mm``, which carries Z and the parameters; an
-    accepted Adam step replaces ``mm``.  Convergence is a sliding-window
-    average either of the relative natural-parameter change or, when
+    Each iteration draws the row indices S of a without-replacement
+    mini-batch (the last of an epoch may be short), reads its labels,
+    n/|S| and Gram rows once, computes its q(f) marginals once, takes from
+    them the batch's tilts at their closed-form optimum and the trace's
+    bound estimate, and takes a natural-gradient step of size rho on (eta1,
+    eta2).  Every ``hyper_every`` iterations it then retakes the batch's
+    tilts from the marginals at the new (mu, Sigma) and takes one Adam step
+    on the kernel hyperparameters from the same batch rows' n/|S|-scaled
+    gradient, so an iteration costs O(s m^2 + m^3) whatever n is (plus the
+    held-out scoring when requested).  K_mm is factorized once per
+    hyperparameter value and held by the state as ``mm``, which carries Z
+    and the parameters; :func:`hyper_step` returns the state with the
+    accepted step's ``mm``.  Convergence is a sliding-window average either
+    of the relative natural-parameter change or, when
     ``config.heldout_frac`` holds rows out, of the relative held-out NLL
     change.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
@@ -381,7 +385,7 @@ def fit(dataset, config):
         Trained state, the bound over every training row, the trace
         array with columns ``(iter, wall_seconds, elbo_estimate, rho)``,
         and convergence info.  The ``elbo_estimate`` of row t is the batch
-        bound (data terms scaled by n/s) at the state entering iteration t,
+        bound (data terms scaled by n/|S|) at the state entering iteration t,
         with that batch's optimal tilts; ``wall_seconds`` is read after the
         iteration's step.
     """
@@ -428,13 +432,13 @@ def fit(dataset, config):
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        batch = next(batches)
-        idx = batch.indices
+        idx = next(batches)
+        y, scale = train.y[idx], train.n / idx.size
         gram_b = build_gram(train.X[idx], state.mm)
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
         c = local_update(kmu, var)
-        est = elbo(state, train.y[idx], c, kmu, var, batch.scale)
-        g1, G2 = natural_gradient(state, train, batch, gram_b, c)
+        est = elbo(state, y, c, kmu, var, scale)
+        g1, G2 = natural_gradient(state, gram_b, y, c, scale)
         if config.fixed_lr is None:
             rho, g_sq = rate.observe(g1, G2), rate.sq_norm
         else:
@@ -447,7 +451,7 @@ def fit(dataset, config):
 
         if config.hyper_every and it % config.hyper_every == 0:
             c = local_update(*gram_b.marginals(state.mu, state.Sigma))  # at the new q(u)
-            state = replace(state, mm=hyper_step(state, train, adam, batch, gram_b, c)[1])
+            state = hyper_step(state, adam, gram_b, y, c, scale)[1]
 
         if heldout is None:
             window.append(rel_change)

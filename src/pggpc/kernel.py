@@ -141,9 +141,9 @@ class _Inducing:
 
 
 def _cross(X, inducing, params, same=False):
-    """The kernel matrix between the rows X and an ``_Inducing``'s Z; with ``same=True``
-    (X is Z's own point list) the jitter is added on the diagonal."""
-    K = inducing.neg_half_sq(inducing.rows(X))
+    """The kernel matrix between the rows X, taken by ``inducing.rows``, and its Z;
+    with ``same=True`` (X is Z's own point list) the jitter is added on the diagonal."""
+    K = inducing.neg_half_sq(X)
     np.exp(K, out=K)
     K *= params.amplitude**2
     if same:
@@ -246,6 +246,8 @@ class GramRows:
 
     Attributes
     ----------
+    X : ndarray, shape (n, d)
+        The batch rows as the kernel reads them: ``_Inducing.rows`` of the inputs.
     K_nm : ndarray, shape (n, m)
         Cross-kernel between the batch and the inducing inputs (no jitter).
     kappa : ndarray, shape (n, m)
@@ -254,6 +256,7 @@ class GramRows:
         Residual diagonal K_ii - kappa_i K_mm kappa_i^T, clamped at 0.
     """
 
+    X: np.ndarray
     K_nm: np.ndarray
     kappa: np.ndarray
     ktilde: np.ndarray
@@ -272,7 +275,7 @@ class GramRows:
 def factorize(Z, params):
     """The GramBundle at inducing inputs Z, shape (m, d), and ``params``."""
     inducing = _Inducing(Z, params.lengthscale)
-    K_mm = _cross(Z, inducing, params, same=True)
+    K_mm = _cross(inducing.rows(Z), inducing, params, same=True)
     L, extra = chol_with_escalation(K_mm, params.jitter)
     if extra:
         K_mm = K_mm + extra * np.eye(K_mm.shape[0])
@@ -283,23 +286,26 @@ def factorize(Z, params):
 
 
 def build_gram(X, mm):
-    """The rows X, shape (s, d), against the factorization ``mm``: K_nm, kappa, Ktilde."""
+    """The rows X, shape (s, d), against the factorization ``mm``: the rows in
+    kernel units, K_nm, kappa and Ktilde."""
+    X = mm.inducing.rows(X)
     K_nm = _cross(X, mm.inducing, mm.params)
     kappa = K_nm @ mm.Kmm_inv
     ktilde = np.maximum(mm.k_diag - np.sum(kappa * K_nm, axis=1), 0.0)
-    return GramRows(K_nm, kappa, ktilde)
+    return GramRows(X, K_nm, kappa, ktilde)
 
 
-def kern_grad(mm, rows, X, P_K, P_A, p_diag):
+def kern_grad(mm, rows, P_K, P_A, p_diag):
     """<P_K, dK_mm> + <P_A, dK_nm> + p_diag . dk_diag per log hyperparameter.
 
-    The derivatives of (K_mm, K_nm, k_diag) at ``mm`` and its ``rows`` X are
+    The derivatives of (K_mm, K_nm, k_diag) at ``mm`` and its Gram ``rows`` are
     (S_mm o D_mm, S_nm o D_nm, 0) in log l, (2 S_mm, 2 S_nm, 2 a^2) in log a
     and (jitter I, 0, jitter) in log jitter.  D holds the squared distances
-    in units of l, -2 ``neg_half_sq`` of ``mm.inducing`` (so no square
-    overflows), the only kernel work done here; S is read from K_nm, and
-    from K_mm less its jitter ``mm.params.jitter + mm.jitter_extra``.
-    Returns shape (3,), ordered as KernelParams.as_array().
+    in units of l, -2 ``neg_half_sq`` of ``mm.inducing`` at its Z and at
+    ``rows.X`` (so no square overflows), the only kernel work done here; S
+    is read from K_nm, and from K_mm less its jitter ``mm.params.jitter +
+    mm.jitter_extra``.  Returns shape (3,), ordered as
+    KernelParams.as_array().
     """
     S_mm = mm.K_mm.copy()
     S_mm[np.diag_indices_from(S_mm)] -= mm.params.jitter + mm.jitter_extra
@@ -308,7 +314,7 @@ def kern_grad(mm, rows, X, P_K, P_A, p_diag):
     inducing = mm.inducing
     D_mm = inducing.neg_half_sq(inducing.Z)
     np.fill_diagonal(D_mm, 0.0)  # z to itself: exactly 0, not the expanded form's round-off
-    D_nm = inducing.neg_half_sq(inducing.rows(X))
+    D_nm = inducing.neg_half_sq(rows.X)
     D_mm *= PS_mm
     D_nm *= PS_nm
     return np.array([

@@ -38,6 +38,7 @@ from .kernel import _cross
 __all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
 
 QUAD_ORDER = 20  # Gauss-Hermite nodes of the predictive class probability
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_ORDER)
 # Rows per GEMM in latent_predict, so its scratch is O(block * m), not O(n * m).
 _ROW_BLOCK = 512
 
@@ -76,7 +77,7 @@ def latent_predict(state, x_star):
     mu_star = np.empty(X.shape[0])
     var_star = np.full(X.shape[0], mm.k_diag)
     for lo in range(0, X.shape[0], _ROW_BLOCK):
-        K = _cross(X[lo:lo + _ROW_BLOCK], mm.inducing, mm.params)
+        K = _cross(mm.inducing.rows(X[lo:lo + _ROW_BLOCK]), mm.inducing, mm.params)
         mu_star[lo:lo + _ROW_BLOCK] = K @ alpha
         var_star[lo:lo + _ROW_BLOCK] += np.einsum("ij,ij->i", K @ B, K)
     np.maximum(var_star, 1e-12, out=var_star)
@@ -129,10 +130,10 @@ def _step_expansion_prob(mu, sd):
     return ndtr(z) - (np.pi**2 / 6.0) * z * np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sd * sd)
 
 
-def class_prob(mu_star, var_star, order=QUAD_ORDER):
+def class_prob(mu_star, var_star):
     """p(y* = +1) = integral of sigma(f) N(f | mu*, sigma*^2) df by quadrature.
 
-    Variances up to 1.0625 take Gauss-Hermite with ``order`` nodes.  Wider
+    Variances up to 1.0625 take Gauss-Hermite with ``QUAD_ORDER`` nodes.  Wider
     Gaussians take the trapezoid rule with step 0.5 in f - mu* over
     +/- 9 sigma*, weighted by the Gaussian density normalised per row; it
     converges geometrically because the logistic is analytic in
@@ -146,16 +147,12 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
     Parameters
     ----------
     mu_star, var_star : float or array_like
-    order : int, optional
-        Gauss-Hermite nodes of the narrow branch, at least 1.
 
     Returns
     -------
     float or ndarray
         Probabilities in (0, 1).
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be an integer of at least 1, got {order}")
     mu = np.asarray(mu_star, dtype=float)
     var = np.asarray(var_star, dtype=float)
     if np.any(var < 0.0):
@@ -167,9 +164,8 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
 
     narrow = var_flat <= _SINGLE_RULE_VAR
     if narrow.any():
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-        f = mu_flat[narrow, None] + np.sqrt(2.0 * var_flat[narrow])[:, None] * nodes
-        out[narrow] = expit(f) @ weights * (1.0 / np.sqrt(np.pi))
+        f = mu_flat[narrow, None] + np.sqrt(2.0 * var_flat[narrow])[:, None] * _GH_NODES
+        out[narrow] = expit(f) @ _GH_WEIGHTS * (1.0 / np.sqrt(np.pi))
     vast = var_flat > _TRAP_MAX_VAR
     if vast.any():
         out[vast] = _step_expansion_prob(mu_flat[vast], np.sqrt(var_flat[vast]))
@@ -182,15 +178,16 @@ def class_prob(mu_star, var_star, order=QUAD_ORDER):
 def evaluate(state, test_set):
     """Error rate and mean negative log predictive likelihood on a test set.
 
-    A point counts as an error when sign(p_pos - 1/2) differs from its
-    label; probabilities are floored at 1e-12 before the log.  Like
+    A point counts as an error when its predicted label, +1 where
+    p_pos >= 1/2 and -1 elsewhere (as ``pggpc predict`` labels it), differs
+    from its label; probabilities are floored at 1e-12 before the log.  Like
     :func:`latent_predict`, it reads the state's K_mm factorization.
     """
     if test_set.n == 0:
         raise ValueError("empty test set")
     mu, var = latent_predict(state, test_set.X)
     p_pos = class_prob(mu, var)
-    error = float(np.mean(np.sign(p_pos - 0.5) != test_set.y))
+    error = float(np.mean(np.where(p_pos >= 0.5, 1.0, -1.0) != test_set.y))
     p_label = np.where(test_set.y > 0, p_pos, 1.0 - p_pos)
     nll = float(-np.mean(np.log(np.maximum(p_label, 1e-12))))
     return EvalReport(error_rate=error, mean_nll=nll, n=test_set.n)

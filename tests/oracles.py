@@ -5,17 +5,18 @@ full-GP bound two ways, the sparse bound over every row from the blocked
 predictive pass and again from Gram rows for every row, the Euclidean
 gradients of the bound, the six-term weights that contract the Gram-matrix
 derivatives into the hyperparameter gradient, the dense Gram-matrix
-derivatives in each log hyperparameter, the general-b Polya-Gamma mean,
+derivatives in each log hyperparameter, the class probability by a
+100-node Gauss-Hermite rule, the general-b Polya-Gamma mean,
 the truncated gamma-series Polya-Gamma sampler, the single-point kernel,
 the squared distances about the origin, the moment-to-natural parameter
 map, the k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd
 steps of k-means++ by one mask per cluster, and the dense mean and
 covariance of the Gibbs f-draw.  The dense kernel matrix between two row
-sets by the library's own arithmetic, the state copy, the state at other kernel
-parameters with K_mm factorized afresh, the state at other moments of
-q(u), the prior state at k-means++ inducing inputs, the full-data batch,
-the Gram rows of some inputs, the optimal tilts at them and the inverse
-standardization live here too, since only tests need them.
+sets by the library's own arithmetic, the state copy, the state at other
+kernel parameters with K_mm factorized afresh, the state at other moments
+of q(u), the prior state at k-means++ inducing inputs, the Gram rows of
+some inputs, the optimal tilts at them and the inverse standardization
+live here too, since only tests need them.
 """
 
 from dataclasses import replace
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.special import expit as sigmoid
 
-from pggpc.data import MiniBatch
 from pggpc.inference import elbo, local_update
 from pggpc.kernel import _cross, _Inducing, build_gram, chol_with_escalation, factorize
 from pggpc.model import init_state, kmeanspp_init
@@ -70,7 +70,8 @@ def kern_matrix(X, Z, params, same=False):
     ``same=True`` the two sets are taken to be identical point lists and the
     jitter is added on the diagonal.
     """
-    return _cross(X, _Inducing(Z, params.lengthscale), params, same)
+    inducing = _Inducing(Z, params.lengthscale)
+    return _cross(inducing.rows(X), inducing, params, same)
 
 
 def sq_dists(X, Z):
@@ -105,6 +106,15 @@ def kern_grad_dense(X, Z, params):
         "log_amplitude": (2.0 * S_mm, 2.0 * S_nm, np.full(n, 2.0 * a2)),
         "log_jitter": (params.jitter * np.eye(m), np.zeros((n, m)), np.full(n, params.jitter)),
     }
+
+
+def gauss_hermite_prob(mu, var):
+    """p(y = +1) under N(mu, var) by 100-node Gauss-Hermite: ``class_prob``'s
+    narrow rule, which takes ``QUAD_ORDER`` nodes, refined."""
+    mu, var = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(var, dtype=float))
+    nodes, weights = np.polynomial.hermite.hermgauss(100)
+    f = mu[..., None] + np.sqrt(2.0 * var)[..., None] * nodes
+    return sigmoid(f) @ weights * (1.0 / np.sqrt(np.pi))
 
 
 def pg_mean(b, c):
@@ -217,11 +227,6 @@ def at_moments(state, mu=None, Sigma=None):
 def prior_state(dataset, m, params, rng):
     """``init_state`` at m k-means++ inducing inputs drawn with ``rng``."""
     return init_state(kmeanspp_init(dataset.X, m, rng), params)
-
-
-def every_row(dataset):
-    """The full-data batch: every row, unscaled."""
-    return MiniBatch(indices=np.arange(dataset.n), scale=1.0)
 
 
 def gram_rows(state, X):

@@ -635,6 +635,31 @@ class TestConfigFile:
         assert code == 1
         assert "expected key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["ture", "", "2"])
+    def test_unrecognised_boolean_is_one_error_line(self, value, blob_files, tmp_path, capsys):
+        # Each turned standardization off: train exited 0 and wrote a
+        # checkpoint with no preprocess block.
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"seed=1\nstandardize={value}\n")
+        out_dir = tmp_path / "out"
+        code = main(["train", "--data", blob_files["libsvm"], "--config", str(cfg),
+                     "--out-dir", str(out_dir), *FAST])
+        assert code == 1
+        line = _one_error_line(capsys)
+        assert "bool.cfg:2:" in line and "standardize" in line
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value, flag", [
+        *((v, "--standardize") for v in ("1", "TRUE", "Yes", "on")),
+        *((v, "--no-standardize") for v in ("0", "False", "NO", "off")),
+    ])
+    def test_recognised_booleans_in_any_case(self, value, flag, tmp_path):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"standardize={value}\n")
+        argv = cli._apply_config_file(["train", "--data", "x", "--config", str(cfg)],
+                                      _build_parser())
+        assert argv == ["train", flag, "--data", "x", "--config", str(cfg)]
+
 
 @pytest.mark.parametrize("command, key", [
     ("train", "conv=heldout"),  # an option that no longer exists

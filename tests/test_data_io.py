@@ -325,24 +325,20 @@ class TestMinibatchIter:
         n, s = 17, 5
         stream = minibatch_iter(n, s, seed=0)
         epoch = [next(stream) for _ in range(4)]  # ceil(17/5) = 4 batches
-        sizes = [b.indices.size for b in epoch]
-        assert sizes == [5, 5, 5, 2]
-        for b in epoch:
-            assert b.scale == n / b.indices.size
-        combined = np.concatenate([b.indices for b in epoch])
+        assert [b.size for b in epoch] == [5, 5, 5, 2]
+        combined = np.concatenate(epoch)
         np.testing.assert_array_equal(np.sort(combined), np.arange(n))
 
     def test_epochs_are_reshuffled(self):
         stream = minibatch_iter(50, 50, seed=1)
         first, second = next(stream), next(stream)
-        assert first.scale == 1.0
-        assert not np.array_equal(first.indices, second.indices)
-        np.testing.assert_array_equal(np.sort(second.indices), np.arange(50))
+        assert not np.array_equal(first, second)
+        np.testing.assert_array_equal(np.sort(second), np.arange(50))
 
     def test_deterministic_in_seed(self):
         a = [next(minibatch_iter(20, 7, seed=5)) for _ in range(1)][0]
         b = [next(minibatch_iter(20, 7, seed=5)) for _ in range(1)][0]
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError, match="batch size"):

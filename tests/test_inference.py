@@ -1,7 +1,7 @@
 """Tests for the bound, local/global updates, learning rates, and training."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy.special import expit as sigmoid
 import pggpc.inference as inference
 import pggpc.kernel as kernel
 import pggpc.model as model
-from pggpc.data import MiniBatch, minibatch_iter
+from pggpc.data import minibatch_iter
 from pggpc.inference import (
     AdamState,
     AdaptiveRate,
@@ -38,7 +38,6 @@ from oracles import (
     elbo_grad_mu,
     elbo_grad_sigma,
     elbo_kappa_form,
-    every_row,
     full_elbo,
     gauss_part,
     gibbs_mackay_bound,
@@ -66,7 +65,7 @@ def _warmed_state(ds, state, steps=3, rho=0.5):
     for _ in range(steps):
         gram = gram_rows(state, ds.X)
         c = local_update(*gram.marginals(state.mu, state.Sigma))
-        state = global_step(state, *natural_gradient(state, ds, every_row(ds), gram, c), rho)
+        state = global_step(state, *natural_gradient(state, gram, ds.y, c, 1.0), rho)
     return state, tilts(state, ds.X)
 
 
@@ -164,7 +163,7 @@ def test_natural_gradient_matches_dense_formulas():
     ds, state = _toy_problem(n=25, m=4, seed=3)
     state, c = _warmed_state(ds, state)
     gram = gram_rows(state, ds.X)
-    g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
+    g1, G2 = natural_gradient(state, gram, ds.y, c, 1.0)
 
     K_mm = state.mm.K_mm
     kappa = build_gram(ds.X, state.mm).kappa
@@ -183,14 +182,14 @@ def test_gradients_use_the_tilts_they_are_given():
     state, c_opt = _warmed_state(ds, state)
     c = 1.7 * c_opt + 0.3
     gram = gram_rows(state, ds.X)
-    g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
+    g1, G2 = natural_gradient(state, gram, ds.y, c, 1.0)
     th = np.tanh(0.5 * c) / (2.0 * c)
     G2_ref = -0.5 * (np.linalg.inv(state.mm.K_mm) + gram.kappa.T @ np.diag(th) @ gram.kappa)
     np.testing.assert_allclose(g1, 0.5 * gram.kappa.T @ ds.y - state.eta1, rtol=1e-9, atol=1e-11)
     np.testing.assert_allclose(G2, G2_ref - state.eta2, rtol=1e-7, atol=1e-9)
-    assert not np.allclose(G2, natural_gradient(state, ds, every_row(ds), gram, c_opt)[1])
+    assert not np.allclose(G2, natural_gradient(state, gram, ds.y, c_opt, 1.0)[1])
 
-    grad = hyper_grad(state, ds, every_row(ds), gram, c)
+    grad = hyper_grad(state, gram, ds.y, c, 1.0)
     h = 1e-6
     for i in range(3):
         vp, vm = state.params.as_array(), state.params.as_array()
@@ -200,7 +199,7 @@ def test_gradients_use_the_tilts_they_are_given():
         sm = at_params(state, KernelParams.from_array(vm))
         fd = (full_elbo(sp, ds, c) - full_elbo(sm, ds, c)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
-    assert not np.allclose(grad, hyper_grad(state, ds, every_row(ds), gram, c_opt), rtol=1e-3)
+    assert not np.allclose(grad, hyper_grad(state, gram, ds.y, c_opt, 1.0), rtol=1e-3)
 
 
 def test_natural_gradient_identity_with_euclidean_gradients():
@@ -208,7 +207,7 @@ def test_natural_gradient_identity_with_euclidean_gradients():
     # identities in the mean/covariance parameterization.
     ds, state = _toy_problem(n=18, m=4, seed=4)
     state, c = _warmed_state(ds, state)
-    g1, G2 = natural_gradient(state, ds, every_row(ds), gram_rows(state, ds.X), c)
+    g1, G2 = natural_gradient(state, gram_rows(state, ds.X), ds.y, c, 1.0)
     gmu = elbo_grad_mu(state, ds, c)
     gS = elbo_grad_sigma(state, ds, c)
     np.testing.assert_allclose(g1, gmu - 2.0 * gS @ state.mu, rtol=1e-8, atol=1e-10)
@@ -240,10 +239,9 @@ def test_euclidean_gradients_match_finite_differences():
 
 def test_full_batch_unit_step_reaches_fixed_point():
     ds, state = _toy_problem(n=22, m=4, seed=7)
-    batch = every_row(ds)
     gram = gram_rows(state, ds.X)
     c = local_update(*gram.marginals(state.mu, state.Sigma))
-    g1, G2 = natural_gradient(state, ds, batch, gram, c)
+    g1, G2 = natural_gradient(state, gram, ds.y, c, 1.0)
     state = global_step(state, g1, G2, rho=1.0)
 
     th = np.tanh(0.5 * c) / (2.0 * c)
@@ -253,7 +251,7 @@ def test_full_batch_unit_step_reaches_fixed_point():
     np.testing.assert_allclose(state.eta2, target2, rtol=1e-10, atol=1e-12)
 
     # At fixed tilts the coordinate update is idempotent.
-    g1b, G2b = natural_gradient(state, ds, batch, gram, c)
+    g1b, G2b = natural_gradient(state, gram, ds.y, c, 1.0)
     np.testing.assert_allclose(g1b, np.zeros_like(g1b), atol=1e-11)
     np.testing.assert_allclose(G2b, np.zeros_like(G2b), atol=1e-11)
 
@@ -262,7 +260,7 @@ def test_global_step_validates_rate_and_zero_is_noop():
     ds, state = _toy_problem(n=10, m=3, seed=8)
     gram = gram_rows(state, ds.X)
     c = local_update(*gram.marginals(state.mu, state.Sigma))
-    g1, G2 = natural_gradient(state, ds, every_row(ds), gram, c)
+    g1, G2 = natural_gradient(state, gram, ds.y, c, 1.0)
     same = global_step(state, g1, G2, rho=0.0)
     np.testing.assert_array_equal(same.eta1, state.eta1)
     np.testing.assert_array_equal(same.eta2, state.eta2)
@@ -276,10 +274,10 @@ def test_partial_steps_preserve_spd_precision():
     rng = np.random.default_rng(10)
     for _ in range(50):
         idx = rng.choice(ds.n, size=4, replace=False)
-        batch = MiniBatch(indices=idx, scale=ds.n / 4.0)
         gram = gram_rows(state, ds.X[idx])
         c = local_update(*gram.marginals(state.mu, state.Sigma))
-        state = global_step(state, *natural_gradient(state, ds, batch, gram, c), rho=0.3)
+        state = global_step(state, *natural_gradient(state, gram, ds.y[idx], c, ds.n / 4.0),
+                            rho=0.3)
         cholesky(-2.0 * state.eta2, lower=True)  # raises if not SPD
 
 
@@ -289,15 +287,14 @@ def test_epoch_of_minibatch_gradients_averages_to_full_gradient():
     # (at fixed state and tilts).
     ds, state = _toy_problem(n=6, m=3, seed=11)
     state, c = _warmed_state(ds, state)
-    g1_full, G2_full = natural_gradient(state, ds, every_row(ds), gram_rows(state, ds.X), c)
+    g1_full, G2_full = natural_gradient(state, gram_rows(state, ds.X), ds.y, c, 1.0)
 
     perm = np.random.default_rng(12).permutation(6)
     parts = [perm[0:2], perm[2:4], perm[4:6]]
     g1_sum = np.zeros_like(g1_full)
     G2_sum = np.zeros_like(G2_full)
     for idx in parts:
-        b = MiniBatch(indices=idx, scale=3.0)
-        g1, G2 = natural_gradient(state, ds, b, gram_rows(state, ds.X[idx]), c[idx])
+        g1, G2 = natural_gradient(state, gram_rows(state, ds.X[idx]), ds.y[idx], c[idx], 3.0)
         g1_sum += g1
         G2_sum += G2
     np.testing.assert_allclose(g1_sum / 3.0, g1_full, rtol=1e-9, atol=1e-12)
@@ -377,7 +374,7 @@ class TestAdam:
 def test_hyper_grad_matches_finite_differences():
     ds, state = _toy_problem(n=14, m=4, seed=14)
     state, c = _warmed_state(ds, state)
-    grad = hyper_grad(state, ds, every_row(ds), gram_rows(state, ds.X), c)
+    grad = hyper_grad(state, gram_rows(state, ds.X), ds.y, c, 1.0)
     base = state.params.as_array()
     h = 1e-6
     for i in range(3):
@@ -405,13 +402,11 @@ def test_hyper_grad_contracts_the_six_term_weights_at_escalated_jitter():
     ds = Dataset(X=X, y=np.where(rng.random(40) < 0.5, 1.0, -1.0))
     state, _ = _warmed_state(ds, init_state(Z, KernelParams(0.0)))
     assert state.mm.jitter_extra > 0.0
-    batch = MiniBatch(indices=np.arange(0, 40, 4), scale=4.0)
-    Xb = ds.X[batch.indices]
-    gram = build_gram(Xb, state.mm)
+    idx = np.arange(0, 40, 4)
+    gram = build_gram(ds.X[idx], state.mm)
     c = local_update(*gram.marginals(state.mu, state.Sigma))
-    want = kern_grad(state.mm, gram, Xb,
-                     *hyper_weights_dense(state, ds.y[batch.indices], batch.scale, gram, c))
-    np.testing.assert_allclose(hyper_grad(state, ds, batch, gram, c), want, rtol=1e-10)
+    want = kern_grad(state.mm, gram, *hyper_weights_dense(state, ds.y[idx], 4.0, gram, c))
+    np.testing.assert_allclose(hyper_grad(state, gram, ds.y[idx], c, 4.0), want, rtol=1e-10)
 
 
 def _assert_factorization(mm, Z, params):
@@ -433,14 +428,14 @@ def test_hyper_step_moves_along_gradient_signs():
     ds, state = _toy_problem(n=14, m=4, seed=15)
     state, c = _warmed_state(ds, state)
     gram = gram_rows(state, ds.X)
-    grad = hyper_grad(state, ds, every_row(ds), gram, c)
+    grad = hyper_grad(state, gram, ds.y, c, 1.0)
     adam = AdamState(lr=0.01)
-    new_params, new_mm = hyper_step(state, ds, adam, every_row(ds), gram, c)
+    new_params, new_state = hyper_step(state, adam, gram, ds.y, c, 1.0)
     delta = new_params.as_array() - state.params.as_array()
     for i in range(3):
         if abs(grad[i]) > 1e-8:
             assert np.sign(delta[i]) == np.sign(grad[i])
-    _assert_factorization(new_mm, state.Z, new_params)
+    _assert_factorization(new_state.mm, state.Z, new_params)
 
 
 def test_hyper_step_reverts_on_factorization_failure(monkeypatch):
@@ -450,10 +445,10 @@ def test_hyper_step_reverts_on_factorization_failure(monkeypatch):
     gram = gram_rows(state, ds.X)
     _fail_factorizations(monkeypatch)
     old = state.params
-    new_params, kept = hyper_step(state, ds, adam, every_row(ds), gram, c)
+    new_params, kept = hyper_step(state, adam, gram, ds.y, c, 1.0)
     assert new_params == old
     assert adam.lr == pytest.approx(0.01)
-    assert kept is state.mm
+    assert kept is state
 
 
 def test_hyper_step_reverts_an_out_of_range_proposal():
@@ -463,10 +458,10 @@ def test_hyper_step_reverts_an_out_of_range_proposal():
     state, c = _warmed_state(ds, state)
     adam = AdamState(lr=1e300)
     gram = gram_rows(state, ds.X)
-    new_params, kept = hyper_step(state, ds, adam, every_row(ds), gram, c)
+    new_params, kept = hyper_step(state, adam, gram, ds.y, c, 1.0)
     assert new_params == state.params
     assert adam.lr == 5e299
-    assert kept is state.mm
+    assert kept is state
 
 
 def test_batch_hyper_grads_average_to_the_full_gradient():
@@ -474,13 +469,12 @@ def test_batch_hyper_grads_average_to_the_full_gradient():
     # the full data part, and the unscaled KL part is common to every batch.
     ds, state = _toy_problem(n=30, m=5, seed=14)
     state, c = _warmed_state(ds, state)
-    full = hyper_grad(state, ds, every_row(ds), gram_rows(state, ds.X), c)
+    full = hyper_grad(state, gram_rows(state, ds.X), ds.y, c, 1.0)
     batches = minibatch_iter(ds.n, 6, np.random.SeedSequence(3))
     grads = []
     for _ in range(ds.n // 6):
-        batch = next(batches)
-        idx = batch.indices
-        grads.append(hyper_grad(state, ds, batch, gram_rows(state, ds.X[idx]), c[idx]))
+        idx = next(batches)
+        grads.append(hyper_grad(state, gram_rows(state, ds.X[idx]), ds.y[idx], c[idx], 5.0))
     grads = np.array(grads)
     assert not np.allclose(grads[0], full, rtol=1e-3)
     np.testing.assert_allclose(grads.mean(axis=0), full, rtol=1e-12)
@@ -511,35 +505,42 @@ def test_state_takes_no_kernel_apart_from_its_factorization():
 
 
 def test_hyper_step_returns_the_params_of_the_factorization_it_returns():
-    # The pair is (mm.params, mm) on an accepted step and (state.params,
-    # state.mm) on a reverted one, so comparing its first entry with
-    # state.params tells the two apart.
+    # The pair is (mm.params, the state holding the new mm) on an accepted
+    # step and (state.params, state) on a reverted one, so comparing its
+    # first entry with state.params tells the two apart.  q(u) is kept.
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)
     gram = gram_rows(state, ds.X)
-    params, mm = hyper_step(state, ds, AdamState(lr=0.02), every_row(ds), gram, c)
-    assert params is mm.params and mm is not state.mm and params != state.params
-    params, mm = hyper_step(state, ds, AdamState(lr=1e300), every_row(ds), gram, c)
-    assert params is state.params and mm is state.mm
+    params, new = hyper_step(state, AdamState(lr=0.02), gram, ds.y, c, 1.0)
+    assert params is new.mm.params and new.mm is not state.mm and params != state.params
+    assert new.eta1 is state.eta1 and new.eta2 is state.eta2 and new.Sigma is state.Sigma
+    params, new = hyper_step(state, AdamState(lr=1e300), gram, ds.y, c, 1.0)
+    assert params is state.params and new is state
 
 
 def test_gradient_and_prediction_read_the_factorizations_inducing_side(monkeypatch):
     # The gradient and prediction take their distances to Z from state.mm's
-    # inducing side: neither prepares Z again (per row block, for prediction).
+    # inducing side: neither prepares Z again (per row block, for prediction),
+    # and the gradient reads the batch rows build_gram took to kernel units.
     ds, state = _toy_problem(n=40, m=5, seed=18)
     state, c = _warmed_state(ds, state)
-    batch = MiniBatch(indices=np.arange(0, 40, 4), scale=4.0)
-    gram = build_gram(ds.X[batch.indices], state.mm)
-    built = []
-    init = kernel._Inducing.__init__
+    idx = np.arange(0, 40, 4)
+    gram = build_gram(ds.X[idx], state.mm)
+    built, taken = [], []
+    init, rows = kernel._Inducing.__init__, kernel._Inducing.rows
 
     def counting(self, *args):
         built.append(1)
         init(self, *args)
 
+    def taking(self, X):
+        taken.append(X.shape[0])
+        return rows(self, X)
+
     monkeypatch.setattr(kernel._Inducing, "__init__", counting)
-    hyper_grad(state, ds, batch, gram, c[batch.indices])
-    assert built == []
+    monkeypatch.setattr(kernel._Inducing, "rows", taking)
+    hyper_grad(state, gram, ds.y[idx], c[idx], 4.0)
+    assert built == [] and taken == []
     mu_star, _ = latent_predict(state, np.zeros((3 * _ROW_BLOCK + 1, ds.d)))
     assert mu_star.shape == (3 * _ROW_BLOCK + 1,)
     assert built == []
@@ -548,18 +549,18 @@ def test_gradient_and_prediction_read_the_factorizations_inducing_side(monkeypat
 def test_batch_hyper_step_reverts_on_factorization_failure(monkeypatch):
     ds, state = _toy_problem(n=10, m=3, seed=16)
     state, c = _warmed_state(ds, state)
-    batch = MiniBatch(indices=np.array([1, 4, 7, 8]), scale=2.5)
-    gram_b = build_gram(ds.X[batch.indices], state.mm)
-    c = c[batch.indices]
-    new_params, new_mm = hyper_step(state, ds, AdamState(lr=0.02), batch, gram_b, c)
+    idx = np.array([1, 4, 7, 8])
+    gram_b = build_gram(ds.X[idx], state.mm)
+    y, c = ds.y[idx], c[idx]
+    new_params, new_state = hyper_step(state, AdamState(lr=0.02), gram_b, y, c, 2.5)
     assert new_params != state.params
-    _assert_factorization(new_mm, state.Z, new_params)
+    _assert_factorization(new_state.mm, state.Z, new_params)
 
     _fail_factorizations(monkeypatch)
     adam = AdamState(lr=0.02)
-    new_params, kept = hyper_step(state, ds, adam, batch, gram_b, c)
+    new_params, kept = hyper_step(state, adam, gram_b, y, c, 2.5)
     assert new_params == state.params
-    assert kept is state.mm
+    assert kept is state
     assert adam.lr == pytest.approx(0.01)
 
 
@@ -647,6 +648,15 @@ class TestTrainConfig:
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
+
+    def test_fields_cannot_be_assigned(self):
+        # Only construction validates a config, so none can be changed after
+        # it; replace builds a new one and validates that.
+        config = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.batch_size = 0
+        with pytest.raises(ValueError, match="^batch_size must"):
+            replace(config, batch_size=0)
 
     def test_boundary_values_are_accepted(self):
         TrainConfig(hyper_every=0, max_iters=0, heldout_frac=0.5, adam_lr=1e-9)
@@ -807,9 +817,9 @@ class TestFit:
             built_rows.append(X.shape[0])
             return build_gram(X, mm)
 
-        def recording_grad(mm, gram, X, *args):
-            grad_rows.append((gram.K_nm.shape[0], X.shape[0]))
-            return kern_grad(mm, gram, X, *args)
+        def recording_grad(mm, gram, *args):
+            grad_rows.append((gram.K_nm.shape[0], gram.X.shape[0]))
+            return kern_grad(mm, gram, *args)
 
         monkeypatch.setattr(inference, "build_gram", recording_gram)
         monkeypatch.setattr(inference, "kern_grad", recording_grad)
@@ -864,11 +874,40 @@ class TestFit:
         monkeypatch.setattr(inference, "minibatch_iter", recording)
         res = fit(ds, TrainConfig(batch_size=15, max_iters=3, conv_threshold=0.0,
                                   inducing_Z=Z, init_params=params, seed=0))
-        idx, scale = batches[0].indices, batches[0].scale
+        idx = batches[0]
         state = init_state(Z, params)
         kmu, var = build_gram(ds.X[idx], state.mm).marginals(state.mu, state.Sigma)
         c = np.sqrt(var + kmu * kmu)
-        assert res.trace[0, 2] == elbo(state, ds.y[idx], c, kmu, var, scale)
+        assert res.trace[0, 2] == elbo(state, ds.y[idx], c, kmu, var, 4.0)
+
+    def test_a_short_batch_is_scaled_by_n_over_its_size(self, monkeypatch):
+        # 60 rows in batches of 25 end each epoch with a batch of 10: its
+        # bound estimate, natural gradient and hyperparameter step take
+        # n/|S| = 6, the full batches 60/25.  The last bound is final_elbo's.
+        ds, _ = _toy_problem(n=60, m=6)
+        y_at = {"elbo": 1, "natural_gradient": 2, "hyper_step": 3}
+        seen = {name: [] for name in y_at}
+        estimates = []
+
+        def recording(name, fn):
+            def wrapper(*args):
+                seen[name].append((args[y_at[name]].size, args[-1]))
+                out = fn(*args)
+                estimates.append(out)
+                return out
+            return wrapper
+
+        for name in y_at:
+            monkeypatch.setattr(inference, name, recording(name, getattr(inference, name)))
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=25, max_iters=6,
+                                  conv_threshold=0.0, hyper_every=3, seed=0))
+        full, short = (25, 60 / 25), (10, 6.0)
+        assert seen["natural_gradient"] == [full, full, short] * 2
+        assert seen["elbo"] == seen["natural_gradient"] + [(60, 1.0)]
+        assert seen["hyper_step"] == [short, short]
+        bounds = [e for e in estimates if isinstance(e, float)]
+        np.testing.assert_array_equal(res.trace[:, 2], bounds[:6])
+        assert res.final_elbo == bounds[6]
 
     @pytest.mark.parametrize("hyper_every", [0, 5])
     def test_closing_tilts_and_bound_match_kappa_form(self, hyper_every):
