@@ -14,11 +14,12 @@ the paper's benchmarking protocol; ``--fixed-lr RHO`` alone switches to a
 constant step and ``--heldout-frac F`` alone to the held-out stopping rule.
 An optional ``--config`` file of ``key=value`` lines, each naming an option
 of its command, overrides the defaults, and explicit flags override the
-file.  ``--label-col`` acts only on labeled CSV input and ``--n-features``
-only on LIBSVM input; given elsewhere, either is an error.  Every command
-is deterministic in single-threaded mode (the ones that draw at random
-under a fixed ``--seed``; ``predict`` and ``evaluate`` draw nothing and
-take no ``--seed``), and every CSV starts with a schema-version comment.
+file.  Flags are taken only as spelled in full.  ``--label-col`` acts only
+on labeled CSV input and ``--n-features`` only on LIBSVM input; given
+elsewhere, either is an error.  Every command is deterministic in
+single-threaded mode (the ones that draw at random under a fixed
+``--seed``; ``predict`` and ``evaluate`` draw nothing and take no
+``--seed``), and every CSV starts with a schema-version comment.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ import numpy as np
 
 from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
 from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, chain_size, compare_to_vi, gibbs_run
-from .inference import CONV_WINDOW, HELDOUT_THRESHOLD, TrainConfig, fit
+from .inference import CONV_WINDOW, HELDOUT_THRESHOLD, TRACE_COLUMNS, TrainConfig, fit
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
-from .prediction import class_prob, evaluate, latent_predict
+from .prediction import class_prob, evaluate, latent_predict, predicted_label
 
 def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -175,6 +174,8 @@ def _build_parser():
                       help="required posterior-mean correlation (default %(default)s)")
     p_gc.add_argument("--gap-threshold", type=float, default=0.05,
                       help="allowed mean |p_mcmc - p_vi| (default %(default)s)")
+    for p in (parser, *sub.choices.values()):  # flags in full: "--conf" is not "--config"
+        p.allow_abbrev = False
     return parser
 
 
@@ -272,7 +273,7 @@ def cmd_train(args):
         preprocess = {"means": scaler.means, "stds": scaler.stds}
     config = _train_config(args, ds.n, ds.d, args.m)
     result = fit(ds, config)
-    trace_path = _write_csv(args.out_dir, "trace.csv", "pggpc.trace.v1", result.trace_columns,
+    trace_path = _write_csv(args.out_dir, "trace.csv", "pggpc.trace.v1", TRACE_COLUMNS,
                             result.trace)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
     save_checkpoint(ckpt_path, result.state, args.seed, preprocess=preprocess)
@@ -318,8 +319,7 @@ def cmd_predict(args):
     X = _prepare_features(args, X, state, preprocess)
     mu, var = latent_predict(state, X)
     p = class_prob(mu, var)
-    label = np.where(p >= 0.5, 1, -1)
-    rows = zip(range(X.shape[0]), mu, var, p, label)
+    rows = zip(range(X.shape[0]), mu, var, p, predicted_label(p))
     out = _write_csv(args.out_dir, "predictions.csv", "pggpc.predictions.v1",
                      ("index", "mu_star", "var_star", "p_pos", "predicted_label"), rows)
     print(f"predictions={out} n={X.shape[0]}")

@@ -68,12 +68,12 @@ class TrainConfig:
     otherwise that fraction of the rows is held out, and training converges
     when the average relative held-out NLL change drops below
     ``HELDOUT_THRESHOLD``.  The step size is :class:`AdaptiveRate` when
-    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise.  It is
-    frozen, as only construction validates it: ``dataclasses.replace``
-    gives a changed copy, validated again.
+    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise; m = n is
+    the full GP (Z = X).  It is frozen, as only construction validates it:
+    ``dataclasses.replace`` gives a changed copy, validated again.
     """
 
-    num_inducing: int = 100  # k-means++ on at most max(2000, 20 m) sampled rows
+    num_inducing: int = 100  # m < n: k-means++ on at most max(2000, 20 m) rows; m = n: Z = X
     batch_size: int = 100
     max_iters: int = 1000
     conv_threshold: float = 1e-4
@@ -83,7 +83,6 @@ class TrainConfig:
     seed: int = 0
     heldout_frac: float | None = None  # None: the natural-parameter rule
     init_params: KernelParams | None = None
-    inducing_Z: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.conv_threshold >= 0.0:
@@ -105,11 +104,11 @@ class TrainConfig:
 
     @classmethod
     def full_gp(cls, dataset, params, max_iters, seed):
-        """The full-GP fit the Gibbs oracle checks: Z = X, the full batch, unit steps
-        and ``params`` held fixed, so ``state.mm`` is the chain's prior factorization."""
+        """The full-GP fit the Gibbs oracle checks: m = n (Z = X), the full batch, unit
+        steps and ``params`` held fixed, so ``state.mm`` is the chain's prior factorization."""
         return cls(num_inducing=dataset.n, batch_size=dataset.n, max_iters=max_iters,
                    conv_threshold=1e-10, fixed_lr=1.0, hyper_every=0, seed=seed,
-                   init_params=params, inducing_Z=dataset.X)
+                   init_params=params)
 
     def heldout_rows(self, n):
         """Rows of an n-row dataset that :func:`fit` holds out; 0 when heldout_frac is None."""
@@ -118,18 +117,17 @@ class TrainConfig:
         return max(1, int(round(n * self.heldout_frac)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
-    """Outcome of :func:`fit`."""
+    """Outcome of :func:`fit`; ``trace``'s columns are ``TRACE_COLUMNS``."""
 
     state: VariationalState
     trace: np.ndarray
-    trace_columns: tuple
     converged: bool
     n_iters: int
     wall_seconds: float
-    final_elbo: float = float("nan")
-    heldout: Dataset | None = None
+    final_elbo: float
+    heldout: Dataset | None
 
 
 def elbo(state, y, c, kmu, var, scale):
@@ -374,20 +372,20 @@ def fit(dataset, config):
     change.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
-    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  Unless
-    ``config.inducing_Z`` gives them, the inducing inputs come from
-    :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m) training
-    rows drawn without replacement (all of them when n is at most that).
+    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  At m = n
+    the inducing inputs are the training rows, in row order (the full GP);
+    for m < n they come from :func:`~pggpc.model.kmeanspp_init` on at most
+    max(2000, 20 m) training rows drawn without replacement (all of them
+    when n is at most that).
 
     Returns
     -------
     FitResult
-        Trained state, the bound over every training row, the trace
-        array with columns ``(iter, wall_seconds, elbo_estimate, rho)``,
-        and convergence info.  The ``elbo_estimate`` of row t is the batch
-        bound (data terms scaled by n/|S|) at the state entering iteration t,
-        with that batch's optimal tilts; ``wall_seconds`` is read after the
-        iteration's step.
+        Trained state, the bound over every training row, the trace array
+        with columns ``TRACE_COLUMNS``, and convergence info.  The
+        ``elbo_estimate`` of row t is the batch bound (data terms scaled by
+        n/|S|) at the state entering iteration t, with that batch's optimal
+        tilts; ``wall_seconds`` is read after the iteration's step.
     """
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_split = root.spawn(3)
@@ -403,22 +401,11 @@ def fit(dataset, config):
         heldout = dataset.subset(perm[:n_held])
         train = dataset.subset(perm[n_held:])
 
-    params = config.init_params or KernelParams.default(train.d)
-    rng = np.random.default_rng(ss_init)
-    if config.inducing_Z is None:
-        m = config.num_inducing
-        if not 1 <= m <= train.n:
-            raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
-        Z = kmeanspp_init(train.X, m, rng)
-    else:
-        Z = np.asarray(config.inducing_Z, dtype=float)
-        if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != train.d:
-            raise ValueError(
-                f"inducing_Z must have shape (k, d) = (k, {train.d}) with k >= 1, got {Z.shape}"
-            )
-        if not np.isfinite(Z).all():
-            raise ValueError(f"inducing_Z must be a finite (k, {train.d}) array, got NaN or Inf")
-    state = init_state(Z, params)
+    m = config.num_inducing
+    if not 1 <= m <= train.n:
+        raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
+    Z = train.X if m == train.n else kmeanspp_init(train.X, m, np.random.default_rng(ss_init))
+    state = init_state(Z, config.init_params or KernelParams.default(train.d))
 
     batch_size = min(config.batch_size, train.n)
     batches = minibatch_iter(train.n, batch_size, ss_batch)
@@ -470,7 +457,6 @@ def fit(dataset, config):
     return FitResult(
         state=state,
         trace=np.array(trace_rows) if trace_rows else np.empty((0, len(TRACE_COLUMNS))),
-        trace_columns=TRACE_COLUMNS,
         converged=converged,
         n_iters=it,
         wall_seconds=wall,

@@ -140,14 +140,12 @@ class _Inducing:
         return np.minimum(D, 0.0, out=D)
 
 
-def _cross(X, inducing, params, same=False):
-    """The kernel matrix between the rows X, taken by ``inducing.rows``, and its Z;
-    with ``same=True`` (X is Z's own point list) the jitter is added on the diagonal."""
+def _cross(X, inducing, params):
+    """The kernel matrix between the rows X, taken by ``inducing.rows``, and its Z,
+    without jitter (which :func:`factorize` adds to K_mm's diagonal)."""
     K = inducing.neg_half_sq(X)
     np.exp(K, out=K)
     K *= params.amplitude**2
-    if same:
-        K[np.diag_indices_from(K)] += params.jitter
     return K
 
 
@@ -273,12 +271,13 @@ class GramRows:
 
 
 def factorize(Z, params):
-    """The GramBundle at inducing inputs Z, shape (m, d), and ``params``."""
+    """The GramBundle at inducing inputs Z, shape (m, d), and ``params``; the jitter
+    and any escalation ``extra`` are added to K_mm's diagonal here, in place."""
     inducing = _Inducing(Z, params.lengthscale)
-    K_mm = _cross(inducing.rows(Z), inducing, params, same=True)
+    K_mm = _cross(inducing.rows(Z), inducing, params)
+    K_mm[np.diag_indices_from(K_mm)] += params.jitter
     L, extra = chol_with_escalation(K_mm, params.jitter)
-    if extra:
-        K_mm = K_mm + extra * np.eye(K_mm.shape[0])
+    K_mm[np.diag_indices_from(K_mm)] += extra
     Kmm_inv = chol_inverse(L)
     return GramBundle(Z, params, inducing, K_mm, L, Kmm_inv, -0.5 * Kmm_inv,
                       float(2.0 * np.sum(np.log(np.diag(L)))), extra,

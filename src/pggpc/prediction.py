@@ -35,10 +35,12 @@ from scipy.special import expit, ndtr
 
 from .kernel import _cross
 
-__all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "evaluate", "EvalReport"]
+__all__ = ["QUAD_ORDER", "latent_predict", "class_prob", "predicted_label", "evaluate",
+           "EvalReport"]
 
 QUAD_ORDER = 20  # Gauss-Hermite nodes of the predictive class probability
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_ORDER)
+# The rule is exactly symmetric: its positive nodes x_k and their weights w_k.
+_GH_NODES, _GH_WEIGHTS = (a[QUAD_ORDER // 2:] for a in np.polynomial.hermite.hermgauss(QUAD_ORDER))
 # Rows per GEMM in latent_predict, so its scratch is O(block * m), not O(n * m).
 _ROW_BLOCK = 512
 
@@ -133,7 +135,11 @@ def _step_expansion_prob(mu, sd):
 def class_prob(mu_star, var_star):
     """p(y* = +1) = integral of sigma(f) N(f | mu*, sigma*^2) df by quadrature.
 
-    Variances up to 1.0625 take Gauss-Hermite with ``QUAD_ORDER`` nodes.  Wider
+    Variances up to 1.0625 take Gauss-Hermite with ``QUAD_ORDER`` nodes, as
+    1/2 + sum_k w_k [tanh((mu* + a_k)/2) + tanh((mu* - a_k)/2)] / (2 sqrt(pi))
+    over the node pairs +/- a_k = +/- sqrt(2) sigma* x_k.  Each pair has the
+    sign of mu*, so mu* = 0 gives exactly 1/2, and no summation order moves
+    a probability across 1/2, the :func:`predicted_label` cut.  Wider
     Gaussians take the trapezoid rule with step 0.5 in f - mu* over
     +/- 9 sigma*, weighted by the Gaussian density normalised per row; it
     converges geometrically because the logistic is analytic in
@@ -151,7 +157,8 @@ def class_prob(mu_star, var_star):
     Returns
     -------
     float or ndarray
-        Probabilities in (0, 1).
+        Probabilities in [0, 1]: the narrow rule's round-off is ~1e-16 in
+        either tail, and its sum is clipped there.
     """
     mu = np.asarray(mu_star, dtype=float)
     var = np.asarray(var_star, dtype=float)
@@ -164,8 +171,9 @@ def class_prob(mu_star, var_star):
 
     narrow = var_flat <= _SINGLE_RULE_VAR
     if narrow.any():
-        f = mu_flat[narrow, None] + np.sqrt(2.0 * var_flat[narrow])[:, None] * _GH_NODES
-        out[narrow] = expit(f) @ _GH_WEIGHTS * (1.0 / np.sqrt(np.pi))
+        mu_n, a = mu_flat[narrow, None], np.sqrt(2.0 * var_flat[narrow])[:, None] * _GH_NODES
+        pairs = np.tanh(0.5 * (mu_n + a)) + np.tanh(0.5 * (mu_n - a))
+        out[narrow] = np.clip(0.5 + pairs @ _GH_WEIGHTS * (0.5 / np.sqrt(np.pi)), 0.0, 1.0)
     vast = var_flat > _TRAP_MAX_VAR
     if vast.any():
         out[vast] = _step_expansion_prob(mu_flat[vast], np.sqrt(var_flat[vast]))
@@ -175,19 +183,24 @@ def class_prob(mu_star, var_star):
     return out.reshape(shape)[()]
 
 
+def predicted_label(p_pos):
+    """The label of each class probability: +1 where p_pos >= 1/2, -1 elsewhere."""
+    return np.where(p_pos >= 0.5, 1, -1)
+
+
 def evaluate(state, test_set):
     """Error rate and mean negative log predictive likelihood on a test set.
 
-    A point counts as an error when its predicted label, +1 where
-    p_pos >= 1/2 and -1 elsewhere (as ``pggpc predict`` labels it), differs
-    from its label; probabilities are floored at 1e-12 before the log.  Like
+    A point counts as an error when its :func:`predicted_label` (as
+    ``pggpc predict`` labels it) differs from its label; probabilities are
+    floored at 1e-12 before the log.  Like
     :func:`latent_predict`, it reads the state's K_mm factorization.
     """
     if test_set.n == 0:
         raise ValueError("empty test set")
     mu, var = latent_predict(state, test_set.X)
     p_pos = class_prob(mu, var)
-    error = float(np.mean(np.where(p_pos >= 0.5, 1.0, -1.0) != test_set.y))
+    error = float(np.mean(predicted_label(p_pos) != test_set.y))
     p_label = np.where(test_set.y > 0, p_pos, 1.0 - p_pos)
     nll = float(-np.mean(np.log(np.maximum(p_label, 1e-12))))
     return EvalReport(error_rate=error, mean_nll=nll, n=test_set.n)

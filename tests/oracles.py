@@ -12,7 +12,8 @@ the squared distances about the origin, the moment-to-natural parameter
 map, the k-means++ seeds by ``rng.choice`` one center at a time, the Lloyd
 steps of k-means++ by one mask per cluster, and the dense mean and
 covariance of the Gibbs f-draw.  The dense kernel matrix between two row
-sets by the library's own arithmetic, the state copy, the state at other
+sets by the library's own arithmetic (adding the jitter itself when the two
+are one point list), the state copy, the state at other
 kernel parameters with K_mm factorized afresh, the state at other moments
 of q(u), the prior state at k-means++ inducing inputs, the Gram rows of
 some inputs, the optimal tilts at them and the inverse standardization
@@ -68,10 +69,13 @@ def kern_matrix(X, Z, params, same=False):
     Z's ``_Inducing`` built afresh (a factorization keeps its own), so the
     result is bit for bit what ``factorize`` and ``build_gram`` hold.  With
     ``same=True`` the two sets are taken to be identical point lists and the
-    jitter is added on the diagonal.
+    jitter is added on the diagonal, as ``factorize`` adds it to K_mm's.
     """
     inducing = _Inducing(Z, params.lengthscale)
-    return _cross(inducing.rows(X), inducing, params, same)
+    K = _cross(inducing.rows(X), inducing, params)
+    if same:
+        K[np.diag_indices_from(K)] += params.jitter
+    return K
 
 
 def sq_dists(X, Z):

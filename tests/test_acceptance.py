@@ -416,7 +416,7 @@ def test_c11_trained_bound_stays_below_brute_force_log_marginal(scorecard):
         config = TrainConfig(
             num_inducing=n, batch_size=n, max_iters=500, conv_threshold=1e-12,
             fixed_lr=1.0, hyper_every=0, seed=0,
-            init_params=params, inducing_Z=ds.X,
+            init_params=params,
         )
         result = fit(ds, config)
         bound = full_elbo(result.state, ds, tilts(result.state, ds.X), include_constants=True)

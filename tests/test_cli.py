@@ -597,6 +597,23 @@ def test_malformed_checkpoint_is_one_error_line(mutate, field, blob_files, train
     assert "doctored.json" in line and field in line
 
 
+def test_non_finite_checkpoint_array_is_one_error_line(blob_files, trained, tmp_path, capsys):
+    with open(trained) as fh:
+        doc = json.load(fh)
+    eta1 = _decode(doc["arrays"]["eta1"]).copy()
+    eta1[1] = np.inf
+    doc["arrays"]["eta1"] = _encode(eta1)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code = main(["evaluate", "--data", blob_files["libsvm"], "--checkpoint", str(path),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert _one_error_line(capsys) == (
+        f"error: {path}: checkpoint field 'arrays.eta1' holds NaN or Inf")
+    assert not out_dir.exists()
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, blob_files, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
@@ -659,6 +676,32 @@ class TestConfigFile:
         argv = cli._apply_config_file(["train", "--data", "x", "--config", str(cfg)],
                                       _build_parser())
         assert argv == ["train", flag, "--data", "x", "--config", str(cfg)]
+
+
+    def test_an_abbreviated_config_flag_is_unrecognised(self, blob_files, tmp_path, capsys):
+        # argparse took "--conf" for --config, which the file expansion reads
+        # only in full: train exited 0 at m=80 after 5 iterations, ignoring
+        # the file's m=5 and max-iters=3.
+        cfg = tmp_path / "abbrev.cfg"
+        cfg.write_text("max-iters=3\nm=5\n")
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", blob_files["libsvm"], "--conf", str(cfg),
+                  "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --conf" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("predict", ["--checkpoint", "c.json"]),
+    ("evaluate", ["--checkpoint", "c.json"]), ("cv", []), ("gibbs-check", []),
+])
+def test_no_command_takes_an_abbreviated_flag(command, extra, blob_files, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", blob_files["libsvm"], *extra, "--out-d", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out-d" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key", [
@@ -732,6 +775,14 @@ class TestCv:
     def test_empty_m_list_rejected(self, blob_files):
         with pytest.raises(SystemExit):
             main(["cv", "--data", blob_files["libsvm"], "--m", ","])
+
+    def test_malformed_m_list_is_a_usage_error(self, blob_files, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--data", blob_files["libsvm"], "--m", "4,x", *FAST[2:],
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid --m list '4,x'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_rows_are_the_single_m_runs(self, blob_files, tmp_path):
         # Each value of an --m list runs the same fold loop as a one-value

@@ -15,6 +15,7 @@ import pggpc.kernel as kernel
 import pggpc.model as model
 from pggpc.data import minibatch_iter
 from pggpc.inference import (
+    TRACE_COLUMNS,
     AdamState,
     AdaptiveRate,
     FitResult,
@@ -310,7 +311,7 @@ class TestAdaptiveRate:
         cfg = TrainConfig(num_inducing=5, batch_size=10, max_iters=12, conv_threshold=0.0,
                           fixed_lr=0.37, seed=0)
         res = fit(ds, cfg)
-        rho = res.trace[:, list(res.trace_columns).index("rho")]
+        rho = res.trace[:, TRACE_COLUMNS.index("rho")]
         assert rho.size == 12 and np.all(rho == 0.37)
 
     def test_constant_gradient_gives_unit_rate(self):
@@ -679,7 +680,7 @@ class TestFit:
         )
         res = fit(ds, cfg)
         assert isinstance(res, FitResult)
-        vals = res.trace[:, list(res.trace_columns).index("elbo_estimate")]
+        vals = res.trace[:, TRACE_COLUMNS.index("elbo_estimate")]
         assert np.all(np.diff(vals) > -1e-9)
         assert res.final_elbo == pytest.approx(vals[-1], rel=1e-9)
 
@@ -707,8 +708,15 @@ class TestFit:
         np.testing.assert_array_equal(r1.state.Z, r2.state.Z)
         assert r1.state.params == r2.state.params
         # every trace column except wall time is bit-reproducible
-        cols = [i for i, name in enumerate(r1.trace_columns) if name != "wall_seconds"]
+        cols = [i for i, name in enumerate(TRACE_COLUMNS) if name != "wall_seconds"]
         np.testing.assert_array_equal(r1.trace[:, cols], r2.trace[:, cols])
+
+    def test_result_is_frozen(self):
+        ds, _ = _toy_problem(n=20, m=3)
+        res = fit(ds, TrainConfig(num_inducing=3, batch_size=10, max_iters=2, seed=0))
+        with pytest.raises(FrozenInstanceError):
+            res.n_iters = 0
+        assert not hasattr(res, "trace_columns")
 
     def test_heldout_convergence_mode(self):
         rng = np.random.default_rng(23)
@@ -735,7 +743,7 @@ class TestFit:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         ds = Dataset(X=X, y=y)
         res = fit(ds, TrainConfig(num_inducing=4, batch_size=10, max_iters=12, seed=0))
-        assert res.trace_columns == ("iter", "wall_seconds", "elbo_estimate", "rho")
+        assert TRACE_COLUMNS == ("iter", "wall_seconds", "elbo_estimate", "rho")
         assert res.trace.shape[1] == 4
         np.testing.assert_array_equal(res.trace[:, 0], np.arange(1, res.trace.shape[0] + 1))
         assert np.all(np.diff(res.trace[:, 1]) >= 0.0)
@@ -872,8 +880,9 @@ class TestFit:
                 yield batch
 
         monkeypatch.setattr(inference, "minibatch_iter", recording)
-        res = fit(ds, TrainConfig(batch_size=15, max_iters=3, conv_threshold=0.0,
-                                  inducing_Z=Z, init_params=params, seed=0))
+        monkeypatch.setattr(inference, "kmeanspp_init", lambda X, m, rng: Z)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=3,
+                                  conv_threshold=0.0, init_params=params, seed=0))
         idx = batches[0]
         state = init_state(Z, params)
         kmu, var = build_gram(ds.X[idx], state.mm).marginals(state.mu, state.Sigma)
@@ -955,29 +964,31 @@ class TestFit:
         with pytest.raises(ValueError, match="num_inducing"):
             fit(Dataset(X=X, y=y), TrainConfig(num_inducing=11, batch_size=5, max_iters=3))
 
-    @pytest.mark.parametrize("Z", [np.zeros(3), np.zeros((4, 3, 1))], ids=["1-D", "3-D"])
-    def test_rejects_inducing_Z_that_is_not_2d(self, Z):
-        ds, _ = _toy_problem(n=30, d=3)
-        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
-            fit(ds, TrainConfig(inducing_Z=Z, batch_size=10, max_iters=3))
+    @pytest.mark.parametrize("heldout_frac", [None, 0.25])
+    def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, heldout_frac,
+                                                                  monkeypatch):
+        # On distinct rows k-means++ at m = n returns a permutation of the
+        # rows; fit takes them in row order and runs no k-means at all.
+        ds, _ = _toy_problem(n=40, m=4)
 
-    def test_rejects_inducing_Z_with_another_column_count(self):
-        ds, _ = _toy_problem(n=30, d=3)
-        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
-            fit(ds, TrainConfig(inducing_Z=np.zeros((4, 2)), batch_size=10, max_iters=3))
+        def refuse(*args):
+            raise AssertionError("kmeanspp_init called at m = n")
 
-    def test_rejects_non_finite_inducing_Z(self):
-        ds, _ = _toy_problem(n=30, d=3)
-        Z = np.zeros((4, 3))
-        Z[2, 1] = np.nan
-        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
-            fit(ds, TrainConfig(inducing_Z=Z, batch_size=10, max_iters=3))
+        monkeypatch.setattr(inference, "kmeanspp_init", refuse)
+        n_train = ds.n - TrainConfig(heldout_frac=heldout_frac).heldout_rows(ds.n)
+        res = fit(ds, TrainConfig(num_inducing=n_train, batch_size=10, max_iters=4,
+                                  heldout_frac=heldout_frac, hyper_every=2, seed=3))
+        if heldout_frac is None:
+            assert np.array_equal(res.state.Z, ds.X)
+        else:
+            rows = {tuple(x) for x in ds.X} - {tuple(x) for x in res.heldout.X}
+            assert res.state.Z.shape == (n_train, ds.d)
+            assert {tuple(z) for z in res.state.Z} == rows
 
-    def test_rejects_inducing_Z_without_rows_and_prints_nothing(self, capfd):
-        ds, _ = _toy_problem(n=30, d=3)
-        with pytest.raises(ValueError, match=r"inducing_Z .*\(k, 3\)"):
-            fit(ds, TrainConfig(inducing_Z=np.zeros((0, 3)), batch_size=10, max_iters=3))
-        assert capfd.readouterr().err == ""
+    def test_heldout_fraction_that_leaves_no_training_rows(self):
+        ds, _ = _toy_problem(n=2, m=1)
+        with pytest.raises(ValueError, match="^heldout fraction leaves no training data$"):
+            fit(ds, TrainConfig(num_inducing=1, heldout_frac=0.9))
 
     @staticmethod
     def _traced_peak_at_paper_scale():
@@ -1043,7 +1054,7 @@ def test_label_flip_negates_eta1_and_leaves_the_rest_bit_identical(kwargs, logis
     assert np.array_equal(b.state.eta1, -a.state.eta1)
     assert np.array_equal(b.state.eta2, a.state.eta2)
     assert b.state.params == a.state.params
-    cols = [a.trace_columns.index(name) for name in ("iter", "elbo_estimate", "rho")]
+    cols = [TRACE_COLUMNS.index(name) for name in ("iter", "elbo_estimate", "rho")]
     assert np.array_equal(b.trace[:, cols], a.trace[:, cols])
     assert (b.final_elbo, b.n_iters) == (a.final_elbo, a.n_iters)
     p_a = class_prob(*latent_predict(a.state, X_test))
@@ -1080,7 +1091,7 @@ def test_label_flip_negates_eta1_over_the_config_space(case):
     assert np.array_equal(b.state.eta1, -a.state.eta1)
     assert np.array_equal(b.state.eta2, a.state.eta2)
     assert b.state.params == a.state.params
-    cols = [a.trace_columns.index(name) for name in ("iter", "elbo_estimate", "rho")]
+    cols = [TRACE_COLUMNS.index(name) for name in ("iter", "elbo_estimate", "rho")]
     assert np.array_equal(b.trace[:, cols], a.trace[:, cols])
     assert (b.final_elbo, b.n_iters) == (a.final_elbo, a.n_iters)
 
@@ -1112,15 +1123,17 @@ def test_translating_x_moves_the_fit_only_by_round_off(kwargs, logistic_data):
     {"fixed_lr": 0.5, "hyper_every": 0, "batch_size": 250},
     {"hyper_every": 5, "max_iters": 200},
 ])
-def test_inputs_far_from_the_origin_keep_their_digits(kwargs, logistic_data):
+def test_inputs_far_from_the_origin_keep_their_digits(kwargs, logistic_data, monkeypatch):
     # Translating X and Z by 1e5 leaves only the round-off of X + 1e5 itself
     # when the kernel takes |x - z|^2 about Z's whole-number centre: gaps of
     # 9.7e-12 and 2.8e-11 here.  Expanded about the origin, the class
     # probabilities moved by 5.0e-5 and 5.2e-3.
     ds, X_test = logistic_data
     Z = ds.X[:40]
-    a = fit(ds, TrainConfig(**kwargs, inducing_Z=Z))
-    b = fit(Dataset(X=ds.X + 1e5, y=ds.y), TrainConfig(**kwargs, inducing_Z=Z + 1e5))
+    monkeypatch.setattr(inference, "kmeanspp_init", lambda X, m, rng: Z)
+    a = fit(ds, TrainConfig(**kwargs, num_inducing=40))
+    monkeypatch.setattr(inference, "kmeanspp_init", lambda X, m, rng: Z + 1e5)
+    b = fit(Dataset(X=ds.X + 1e5, y=ds.y), TrainConfig(**kwargs, num_inducing=40))
     p_a = class_prob(*latent_predict(a.state, X_test))
     p_b = class_prob(*latent_predict(b.state, X_test + 1e5))
     np.testing.assert_allclose(p_b, p_a, rtol=0.0, atol=1e-9)
@@ -1132,8 +1145,8 @@ def test_inputs_far_from_the_origin_keep_their_digits(kwargs, logistic_data):
     ({"hyper_every": 5}, (1e-9, 1e-9)),
 ])
 def test_permuting_the_rows_of_a_full_batch_fit_moves_it_only_by_round_off(
-        kwargs, tol, logistic_data):
-    # With every row in the batch and Z given, nothing depends on the row
+        kwargs, tol, logistic_data, monkeypatch):
+    # With every row in the batch and Z pinned, nothing depends on the row
     # order but the order of the sums.  Measured on these 600 rows: the unit
     # step converges in 11 iterations with gaps of 8.6e-16 (eta) and 7.8e-15
     # (class_prob).  The two runs with Adam steps go all 1000 iterations, and
@@ -1143,7 +1156,9 @@ def test_permuting_the_rows_of_a_full_batch_fit_moves_it_only_by_round_off(
     ds, X_test = logistic_data
     ds = ds.subset(np.arange(600))
     perm = np.random.default_rng(7).permutation(ds.n)
-    config = TrainConfig(**kwargs, batch_size=ds.n, inducing_Z=ds.X[:40])
+    Z = ds.X[:40]
+    monkeypatch.setattr(inference, "kmeanspp_init", lambda X, m, rng: Z)
+    config = TrainConfig(**kwargs, batch_size=ds.n, num_inducing=40)
     a, b = fit(ds, config), fit(ds.subset(perm), config)
     assert b.n_iters == a.n_iters
     assert _relative_gap(a.state.eta1, b.state.eta1) < tol[0]

@@ -1,5 +1,6 @@
 """Tests for dataset validation, variational state, init, and checkpoints."""
 
+import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
@@ -360,3 +361,24 @@ class TestCheckpoint:
         path.write_text('{"schema": "other.v9", "seed": 0}')
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrays.eta1", np.nan),
+        ("arrays.eta2", np.inf),
+        ("arrays.Z", -np.inf),
+        ("preprocess.means", np.nan),
+    ])
+    def test_rejects_a_non_finite_array_naming_the_field(self, field, value, tmp_path):
+        ds = _toy_dataset(10, 2)
+        st = prior_state(ds, 3, KernelParams(0.0), np.random.default_rng(18))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, st, seed=1, preprocess={"means": np.zeros(2), "stds": np.ones(2)})
+        doc = json.loads(path.read_text())
+        block, name = field.split(".")
+        arr = {"eta1": st.eta1, "eta2": st.eta2, "Z": st.Z, "means": np.zeros(2)}[name].copy()
+        arr.flat[-1] = value
+        doc[block][name] = model._encode_array(arr)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: checkpoint field {field!r} holds NaN or Inf"

@@ -13,7 +13,7 @@ from pggpc.kernel import KernelParams, factorize
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
 from pggpc.prediction import (_ROW_BLOCK, _SINGLE_RULE_VAR, EvalReport, class_prob, evaluate,
-                               latent_predict)
+                               latent_predict, predicted_label)
 
 from oracles import gauss_hermite_prob, kern_matrix, prior_state
 
@@ -57,6 +57,34 @@ class TestClassProb:
     def test_probability_is_half_at_zero_mean(self):
         for var in (0.09, 1.0, 4.0, 25.0):
             assert class_prob(0.0, var) == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("var", [1e-6, 0.3, 1.000001, _SINGLE_RULE_VAR])
+    def test_zero_mean_is_exactly_half_whatever_rows_it_is_scored_with(self, var):
+        # The 20-node rule gave 0.5 - 5.6e-17 to (0, 1.000001) scored alone and
+        # exactly 0.5 as the first of two rows, so its label hung on the file.
+        rng = np.random.default_rng(31)
+        others_mu, others_var = rng.normal(size=7), rng.uniform(0.0, 1.0, 7)
+        assert class_prob(0.0, var) == 0.5
+        for k in range(1, 8):
+            p = class_prob(np.r_[0.0, others_mu[:k]], np.r_[var, others_var[:k]])
+            assert p[0] == 0.5
+
+    def test_narrow_rule_labels_by_the_sign_of_the_mean(self):
+        # Each pair of nodes +/- x_k adds a term of the sign of mu*, so no
+        # summation order moves a probability across 1/2.
+        mu = np.array([-1e-300, -1e-17, -1e-9, 1e-17, 1e-9, 1e-300])
+        for var in (0.0, 0.5, _SINGLE_RULE_VAR):
+            p = class_prob(mu, var)
+            assert np.all(np.where(mu < 0.0, p <= 0.5, p >= 0.5))
+
+    def test_tails_stay_in_the_unit_interval(self):
+        # The 20-node sum of sigmoids gave 1 + 2.2e-16 at mu* >= 40, so the
+        # probability of -1 was negative; the pair sum reaches -1.1e-16 at
+        # mu* = -40 unless clipped.
+        mu = np.array([-60.0, -40.0, -38.0, 38.0, 40.0, 60.0])
+        for var in (0.0, 0.5, _SINGLE_RULE_VAR):
+            p = class_prob(mu, var)
+            assert np.all((p >= 0.0) & (p <= 1.0))
 
     def test_reflection_identity(self):
         mu = np.array([-4.0, -1.5, 0.3, 2.0, 5.0])
@@ -320,6 +348,10 @@ class TestEvaluate:
         assert class_prob(*latent_predict(state, far)) == 0.5
         assert evaluate(state, Dataset(far, np.array([1.0]))).error_rate == 0.0
         assert evaluate(state, Dataset(far, np.array([-1.0]))).error_rate == 1.0
+
+    def test_labels_are_predicts_labels(self):
+        p = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(predicted_label(p), [-1, -1, 1, 1, 1])
 
     def test_empty_test_set_raises(self):
         state = _confident_state()
