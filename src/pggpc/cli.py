@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -250,19 +249,18 @@ def _load_labeled(args):
     return ds
 
 
-def _train_config(args, n, d, m, seed=None):
-    config = TrainConfig(
+def _train_config(args, d, m, seed):
+    return TrainConfig(
         num_inducing=m,
         batch_size=args.batch,
         max_iters=args.max_iters,
         fixed_lr=args.fixed_lr,
         hyper_every=args.hyper_every,
         adam_lr=args.adam_lr,
-        seed=seed if seed is not None else args.seed,
+        seed=seed,
         heldout_frac=args.heldout_frac,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
     )
-    return replace(config, num_inducing=min(m, n - config.heldout_rows(n)))
 
 
 def cmd_train(args):
@@ -271,7 +269,7 @@ def cmd_train(args):
     if args.standardize:
         ds, scaler = standardize(ds)
         preprocess = {"means": scaler.means, "stds": scaler.stds}
-    config = _train_config(args, ds.n, ds.d, args.m)
+    config = _train_config(args, ds.d, args.m, args.seed)
     result = fit(ds, config)
     trace_path = _write_csv(args.out_dir, "trace.csv", "pggpc.trace.v1", TRACE_COLUMNS,
                             result.trace)
@@ -342,7 +340,7 @@ def _run_fold(train, test, args, m, seed):
     if args.standardize:
         train, scaler = standardize(train)
         test = scaler.apply_dataset(test)
-    result = fit(train, _train_config(args, train.n, train.d, m=m, seed=seed))
+    result = fit(train, _train_config(args, train.d, m, seed))
     report = evaluate(result.state, test)
     return report.error_rate, report.mean_nll, result.wall_seconds
 

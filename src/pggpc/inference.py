@@ -68,12 +68,13 @@ class TrainConfig:
     otherwise that fraction of the rows is held out, and training converges
     when the average relative held-out NLL change drops below
     ``HELDOUT_THRESHOLD``.  The step size is :class:`AdaptiveRate` when
-    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise; m = n is
-    the full GP (Z = X).  It is frozen, as only construction validates it:
-    ``dataclasses.replace`` gives a changed copy, validated again.
+    ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise; m at or
+    above the training rows is the full GP (Z = X).  Each count field must
+    be an integer (not a bool).  It is frozen, as only construction
+    validates it: ``dataclasses.replace`` gives a changed copy, validated again.
     """
 
-    num_inducing: int = 100  # m < n: k-means++ on at most max(2000, 20 m) rows; m = n: Z = X
+    num_inducing: int = 100  # m < n: k-means++ on at most max(2000, 20 m) rows; m >= n: Z = X
     batch_size: int = 100
     max_iters: int = 1000
     conv_threshold: float = 1e-4
@@ -85,22 +86,21 @@ class TrainConfig:
     init_params: KernelParams | None = None
 
     def __post_init__(self):
+        for name, low in (("num_inducing", 1), ("batch_size", 1), ("max_iters", 0),
+                          ("hyper_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
         if not self.conv_threshold >= 0.0:
             raise ValueError(f"conv_threshold must be nonnegative, got {self.conv_threshold}")
         if self.fixed_lr is not None and not 0.0 < self.fixed_lr <= 1.0:
             raise ValueError("fixed_lr must be in (0, 1]")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.hyper_every < 0:
-            raise ValueError(f"hyper_every must be nonnegative, got {self.hyper_every}")
         if not 0.0 < self.adam_lr < np.inf:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
         if self.heldout_frac is not None and not 0.0 < self.heldout_frac < 1.0:
             raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def full_gp(cls, dataset, params, max_iters, seed):
@@ -109,12 +109,6 @@ class TrainConfig:
         return cls(num_inducing=dataset.n, batch_size=dataset.n, max_iters=max_iters,
                    conv_threshold=1e-10, fixed_lr=1.0, hyper_every=0, seed=seed,
                    init_params=params)
-
-    def heldout_rows(self, n):
-        """Rows of an n-row dataset that :func:`fit` holds out; 0 when heldout_frac is None."""
-        if self.heldout_frac is None:
-            return 0
-        return max(1, int(round(n * self.heldout_frac)))
 
 
 @dataclass(frozen=True)
@@ -372,11 +366,11 @@ def fit(dataset, config):
     change.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
-    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  At m = n
-    the inducing inputs are the training rows, in row order (the full GP);
-    for m < n they come from :func:`~pggpc.model.kmeanspp_init` on at most
-    max(2000, 20 m) training rows drawn without replacement (all of them
-    when n is at most that).
+    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  m is capped
+    at the n training rows, as the batch size is: at m = n the inducing
+    inputs are the training rows, in row order (the full GP); for m < n they
+    come from :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m)
+    training rows drawn without replacement (all of them when n is at most that).
 
     Returns
     -------
@@ -393,17 +387,15 @@ def fit(dataset, config):
 
     train = dataset
     heldout = None
-    n_held = config.heldout_rows(dataset.n)
-    if n_held:
+    if config.heldout_frac is not None:
+        n_held = max(1, int(round(dataset.n * config.heldout_frac)))
         if n_held >= dataset.n:
             raise ValueError("heldout fraction leaves no training data")
         perm = np.random.default_rng(ss_split).permutation(dataset.n)
         heldout = dataset.subset(perm[:n_held])
         train = dataset.subset(perm[n_held:])
 
-    m = config.num_inducing
-    if not 1 <= m <= train.n:
-        raise ValueError(f"need 1 <= num_inducing <= n, got m={m}, n={train.n}")
+    m = min(config.num_inducing, train.n)
     Z = train.X if m == train.n else kmeanspp_init(train.X, m, np.random.default_rng(ss_init))
     state = init_state(Z, config.init_params or KernelParams.default(train.d))
 

@@ -123,14 +123,14 @@ class _Inducing:
         Z = np.clip(np.atleast_2d(np.asarray(Z, dtype=float)), -far, far) / l
         self.l = l
         self.c = np.trunc(Z.mean(axis=0))
-        self.Z = np.clip(Z - self.c, -_FAR, _FAR) if self.c.any() else Z
+        self.Z = np.clip(Z - self.c, -_FAR, _FAR)
         self.half_sq = 0.5 * np.sum(self.Z * self.Z, axis=1)
 
     def rows(self, X):
         """The rows X in the same units and about the same centre as ``Z``."""
         far = _FAR * self.l
         X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / self.l
-        return np.clip(X - self.c, -_FAR, _FAR) if self.c.any() else X
+        return np.clip(X - self.c, -_FAR, _FAR)
 
     def neg_half_sq(self, X):
         """-||x - z||^2 / 2, clamped at 0, for rows X taken by :meth:`rows`, in one buffer."""

@@ -131,8 +131,6 @@ def _sample_jacobi_tilted(z, rng):
     """
     n = z.size
     out = np.empty(n)
-    if n == 0:
-        return out
     rate = np.pi**2 / 8.0 + 0.5 * z * z
     # Proposal-piece masses with the common cosh(z) factor divided out.  The
     # scaled complementary error function keeps the right-hand term finite

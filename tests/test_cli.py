@@ -677,6 +677,16 @@ class TestConfigFile:
                                       _build_parser())
         assert argv == ["train", flag, "--data", "x", "--config", str(cfg)]
 
+    def test_config_flag_with_an_equals_sign_reads_the_file(self, blob_files, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max-iters=3\nm=5\nseed=7\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out_dir, spelling in ((a, ["--config", str(cfg)]), (b, [f"--config={cfg}"])):
+            assert main(["train", "--data", blob_files["libsvm"], *spelling,
+                         "--out-dir", str(out_dir)]) == 0
+        assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+        doc = json.loads((b / "checkpoint.json").read_text())
+        assert (doc["seed"], doc["arrays"]["eta1"]["shape"]) == (7, [5])  # the file's seed and m
 
     def test_an_abbreviated_config_flag_is_unrecognised(self, blob_files, tmp_path, capsys):
         # argparse took "--conf" for --config, which the file expansion reads

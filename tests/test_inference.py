@@ -645,10 +645,26 @@ class TestTrainConfig:
         ("seed", -1),
         ("batch_size", 0),
         ("batch_size", -3),
+        ("num_inducing", 0),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True])
+    @pytest.mark.parametrize("field", ["num_inducing", "batch_size", "max_iters",
+                                       "hyper_every", "seed"])
+    def test_count_field_that_is_not_an_integer_is_named(self, field, value):
+        # hyper_every=2.5 took an Adam step on iterations 5, 10, ...; the
+        # others ended in a TypeError from NumPy that named no field.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        config = TrainConfig(**{name: np.int64(3) for name in
+                                ("num_inducing", "batch_size", "max_iters", "hyper_every",
+                                 "seed")})
+        assert config.hyper_every == 3
 
     def test_fields_cannot_be_assigned(self):
         # Only construction validates a config, so none can be changed after
@@ -957,12 +973,24 @@ class TestFit:
         assert counts[1][0] > counts[0][0]
         assert counts[0][1] == counts[1][1] == 1
 
-    def test_rejects_too_many_inducing_points(self):
+    def test_inducing_count_above_the_rows_fits_the_full_gp(self, monkeypatch):
+        # m is capped at the training rows as the batch size is; fit raised
+        # "need 1 <= num_inducing <= n" at m = n + 1.
         rng = np.random.default_rng(26)
         X = rng.normal(size=(10, 2))
-        y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        with pytest.raises(ValueError, match="num_inducing"):
-            fit(Dataset(X=X, y=y), TrainConfig(num_inducing=11, batch_size=5, max_iters=3))
+        ds = Dataset(X=X, y=np.where(X[:, 0] > 0, 1.0, -1.0))
+
+        def refuse(*args):
+            raise AssertionError("kmeanspp_init called at m > n")
+
+        monkeypatch.setattr(inference, "kmeanspp_init", refuse)
+        a, b = (fit(ds, TrainConfig(num_inducing=m, batch_size=5, max_iters=3, hyper_every=2))
+                for m in (ds.n, ds.n + 1))
+        for name in ("eta1", "eta2", "Z"):
+            assert np.array_equal(getattr(a.state, name), getattr(b.state, name))
+        assert a.state.params == b.state.params
+        assert np.array_equal(a.trace[:, [0, 2, 3]], b.trace[:, [0, 2, 3]])
+        assert a.final_elbo == b.final_elbo
 
     @pytest.mark.parametrize("heldout_frac", [None, 0.25])
     def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, heldout_frac,
@@ -975,14 +1003,13 @@ class TestFit:
             raise AssertionError("kmeanspp_init called at m = n")
 
         monkeypatch.setattr(inference, "kmeanspp_init", refuse)
-        n_train = ds.n - TrainConfig(heldout_frac=heldout_frac).heldout_rows(ds.n)
-        res = fit(ds, TrainConfig(num_inducing=n_train, batch_size=10, max_iters=4,
+        res = fit(ds, TrainConfig(num_inducing=ds.n, batch_size=10, max_iters=4,
                                   heldout_frac=heldout_frac, hyper_every=2, seed=3))
         if heldout_frac is None:
             assert np.array_equal(res.state.Z, ds.X)
         else:
             rows = {tuple(x) for x in ds.X} - {tuple(x) for x in res.heldout.X}
-            assert res.state.Z.shape == (n_train, ds.d)
+            assert res.state.Z.shape == (ds.n - res.heldout.n, ds.d)
             assert {tuple(z) for z in res.state.Z} == rows
 
     def test_heldout_fraction_that_leaves_no_training_rows(self):

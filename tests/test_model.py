@@ -382,3 +382,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == f"{path}: checkpoint field {field!r} holds NaN or Inf"
+
+    def test_rejects_finite_natural_parameters_with_non_finite_moments(self, tmp_path):
+        # -2 eta2 = 2e-310 I factorizes, but its inverse overflows to inf.
+        ds = _toy_dataset(10, 2)
+        st = prior_state(ds, 3, KernelParams(0.0), np.random.default_rng(18))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, st, seed=1)
+        doc = json.loads(path.read_text())
+        doc["arrays"]["eta2"] = model._encode_array(-1e-310 * np.eye(3))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: checkpoint field 'arrays' eta1 and eta2 give a "
+                                  "non-finite mean or covariance")

@@ -183,6 +183,15 @@ def test_sampler_seed_reproducibility_and_shapes():
     assert np.ndim(scalar) == 0
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_sampler_on_empty_input_draws_nothing(shape):
+    rng = np.random.default_rng(5)
+    draws = pg_sample(np.empty(shape), rng)
+    assert draws.shape == shape
+    # No draw consumed the generator.
+    assert rng.random() == np.random.default_rng(5).random()
+
+
 def test_sampler_heterogeneous_tilts():
     c = np.array([0.0, 0.1, 1.0, 5.0, 25.0])
     rng = np.random.default_rng(8)
