@@ -11,7 +11,8 @@ gibbs-check  full-GP VI vs exact Gibbs agreement, write gibbs_vi.csv
 
 Training options default to the fields of ``pggpc.inference.TrainConfig``,
 the paper's benchmarking protocol; ``--fixed-lr RHO`` alone switches to a
-constant step and ``--heldout-frac F`` alone to the held-out stopping rule.
+constant step.  Training has one stopping rule, the natural-parameter one;
+held-out scores come from ``cv`` or from ``evaluate`` on a separate file.
 An optional ``--config`` file of ``key=value`` lines, each naming an option
 of its command, overrides the defaults, and explicit flags override the
 file.  Flags are taken only as spelled in full.  ``--label-col`` acts only
@@ -32,7 +33,7 @@ import numpy as np
 
 from .data import Standardizer, canonical_order, kfold, load, load_features, standardize
 from .gibbs import GIBBS_BURN_IN, GIBBS_SWEEPS, GIBBS_THIN, chain_size, compare_to_vi, gibbs_run
-from .inference import CONV_WINDOW, HELDOUT_THRESHOLD, TRACE_COLUMNS, TrainConfig, fit
+from .inference import TRACE_COLUMNS, TrainConfig, fit
 from .kernel import DEFAULT_TEXT, FactorizationError, KernelParams
 from .model import Dataset, load_checkpoint, save_checkpoint
 from .prediction import class_prob, evaluate, latent_predict, predicted_label
@@ -114,12 +115,6 @@ def _add_train_opts(p):
         default = getattr(TrainConfig, name)
         p.add_argument(flag, type=type(default), default=default,
                        help=f"{what} (default %(default)s)")
-    p.add_argument(
-        "--heldout-frac", type=float, default=TrainConfig.heldout_frac, metavar="F",
-        help=f"hold out this fraction of the rows and stop when the window-{CONV_WINDOW} average "
-        f"of the relative held-out NLL change is under {HELDOUT_THRESHOLD:g} (default: stop "
-        f"when that of the natural parameters is under {TrainConfig.conv_threshold:g})",
-    )
     p.add_argument("--fixed-lr", type=float, default=TrainConfig.fixed_lr, metavar="RHO",
                    help="constant step size in (0, 1] (default: the adaptive rate)")
     _add_kernel_opts(p)
@@ -258,7 +253,6 @@ def _train_config(args, d, m, seed):
         hyper_every=args.hyper_every,
         adam_lr=args.adam_lr,
         seed=seed,
-        heldout_frac=args.heldout_frac,
         init_params=KernelParams.default(d, args.lengthscale, args.amplitude, args.jitter),
     )
 
@@ -276,9 +270,6 @@ def cmd_train(args):
     ckpt_path = os.path.join(args.out_dir, "checkpoint.json")
     save_checkpoint(ckpt_path, result.state, args.seed, preprocess=preprocess)
     print(f"final_elbo={result.final_elbo!r}")
-    if result.heldout is not None:
-        ev = evaluate(result.state, result.heldout)
-        print(f"heldout_error={ev.error_rate!r} heldout_nll={ev.mean_nll!r}")
     print(
         f"wall_seconds={result.wall_seconds:.3f} iters={result.n_iters} "
         f"converged={str(result.converged).lower()}"

@@ -162,6 +162,9 @@ def _parse_libsvm(path, n_features):
                     raise ValueError(f"{path}:{lineno}: malformed entry {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: index {idx} is not 1-based")
+                if n_features is not None and idx > n_features:
+                    raise ValueError(f"{path}:{lineno}: feature index {idx} exceeds "
+                                     f"n_features={n_features}")
                 if not isfinite(val):
                     raise _non_finite(path, lineno, val)
                 entries[idx] = val
@@ -182,8 +185,6 @@ def _parse_libsvm(path, n_features):
         ) from None
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
-            if idx > d:
-                raise ValueError(f"{path}: feature index {idx} exceeds n_features={d}")
             X[i, idx - 1] = val
     return X, labels
 

@@ -31,9 +31,9 @@ import numpy as np
 
 from .data import minibatch_iter
 from .kernel import FactorizationError, KernelParams, build_gram, factorize, kern_grad
-from .model import Dataset, VariationalState, init_state, kmeanspp_init
+from .model import VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
-from .prediction import _ROW_BLOCK, evaluate, latent_predict
+from .prediction import _ROW_BLOCK, latent_predict
 
 __all__ = [
     "TrainConfig",
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("iter", "wall_seconds", "elbo_estimate", "rho")
-CONV_WINDOW = 5  # iterations averaged by either convergence rule
-HELDOUT_THRESHOLD = 1e-3  # relative held-out NLL change that counts as converged
+CONV_WINDOW = 5  # iterations averaged by the convergence rule
 _RATE_BURN_IN = 10  # AdaptiveRate: observations averaged plainly before the window
 _RATE_TAU0 = 1.0  # AdaptiveRate: initial window
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -62,12 +61,9 @@ class TrainConfig:
     """Knobs of the SVI training loop; the one definition of their defaults.
 
     The defaults are the paper's benchmarking protocol, and the command line
-    reads its defaults here.  ``heldout_frac`` picks the stopping rule:
-    when it is None, training converges when the ``CONV_WINDOW`` average of
-    the relative natural-parameter change drops below ``conv_threshold``;
-    otherwise that fraction of the rows is held out, and training converges
-    when the average relative held-out NLL change drops below
-    ``HELDOUT_THRESHOLD``.  The step size is :class:`AdaptiveRate` when
+    reads its defaults here.  Training converges when the ``CONV_WINDOW``
+    average of the relative natural-parameter change drops below
+    ``conv_threshold``.  The step size is :class:`AdaptiveRate` when
     ``fixed_lr`` is None and the constant ``fixed_lr`` otherwise; m at or
     above the training rows is the full GP (Z = X).  Each count field must
     be an integer (not a bool).  It is frozen, as only construction
@@ -82,7 +78,6 @@ class TrainConfig:
     hyper_every: int = 10  # 0 disables hyperparameter optimization
     adam_lr: float = 0.02
     seed: int = 0
-    heldout_frac: float | None = None  # None: the natural-parameter rule
     init_params: KernelParams | None = None
 
     def __post_init__(self):
@@ -99,8 +94,6 @@ class TrainConfig:
             raise ValueError("fixed_lr must be in (0, 1]")
         if not 0.0 < self.adam_lr < np.inf:
             raise ValueError(f"adam_lr must be positive and finite, got {self.adam_lr}")
-        if self.heldout_frac is not None and not 0.0 < self.heldout_frac < 1.0:
-            raise ValueError(f"heldout_frac must be in (0, 1), got {self.heldout_frac}")
 
     @classmethod
     def full_gp(cls, dataset, params, max_iters, seed):
@@ -121,7 +114,6 @@ class FitResult:
     n_iters: int
     wall_seconds: float
     final_elbo: float
-    heldout: Dataset | None
 
 
 def elbo(state, y, c, kmu, var, scale):
@@ -356,14 +348,12 @@ def fit(dataset, config):
     eta2).  Every ``hyper_every`` iterations it then retakes the batch's
     tilts from the marginals at the new (mu, Sigma) and takes one Adam step
     on the kernel hyperparameters from the same batch rows' n/|S|-scaled
-    gradient, so an iteration costs O(s m^2 + m^3) whatever n is (plus the
-    held-out scoring when requested).  K_mm is factorized once per
-    hyperparameter value and held by the state as ``mm``, which carries Z
-    and the parameters; :func:`hyper_step` returns the state with the
-    accepted step's ``mm``.  Convergence is a sliding-window average either
-    of the relative natural-parameter change or, when
-    ``config.heldout_frac`` holds rows out, of the relative held-out NLL
-    change.  After the loop one blocked
+    gradient, so an iteration costs O(s m^2 + m^3) whatever n is.  K_mm is
+    factorized once per hyperparameter value and held by the state as
+    ``mm``, which carries Z and the parameters; :func:`hyper_step` returns
+    the state with the accepted step's ``mm``.  Training converges when the
+    ``CONV_WINDOW`` average of the relative natural-parameter change drops
+    below ``config.conv_threshold``.  After the loop one blocked
     :func:`~pggpc.prediction.latent_predict` pass over the training rows
     gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
     ``build_gram`` in ``fit`` takes more rows than a mini-batch.  m is capped
@@ -382,38 +372,27 @@ def fit(dataset, config):
         tilts; ``wall_seconds`` is read after the iteration's step.
     """
     root = np.random.SeedSequence(config.seed)
-    ss_init, ss_batch, ss_split = root.spawn(3)
+    ss_init, ss_batch = root.spawn(2)
     t0 = time.perf_counter()
 
-    train = dataset
-    heldout = None
-    if config.heldout_frac is not None:
-        n_held = max(1, int(round(dataset.n * config.heldout_frac)))
-        if n_held >= dataset.n:
-            raise ValueError("heldout fraction leaves no training data")
-        perm = np.random.default_rng(ss_split).permutation(dataset.n)
-        heldout = dataset.subset(perm[:n_held])
-        train = dataset.subset(perm[n_held:])
+    m = min(config.num_inducing, dataset.n)
+    Z = (dataset.X if m == dataset.n
+         else kmeanspp_init(dataset.X, m, np.random.default_rng(ss_init)))
+    state = init_state(Z, config.init_params or KernelParams.default(dataset.d))
 
-    m = min(config.num_inducing, train.n)
-    Z = train.X if m == train.n else kmeanspp_init(train.X, m, np.random.default_rng(ss_init))
-    state = init_state(Z, config.init_params or KernelParams.default(train.d))
-
-    batch_size = min(config.batch_size, train.n)
-    batches = minibatch_iter(train.n, batch_size, ss_batch)
+    batch_size = min(config.batch_size, dataset.n)
+    batches = minibatch_iter(dataset.n, batch_size, ss_batch)
     rate = AdaptiveRate()
     adam = AdamState(lr=config.adam_lr)
     window = deque(maxlen=CONV_WINDOW)
-    threshold = config.conv_threshold if heldout is None else HELDOUT_THRESHOLD
-    prev_heldout_nll = None
     trace_rows = []
     converged = False
     it = 0
 
     for it in range(1, config.max_iters + 1):
         idx = next(batches)
-        y, scale = train.y[idx], train.n / idx.size
-        gram_b = build_gram(train.X[idx], state.mm)
+        y, scale = dataset.y[idx], dataset.n / idx.size
+        gram_b = build_gram(dataset.X[idx], state.mm)
         kmu, var = gram_b.marginals(state.mu, state.Sigma)
         c = local_update(kmu, var)
         est = elbo(state, y, c, kmu, var, scale)
@@ -432,19 +411,13 @@ def fit(dataset, config):
             c = local_update(*gram_b.marginals(state.mu, state.Sigma))  # at the new q(u)
             state = hyper_step(state, adam, gram_b, y, c, scale)[1]
 
-        if heldout is None:
-            window.append(rel_change)
-        else:
-            nll = evaluate(state, heldout).mean_nll
-            if prev_heldout_nll is not None:
-                window.append(abs(nll - prev_heldout_nll) / (abs(prev_heldout_nll) + 1e-12))
-            prev_heldout_nll = nll
-        if len(window) == CONV_WINDOW and np.mean(window) < threshold:
+        window.append(rel_change)
+        if len(window) == CONV_WINDOW and np.mean(window) < config.conv_threshold:
             converged = True
             break
 
-    kmu, var = latent_predict(state, train.X)
-    final_elbo = elbo(state, train.y, local_update(kmu, var), kmu, var, 1.0)
+    kmu, var = latent_predict(state, dataset.X)
+    final_elbo = elbo(state, dataset.y, local_update(kmu, var), kmu, var, 1.0)
     wall = time.perf_counter() - t0
     return FitResult(
         state=state,
@@ -453,5 +426,4 @@ def fit(dataset, config):
         n_iters=it,
         wall_seconds=wall,
         final_elbo=final_elbo,
-        heldout=heldout,
     )

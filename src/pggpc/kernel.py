@@ -127,9 +127,14 @@ class _Inducing:
         self.half_sq = 0.5 * np.sum(self.Z * self.Z, axis=1)
 
     def rows(self, X):
-        """The rows X in the same units and about the same centre as ``Z``."""
+        """The rows X in the same units and about the same centre as ``Z``; their
+        feature count must be Z's."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.Z.shape[1]:
+            raise ValueError(f"rows have {X.shape[1]} features, the inducing inputs "
+                             f"{self.Z.shape[1]}")
         far = _FAR * self.l
-        X = np.clip(np.atleast_2d(np.asarray(X, dtype=float)), -far, far) / self.l
+        X = np.clip(X, -far, far) / self.l
         return np.clip(X - self.c, -_FAR, _FAR)
 
     def neg_half_sq(self, X):

@@ -153,6 +153,7 @@ def class_prob(mu_star, var_star):
     Parameters
     ----------
     mu_star, var_star : float or array_like
+        A NaN mean, or a negative or NaN variance, is a ``ValueError``.
 
     Returns
     -------
@@ -162,7 +163,9 @@ def class_prob(mu_star, var_star):
     """
     mu = np.asarray(mu_star, dtype=float)
     var = np.asarray(var_star, dtype=float)
-    if np.any(var < 0.0):
+    if np.isnan(mu).any():
+        raise ValueError("predictive mean must not be NaN")
+    if not np.all(var >= 0.0):  # also catches NaN
         raise ValueError("predictive variance must be nonnegative")
     shape = np.broadcast_shapes(mu.shape, var.shape)
     mu_flat = np.broadcast_to(mu, shape).ravel()

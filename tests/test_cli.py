@@ -86,20 +86,13 @@ class TestTrain:
         assert _train(blob_files["libsvm"], b, "--seed", "6") == 0
         assert (a / "checkpoint.json").read_bytes() != (b / "checkpoint.json").read_bytes()
 
-    def test_heldout_convergence_reports_metrics(self, blob_files, tmp_path, capsys):
-        code = _train(blob_files["libsvm"], tmp_path, "--heldout-frac", "0.2")
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "heldout_error=" in out and "heldout_nll=" in out
-
-    def test_heldout_convergence_caps_m_at_training_rows(self, blob_files, tmp_path, capsys):
-        # 40 points: the default m = 100 must shrink to the 36 rows left after
-        # holding out round(0.1 * 40) = 4, not to the full 40.
+    def test_default_m_is_capped_at_the_training_rows(self, blob_files, tmp_path, capsys):
+        # 40 points: the default m = 100 shrinks to the 40 training rows.
         code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path),
-                     "--heldout-frac", "0.1", "--max-iters", "5", "--hyper-every", "0"])
+                     "--max-iters", "5", "--hyper-every", "0"])
         assert code == 0, capsys.readouterr().err
         state, _, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
-        assert state.m == 36
+        assert state.m == 40
 
     def test_csv_input_by_extension(self, blob_files, tmp_path):
         assert _train(blob_files["csv"], tmp_path) == 0
@@ -141,10 +134,8 @@ def _one_error_line(capsys):
 @pytest.mark.parametrize("flags, name", [
     (["--hyper-every", "-1"], "hyper_every"),
     (["--adam-lr", "-0.5"], "adam_lr"),
-    (["--heldout-frac", "-0.3"], "heldout_frac"),
     (["--max-iters", "-4"], "max_iters"),
     (["--adam-lr", "nan"], "adam_lr"),
-    (["--heldout-frac", "nan"], "heldout_frac"),
     (["--adam-lr", "inf"], "adam_lr"),
     (["--seed", "-1"], "--seed"),
     (["--fixed-lr", "2"], "fixed_lr"),
@@ -241,8 +232,7 @@ def test_degenerate_kernel_is_one_error_line(command, tmp_path, capsys):
 
 _FLAG_FIELDS = {
     "m": "num_inducing", "batch": "batch_size", "max_iters": "max_iters",
-    "hyper_every": "hyper_every", "adam_lr": "adam_lr", "fixed_lr": "fixed_lr",
-    "heldout_frac": "heldout_frac", "seed": "seed",
+    "hyper_every": "hyper_every", "adam_lr": "adam_lr", "fixed_lr": "fixed_lr", "seed": "seed",
 }
 
 
@@ -716,6 +706,7 @@ def test_no_command_takes_an_abbreviated_flag(command, extra, blob_files, tmp_pa
 
 @pytest.mark.parametrize("command, key", [
     ("train", "conv=heldout"),  # an option that no longer exists
+    ("train", "heldout_frac=0.1"),  # nor this one
     ("predict", "max_iters=5"),  # an option of another command
 ])
 def test_config_key_that_is_not_an_option_is_one_error_line(command, key, blob_files, trained,

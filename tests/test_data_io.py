@@ -41,7 +41,7 @@ class TestLibsvmParsing:
         data = load(path, "libsvm", n_features=5)
         assert data.X.shape == (2, 5)
         np.testing.assert_array_equal(data.X[:, 2:], 0.0)
-        with pytest.raises(ValueError, match="exceeds n_features"):
+        with pytest.raises(ValueError, match=r"a\.txt:2: feature index 2 exceeds n_features=1$"):
             load(path, "libsvm", n_features=1)
 
     @pytest.mark.parametrize("k", [0, -1])

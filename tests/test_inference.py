@@ -635,10 +635,6 @@ class TestTrainConfig:
         ("adam_lr", 0.0),
         ("adam_lr", -0.5),
         ("adam_lr", float("nan")),
-        ("heldout_frac", -0.3),
-        ("heldout_frac", 0.0),
-        ("heldout_frac", 1.0),
-        ("heldout_frac", float("nan")),
         ("max_iters", -4),
         ("conv_threshold", float("nan")),
         ("adam_lr", float("inf")),
@@ -676,7 +672,7 @@ class TestTrainConfig:
             replace(config, batch_size=0)
 
     def test_boundary_values_are_accepted(self):
-        TrainConfig(hyper_every=0, max_iters=0, heldout_frac=0.5, adam_lr=1e-9)
+        TrainConfig(hyper_every=0, max_iters=0, adam_lr=1e-9)
 
 
 class TestFit:
@@ -733,25 +729,6 @@ class TestFit:
         with pytest.raises(FrozenInstanceError):
             res.n_iters = 0
         assert not hasattr(res, "trace_columns")
-
-    def test_heldout_convergence_mode(self):
-        rng = np.random.default_rng(23)
-        X = rng.normal(size=(80, 2))
-        y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        res = fit(
-            Dataset(X=X, y=y),
-            TrainConfig(
-                num_inducing=6,
-                batch_size=24,
-                max_iters=150,
-                heldout_frac=0.2,
-                hyper_every=0,
-                seed=1,
-            ),
-        )
-        assert res.heldout is not None
-        assert res.heldout.n == 16
-        assert np.isfinite(res.final_elbo)
 
     def test_trace_schema(self):
         rng = np.random.default_rng(24)
@@ -961,18 +938,6 @@ class TestFit:
                             conv_threshold=0.0, hyper_every=0, seed=0))
         assert len(calls) == 1
 
-    def test_heldout_evaluations_reuse_the_factorization(self, monkeypatch):
-        ds, _ = _toy_problem(n=80, m=6)
-        calls = _count_factorizations(monkeypatch)
-        counts = []
-        for iters in (2, 12):
-            calls.clear()
-            res = fit(ds, TrainConfig(num_inducing=6, batch_size=16, max_iters=iters,
-                                      heldout_frac=0.1, hyper_every=0, seed=0))
-            counts.append((res.n_iters, len(calls)))
-        assert counts[1][0] > counts[0][0]
-        assert counts[0][1] == counts[1][1] == 1
-
     def test_inducing_count_above_the_rows_fits_the_full_gp(self, monkeypatch):
         # m is capped at the training rows as the batch size is; fit raised
         # "need 1 <= num_inducing <= n" at m = n + 1.
@@ -992,9 +957,7 @@ class TestFit:
         assert np.array_equal(a.trace[:, [0, 2, 3]], b.trace[:, [0, 2, 3]])
         assert a.final_elbo == b.final_elbo
 
-    @pytest.mark.parametrize("heldout_frac", [None, 0.25])
-    def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, heldout_frac,
-                                                                  monkeypatch):
+    def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, monkeypatch):
         # On distinct rows k-means++ at m = n returns a permutation of the
         # rows; fit takes them in row order and runs no k-means at all.
         ds, _ = _toy_problem(n=40, m=4)
@@ -1004,18 +967,8 @@ class TestFit:
 
         monkeypatch.setattr(inference, "kmeanspp_init", refuse)
         res = fit(ds, TrainConfig(num_inducing=ds.n, batch_size=10, max_iters=4,
-                                  heldout_frac=heldout_frac, hyper_every=2, seed=3))
-        if heldout_frac is None:
-            assert np.array_equal(res.state.Z, ds.X)
-        else:
-            rows = {tuple(x) for x in ds.X} - {tuple(x) for x in res.heldout.X}
-            assert res.state.Z.shape == (ds.n - res.heldout.n, ds.d)
-            assert {tuple(z) for z in res.state.Z} == rows
-
-    def test_heldout_fraction_that_leaves_no_training_rows(self):
-        ds, _ = _toy_problem(n=2, m=1)
-        with pytest.raises(ValueError, match="^heldout fraction leaves no training data$"):
-            fit(ds, TrainConfig(num_inducing=1, heldout_frac=0.9))
+                                  hyper_every=2, seed=3))
+        assert np.array_equal(res.state.Z, ds.X)
 
     @staticmethod
     def _traced_peak_at_paper_scale():
@@ -1066,7 +1019,6 @@ def logistic_data():
 
 _SYMMETRY_CONFIGS = [
     {"hyper_every": 5, "max_iters": 200},  # the default 1000: 53 s on 2 vCPUs, 2 BLAS threads
-    {"heldout_frac": 0.2},
     {"fixed_lr": 0.5, "hyper_every": 0, "num_inducing": 40, "batch_size": 250},
 ]
 
@@ -1091,7 +1043,7 @@ def test_label_flip_negates_eta1_and_leaves_the_rest_bit_identical(kwargs, logis
 
 @st.composite
 def _flip_cases(draw):
-    """A small dataset and a TrainConfig under the natural-parameter rule."""
+    """A small dataset and a TrainConfig."""
     n = draw(st.integers(2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(size=(n, draw(st.integers(1, 4))))

@@ -146,11 +146,15 @@ class TestClassProb:
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert class_prob(1.0, 4.0) == pytest.approx(draws.mean(), abs=3.5 * se)
 
-    def test_negative_variance_raises(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            class_prob(0.0, -1e-3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            class_prob(np.zeros(3), np.array([1.0, -0.5, 2.0]))
+    @pytest.mark.parametrize("mu, var, message", [
+        (0.0, -1e-3, "variance must be nonnegative"),
+        (np.zeros(3), np.array([1.0, -0.5, 2.0]), "variance must be nonnegative"),
+        (0.0, np.nan, "variance must be nonnegative"),  # was "cannot convert float NaN ..."
+        (np.nan, 1.0, "mean must not be NaN"),  # was returned as NaN
+    ])
+    def test_negative_variance_raises(self, mu, var, message):
+        with pytest.raises(ValueError, match=f"^predictive {message}$"):
+            class_prob(mu, var)
 
     def test_broadcasting_and_scalar_return(self):
         p = class_prob(1.0, 2.0)
@@ -260,6 +264,19 @@ class TestLatentPredict:
         mu_star, _ = latent_predict(state, rng.normal(size=(3 * _ROW_BLOCK + 1, 2)))
         assert mu_star.shape == (3 * _ROW_BLOCK + 1,)
         assert rows and max(rows) <= _ROW_BLOCK
+
+    @pytest.mark.parametrize("d_rows", [1, 4])
+    def test_feature_count_other_than_the_inducing_inputs_is_named(self, d_rows):
+        # One column broadcast against three into wrong numbers; four ended
+        # in NumPy's broadcast error, which named no count.
+        state = _random_state(np.random.default_rng(8), d=3)
+        X = np.ones((5, d_rows))
+        for call in (lambda: latent_predict(state, X),
+                     lambda: evaluate(state, Dataset(X=X, y=np.ones(5))),
+                     lambda: kernel.build_gram(X, state.mm)):
+            with pytest.raises(ValueError, match=f"^rows have {d_rows} features, the "
+                                                 "inducing inputs 3$"):
+                call()
 
     def test_gram_reuse_matches_fresh_factorization(self):
         # state.mm is a fresh factorization at (Z, params), so predicting
