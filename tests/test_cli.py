@@ -140,6 +140,8 @@ def _one_error_line(capsys):
     (["--seed", "-1"], "--seed"),
     (["--fixed-lr", "2"], "fixed_lr"),
     (["--batch", "0", "--max-iters", "0"], "batch_size"),  # no batch is drawn
+    (["--m", "0"], "num_inducing"),
+    (["--fixed-lr", "nan"], "fixed_lr"),
 ])
 def test_train_option_out_of_range_is_one_error_line(flags, name, blob_files, tmp_path, capsys):
     code = main(["train", "--data", blob_files["libsvm"], "--out-dir", str(tmp_path), *flags])

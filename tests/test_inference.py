@@ -642,6 +642,10 @@ class TestTrainConfig:
         ("batch_size", 0),
         ("batch_size", -3),
         ("num_inducing", 0),
+        ("conv_threshold", -1.0),
+        ("fixed_lr", 0.0),
+        ("fixed_lr", 1.5),
+        ("fixed_lr", float("nan")),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
@@ -957,7 +961,9 @@ class TestFit:
         assert np.array_equal(a.trace[:, [0, 2, 3]], b.trace[:, [0, 2, 3]])
         assert a.final_elbo == b.final_elbo
 
-    def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", [10, 40])
+    def test_every_training_row_is_an_inducing_input_at_m_equal_n(self, batch_size,
+                                                                  monkeypatch):
         # On distinct rows k-means++ at m = n returns a permutation of the
         # rows; fit takes them in row order and runs no k-means at all.
         ds, _ = _toy_problem(n=40, m=4)
@@ -966,7 +972,7 @@ class TestFit:
             raise AssertionError("kmeanspp_init called at m = n")
 
         monkeypatch.setattr(inference, "kmeanspp_init", refuse)
-        res = fit(ds, TrainConfig(num_inducing=ds.n, batch_size=10, max_iters=4,
+        res = fit(ds, TrainConfig(num_inducing=ds.n, batch_size=batch_size, max_iters=4,
                                   hyper_every=2, seed=3))
         assert np.array_equal(res.state.Z, ds.X)
 
@@ -1020,6 +1026,7 @@ def logistic_data():
 _SYMMETRY_CONFIGS = [
     {"hyper_every": 5, "max_iters": 200},  # the default 1000: 53 s on 2 vCPUs, 2 BLAS threads
     {"fixed_lr": 0.5, "hyper_every": 0, "num_inducing": 40, "batch_size": 250},
+    {"fixed_lr": 1.0, "hyper_every": 0, "num_inducing": 40, "batch_size": 3000},  # coordinate ascent
 ]
 
 
@@ -1062,7 +1069,7 @@ def _flip_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_flip_cases())
 def test_label_flip_negates_eta1_over_the_config_space(case):
-    # The parametrized test above at three configurations, here over the
+    # The parametrized test above at four configurations, here over the
     # step rules, hyperparameter schedules and batch, inducing and data sizes.
     ds, config = case
     a = fit(ds, config)
