@@ -26,12 +26,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .data import minibatch_iter
 from .kernel import FactorizationError, KernelParams, build_gram, factorize, kern_grad
-from .model import VariationalState, init_state, kmeanspp_init
+from .model import Dataset, VariationalState, init_state, kmeanspp_init
 from .pg import pg_kl_term, theta
 from .prediction import _ROW_BLOCK, latent_predict
 
@@ -39,6 +40,7 @@ __all__ = [
     "TrainConfig",
     "FitResult",
     "elbo",
+    "bound",
     "local_update",
     "natural_gradient",
     "global_step",
@@ -106,14 +108,24 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of :func:`fit`; ``trace``'s columns are ``TRACE_COLUMNS``."""
+    """Outcome of :func:`fit`; ``trace``'s columns are ``TRACE_COLUMNS``.
+
+    ``dataset`` is the rows ``fit`` was given, by reference, not a copy.
+    ``final_elbo`` is :func:`bound` at ``state`` over those rows as they
+    are when it is first read; that read pays the pass over every row,
+    which ``wall_seconds`` excludes, and later reads reuse its value.
+    """
 
     state: VariationalState
     trace: np.ndarray
     converged: bool
     n_iters: int
     wall_seconds: float
-    final_elbo: float
+    dataset: Dataset = field(repr=False, compare=False)
+
+    @cached_property
+    def final_elbo(self):
+        return bound(self.state, self.dataset)
 
 
 def elbo(state, y, c, kmu, var, scale):
@@ -136,6 +148,17 @@ def elbo(state, y, c, kmu, var, scale):
         th = theta(c[b])
         data += 0.5 * (y[b] @ kmu[b] - th @ (var[b] + kmu[b] * kmu[b])) - np.sum(pg_kl_term(c[b]))
     return float(0.5 * (state.logdet_Sigma - state.mm.logdet_Kmm - tr - quad) + scale * data)
+
+
+def bound(state, dataset):
+    """The bound over every row of ``dataset`` at ``state``, each row at its optimal tilt.
+
+    One blocked :func:`~pggpc.prediction.latent_predict` pass gives the
+    rows' q(f) marginals, :func:`local_update` their tilts and
+    :func:`elbo` the bound at scale 1.0, so it holds no n x m matrix.
+    """
+    kmu, var = latent_predict(state, dataset.X)
+    return elbo(state, dataset.y, local_update(kmu, var), kmu, var, 1.0)
 
 
 def local_update(kmu, var):
@@ -353,10 +376,10 @@ def fit(dataset, config):
     ``mm``, which carries Z and the parameters; :func:`hyper_step` returns
     the state with the accepted step's ``mm``.  Training converges when the
     ``CONV_WINDOW`` average of the relative natural-parameter change drops
-    below ``config.conv_threshold``.  After the loop one blocked
-    :func:`~pggpc.prediction.latent_predict` pass over the training rows
-    gives the q(f) marginals, their optimal tilts and ``final_elbo``, so no
-    ``build_gram`` in ``fit`` takes more rows than a mini-batch.  m is capped
+    below ``config.conv_threshold``.  No pass reads every row:
+    ``FitResult.final_elbo`` computes :func:`bound` when first read, so n
+    enters ``fit`` only through set-up and ``wall_seconds`` holds no
+    all-rows pass.  m is capped
     at the n training rows, as the batch size is: at m = n the inducing
     inputs are the training rows, in row order (the full GP); for m < n they
     come from :func:`~pggpc.model.kmeanspp_init` on at most max(2000, 20 m)
@@ -365,8 +388,8 @@ def fit(dataset, config):
     Returns
     -------
     FitResult
-        Trained state, the bound over every training row, the trace array
-        with columns ``TRACE_COLUMNS``, and convergence info.  The
+        Trained state, the trace array with columns ``TRACE_COLUMNS``,
+        convergence info, and ``dataset`` for ``final_elbo``.  The
         ``elbo_estimate`` of row t is the batch bound (data terms scaled by
         n/|S|) at the state entering iteration t, with that batch's optimal
         tilts; ``wall_seconds`` is read after the iteration's step.
@@ -416,14 +439,11 @@ def fit(dataset, config):
             converged = True
             break
 
-    kmu, var = latent_predict(state, dataset.X)
-    final_elbo = elbo(state, dataset.y, local_update(kmu, var), kmu, var, 1.0)
-    wall = time.perf_counter() - t0
     return FitResult(
         state=state,
         trace=np.array(trace_rows) if trace_rows else np.empty((0, len(TRACE_COLUMNS))),
         converged=converged,
         n_iters=it,
-        wall_seconds=wall,
-        final_elbo=final_elbo,
+        wall_seconds=time.perf_counter() - t0,
+        dataset=dataset,
     )

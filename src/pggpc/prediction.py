@@ -2,7 +2,8 @@
 
 :func:`latent_predict` is the one pass that computes q(f) marginals over
 more rows than a mini-batch: at test points, and at the training rows for
-the full-data bound and the closing tilt refresh of training.  The latent
+the all-rows bound (:func:`~pggpc.inference.bound`, which ``fit`` leaves
+until ``FitResult.final_elbo`` is first read).  The latent
 predictive at x* is Gaussian with
 
     mu*     = K_*m K_mm^{-1} mu
@@ -64,7 +65,8 @@ def latent_predict(state, x_star):
     ----------
     state : VariationalState
     x_star : array_like, shape (n_star, d)
-        A single point of shape (d,) is taken as one row.
+        A single point of shape (d,) is taken as one row.  A feature count
+        other than ``state.Z``'s is a named ``ValueError``, also with no rows.
 
     Returns
     -------
@@ -74,6 +76,7 @@ def latent_predict(state, x_star):
     """
     X = np.atleast_2d(np.asarray(x_star, dtype=float))
     mm = state.mm
+    mm.inducing.rows(X[:0])  # the width check of every block, also when there is none
     alpha = mm.solve_mm(state.mu)
     B = mm.solve_mm(mm.solve_mm(state.Sigma - mm.K_mm).T)
     mu_star = np.empty(X.shape[0])

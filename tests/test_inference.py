@@ -20,6 +20,7 @@ from pggpc.inference import (
     AdaptiveRate,
     FitResult,
     TrainConfig,
+    bound,
     elbo,
     fit,
     global_step,
@@ -135,9 +136,10 @@ def test_fit_assembles_every_bound_through_elbo(monkeypatch):
 
     monkeypatch.setattr(inference, "elbo", recording)
     res = fit(ds, TrainConfig(num_inducing=4, batch_size=10, max_iters=7, conv_threshold=0.0))
+    assert scales == [3.0] * res.n_iters
+    np.testing.assert_array_equal(res.trace[:, 2], values)
+    assert res.final_elbo == values[-1]  # the first read assembles the all-rows bound
     assert scales == [3.0] * res.n_iters + [1.0]
-    np.testing.assert_array_equal(res.trace[:, 2], values[:-1])
-    assert res.final_elbo == values[-1]
 
 
 def test_local_update_is_coordinatewise_optimal():
@@ -764,9 +766,9 @@ class TestFit:
         assert np.all(np.isfinite(res.trace))
 
     def test_no_kmm_solve_inside_the_loop(self, monkeypatch):
-        # kappa and the bound read the shared K_mm^{-1}; only the closing
-        # latent_predict pass solves against K_mm, three times (alpha and
-        # the two sides of B).
+        # kappa and the bound read the shared K_mm^{-1}; only the all-rows
+        # bound's latent_predict pass solves against K_mm, three times (alpha
+        # and the two sides of B), when final_elbo is first read.
         ds, _ = _toy_problem(n=60, m=6)
         calls = []
         solve_mm = GramBundle.solve_mm
@@ -776,8 +778,10 @@ class TestFit:
             return solve_mm(self, B)
 
         monkeypatch.setattr(GramBundle, "solve_mm", counting)
-        fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
-                            conv_threshold=0.0, hyper_every=0, seed=0))
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=40,
+                                  conv_threshold=0.0, hyper_every=0, seed=0))
+        assert len(calls) == 0
+        assert np.isfinite(res.final_elbo)
         assert len(calls) == 3
 
     @staticmethod
@@ -802,9 +806,8 @@ class TestFit:
 
     def test_one_cholesky_per_iteration(self, monkeypatch):
         # The precision's factor gives Sigma and log|Sigma| alike; besides
-        # it, only set-up factorizes (K_mm), and the closing bound reads the
-        # state's log|Sigma|.  At two factorizations an iteration this read
-        # 2 T + 2.
+        # it, only set-up factorizes (K_mm).  At two factorizations an
+        # iteration this read 2 T + 2.
         assert self._factorizations(monkeypatch, 40, 0) == 40 + 1
 
     def test_one_more_cholesky_per_adam_step(self, monkeypatch):
@@ -889,7 +892,8 @@ class TestFit:
     def test_a_short_batch_is_scaled_by_n_over_its_size(self, monkeypatch):
         # 60 rows in batches of 25 end each epoch with a batch of 10: its
         # bound estimate, natural gradient and hyperparameter step take
-        # n/|S| = 6, the full batches 60/25.  The last bound is final_elbo's.
+        # n/|S| = 6, the full batches 60/25.  fit's own bounds are the
+        # batches'; reading final_elbo adds the all-rows one.
         ds, _ = _toy_problem(n=60, m=6)
         y_at = {"elbo": 1, "natural_gradient": 2, "hyper_step": 3}
         seen = {name: [] for name in y_at}
@@ -909,11 +913,87 @@ class TestFit:
                                   conv_threshold=0.0, hyper_every=3, seed=0))
         full, short = (25, 60 / 25), (10, 6.0)
         assert seen["natural_gradient"] == [full, full, short] * 2
-        assert seen["elbo"] == seen["natural_gradient"] + [(60, 1.0)]
+        assert seen["elbo"] == seen["natural_gradient"]
         assert seen["hyper_step"] == [short, short]
         bounds = [e for e in estimates if isinstance(e, float)]
-        np.testing.assert_array_equal(res.trace[:, 2], bounds[:6])
-        assert res.final_elbo == bounds[6]
+        np.testing.assert_array_equal(res.trace[:, 2], bounds)
+        final = res.final_elbo
+        assert seen["elbo"] == seen["natural_gradient"] + [(60, 1.0)]
+        assert final == estimates[-1]
+
+    def test_fit_makes_no_prediction_pass(self, monkeypatch):
+        ds, _ = _toy_problem(n=60, m=6)
+
+        def refuse(*args):
+            raise AssertionError("latent_predict called inside fit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "latent_predict", refuse)
+            res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                      conv_threshold=0.0, hyper_every=5, seed=0))
+        assert res.n_iters == 20
+        assert np.isfinite(res.final_elbo)
+
+    @pytest.mark.parametrize("hyper_every", [0, 5])
+    def test_no_kernel_rows_in_fit_outnumber_a_batch(self, monkeypatch, hyper_every):
+        # Every kernel matrix is a distance buffer of the inducing side first:
+        # the batch Gram rows, K_mm at m = 6 and kern_grad's.  Reading
+        # final_elbo then takes one over all 60 rows.
+        ds, _ = _toy_problem(n=60, m=6)
+        gram_rows, buffer_rows = [], []
+        neg_half_sq = kernel._Inducing.neg_half_sq
+
+        def recording_gram(X, mm):
+            gram_rows.append(X.shape[0])
+            return build_gram(X, mm)
+
+        def recording_buffer(self, X):
+            buffer_rows.append(X.shape[0])
+            return neg_half_sq(self, X)
+
+        monkeypatch.setattr(inference, "build_gram", recording_gram)
+        monkeypatch.setattr(kernel._Inducing, "neg_half_sq", recording_buffer)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                  conv_threshold=0.0, hyper_every=hyper_every, seed=0))
+        assert gram_rows == [15] * 20
+        assert max(buffer_rows) == 15
+        assert np.isfinite(res.final_elbo)
+        assert buffer_rows[-1] == ds.n
+
+    def test_final_elbo_is_computed_on_its_first_read_only(self, monkeypatch):
+        ds, _ = _toy_problem(n=60, m=6)
+        calls = []
+
+        def counting(state, dataset):
+            calls.append(dataset)
+            return bound(state, dataset)
+
+        monkeypatch.setattr(inference, "bound", counting)
+        res = fit(ds, TrainConfig(num_inducing=6, batch_size=15, max_iters=10, seed=0))
+        assert len(calls) == 0
+        assert res.dataset is ds and "dataset" not in repr(res)
+        first = res.final_elbo
+        assert len(calls) == 1 and calls[0] is ds
+        assert res.final_elbo == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(lambda ds: TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                            conv_threshold=0.0, hyper_every=0, seed=0),
+                     id="hyper_every=0"),
+        pytest.param(lambda ds: TrainConfig(num_inducing=6, batch_size=15, max_iters=20,
+                                            conv_threshold=0.0, hyper_every=5, seed=0),
+                     id="hyper_every=5"),
+        pytest.param(lambda ds: TrainConfig.full_gp(ds, KernelParams.default(ds.d), 8, 0),
+                     id="full_gp"),
+    ])
+    def test_final_elbo_is_the_eager_bound_bit_for_bit(self, config):
+        # The bound at latent_predict's marginals over every row and their
+        # optimal tilts, at scale 1.0.
+        ds, _ = _toy_problem(n=60, m=6)
+        res = fit(ds, config(ds))
+        kmu, var = latent_predict(res.state, ds.X)
+        assert res.final_elbo == elbo(res.state, ds.y, local_update(kmu, var), kmu, var, 1.0)
 
     @pytest.mark.parametrize("hyper_every", [0, 5])
     def test_closing_tilts_and_bound_match_kappa_form(self, hyper_every):
@@ -978,7 +1058,8 @@ class TestFit:
 
     @staticmethod
     def _traced_peak_at_paper_scale():
-        """tracemalloc peak of one fit at n=2e5, d=8, m=100, and X.nbytes."""
+        """tracemalloc peak of one fit at n=2e5, d=8, m=100 and the first read of its
+        final_elbo, and X.nbytes."""
         rng = np.random.default_rng(27)
         X = rng.normal(size=(200_000, 8))
         ds = Dataset(X=X, y=np.where(X[:, 0] + 0.5 * X[:, 1] > 0, 1.0, -1.0))
@@ -986,7 +1067,7 @@ class TestFit:
                           conv_threshold=0.0, hyper_every=0, seed=0)
         tracemalloc.start()
         try:
-            fit(ds, cfg)
+            assert np.isfinite(fit(ds, cfg).final_elbo)  # the all-rows pass counts too
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1000,13 +1081,13 @@ class TestFit:
         assert peak < 2 * data
 
     def test_peak_allocation_at_paper_scale_stays_below_the_data(self):
-        # The closing bound sums its data terms per row block, so the peak
-        # is the closing pass's few length-n vectors, under the 8 columns of X.
+        # The all-rows bound sums its data terms per row block, so the peak
+        # is its pass's few length-n vectors, under the 8 columns of X.
         peak, data = self._traced_peak_at_paper_scale()
         assert peak < data
 
     def test_peak_allocation_at_paper_scale_holds_no_tilt_vector(self):
-        # The state holds no tilts, so the closing pass holds its marginals
+        # The state holds no tilts, so the all-rows pass holds its marginals
         # and their tilts and no third length-n vector (0.82x X when the
         # state kept a tilt per row).
         peak, data = self._traced_peak_at_paper_scale()

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import expit as sigmoid
 from scipy.special import ndtr
 
-from pggpc import kernel
+from pggpc import inference, kernel
 from pggpc.kernel import KernelParams, factorize
 from pggpc.inference import TrainConfig, fit
 from pggpc.model import Dataset, VariationalState, load_checkpoint, save_checkpoint
@@ -274,6 +274,18 @@ class TestLatentPredict:
         for call in (lambda: latent_predict(state, X),
                      lambda: evaluate(state, Dataset(X=X, y=np.ones(5))),
                      lambda: kernel.build_gram(X, state.mm)):
+            with pytest.raises(ValueError, match=f"^rows have {d_rows} features, the "
+                                                 "inducing inputs 3$"):
+                call()
+
+    @pytest.mark.parametrize("d_rows", [1, 4])
+    def test_zero_rows_of_the_wrong_width_are_named(self, d_rows):
+        # No rows never entered the row-block loop, whose first block checks
+        # the width, so two empty arrays came back.
+        state = _random_state(np.random.default_rng(8), d=3)
+        empty = Dataset(X=np.empty((0, d_rows)), y=np.empty(0))
+        for call in (lambda: latent_predict(state, empty.X),
+                     lambda: inference.bound(state, empty)):
             with pytest.raises(ValueError, match=f"^rows have {d_rows} features, the "
                                                  "inducing inputs 3$"):
                 call()
